@@ -35,8 +35,7 @@ use pbdmm_primitives::obs::{Phase, Recorder};
 use pbdmm_primitives::par;
 use pbdmm_primitives::rng::SplitMix64;
 use pbdmm_service::{
-    recover_matching_from_dir, CoalescePolicy, Done, ServiceConfig, ServiceHandle, ShardedStats,
-    WalConfig,
+    recover_matching_from_dir, CoalescePolicy, Done, ServiceConfig, ServiceHandle, WalConfig,
 };
 
 /// Schema tag so the checker can refuse files from a different layout.
@@ -118,8 +117,8 @@ fn bench_wal_path(name: &str) -> std::path::PathBuf {
 
 /// One producer's share of the churn load: windows of inserts, then
 /// deletes of the ids they returned. Identical (including rng seeding by
-/// `p`) for the coalesced, singleton-baseline, and sharded variants so
-/// their metrics compare the layer, not the load.
+/// `p`) for the coalesced and singleton-baseline variants so their metrics
+/// compare the layer, not the load.
 fn producer_churn(h: &ServiceHandle, p: u64, per_producer: usize) {
     let mut rng = SplitMix64::new(0xBE9C ^ p);
     let mut done = 0usize;
@@ -174,29 +173,6 @@ fn coalesced_service_load(sync: bool, per_producer: usize, obs: &Recorder) {
     let (m, _) = svc.shutdown();
     std::fs::remove_file(&wal_path).ok();
     std::hint::black_box(m.matching_size());
-}
-
-/// The same churn through the K-shard routing tier, in memory (no WAL):
-/// the metric gates the routing/epoch-barrier/replicated-apply engine, not
-/// the disk. Returns the run's routing stats.
-fn sharded_service_load(k: usize, per_producer: usize) -> ShardedStats {
-    let (svc, _query) = ServiceConfig::builder()
-        .policy(CoalescePolicy {
-            max_batch: 512,
-            max_delay: Duration::ZERO,
-        })
-        .shards(k)
-        .start_sharded(|| DynamicMatching::with_seed(11))
-        .expect("in-memory sharded service");
-    std::thread::scope(|scope| {
-        for p in 0..SERVICE_PRODUCERS as u64 {
-            let h = svc.handle();
-            scope.spawn(move || producer_churn(&h, p, per_producer));
-        }
-    });
-    let (mut replicas, routing) = svc.shutdown();
-    std::hint::black_box(replicas.remove(0).matching_size());
-    routing
 }
 
 /// The same load, same durability contract, without the coalescing layer:
@@ -283,7 +259,6 @@ fn daemon_loopback_load(per_connection: usize) -> LoadReport {
             per_connection,
             queries_per_window: 8,
             seed: 23,
-            shards: 1,
         },
     )
     .expect("loopback load");
@@ -561,31 +536,6 @@ fn run_battery(samples: usize) -> BTreeMap<String, f64> {
                 report.phase(phase).total_ns as f64,
             );
         }
-    }
-    // K-shard routing tier under the same churn, in memory. Gated (fixed,
-    // CPU-bound work) so the sharded write path can't silently regress.
-    // The tier keeps K deterministic replicas, so the write path does K×
-    // the apply work: on a single-core host k4 lands well below the k1
-    // pass-through recorded next to it — that ratio is the honest cost of
-    // the read-scale-out design, tracked, not hidden. The imbalance figure
-    // is the min-vertex partition's routed-update spread (ungated: it is a
-    // percentage, not a throughput, and workload-determined).
-    {
-        let last = Mutex::new(None);
-        metrics.insert(
-            "sharded_churn_updates_per_s_k4".into(),
-            throughput(samples, service_total, || {
-                *last.lock().unwrap() = Some(sharded_service_load(4, SERVICE_UPDATES_PER_PRODUCER));
-            }),
-        );
-        let routing = last.into_inner().unwrap().expect("sharded run recorded");
-        metrics.insert("info_shard_imbalance_pct".into(), routing.imbalance_pct());
-        metrics.insert(
-            "info_sharded_churn_updates_per_s_k1".into(),
-            throughput(samples, service_total, || {
-                sharded_service_load(1, SERVICE_UPDATES_PER_PRODUCER);
-            }),
-        );
     }
     // Snapshot read path: point queries against the latest published
     // epoch snapshot while a writer churns. `info_` (ungated) for the same

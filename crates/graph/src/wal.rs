@@ -74,13 +74,6 @@ pub struct Wal {
     pub base: u64,
     /// The committed batches, in append order.
     pub batches: Vec<Batch>,
-    /// Per-batch routing annotation (the `# route:` line inside a batch
-    /// frame): the position each of this log's updates held in the global
-    /// batch it was split from. `None` means the batch *is* the global
-    /// batch (identity route) — the only case a single-log WAL ever sees.
-    /// Sharded WAL directories use routes to merge K per-shard sub-batch
-    /// streams back into the original global batch sequence.
-    pub routes: Vec<Option<Vec<u32>>>,
     /// Whether a trailing uncommitted batch was dropped (torn final append).
     pub truncated: bool,
 }
@@ -137,64 +130,6 @@ fn write_update<W: Write>(w: &mut W, u: &Update) -> std::io::Result<()> {
     }
 }
 
-/// Append one shard's sub-batch of a global batch: the updates of `global`
-/// at `positions` (in order), framed under sequence number `seq` with a
-/// `# route:` annotation recording those global positions so K per-shard
-/// logs can be merged back into the global batch sequence. When `positions`
-/// is exactly `0..global.len()` (this shard owns the whole batch) the route
-/// line is omitted and the bytes equal [`write_batch`] — readers treat an
-/// absent route as the identity claim. An empty `positions` writes an empty
-/// framed batch (plus an explicit empty route), keeping per-log sequence
-/// numbers contiguous across shards.
-pub fn write_routed_batch<W: Write>(
-    w: &mut W,
-    seq: u64,
-    global: &Batch,
-    positions: &[u32],
-) -> std::io::Result<()> {
-    writeln!(w, "b {seq}")?;
-    let identity = positions.len() == global.len()
-        && positions.iter().enumerate().all(|(i, &p)| p as usize == i);
-    if !identity {
-        if positions.is_empty() {
-            writeln!(w, "# route:")?;
-        } else {
-            let line: Vec<String> = positions.iter().map(|p| p.to_string()).collect();
-            writeln!(w, "# route: {}", line.join(" "))?;
-        }
-    }
-    let updates = global.as_slice();
-    for &p in positions {
-        write_update(w, &updates[p as usize])?;
-    }
-    writeln!(w, "c {seq}")
-}
-
-/// Re-serialize an already-split sub-batch exactly as it was decoded: its
-/// own updates plus its recorded route annotation (`None` writes no route
-/// line). Used when sharded recovery rewrites a segment tail to drop
-/// batches past the consistency cut.
-pub fn write_batch_with_route<W: Write>(
-    w: &mut W,
-    seq: u64,
-    batch: &Batch,
-    route: Option<&[u32]>,
-) -> std::io::Result<()> {
-    writeln!(w, "b {seq}")?;
-    if let Some(route) = route {
-        if route.is_empty() {
-            writeln!(w, "# route:")?;
-        } else {
-            let line: Vec<String> = route.iter().map(|p| p.to_string()).collect();
-            writeln!(w, "# route: {}", line.join(" "))?;
-        }
-    }
-    for u in batch {
-        write_update(w, u)?;
-    }
-    writeln!(w, "c {seq}")
-}
-
 /// Strip a comment line (`# ...`, with arbitrary whitespace after the `#`)
 /// down to its content, or `None` if `line` is not a comment line.
 fn comment_body(line: &str) -> Option<&str> {
@@ -210,12 +145,15 @@ fn comment_body(line: &str) -> Option<&str> {
 /// `c `, a half-written token, a truncated vertex list — it is the torn
 /// final append: it and the open batch are dropped and `truncated` is set,
 /// so every committed batch before the crash still recovers.
+///
+/// A `# route:` line is always a hard error: it marks a per-shard sub-batch
+/// of the removed sharded layout, and replaying it as a whole batch would
+/// silently rebuild the wrong history.
 pub fn read_wal<R: BufRead>(reader: R) -> Result<Wal, String> {
     let mut meta = WalMeta::default();
     let mut base: u64 = 0;
     let mut batches: Vec<Batch> = Vec::new();
-    let mut routes: Vec<Option<Vec<u32>>> = Vec::new();
-    let mut open: Option<(u64, Batch, Option<Vec<u32>>)> = None;
+    let mut open: Option<(u64, Batch)> = None;
     let mut saw_magic = false;
     // A malformed line becomes a hard error only if more content follows
     // it; held here until that is known (EOF with a pending error = the
@@ -233,12 +171,18 @@ pub fn read_wal<R: BufRead>(reader: R) -> Result<Wal, String> {
             // Content after a malformed line: real corruption.
             return Err(err);
         }
+        if comment_body(trimmed).is_some_and(|body| body.starts_with("route:")) {
+            return Err(format!(
+                "line {}: `# route:` marks a sub-batch of the removed sharded WAL \
+                 layout, which this build cannot replay",
+                lineno + 1
+            ));
+        }
         if let Err(msg) = parse_line(
             trimmed,
             lineno,
             &mut open,
             &mut batches,
-            &mut routes,
             &mut meta,
             &mut base,
             &mut saw_magic,
@@ -265,18 +209,15 @@ pub fn read_wal<R: BufRead>(reader: R) -> Result<Wal, String> {
         meta,
         base,
         batches,
-        routes,
     })
 }
 
 /// Parse one non-empty WAL line into the reader state.
-#[allow(clippy::too_many_arguments)]
 fn parse_line(
     trimmed: &str,
     lineno: usize,
-    open: &mut Option<(u64, Batch, Option<Vec<u32>>)>,
+    open: &mut Option<(u64, Batch)>,
     batches: &mut Vec<Batch>,
-    routes: &mut Vec<Option<Vec<u32>>>,
     meta: &mut WalMeta,
     base: &mut u64,
     saw_magic: &mut bool,
@@ -309,21 +250,6 @@ fn parse_line(
                 .trim()
                 .parse()
                 .map_err(|e| at(format!("bad base: {e}")))?;
-        } else if let Some(rest) = body.strip_prefix("route:") {
-            let (_, _, route) = open
-                .as_mut()
-                .ok_or_else(|| at("`# route:` outside a batch".into()))?;
-            if route.is_some() {
-                return Err(at("duplicate `# route:` in one batch".into()));
-            }
-            let mut positions = Vec::new();
-            for tok in rest.split_whitespace() {
-                positions.push(
-                    tok.parse()
-                        .map_err(|e| at(format!("bad route position {tok:?}: {e}")))?,
-                );
-            }
-            *route = Some(positions);
         }
         return Ok(());
     }
@@ -348,10 +274,10 @@ fn parse_line(
                     "out-of-order batch: expected seq {expected}, got {seq}"
                 )));
             }
-            *open = Some((seq, Batch::new(), None));
+            *open = Some((seq, Batch::new()));
         }
         "d" => {
-            let (_, batch, _) = open
+            let (_, batch) = open
                 .as_mut()
                 .ok_or_else(|| at("`d` outside a batch".into()))?;
             let id: u64 = toks
@@ -362,7 +288,7 @@ fn parse_line(
             batch.push(Update::Delete(EdgeId(id)));
         }
         "i" => {
-            let (_, batch, _) = open
+            let (_, batch) = open
                 .as_mut()
                 .ok_or_else(|| at("`i` outside a batch".into()))?;
             let mut vs = Vec::new();
@@ -376,7 +302,7 @@ fn parse_line(
             batch.push(Update::Insert(vs));
         }
         "c" => {
-            let (seq, batch, route) = open
+            let (seq, batch) = open
                 .take()
                 .ok_or_else(|| at("`c` without an open batch".into()))?;
             let commit: u64 = toks
@@ -389,17 +315,7 @@ fn parse_line(
                     "commit seq {commit} does not match open batch {seq}"
                 )));
             }
-            if let Some(route) = &route {
-                if route.len() != batch.len() {
-                    return Err(at(format!(
-                        "route lists {} positions for a batch of {} updates",
-                        route.len(),
-                        batch.len()
-                    )));
-                }
-            }
             batches.push(batch);
-            routes.push(route);
         }
         other => return Err(at(format!("unknown record tag {other:?}"))),
     }
@@ -525,74 +441,24 @@ mod tests {
     }
 
     #[test]
-    fn routed_batches_round_trip_positions() {
-        let global = Batch::new()
-            .delete(EdgeId(7))
-            .insert(vec![0, 1])
-            .insert(vec![2, 3])
-            .insert(vec![4, 5]);
-        let mut buf = Vec::new();
-        write_header(&mut buf, &WalMeta::default()).unwrap();
-        // This shard owns the delete and the middle insert.
-        write_routed_batch(&mut buf, 0, &global, &[0, 2]).unwrap();
-        // Not a single update of the next global batch lands here.
-        write_routed_batch(&mut buf, 1, &global, &[]).unwrap();
-        let wal = parse(std::str::from_utf8(&buf).unwrap()).unwrap();
-        assert_eq!(
-            wal.batches[0].as_slice(),
-            &[Update::Delete(EdgeId(7)), Update::Insert(vec![2, 3])]
-        );
-        assert_eq!(wal.routes[0], Some(vec![0, 2]));
-        assert!(wal.batches[1].is_empty());
-        assert_eq!(wal.routes[1], Some(vec![]));
-        assert!(!wal.truncated);
-    }
-
-    #[test]
-    fn identity_routes_stay_byte_compatible_with_plain_batches() {
-        let global = Batch::new().insert(vec![0, 1]).delete(EdgeId(3));
-        let positions: Vec<u32> = (0..global.len() as u32).collect();
-        let (mut routed, mut plain) = (Vec::new(), Vec::new());
-        write_routed_batch(&mut routed, 5, &global, &positions).unwrap();
-        write_batch(&mut plain, 5, &global).unwrap();
-        // An owner-of-everything sub-batch is indistinguishable from the
-        // unsharded format: no route line, same bytes.
-        assert_eq!(routed, plain);
-        let mut buf = Vec::new();
-        write_header(&mut buf, &WalMeta::default()).unwrap();
-        write_batch(&mut buf, 0, &global).unwrap();
-        let wal = parse(std::str::from_utf8(&buf).unwrap()).unwrap();
-        assert_eq!(wal.routes, vec![None]);
-    }
-
-    #[test]
-    fn torn_route_lines_drop_the_open_batch() {
-        // A route line torn mid-token is the last content in the file: the
-        // open batch (which never committed) is dropped, not an error.
-        let wal = parse("# pbdmm-wal v1\nb 0\ni 0 1\nc 0\nb 1\n# route: 1 x").unwrap();
+    fn rejects_route_lines_of_the_removed_sharded_layout() {
+        // A committed sub-batch of a per-shard log: read as a plain batch it
+        // would replay one shard's slice as the whole global batch.
+        let err = parse("# pbdmm-wal v1\nb 0\n# route: 0 2\nd 7\ni 2 3\nc 0\n").unwrap_err();
+        assert!(err.contains("sharded"), "{err}");
+        // An empty route (a shard that owned nothing of the batch), a route
+        // outside a frame, and a route as the file's last line: all refused,
+        // none dropped as a torn tail.
+        for log in [
+            "# pbdmm-wal v1\nb 0\n# route:\nc 0\n",
+            "# pbdmm-wal v1\n# route: 0\nb 0\nc 0\n",
+            "# pbdmm-wal v1\nb 0\ni 0 1\nc 0\nb 1\n# route: 1",
+        ] {
+            assert!(parse(log).is_err(), "{log:?}");
+        }
+        // Other unknown comments stay ignorable.
+        let wal = parse("# pbdmm-wal v1\n# note: hi\nb 0\ni 0 1\nc 0\n").unwrap();
         assert_eq!(wal.batches.len(), 1);
-        assert!(wal.truncated);
-        // Torn so early it reads as an unknown comment: still just an open
-        // batch with no commit marker, dropped the same way.
-        let wal = parse("# pbdmm-wal v1\nb 0\ni 0 1\nc 0\nb 1\n# rou").unwrap();
-        assert_eq!(wal.batches.len(), 1);
-        assert!(wal.truncated);
-    }
-
-    #[test]
-    fn rejects_malformed_routes() {
-        assert!(
-            parse("# pbdmm-wal v1\n# route: 0\nb 0\nc 0\n").is_err(),
-            "route outside a batch"
-        );
-        assert!(
-            parse("# pbdmm-wal v1\nb 0\n# route: 0\n# route: 0\ni 0 1\nc 0\n").is_err(),
-            "duplicate route"
-        );
-        assert!(
-            parse("# pbdmm-wal v1\nb 0\n# route: 0 1\ni 0 1\nc 0\nb 1\nc 1\n").is_err(),
-            "route/batch length mismatch"
-        );
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! One accept loop, one **reader/writer thread pair per connection** — no
 //! async runtime. Every connection funnels into the same
-//! [`ServiceHandle`]/[`pbdmm_service::QueryHandle`] pair, so coalescing,
-//! WAL durability,
+//! [`ServiceHandle`]/[`QueryHandle`] pair, so coalescing, WAL durability,
 //! epoch snapshots, and read-your-writes all come for free from the
 //! in-process service; the network tier adds exactly two things:
 //!
@@ -30,14 +29,13 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use pbdmm_matching::checkpoint::Checkpoint;
 use pbdmm_matching::snapshot::{Changes, MatchingSnapshot, SnapshotDelta};
 use pbdmm_matching::DynamicMatching;
 use pbdmm_primitives::obs::{Counter, Phase, Recorder};
 use pbdmm_primitives::pool::ParPool;
 use pbdmm_service::{
-    CoalescePolicy, Done, RecoveryInfo, ServiceBuilder, ServiceConfig, ServiceError, ServiceHandle,
-    ServiceStats, ShardedQuery, ShardedService, ShardedStats, Ticket, WalConfig,
+    matching_for, CoalescePolicy, Done, QueryHandle, RecoveryInfo, ServiceBuilder, ServiceConfig,
+    ServiceError, ServiceHandle, ServiceStats, Ticket, UpdateService, WalConfig,
 };
 
 use crate::proto::{
@@ -78,11 +76,6 @@ pub struct DaemonConfig {
     pub wal: Option<WalConfig>,
     /// Scheduler every `apply` runs on (None: the process-global pool).
     pub pool: Option<Arc<ParPool>>,
-    /// Matching shards behind the routing tier (0 and 1 both mean the
-    /// plain unsharded service; see [`pbdmm_service::shard`]). With a WAL,
-    /// `K > 1` requires a segmented directory and logs each shard under
-    /// `<dir>/shard-<i>/`.
-    pub shards: usize,
     /// Phase/counter recorder shared with the service and matching tiers.
     /// Enable it ([`Recorder::enabled`]) to serve [`Request::Profile`]
     /// scrapes and per-phase breakdowns; the default disabled recorder
@@ -100,7 +93,6 @@ impl Default for DaemonConfig {
             policy: CoalescePolicy::default(),
             wal: None,
             pool: None,
-            shards: 1,
             obs: Recorder::disabled(),
         }
     }
@@ -121,16 +113,11 @@ pub struct WireCounters {
 /// Everything a drained daemon hands back.
 #[derive(Debug)]
 pub struct DaemonReport {
-    /// The structure (shard 0 when sharded — replicas are
-    /// state-identical), for final-state inspection (`final:` line,
-    /// invariant checks) exactly as an in-process `serve` run would yield
-    /// it.
+    /// The structure, for final-state inspection (`final:` line, invariant
+    /// checks) exactly as an in-process `serve` run would yield it.
     pub structure: DynamicMatching,
     /// Service-tier counters.
     pub service: ServiceStats,
-    /// Per-shard routing telemetry (`routed`/`stubs`/imbalance; one entry
-    /// even for K=1).
-    pub routing: ShardedStats,
     /// Wire-tier counters.
     pub wire: WireCounters,
 }
@@ -138,7 +125,7 @@ pub struct DaemonReport {
 /// State shared by the acceptor and every connection thread.
 struct Shared {
     handle: ServiceHandle,
-    query: ShardedQuery,
+    query: QueryHandle<MatchingSnapshot>,
     cfg: DaemonConfig,
     draining: AtomicBool,
     conn_count: AtomicUsize,
@@ -191,7 +178,7 @@ impl StopHandle {
 pub struct Daemon {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    svc: ShardedService,
+    svc: UpdateService<DynamicMatching>,
     acceptor: JoinHandle<()>,
     control_rx: mpsc::Receiver<()>,
 }
@@ -199,34 +186,12 @@ pub struct Daemon {
 impl Daemon {
     /// Bind the listener, start the coalescing service over `structure`,
     /// and spawn the accept loop. Fails if the address cannot be bound or
-    /// the WAL cannot be created. With `cfg.shards > 1` the K−1 extra
-    /// replicas are cloned from `structure` through the checkpoint codec
-    /// (state-identical, RNG and all).
+    /// the WAL cannot be created.
     pub fn start(structure: DynamicMatching, cfg: DaemonConfig) -> Result<Daemon, String> {
         let listener =
             TcpListener::bind(&cfg.addr).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
-        let payload = if cfg.shards > 1 {
-            let mut buf = Vec::new();
-            structure
-                .write_checkpoint(&mut buf)
-                .map_err(|e| format!("serialize replica prototype: {e}"))?;
-            Some(buf)
-        } else {
-            None
-        };
-        let mut proto = Some(structure);
         let (svc, query) = builder_for(&cfg)
-            .start_sharded(move || match proto.take() {
-                Some(s) => s,
-                None => {
-                    let mut m = DynamicMatching::with_seed(0);
-                    m.read_checkpoint(&mut std::io::Cursor::new(
-                        payload.as_deref().expect("payload serialized for K > 1"),
-                    ))
-                    .expect("replica clone round-trip");
-                    m
-                }
-            })
+            .start_serving(structure)
             .map_err(|e| format!("start service: {e}"))?;
         Self::assemble(listener, cfg, svc, query)
     }
@@ -241,17 +206,12 @@ impl Daemon {
         let Some(wal) = cfg.wal.clone() else {
             return Err("recovery requires a segmented WAL directory (DaemonConfig::wal)".into());
         };
+        matching_for(&wal.meta)?;
         let listener =
             TcpListener::bind(&cfg.addr).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
-        let seed = wal.meta.seed;
-        let recycling = wal.meta.ids_recycling;
         let (svc, query, info) = builder_for(&cfg)
-            .recover_and_start_sharded(move || {
-                let mut m = DynamicMatching::with_seed(seed);
-                if recycling {
-                    m.set_recycle_ids(true);
-                }
-                m
+            .recover_and_start_serving(move || {
+                matching_for(&wal.meta).expect("header checked above")
             })
             .map_err(|e| format!("recover service: {e}"))?;
         Ok((Self::assemble(listener, cfg, svc, query)?, info))
@@ -261,8 +221,8 @@ impl Daemon {
     fn assemble(
         listener: TcpListener,
         cfg: DaemonConfig,
-        svc: ShardedService,
-        query: ShardedQuery,
+        svc: UpdateService<DynamicMatching>,
+        query: QueryHandle<MatchingSnapshot>,
     ) -> Result<Daemon, String> {
         let local_addr = listener
             .local_addr()
@@ -336,8 +296,7 @@ impl Daemon {
                 None => break,
             }
         }
-        let (mut shards, routing) = self.svc.shutdown();
-        let structure = shards.remove(0);
+        let (structure, service) = self.svc.shutdown();
         let wire = WireCounters {
             total_connections: self.shared.total_conns.load(Ordering::Relaxed),
             overloaded: self.shared.overloaded.load(Ordering::Relaxed),
@@ -345,8 +304,7 @@ impl Daemon {
         };
         DaemonReport {
             structure,
-            service: routing.service,
-            routing,
+            service,
             wire,
         }
     }
@@ -356,7 +314,6 @@ impl Daemon {
 fn builder_for(cfg: &DaemonConfig) -> ServiceBuilder {
     let mut b = ServiceConfig::builder()
         .policy(cfg.policy)
-        .shards(cfg.shards.max(1))
         .obs(cfg.obs.clone());
     if let Some(wal) = cfg.wal.clone() {
         b = b.wal(wal);
@@ -624,9 +581,7 @@ fn reader_loop(
                 }
             }
             Request::PointQuery { req_id, vertex } => {
-                // Sharded: resolve on the vertex's home shard — the local
-                // lookup the vertex-cut model guarantees.
-                let snap = shared.query.snapshot_for_vertex(vertex);
+                let snap = shared.query.snapshot();
                 let matched = snap.matched_edge_of(vertex);
                 let partners = matched
                     .and_then(|_| snap.partners(vertex))

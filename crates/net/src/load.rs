@@ -46,15 +46,6 @@ pub struct LoadConfig {
     /// Base seed; connection `p` derives `seed ^ (p * 0x9e37)` exactly like
     /// `serve`'s producers.
     pub seed: u64,
-    /// Shard-affine traffic: with `K > 1`, connection `p` remaps every
-    /// generated vertex `v` to `v - (v % K) + (p % K)` — pinning its edges
-    /// (the owner shard is the minimum vertex's home, and the remapped
-    /// first vertex stays the minimum) and its point queries to one shard,
-    /// the locality a partitioned deployment would see. `0` or `1`:
-    /// uniform traffic, byte-identical to the pre-sharding generator. The
-    /// remap consumes no RNG draws, so the *number* of updates per
-    /// connection is unchanged.
-    pub shards: usize,
 }
 
 impl Default for LoadConfig {
@@ -64,7 +55,6 @@ impl Default for LoadConfig {
             per_connection: 2_500,
             queries_per_window: 8,
             seed: 42,
-            shards: 1,
         }
     }
 }
@@ -101,12 +91,8 @@ fn connection_load(
     per_connection: usize,
     queries_per_window: usize,
     mut rng: SplitMix64,
-    affinity: (u32, u32),
     acked: &AtomicU64,
 ) -> Result<(u64, Vec<f64>, u64, u64, Vec<f64>, u64), ClientError> {
-    // Pin this connection's vertices to its home shard (`K = 1`: identity).
-    let (k, home) = affinity;
-    let pin = move |v: u32| v - (v % k) + home;
     let mut c = Client::connect(addr)?;
     let mut latencies = Vec::with_capacity(per_connection);
     let mut staleness = Vec::new();
@@ -170,7 +156,7 @@ fn connection_load(
         // `serve`'s producers: mostly rank-2, a quarter rank-3.
         let mut inserts = Vec::with_capacity(window);
         for _ in 0..window {
-            let a = pin(rng.bounded(UNIVERSE) as u32);
+            let a = rng.bounded(UNIVERSE) as u32;
             let b = a + 1 + rng.bounded(7) as u32;
             let vs = if rng.bounded(4) == 0 {
                 vec![a, b, b + 1 + rng.bounded(5) as u32]
@@ -197,7 +183,7 @@ fn connection_load(
 
         // Read-your-writes + staleness probes against the latest snapshot.
         for _ in 0..queries_per_window {
-            let v = pin(rng.bounded(UNIVERSE) as u32);
+            let v = rng.bounded(UNIVERSE) as u32;
             let q = c.point_query(v)?;
             reads += 1;
             if q.epoch < my_epoch {
@@ -249,10 +235,8 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> Result<LoadReport, String
             let (acked, acc) = (&acked, &acc);
             let rng = SplitMix64::new(cfg.seed ^ (p as u64).wrapping_mul(0x9e37));
             let (per_connection, queries) = (cfg.per_connection, cfg.queries_per_window);
-            let k = cfg.shards.max(1) as u32;
-            let affinity = (k, p as u32 % k);
-            scope.spawn(move || {
-                match connection_load(addr, per_connection, queries, rng, affinity, acked) {
+            scope.spawn(
+                move || match connection_load(addr, per_connection, queries, rng, acked) {
                     Ok((updates, mut lat, reads, failed, mut stale, overloaded)) => {
                         let mut a = acc.lock().unwrap();
                         a.updates += updates;
@@ -266,8 +250,8 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> Result<LoadReport, String
                         eprintln!("load connection {p}: {e}");
                         acc.lock().unwrap().protocol_errors += 1;
                     }
-                }
-            });
+                },
+            );
         }
     });
     let mut report = acc.into_inner().unwrap();

@@ -52,8 +52,10 @@ use pbdmm_primitives::obs::{ProfileReport, NUM_COUNTERS, NUM_PHASES};
 pub const MAGIC: [u8; 4] = *b"PBDM";
 
 /// Protocol version carried in the handshake. Bumped on any frame-layout
-/// change; endpoints refuse to talk across versions.
-pub const VERSION: u16 = 1;
+/// change, including a change to the phase or counter list, which
+/// [`Response::ProfileResult`] encodes by position. Endpoints refuse to
+/// talk across versions.
+pub const VERSION: u16 = 2;
 
 /// Default cap on one frame's body (opcode + payload). A declared length
 /// above the cap is rejected *before* allocating — the admission control of
@@ -1113,12 +1115,16 @@ mod tests {
             read_handshake(&mut &http[..]),
             Err(FrameError::BadHandshake(_))
         ));
-        let mut v2 = wire.clone();
-        v2[4] = 2;
-        assert!(matches!(
-            read_handshake(&mut &v2[..]),
-            Err(FrameError::BadHandshake(_))
-        ));
+        // Both neighbouring versions are refused: a peer built before or
+        // after a frame-layout change never mislabels positional fields.
+        for other in [VERSION - 1, VERSION + 1] {
+            let mut foreign = wire.clone();
+            foreign[4..6].copy_from_slice(&other.to_le_bytes());
+            assert!(matches!(
+                read_handshake(&mut &foreign[..]),
+                Err(FrameError::BadHandshake(_))
+            ));
+        }
         assert!(matches!(
             read_handshake(&mut &wire[..4]),
             Err(FrameError::BadHandshake(_))

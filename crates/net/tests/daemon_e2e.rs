@@ -338,7 +338,6 @@ fn load_generator_runs_clean_against_the_daemon() {
         per_connection: 400,
         queries_per_window: 4,
         seed: 7,
-        shards: 1,
     };
     let report = run_load(addr, &cfg).unwrap();
     assert_eq!(report.updates, 1600);

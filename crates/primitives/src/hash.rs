@@ -86,7 +86,7 @@ pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
 /// Hash a single hashable value to a `u64` with the fast hasher.
 ///
-/// This is the hash function handed to semisort and the sharded structures.
+/// This is the hash function handed to semisort.
 #[inline]
 pub fn fx_hash<T: Hash>(value: &T) -> u64 {
     let mut h = FxHasher64::default();

@@ -11,7 +11,6 @@
 //! * [`sort`] — expected-linear bucket sort for uniformly random keys;
 //! * [`permutation`] — random permutations / random priorities;
 //! * [`dict`] — batch-parallel growable dictionaries;
-//! * [`sharded`] — grouped batch mutation of many small sets;
 //! * [`mod@find_next`] — the doubling + binary search pointer-slide primitive;
 //! * [`hash`] — fast hashing for identifier keys;
 //! * [`rng`] — seedable splittable PRNGs (the algorithm's coins);
@@ -40,7 +39,6 @@ pub mod pool;
 pub mod rng;
 pub mod scan;
 pub mod semisort;
-pub mod sharded;
 pub mod slab;
 pub mod sort;
 
@@ -54,6 +52,5 @@ pub use pool::ParPool;
 pub use rng::SplitMix64;
 pub use scan::{exclusive_scan, filter, inclusive_scan};
 pub use semisort::{count_by, group_by, remove_duplicates, sum_by};
-pub use sharded::ShardedMap;
 pub use slab::{EpochMap, EpochSet, Slab};
 pub use sort::{bucket_sort_by_key, bucket_sort_indices};

@@ -6,7 +6,7 @@
 //! snapshot-publish) → complete*), so per-phase accounting is a matter of
 //! hanging one timer on each existing seam. A [`Recorder`] is a cheaply
 //! cloneable handle that every tier of the stack (coalescer, matching
-//! structure, shard router, network daemon) shares; each phase records
+//! structure, network daemon) shares; each phase records
 //! wall time into a lock-free slot of atomic counters plus a 64-bucket
 //! log₂ duration histogram, from which [`ProfileReport`] derives totals,
 //! p50/p99 estimates, and maxima.
@@ -66,9 +66,7 @@ const BUCKETS: usize = 64;
 ///
 /// The first group partitions a batch's busy time at the service tier;
 /// `Settle`/`SnapshotPublish` nest inside `Apply` at the matching tier;
-/// the `ShardBarrier*` phases measure the router's wait at each sharded
-/// 2-phase-commit barrier; the `Net*` phases measure the daemon's frame
-/// handling.
+/// the `Net*` phases measure the daemon's frame handling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Phase {
@@ -86,18 +84,14 @@ pub enum Phase {
     SnapshotPublish = 5,
     /// Ticket completion: waking submitters with their outcome slices.
     Complete = 6,
-    /// Sharded router: waiting on the slowest shard's WAL append (phase 1).
-    ShardBarrierWal = 7,
-    /// Sharded router: waiting on the slowest shard's apply (phase 2).
-    ShardBarrierApply = 8,
     /// Network daemon: wire-frame decode.
-    NetDecode = 9,
+    NetDecode = 7,
     /// Network daemon: request dispatch (decode → work item handed off).
-    NetDispatch = 10,
+    NetDispatch = 8,
 }
 
 /// Number of phases (length of [`Phase::ALL`]).
-pub const NUM_PHASES: usize = 11;
+pub const NUM_PHASES: usize = 9;
 
 impl Phase {
     /// Every phase, in display order.
@@ -109,8 +103,6 @@ impl Phase {
         Phase::Settle,
         Phase::SnapshotPublish,
         Phase::Complete,
-        Phase::ShardBarrierWal,
-        Phase::ShardBarrierApply,
         Phase::NetDecode,
         Phase::NetDispatch,
     ];
@@ -126,8 +118,6 @@ impl Phase {
             Phase::Settle => "settle",
             Phase::SnapshotPublish => "snapshot_publish",
             Phase::Complete => "complete",
-            Phase::ShardBarrierWal => "shard_barrier_wal",
-            Phase::ShardBarrierApply => "shard_barrier_apply",
             Phase::NetDecode => "net_decode",
             Phase::NetDispatch => "net_dispatch",
         }
@@ -135,7 +125,7 @@ impl Phase {
 
     /// Nesting depth for report indentation: `Batch` is the root, the
     /// service phases its children, `Settle`/`SnapshotPublish` nest under
-    /// `Apply`. Barrier and network phases run outside the batch span.
+    /// `Apply`. Network phases run outside the batch span.
     fn depth(self) -> usize {
         match self {
             Phase::Batch => 0,
@@ -172,16 +162,14 @@ pub enum Counter {
     LevelsTouched = 8,
     /// High-water: peak greedy-scratch table size (slots).
     ScratchHighWater = 9,
-    /// High-water: largest single-shard sub-batch routed (imbalance probe).
-    ShardRoutedMax = 10,
     /// Wire frames decoded by the daemon.
-    FramesDecoded = 11,
+    FramesDecoded = 10,
     /// Malformed/oversized frames rejected by the daemon.
-    DecodeErrors = 12,
+    DecodeErrors = 11,
 }
 
 /// Number of counters (length of [`Counter::ALL`]).
-pub const NUM_COUNTERS: usize = 13;
+pub const NUM_COUNTERS: usize = 12;
 
 impl Counter {
     /// Every counter, in display order.
@@ -196,7 +184,6 @@ impl Counter {
         Counter::SettleRounds,
         Counter::LevelsTouched,
         Counter::ScratchHighWater,
-        Counter::ShardRoutedMax,
         Counter::FramesDecoded,
         Counter::DecodeErrors,
     ];
@@ -214,7 +201,6 @@ impl Counter {
             Counter::SettleRounds => "settle_rounds",
             Counter::LevelsTouched => "levels_touched",
             Counter::ScratchHighWater => "scratch_high_water",
-            Counter::ShardRoutedMax => "shard_routed_max",
             Counter::FramesDecoded => "frames_decoded",
             Counter::DecodeErrors => "decode_errors",
         }
@@ -487,10 +473,7 @@ impl ProfileReport {
             }
         }
         for (i, c) in Counter::ALL.iter().enumerate() {
-            if !matches!(
-                c,
-                Counter::BatchMax | Counter::ScratchHighWater | Counter::ShardRoutedMax
-            ) {
+            if !matches!(c, Counter::BatchMax | Counter::ScratchHighWater) {
                 d.counters[i] = d.counters[i].saturating_sub(prev.counters[i]);
             }
         }

@@ -323,7 +323,7 @@ where
 
 /// Consume an owned work list in parallel, one task per item, so uneven item
 /// costs balance through stealing. Used for coarse-grained task sets (e.g.
-/// one task per shard) where the item count is far below any grain but each
+/// one task per group) where the item count is far below any grain but each
 /// item is substantial.
 pub fn par_consume<T, F>(items: Vec<T>, f: F)
 where

@@ -170,143 +170,6 @@ where
     }
 }
 
-/// Upper bound on `K` for the sharded planner — shard sets are tracked as
-/// one `u64` bitmask per edge.
-pub const MAX_SHARDS: usize = 64;
-
-/// Which shards an edge touches under the deterministic vertex partition
-/// (vertex `v` is homed on shard `v % K`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EdgeShards {
-    /// The shard that owns the edge: the home shard of its **minimum**
-    /// vertex id. The owner applies the edge's updates; every other touched
-    /// shard only records a stub.
-    pub owner: u32,
-    /// Bitmask of every shard homing at least one of the edge's vertices
-    /// (always includes the owner bit).
-    pub mask: u64,
-}
-
-/// Home shard of one vertex under the modulo-K partition.
-pub fn shard_of_vertex(v: u32, shards: usize) -> usize {
-    v as usize % shards
-}
-
-/// Owner and touched-shard set for an edge's vertex list. The owner is the
-/// home shard of the minimum vertex id — deterministic, derivable by every
-/// tier (planner, WAL router, read path) without coordination.
-pub fn edge_shards(vertices: &[u32], shards: usize) -> EdgeShards {
-    debug_assert!(!vertices.is_empty(), "edges have at least one vertex");
-    debug_assert!((1..=MAX_SHARDS).contains(&shards));
-    let mut mask = 0u64;
-    let mut min = u32::MAX;
-    for &v in vertices {
-        mask |= 1 << shard_of_vertex(v, shards);
-        min = min.min(v);
-    }
-    EdgeShards {
-        owner: shard_of_vertex(min, shards) as u32,
-        mask,
-    }
-}
-
-/// A vertex-cut stub: a formed-batch position whose edge touches a vertex
-/// homed on this shard but is owned by another shard. The stub is what
-/// keeps point queries local — the non-owner shard knows the edge exists
-/// and who owns it without holding its state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Stub {
-    /// Position in the formed batch (see [`BatchPlan::batch`]).
-    pub pos: u32,
-    /// The shard that owns the edge.
-    pub owner: u32,
-}
-
-/// How one formed batch splits across K shards.
-#[derive(Debug, Clone)]
-pub struct ShardRoute {
-    /// The shard count the route was planned for.
-    pub shards: usize,
-    /// Owner shard of each formed-batch position, in batch order.
-    pub owner: Vec<u32>,
-    /// Per-shard routed positions: `routed[s]` lists the formed-batch
-    /// positions owned by shard `s`, ascending. Every position appears in
-    /// exactly one shard's list — together they partition the batch, which
-    /// is what lets K per-shard WAL streams merge back into it.
-    pub routed: Vec<Vec<u32>>,
-    /// Per-shard vertex-cut stubs: `stubs[s]` lists the positions whose
-    /// edge touches shard `s` without being owned by it, ascending.
-    pub stubs: Vec<Vec<Stub>>,
-}
-
-/// The outcome of planning one drain for a K-shard service: the ordinary
-/// [`BatchPlan`] plus its [`ShardRoute`].
-#[derive(Debug, Clone)]
-pub struct ShardedPlan {
-    /// The formed batch and per-request slots, exactly as [`plan_batch`]
-    /// produces them — sharding never changes what the batch contains.
-    pub plan: BatchPlan,
-    /// Where each formed-batch position lives.
-    pub route: ShardRoute,
-}
-
-/// Plan one drain for a K-shard service: resolve conflicts exactly as
-/// [`plan_batch`] does (the formed batch is identical — sharding must not
-/// change what commits), then split the batch by the deterministic vertex
-/// partition. Takes the request list by value like `plan_batch`; routing
-/// reads vertex lists in place from the formed batch, so the hot path
-/// stays clone-free. `shards_of` answers the touched-shard set for a live
-/// edge id (from the structure's edge table); insertions derive theirs
-/// from the vertex list in the batch. Deferred, duplicate, and rejected
-/// requests never route anywhere — only formed-batch positions do.
-pub fn plan_sharded<L, C, V>(
-    reqs: Vec<Update>,
-    shards: usize,
-    is_live: L,
-    created_here: C,
-    mut shards_of: V,
-) -> ShardedPlan
-where
-    L: FnMut(EdgeId) -> bool,
-    C: FnMut(EdgeId) -> bool,
-    V: FnMut(EdgeId) -> EdgeShards,
-{
-    assert!(
-        (1..=MAX_SHARDS).contains(&shards),
-        "shard count {shards} outside 1..={MAX_SHARDS}"
-    );
-    let plan = plan_batch(reqs, is_live, created_here);
-    let mut owner = Vec::with_capacity(plan.batch.len());
-    let mut routed: Vec<Vec<u32>> = vec![Vec::new(); shards];
-    let mut stubs: Vec<Vec<Stub>> = vec![Vec::new(); shards];
-    for (pos, u) in plan.batch.iter().enumerate() {
-        let es = match u {
-            Update::Delete(id) => shards_of(*id),
-            Update::Insert(vs) => edge_shards(vs, shards),
-        };
-        owner.push(es.owner);
-        routed[es.owner as usize].push(pos as u32);
-        let mut rest = es.mask & !(1 << es.owner);
-        while rest != 0 {
-            let s = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            stubs[s].push(Stub {
-                pos: pos as u32,
-                owner: es.owner,
-            });
-        }
-    }
-    ShardedPlan {
-        plan,
-        route: ShardRoute {
-            shards,
-            owner,
-            routed,
-            stubs,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,156 +275,6 @@ mod tests {
         assert!(plan.batch.is_empty());
         assert!(plan.slots.is_empty());
         assert!(plan.deferred.is_empty());
-    }
-
-    /// `shards_of` for tests: a fixed edge-id → vertex-list table, the way
-    /// the service derives it from the structure's edge table.
-    fn table_shards_of(
-        table: &[(u64, Vec<u32>)],
-        shards: usize,
-    ) -> impl FnMut(EdgeId) -> EdgeShards + '_ {
-        move |id: EdgeId| {
-            let vs = &table.iter().find(|(raw, _)| *raw == id.raw()).unwrap().1;
-            edge_shards(vs, shards)
-        }
-    }
-
-    #[test]
-    fn partition_is_min_vertex_modulo_k() {
-        assert_eq!(shard_of_vertex(7, 4), 3);
-        let es = edge_shards(&[5, 2, 8], 4);
-        // min vertex 2 -> owner shard 2; vertices home on {2 % 4, 5 % 4, 8 % 4}.
-        assert_eq!(es.owner, 2);
-        assert_eq!(es.mask, (1 << 2) | (1 << 1) | (1 << 0));
-        // K=1 degenerates to one owner, one bit.
-        assert_eq!(edge_shards(&[5, 2, 8], 1), EdgeShards { owner: 0, mask: 1 });
-    }
-
-    #[test]
-    fn k1_route_is_the_identity() {
-        let reqs = vec![
-            Update::Insert(vec![0, 1]),
-            Update::Delete(EdgeId(7)),
-            Update::Insert(vec![2, 3]),
-        ];
-        let table = [(7u64, vec![9, 12])];
-        let sp = plan_sharded(
-            reqs.clone(),
-            1,
-            |_| true,
-            |_| false,
-            table_shards_of(&table, 1),
-        );
-        let plain = plan_batch(reqs, |_| true, |_| false);
-        // The formed batch and slots are exactly plan_batch's.
-        assert_eq!(sp.plan.batch, plain.batch);
-        assert_eq!(sp.plan.slots, plain.slots);
-        // Everything routes to shard 0, in batch order, with no stubs.
-        assert_eq!(sp.route.routed, vec![vec![0, 1, 2]]);
-        assert_eq!(sp.route.owner, vec![0, 0, 0]);
-        assert!(sp.route.stubs[0].is_empty());
-    }
-
-    #[test]
-    fn duplicate_deletes_spanning_shards_route_once() {
-        // Edge 5 spans shards {1, 0} (owner 1), edge 6 lives wholly on
-        // shard 0. Duplicate deletes of 5 arrive interleaved.
-        let table = [(5u64, vec![1, 2]), (6u64, vec![0, 2])];
-        let reqs = vec![
-            Update::Delete(EdgeId(5)),
-            Update::Delete(EdgeId(6)),
-            Update::Delete(EdgeId(5)),
-        ];
-        let sp = plan_sharded(reqs, 2, |_| true, |_| false, table_shards_of(&table, 2));
-        // Dedup happened exactly as unsharded planning: one slot per id.
-        assert_eq!(
-            sp.plan.slots,
-            vec![
-                Slot::InBatch(0),
-                Slot::InBatch(1),
-                Slot::DuplicateDelete(EdgeId(5)),
-            ]
-        );
-        // Each surviving delete routes to its owner exactly once; the
-        // coalesced duplicate routes nowhere.
-        assert_eq!(sp.route.routed, vec![vec![1], vec![0]]);
-        assert_eq!(sp.route.owner, vec![1, 0]);
-        // Edge 5 touches shard 0 (vertex 2) without being owned there.
-        assert_eq!(sp.route.stubs[0], vec![Stub { pos: 0, owner: 1 }]);
-        assert!(sp.route.stubs[1].is_empty());
-    }
-
-    #[test]
-    fn deferred_cross_shard_deletes_route_nowhere() {
-        // The delete targets an id created by this very batch (replay
-        // shape); it defers to the next batch no matter which shards the
-        // insert will span, and the route must not mention it.
-        let table = [(3u64, vec![0, 4])];
-        let reqs = vec![
-            Update::Insert(vec![0, 1]), // spans shards {0, 1}, owner 0
-            Update::Delete(EdgeId(10)), // created_here -> deferred
-            Update::Delete(EdgeId(3)),  // live, wholly shard 0 (K=2)
-        ];
-        let sp = plan_sharded(
-            reqs,
-            2,
-            |id| id == EdgeId(3),
-            |id| id == EdgeId(10),
-            table_shards_of(&table, 2),
-        );
-        assert_eq!(sp.plan.deferred, vec![1]);
-        assert_eq!(
-            sp.plan.slots,
-            vec![Slot::InBatch(1), Slot::Deferred, Slot::InBatch(0)]
-        );
-        // Two formed positions: the delete (pos 0) and the insert (pos 1),
-        // both owned by shard 0. Shard 1 sees only the insert's stub.
-        assert_eq!(sp.route.routed, vec![vec![0, 1], vec![]]);
-        assert_eq!(sp.route.stubs[0], vec![]);
-        assert_eq!(sp.route.stubs[1], vec![Stub { pos: 1, owner: 0 }]);
-    }
-
-    #[test]
-    fn vertex_cut_stubs_cover_every_touched_shard() {
-        // A rank-3 insert spanning three shards: owner takes the edge, the
-        // two other touched shards each record one stub.
-        let reqs = vec![
-            Update::Insert(vec![1, 2, 3]), // homes {1, 2, 3}, owner 1
-            Update::Insert(vec![4, 8]),    // both home shard 0: no stubs
-        ];
-        let sp = plan_sharded(reqs, 4, |_| true, |_| false, |_| unreachable!());
-        assert_eq!(sp.route.routed, vec![vec![1], vec![0], vec![], vec![]]);
-        assert!(sp.route.stubs[0].is_empty());
-        assert!(sp.route.stubs[1].is_empty());
-        assert_eq!(sp.route.stubs[2], vec![Stub { pos: 0, owner: 1 }]);
-        assert_eq!(sp.route.stubs[3], vec![Stub { pos: 0, owner: 1 }]);
-        // Routed lists partition the batch positions.
-        let mut all: Vec<u32> = sp.route.routed.concat();
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1]);
-    }
-
-    #[test]
-    fn rejected_requests_never_route() {
-        let live = ids(&[1]);
-        let reqs = vec![
-            Update::Insert(vec![]),     // rejected: empty
-            Update::Delete(EdgeId(99)), // rejected: unknown
-            Update::Insert(vec![2, 5]), // owner 2 % 3 = 2
-        ];
-        let table = [(1u64, vec![3])];
-        let sp = plan_sharded(
-            reqs,
-            3,
-            |id| live.contains(&id),
-            |_| false,
-            table_shards_of(&table, 3),
-        );
-        assert_eq!(sp.plan.slots[0], Slot::RejectEmpty);
-        assert_eq!(sp.plan.slots[1], Slot::RejectUnknown(EdgeId(99)));
-        assert_eq!(sp.route.routed, vec![vec![], vec![], vec![0]]);
-        // Vertex 5 homes on shard 2 as well: a single-shard edge, no stubs.
-        assert!(sp.route.stubs.iter().all(|s| s.is_empty()));
     }
 
     #[test]

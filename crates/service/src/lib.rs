@@ -76,19 +76,13 @@
 pub mod coalesce;
 pub mod replay;
 pub mod service;
-pub mod shard;
 
-pub use coalesce::{
-    edge_shards, plan_batch, plan_sharded, shard_of_vertex, BatchPlan, CoalescePolicy, EdgeShards,
-    ShardRoute, ShardedPlan, Slot, Stub, MAX_SHARDS,
-};
+pub use coalesce::{plan_batch, BatchPlan, CoalescePolicy, Slot};
 pub use replay::{
-    detect_shards, merged_wal, recover_dir_with, recover_matching_from_dir,
-    recover_sharded_matching, replay_into, replay_matching, replay_setcover, shard_dir, Recovery,
-    RecoveryInfo, ReplayReport, ShardedRecovery,
+    matching_for, recover_dir_with, recover_matching_from_dir, replay_into, replay_matching,
+    replay_setcover, wal_dir_meta, Recovery, RecoveryInfo, ReplayReport,
 };
 pub use service::{
     Completion, Done, QueryHandle, ServiceBuilder, ServiceConfig, ServiceError, ServiceHandle,
     ServiceStats, ServingRecovery, Ticket, UpdateService, WalConfig,
 };
-pub use shard::{ShardedQuery, ShardedService, ShardedStats, ShardedView};

@@ -14,7 +14,7 @@
 
 use std::path::{Path, PathBuf};
 
-use pbdmm_graph::update::{Batch, Update};
+use pbdmm_graph::update::Update;
 use pbdmm_graph::wal::{read_wal_file, Wal, WalMeta};
 use pbdmm_matching::api::BatchDynamic;
 use pbdmm_matching::checkpoint::Checkpoint;
@@ -133,10 +133,27 @@ pub fn replay_into<S: BatchDynamic>(s: &mut S, wal: &Wal) -> Result<ReplayReport
     Ok(report)
 }
 
-/// Replay a WAL recorded over a [`DynamicMatching`]: builds a fresh
-/// structure with the WAL's seed and replays every committed batch.
+/// The fresh [`DynamicMatching`] a WAL header describes: the recorded seed
+/// and id-allocation mode. Every replay and recovery entry point builds its
+/// structure here — one built in the wrong id mode lands recorded deletes
+/// on the wrong edges. Errors when the log records another structure.
+pub fn matching_for(meta: &WalMeta) -> Result<DynamicMatching, String> {
+    if meta.structure != "matching" {
+        return Err(format!(
+            "WAL records structure {:?}, not a matching",
+            meta.structure
+        ));
+    }
+    let mut m = DynamicMatching::with_seed(meta.seed);
+    m.set_recycle_ids(meta.ids_recycling);
+    Ok(m)
+}
+
+/// Replay a WAL recorded over a [`DynamicMatching`]: builds the structure
+/// its header describes ([`matching_for`]) and replays every committed
+/// batch.
 pub fn replay_matching(wal: &Wal) -> Result<(DynamicMatching, ReplayReport), String> {
-    let mut m = DynamicMatching::with_seed(wal.meta.seed);
+    let mut m = matching_for(&wal.meta)?;
     let report = replay_into(&mut m, wal)?;
     Ok((m, report))
 }
@@ -172,8 +189,18 @@ pub(crate) struct WalDirContents {
     pub checkpoints: Vec<(u64, PathBuf)>,
 }
 
-/// Scan a WAL directory for segments and checkpoints.
+/// Scan a WAL directory for segments and checkpoints. Refuses the removed
+/// sharded layout (one segment directory per shard under `shard-<i>/`):
+/// read as a flat directory it would look empty, so recovery would start
+/// fresh and write new segments beside the old history.
 pub(crate) fn list_wal_dir(dir: &Path) -> Result<WalDirContents, String> {
+    if dir.join("shard-0").is_dir() {
+        return Err(format!(
+            "WAL dir {} has the removed sharded layout (shard-0/ ...); \
+             only flat segment directories can be replayed or recovered",
+            dir.display()
+        ));
+    }
     let mut segments = Vec::new();
     let mut checkpoints = Vec::new();
     let entries =
@@ -199,6 +226,22 @@ pub(crate) fn list_wal_dir(dir: &Path) -> Result<WalDirContents, String> {
         segments,
         checkpoints,
     })
+}
+
+/// The header metadata of a WAL directory, read from its oldest segment
+/// (replay validates every other segment against it).
+pub fn wal_dir_meta(dir: &Path) -> Result<WalMeta, String> {
+    oldest_segment_meta(dir, &list_wal_dir(dir)?)
+}
+
+fn oldest_segment_meta(dir: &Path, contents: &WalDirContents) -> Result<WalMeta, String> {
+    let (_, oldest) = contents
+        .segments
+        .first()
+        .ok_or_else(|| format!("WAL dir {} contains no segments", dir.display()))?;
+    Ok(read_wal_file(oldest)
+        .map_err(|e| format!("{}: {e}", oldest.display()))?
+        .meta)
 }
 
 /// Outcome of [`recover_dir_with`]: the reconstructed structure plus what
@@ -405,15 +448,7 @@ where
     F: FnMut() -> S,
 {
     let contents = list_wal_dir(dir)?;
-    if contents.segments.is_empty() {
-        return Err(format!("WAL dir {} contains no segments", dir.display()));
-    }
-    // Metadata is identical across segments (validated during replay);
-    // read it once from the oldest.
-    let (_, oldest) = &contents.segments[0];
-    let meta = read_wal_file(oldest)
-        .map_err(|e| format!("{}: {e}", oldest.display()))?
-        .meta;
+    let meta = oldest_segment_meta(dir, &contents)?;
     let use_ckpts = !from_genesis && make().checkpoint_supported();
     if use_ckpts {
         for (seq, path) in contents.checkpoints.iter().rev() {
@@ -462,511 +497,20 @@ where
     })
 }
 
-/// Recover a [`DynamicMatching`] from a WAL segment directory, deriving
-/// seed and id mode from the segment metadata. See [`recover_dir_with`].
+/// Recover a [`DynamicMatching`] from a WAL segment directory, built as
+/// the segment header describes ([`matching_for`]). See
+/// [`recover_dir_with`].
 pub fn recover_matching_from_dir(
     dir: &Path,
     from_genesis: bool,
 ) -> Result<Recovery<DynamicMatching>, String> {
-    let contents = list_wal_dir(dir)?;
-    let (_, oldest) = contents
-        .segments
-        .first()
-        .ok_or_else(|| format!("WAL dir {} contains no segments", dir.display()))?;
-    let meta = read_wal_file(oldest)
-        .map_err(|e| format!("{}: {e}", oldest.display()))?
-        .meta;
-    if meta.structure != "matching" {
-        return Err(format!(
-            "WAL records structure {:?}, not a matching",
-            meta.structure
-        ));
-    }
-    let seed = meta.seed;
-    let recycling = meta.ids_recycling;
+    let meta = wal_dir_meta(dir)?;
+    matching_for(&meta)?;
     recover_dir_with(
         dir,
-        move || {
-            let mut m = DynamicMatching::with_seed(seed);
-            if recycling {
-                m.set_recycle_ids(true);
-            }
-            m
-        },
+        move || matching_for(&meta).expect("header checked above"),
         from_genesis,
     )
-}
-
-// ---------------------------------------------------------------------------
-// Sharded recovery (directory-per-shard WAL layout)
-// ---------------------------------------------------------------------------
-
-/// Subdirectory holding shard `shard`'s segmented WAL inside a sharded
-/// WAL directory (`<dir>/shard-0/ … shard-(K-1)/`).
-pub fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard}"))
-}
-
-/// Detect the directory-per-shard layout: the number of contiguous
-/// `shard-0..shard-(K-1)` subdirectories of `dir`, or `None` when `dir` is
-/// a flat (unsharded) WAL directory.
-pub fn detect_shards(dir: &Path) -> Option<usize> {
-    if !shard_dir(dir, 0).is_dir() {
-        return None;
-    }
-    let mut k = 1;
-    while shard_dir(dir, k).is_dir() {
-        k += 1;
-    }
-    Some(k)
-}
-
-/// One shard's decoded committed sub-batch stream, read with the same
-/// contiguity checks and torn-tail tolerances as [`recover_dir_with`]'s
-/// segment walk.
-struct ShardStream {
-    meta: WalMeta,
-    /// Global sequence of the first batch still on disk (older history may
-    /// be compacted away under a checkpoint).
-    base: u64,
-    /// `(sub-batch, route)` per committed batch, from `base` upward. A
-    /// `None` route claims the whole global batch (identity).
-    batches: Vec<(Batch, Option<Vec<u32>>)>,
-    /// Per-segment `(base, committed batches)`, aligned with `segments`.
-    seg_spans: Vec<(u64, u64)>,
-    segments: Vec<(u64, PathBuf)>,
-    checkpoints: Vec<(u64, PathBuf)>,
-    truncated: bool,
-}
-
-impl ShardStream {
-    /// Global sequence one past this shard's last committed batch.
-    fn end(&self) -> u64 {
-        self.base + self.batches.len() as u64
-    }
-
-    /// The decoded `(sub-batch, route)` at global sequence `g`.
-    fn at(&self, g: u64) -> &(Batch, Option<Vec<u32>>) {
-        &self.batches[(g - self.base) as usize]
-    }
-}
-
-/// Read one shard directory's whole committed stream (raw batches, not
-/// applied — sharded recovery must merge K streams before anything can be
-/// applied).
-fn read_shard_stream(dir: &Path) -> Result<ShardStream, String> {
-    let contents = list_wal_dir(dir)?;
-    if contents.segments.is_empty() {
-        return Err(format!(
-            "shard WAL dir {} contains no segments",
-            dir.display()
-        ));
-    }
-    let mut batches = Vec::new();
-    let mut seg_spans = Vec::new();
-    let mut meta: Option<WalMeta> = None;
-    let mut base = 0u64;
-    let mut expected = 0u64;
-    let mut truncated = false;
-    for (i, (seg_base, path)) in contents.segments.iter().enumerate() {
-        let is_last = i + 1 == contents.segments.len();
-        if i == 0 {
-            base = *seg_base;
-            expected = *seg_base;
-        } else if *seg_base != expected {
-            return Err(format!(
-                "gap in WAL segments: {} starts at batch {seg_base}, expected {expected}",
-                path.display()
-            ));
-        }
-        let wal = match read_wal_file(path) {
-            Ok(wal) => wal,
-            // Torn rotation: an unreadable final segment holds nothing
-            // committed (same tolerance as recover_dir_with).
-            Err(_) if is_last && i > 0 => {
-                truncated = true;
-                break;
-            }
-            Err(e) => return Err(format!("{}: {e}", path.display())),
-        };
-        let meta = meta.get_or_insert_with(|| wal.meta.clone());
-        if wal.base != *seg_base || wal.meta != *meta {
-            if is_last && i > 0 && wal.batches.is_empty() {
-                truncated = true;
-                break;
-            }
-            if wal.base != *seg_base {
-                return Err(format!(
-                    "{}: header says base {}, filename says {seg_base}",
-                    path.display(),
-                    wal.base
-                ));
-            }
-            return Err(format!(
-                "{}: segment metadata disagrees with the rest of the log",
-                path.display()
-            ));
-        }
-        seg_spans.push((*seg_base, wal.batches.len() as u64));
-        expected += wal.batches.len() as u64;
-        if wal.truncated {
-            match contents.segments.get(i + 1) {
-                None => truncated = true,
-                Some((next_base, next_path)) if *next_base != expected => {
-                    return Err(format!(
-                        "{}: torn mid-log segment ({expected} committed batches, next \
-                         segment {} starts at {next_base})",
-                        path.display(),
-                        next_path.display()
-                    ));
-                }
-                Some(_) => {}
-            }
-        }
-        batches.extend(wal.batches.into_iter().zip(wal.routes));
-    }
-    Ok(ShardStream {
-        meta: meta.ok_or_else(|| format!("{}: no readable segment", dir.display()))?,
-        base,
-        batches,
-        seg_spans,
-        segments: contents.segments,
-        checkpoints: contents.checkpoints,
-        truncated,
-    })
-}
-
-/// Reconstruct the global batch at sequence `g` from the K per-shard
-/// sub-batches, validating that the routes partition it exactly.
-fn merge_global(streams: &[ShardStream], g: u64) -> Result<Batch, String> {
-    // An absent route claims the whole global batch (the owner-of-
-    // everything case, where the writer omits the route line).
-    let full: Vec<usize> = streams
-        .iter()
-        .enumerate()
-        .filter(|(_, st)| st.at(g).1.is_none() && !st.at(g).0.is_empty())
-        .map(|(s, _)| s)
-        .collect();
-    if let [owner] = full[..] {
-        for (s, st) in streams.iter().enumerate() {
-            let (b, _) = st.at(g);
-            if s != owner && !b.is_empty() {
-                return Err(format!(
-                    "batch {g}: shard {owner} claims the whole batch but shard {s} \
-                     also logged {} updates",
-                    b.len()
-                ));
-            }
-        }
-        return Ok(streams[owner].at(g).0.clone());
-    }
-    if full.len() > 1 {
-        return Err(format!(
-            "batch {g}: shards {full:?} each claim the whole batch"
-        ));
-    }
-    let total: usize = streams.iter().map(|st| st.at(g).0.len()).sum();
-    let mut slots: Vec<Option<Update>> = vec![None; total];
-    for (s, st) in streams.iter().enumerate() {
-        let (b, route) = st.at(g);
-        let route = route.as_deref().unwrap_or(&[]);
-        for (u, &pos) in b.iter().zip(route) {
-            let slot = slots
-                .get_mut(pos as usize)
-                .ok_or_else(|| format!("batch {g}: shard {s} routes past position {total}"))?;
-            if slot.is_some() {
-                return Err(format!(
-                    "batch {g}: two shards route updates to position {pos}"
-                ));
-            }
-            *slot = Some(u.clone());
-        }
-    }
-    let updates: Option<Vec<Update>> = slots.into_iter().collect();
-    updates
-        .map(Batch::from)
-        .ok_or_else(|| format!("batch {g}: routes leave positions unfilled"))
-}
-
-/// Outcome of [`recover_sharded_matching`]: the K reconstructed replicas
-/// (byte-identical by construction) plus the recovery summary.
-pub struct ShardedRecovery {
-    /// One recovered [`DynamicMatching`] per shard.
-    pub shards: Vec<DynamicMatching>,
-    /// The consistency cut: total committed global batches — the minimum
-    /// intact committed prefix across all K shard logs, and the sequence
-    /// the next appended batch gets on every shard.
-    pub next_seq: u64,
-    /// Metadata shared by every shard's segments.
-    pub meta: WalMeta,
-    /// The structure-free summary (checkpoint used, batches, tail replay).
-    pub info: RecoveryInfo,
-}
-
-/// Clone a replica through an in-memory checkpoint round-trip: the same
-/// serialization crash recovery trusts, so the clone is state-identical
-/// (RNG, id allocator, stats and all).
-fn clone_replica<F>(src: &DynamicMatching, make: &mut F) -> Result<DynamicMatching, String>
-where
-    F: FnMut() -> DynamicMatching,
-{
-    let mut buf = Vec::new();
-    src.write_checkpoint(&mut buf)
-        .map_err(|e| format!("serialize replica state: {e}"))?;
-    let mut dst = make();
-    dst.read_checkpoint(&mut std::io::Cursor::new(buf))?;
-    Ok(dst)
-}
-
-/// Recover a K-shard matching deployment from a directory-per-shard WAL
-/// layout (see [`shard_dir`]).
-///
-/// The K shard logs are decoded, the **consistency cut** is taken as the
-/// minimum intact committed prefix across them (a batch is globally
-/// committed only once all K sub-batches are durable — a shard that got
-/// ahead before a crash has its extra tail dropped), one replica is
-/// rebuilt from the newest usable checkpoint (any shard's — replicas are
-/// state-identical) plus the merged tail, and the remaining K−1 replicas
-/// are cloned from it. With `trim` set, ahead shards' tails are physically
-/// rewritten so the on-disk logs agree with the cut before the service
-/// resumes appending; replay-only callers (`pbdmm replay`) leave the logs
-/// untouched.
-pub fn recover_sharded_matching(
-    dir: &Path,
-    shards: usize,
-    from_genesis: bool,
-    trim: bool,
-) -> Result<ShardedRecovery, String> {
-    if shards < 2 {
-        return Err("sharded recovery needs at least 2 shards (K=1 is a flat WAL dir)".into());
-    }
-    let streams: Vec<ShardStream> = (0..shards)
-        .map(|s| read_shard_stream(&shard_dir(dir, s)))
-        .collect::<Result<_, _>>()?;
-    let meta = streams[0].meta.clone();
-    for (s, st) in streams.iter().enumerate() {
-        if st.meta != meta {
-            return Err(format!(
-                "shard {s} metadata {:?} disagrees with shard 0 {:?}",
-                st.meta, meta
-            ));
-        }
-    }
-    if meta.structure != "matching" {
-        return Err(format!(
-            "WAL records structure {:?}, not a matching",
-            meta.structure
-        ));
-    }
-    let cut = streams.iter().map(|st| st.end()).min().expect("K >= 2");
-    let truncated = streams.iter().any(|st| st.truncated || st.end() > cut);
-    let (seed, recycling) = (meta.seed, meta.ids_recycling);
-    let mut make = move || {
-        let mut m = DynamicMatching::with_seed(seed);
-        if recycling {
-            m.set_recycle_ids(true);
-        }
-        m
-    };
-
-    // Starting points, newest first: any shard's checkpoint at seq ≤ cut
-    // works (replicas are identical), provided every shard still has the
-    // merged tail [seq, cut) on disk.
-    let mut starts: Vec<(u64, Option<&PathBuf>)> = Vec::new();
-    if !from_genesis {
-        for st in &streams {
-            for (seq, path) in &st.checkpoints {
-                if *seq <= cut {
-                    starts.push((*seq, Some(path)));
-                }
-            }
-        }
-        starts.sort_by_key(|&(seq, _)| std::cmp::Reverse(seq));
-    }
-    starts.push((0, None)); // genesis fallback
-    let mut last_err = String::new();
-    let mut recovered: Option<(DynamicMatching, Option<u64>, ReplayReport)> = None;
-    for (start, ckpt) in starts {
-        if streams.iter().any(|st| st.base > start) {
-            last_err = format!(
-                "history before batch {start} compacted away in some shard; \
-                 no usable starting point"
-            );
-            continue;
-        }
-        let mut m = make();
-        if let Some(path) = ckpt {
-            let loaded = std::fs::File::open(path)
-                .map_err(|e| e.to_string())
-                .and_then(|f| m.read_checkpoint(&mut std::io::BufReader::new(f)));
-            if loaded.is_err() {
-                continue; // torn checkpoint: fall back one
-            }
-        }
-        let mut merged = Vec::with_capacity((cut - start) as usize);
-        let mut merge_err = None;
-        for g in start..cut {
-            match merge_global(&streams, g) {
-                Ok(b) => merged.push(b),
-                Err(e) => {
-                    merge_err = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = merge_err {
-            last_err = e;
-            continue;
-        }
-        let tail = Wal {
-            meta: meta.clone(),
-            base: start,
-            routes: vec![None; merged.len()],
-            batches: merged,
-            truncated: false,
-        };
-        let mut report = ReplayReport::default();
-        match replay_tail_into(&mut m, &tail, &mut report) {
-            Ok(()) => {
-                recovered = Some((m, ckpt.map(|_| start), report));
-                break;
-            }
-            Err(e) => last_err = e,
-        }
-    }
-    let Some((first, checkpoint, report)) = recovered else {
-        return Err(format!("sharded recovery failed: {last_err}"));
-    };
-
-    if trim {
-        for (s, st) in streams.iter().enumerate() {
-            trim_shard_to(&shard_dir(dir, s), st, cut)?;
-        }
-    }
-
-    // Segments whose batches fed the merged tail, across all shards.
-    let start = checkpoint.unwrap_or(0);
-    let segments_replayed: u64 = streams
-        .iter()
-        .flat_map(|st| st.seg_spans.iter())
-        .filter(|&&(base, len)| base + len > start && base < cut)
-        .count() as u64;
-
-    let mut replicas = Vec::with_capacity(shards);
-    replicas.push(first);
-    for _ in 1..shards {
-        let clone = clone_replica(&replicas[0], &mut make)?;
-        replicas.push(clone);
-    }
-    Ok(ShardedRecovery {
-        shards: replicas,
-        next_seq: cut,
-        meta,
-        info: RecoveryInfo {
-            checkpoint,
-            batches: cut,
-            segments_replayed,
-            report,
-            truncated,
-        },
-    })
-}
-
-/// Physically drop everything past the consistency cut from one shard
-/// directory: checkpoints above the cut, segments starting at or past it,
-/// and — when the segment containing the cut extends beyond it — a rewrite
-/// of that segment keeping only the batches below the cut. Without this, a
-/// shard that got ahead before a crash would leave stale batches that
-/// collide with the sequences the resumed service appends next.
-fn trim_shard_to(dir: &Path, st: &ShardStream, cut: u64) -> Result<(), String> {
-    let ioerr = |what: &str, e: std::io::Error| format!("{what}: {e}");
-    let mut touched = false;
-    for (seq, path) in &st.checkpoints {
-        if *seq > cut {
-            std::fs::remove_file(path)
-                .map_err(|e| ioerr(&format!("remove {}", path.display()), e))?;
-            touched = true;
-        }
-    }
-    for (i, (base, path)) in st.segments.iter().enumerate() {
-        if *base >= cut {
-            std::fs::remove_file(path)
-                .map_err(|e| ioerr(&format!("remove {}", path.display()), e))?;
-            touched = true;
-            continue;
-        }
-        // Does this segment extend past the cut? (The torn final segment
-        // may not appear in seg_spans; segments wholly below the cut are
-        // left alone.)
-        let Some(&(span_base, span_len)) = st.seg_spans.get(i) else {
-            continue;
-        };
-        debug_assert_eq!(span_base, *base);
-        if span_base + span_len <= cut {
-            continue;
-        }
-        // Rewrite the segment with only the batches below the cut,
-        // durably (tmp → fsync → rename).
-        let tmp = path.with_extension("seg.tmp");
-        {
-            let f = std::fs::File::create(&tmp)
-                .map_err(|e| ioerr(&format!("create {}", tmp.display()), e))?;
-            let mut w = std::io::BufWriter::new(f);
-            pbdmm_graph::wal::write_segment_header(&mut w, &st.meta, *base)
-                .map_err(|e| ioerr("write segment header", e))?;
-            for g in *base..cut {
-                let (b, route) = st.at(g);
-                pbdmm_graph::wal::write_batch_with_route(&mut w, g, b, route.as_deref())
-                    .map_err(|e| ioerr("write batch", e))?;
-            }
-            use std::io::Write as _;
-            w.flush()
-                .and_then(|()| w.get_ref().sync_data())
-                .map_err(|e| ioerr("sync rewritten segment", e))?;
-        }
-        std::fs::rename(&tmp, path)
-            .map_err(|e| ioerr(&format!("rename over {}", path.display()), e))?;
-        touched = true;
-    }
-    if touched {
-        std::fs::File::open(dir)
-            .and_then(|f| f.sync_data())
-            .map_err(|e| ioerr("fsync shard dir", e))?;
-    }
-    Ok(())
-}
-
-/// Merge a K-shard WAL directory back into one global [`Wal`] from
-/// genesis — the sequence of global batches the deployment committed.
-/// Requires the full history on disk in every shard (fails once compaction
-/// has dropped early segments); primarily a test and `--from-genesis`
-/// replay surface. Batches past the consistency cut are dropped exactly as
-/// recovery would drop them.
-pub fn merged_wal(dir: &Path, shards: usize) -> Result<Wal, String> {
-    let streams: Vec<ShardStream> = (0..shards)
-        .map(|s| read_shard_stream(&shard_dir(dir, s)))
-        .collect::<Result<_, _>>()?;
-    let meta = streams[0].meta.clone();
-    for st in &streams {
-        if st.base != 0 {
-            return Err(format!(
-                "shard history starts at batch {} (compacted): cannot merge from genesis",
-                st.base
-            ));
-        }
-    }
-    let cut = streams.iter().map(|st| st.end()).min().unwrap_or(0);
-    let truncated = streams.iter().any(|st| st.truncated || st.end() > cut);
-    let batches: Vec<Batch> = (0..cut)
-        .map(|g| merge_global(&streams, g))
-        .collect::<Result<_, _>>()?;
-    Ok(Wal {
-        meta,
-        base: 0,
-        routes: vec![None; batches.len()],
-        batches,
-        truncated,
-    })
 }
 
 #[cfg(test)]
@@ -985,7 +529,6 @@ mod tests {
                 ids_recycling: false,
             },
             base: 0,
-            routes: vec![None; batches.len()],
             batches,
             truncated: false,
         }
@@ -1093,7 +636,6 @@ mod tests {
                 ids_recycling: false,
             },
             base: 0,
-            routes: vec![None; batches.len()],
             batches,
             truncated: false,
         };

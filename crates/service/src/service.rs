@@ -139,15 +139,15 @@ impl Ticket {
 }
 
 /// One queued request: the update plus its completion channel.
-pub(crate) struct Req {
-    pub(crate) op: Update,
-    pub(crate) done: mpsc::Sender<Result<Completion, ServiceError>>,
+struct Req {
+    op: Update,
+    done: mpsc::Sender<Result<Completion, ServiceError>>,
 }
 
 /// What flows through the ingress: updates, or the shutdown marker
 /// [`UpdateService::shutdown`] enqueues so it never deadlocks on a
 /// still-alive [`ServiceHandle`].
-pub(crate) enum Msg {
+enum Msg {
     Update(Req),
     Shutdown,
 }
@@ -156,7 +156,7 @@ pub(crate) enum Msg {
 /// updates from any thread; each returns a [`Ticket`].
 #[derive(Clone)]
 pub struct ServiceHandle {
-    pub(crate) tx: mpsc::Sender<Msg>,
+    tx: mpsc::Sender<Msg>,
 }
 
 impl ServiceHandle {
@@ -299,9 +299,6 @@ pub struct ServiceConfig {
     pub wal: Option<WalConfig>,
     /// Scheduler every `apply` runs on (None: the process-global pool).
     pub pool: Option<Arc<ParPool>>,
-    /// Shard count for the sharded terminals (see [`crate::shard`]); 0 and
-    /// 1 both mean the unsharded engine.
-    pub shards: usize,
     /// Phase recorder for per-phase observability (disabled by default —
     /// a disabled recorder is a no-op branch per phase). The coalescer
     /// records plan/WAL/apply/complete spans plus batch/flush counters
@@ -338,19 +335,16 @@ impl ServiceConfig {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ServiceBuilder {
-    pub(crate) policy: CoalescePolicy,
-    pub(crate) pool: Option<Arc<ParPool>>,
-    pub(crate) wal: Option<WalConfig>,
-    pub(crate) sync: bool,
-    pub(crate) truncate: bool,
+    policy: CoalescePolicy,
+    pool: Option<Arc<ParPool>>,
+    wal: Option<WalConfig>,
+    sync: bool,
+    truncate: bool,
     /// `Some(override)` once [`Self::checkpoint_every`] was called;
     /// otherwise the WAL mode's default stands.
-    pub(crate) checkpoint_every: Option<Option<u64>>,
-    /// Shard count for the sharded terminals (`crate::shard`); 0 and 1
-    /// both mean unsharded.
-    pub(crate) shards: usize,
+    checkpoint_every: Option<Option<u64>>,
     /// Phase recorder shared by the coalescer and the structure.
-    pub(crate) obs: Recorder,
+    obs: Recorder,
 }
 
 /// What [`ServiceBuilder::recover_and_start_serving`] yields: the resumed
@@ -371,16 +365,6 @@ impl ServiceBuilder {
     /// Pin every `apply` to this scheduler (default: process-global pool).
     pub fn pool(mut self, pool: Arc<ParPool>) -> Self {
         self.pool = Some(pool);
-        self
-    }
-
-    /// Shard count for the sharded terminals
-    /// ([`ServiceBuilder::start_sharded`] and
-    /// friends). `K = 1` (the default) is byte-identical to the unsharded
-    /// engine: same WAL layout, same threads, same bytes on disk. `K > 1`
-    /// runs K deterministic shard replicas behind one routing tier.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -456,7 +440,6 @@ impl ServiceBuilder {
             policy: self.policy,
             wal,
             pool: self.pool.clone(),
-            shards: self.shards,
             obs: self.obs.clone(),
         }
     }
@@ -553,10 +536,13 @@ impl ServiceBuilder {
                     .into(),
             ));
         }
-        // Missing or empty directory: nothing to recover, start fresh.
+        // Missing or empty directory: nothing to recover, start fresh. Any
+        // other scan error (the removed sharded layout, say) is fatal:
+        // starting fresh would write a new log beside the old history.
         let has_history = match list_wal_dir(&wal.path) {
-            Err(_) => false,
             Ok(c) => !c.segments.is_empty() || !c.checkpoints.is_empty(),
+            Err(_) if !wal.path.exists() => false,
+            Err(e) => return Err(ServiceError::Wal(e)),
         };
         if !has_history {
             let rec = Recovery {
@@ -585,10 +571,7 @@ impl ServiceBuilder {
 /// The checkpoint serializer for this configuration, or `None` when the
 /// WAL is absent/unsegmented, checkpointing is disabled, or the structure
 /// does not support it.
-pub(crate) fn ckpt_fn_for<S: Checkpoint>(
-    config: &ServiceConfig,
-    structure: &S,
-) -> Option<CkptFn<S>> {
+fn ckpt_fn_for<S: Checkpoint>(config: &ServiceConfig, structure: &S) -> Option<CkptFn<S>> {
     let wal = config.wal.as_ref()?;
     if !wal.segmented || wal.checkpoint_every.is_none() || !structure.checkpoint_supported() {
         return None;
@@ -603,15 +586,15 @@ pub(crate) fn ckpt_fn_for<S: Checkpoint>(
 /// Serializes a structure's complete state into a checkpoint payload.
 /// Built where the `Checkpoint` bound is available (the builder terminals),
 /// so the coalescer itself needs no trait bound beyond [`BatchDynamic`].
-pub(crate) type CkptFn<S> = Box<dyn Fn(&S) -> std::io::Result<Vec<u8>> + Send>;
+type CkptFn<S> = Box<dyn Fn(&S) -> std::io::Result<Vec<u8>> + Send>;
 
 /// Counters the off-thread checkpoint writer publishes; folded into
 /// [`ServiceStats`] at shutdown.
 #[derive(Debug, Default)]
-pub(crate) struct CkptStats {
-    pub(crate) checkpoints: AtomicU64,
-    pub(crate) failures: AtomicU64,
-    pub(crate) segments_removed: AtomicU64,
+struct CkptStats {
+    checkpoints: AtomicU64,
+    failures: AtomicU64,
+    segments_removed: AtomicU64,
 }
 
 /// One checkpoint request: the serialized state after exactly `seq` batches.
@@ -648,17 +631,17 @@ impl Drop for SegmentedState {
 /// The write side of the WAL: buffered file + the append-before-apply rule.
 /// In segmented mode `w` is the current segment, rotated at checkpoint
 /// boundaries.
-pub(crate) struct WalSink {
+struct WalSink {
     w: std::io::BufWriter<std::fs::File>,
     sync: bool,
     /// Global batch sequence the next append gets (continues across
     /// segments and, after recovery, across process restarts).
-    pub(crate) seq: u64,
+    seq: u64,
     seg: Option<SegmentedState>,
 }
 
 impl WalSink {
-    pub(crate) fn open(cfg: &WalConfig) -> Result<Self, ServiceError> {
+    fn open(cfg: &WalConfig) -> Result<Self, ServiceError> {
         if !cfg.truncate {
             if let Ok(md) = std::fs::metadata(&cfg.path) {
                 if md.len() > 0 {
@@ -690,7 +673,7 @@ impl WalSink {
     /// segment `resume_seq.seg` is always started: appending to a possibly
     /// torn previous segment is never attempted, and by definition no
     /// committed batch lives at or past `resume_seq`.
-    pub(crate) fn open_dir(
+    fn open_dir(
         cfg: &WalConfig,
         resume_seq: u64,
         checkpointing: bool,
@@ -756,7 +739,7 @@ impl WalSink {
     ///
     /// Serialization failure only skips the checkpoint (recovery replays a
     /// longer tail); rotation I/O failure is a real WAL error.
-    pub(crate) fn after_apply<S>(
+    fn after_apply<S>(
         &mut self,
         s: &S,
         updates: u64,
@@ -810,7 +793,7 @@ impl WalSink {
     /// Byte offset the next append will start at. The buffer is empty
     /// between appends (every append flushes), so the file length is the
     /// logical end of the log.
-    pub(crate) fn mark(&mut self) -> Result<u64, ServiceError> {
+    fn mark(&mut self) -> Result<u64, ServiceError> {
         self.w
             .get_ref()
             .metadata()
@@ -822,7 +805,7 @@ impl WalSink {
     /// rewind the sequence counter. Used when the batch that was just
     /// logged could not be applied — the log must match the applied state
     /// exactly, or replay would reconstruct a phantom batch.
-    pub(crate) fn rollback(&mut self, mark: u64) -> Result<(), ServiceError> {
+    fn rollback(&mut self, mark: u64) -> Result<(), ServiceError> {
         use std::io::Seek;
         self.w
             .get_ref()
@@ -835,40 +818,17 @@ impl WalSink {
 
     /// Append one batch and make it durable (flush, optionally fsync)
     /// *before* the caller applies it.
-    pub(crate) fn append(&mut self, batch: &Batch) -> Result<(), ServiceError> {
+    fn append(&mut self, batch: &Batch) -> Result<(), ServiceError> {
         wal::write_batch(&mut self.w, self.seq, batch)
             .and_then(|()| self.w.flush())
             .map_err(|e| ServiceError::Wal(format!("append batch {}: {e}", self.seq)))?;
-        self.sync_appended()?;
-        self.seq += 1;
-        Ok(())
-    }
-
-    /// Append one shard's routed sub-batch of a global batch (see
-    /// [`wal::write_routed_batch`]) with the same durability rules as
-    /// [`Self::append`]. Every shard of a sharded service appends its
-    /// sub-batch of every global batch — empty ones included — so the K
-    /// per-shard logs stay in sequence lockstep.
-    pub(crate) fn append_routed(
-        &mut self,
-        global: &Batch,
-        positions: &[u32],
-    ) -> Result<(), ServiceError> {
-        wal::write_routed_batch(&mut self.w, self.seq, global, positions)
-            .and_then(|()| self.w.flush())
-            .map_err(|e| ServiceError::Wal(format!("append batch {}: {e}", self.seq)))?;
-        self.sync_appended()?;
-        self.seq += 1;
-        Ok(())
-    }
-
-    fn sync_appended(&mut self) -> Result<(), ServiceError> {
         if self.sync {
             self.w
                 .get_ref()
                 .sync_data()
                 .map_err(|e| ServiceError::Wal(format!("fsync batch {}: {e}", self.seq)))?;
         }
+        self.seq += 1;
         Ok(())
     }
 }

@@ -23,10 +23,7 @@ use pbdmm_matching::snapshot::Snapshots;
 use pbdmm_matching::verify::check_invariants;
 use pbdmm_matching::DynamicMatching;
 use pbdmm_primitives::rng::SplitMix64;
-use pbdmm_service::{
-    recover_matching_from_dir, recover_sharded_matching, shard_dir, CoalescePolicy, ServiceConfig,
-    WalConfig,
-};
+use pbdmm_service::{recover_matching_from_dir, CoalescePolicy, ServiceConfig, WalConfig};
 
 fn fresh(seed: u64, recycling: bool) -> DynamicMatching {
     let mut m = DynamicMatching::with_seed(seed);
@@ -212,111 +209,5 @@ fn torn_tail_segment_recovers_a_committed_prefix_at_every_byte() {
     let rec = recover_matching_from_dir(&dir, false).unwrap();
     assert_eq!(rec.next_seq, 130);
     assert_same(&rec.structure, &served);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Like [`run_service`], through the K-shard tier: per-shard segmented
-/// logs under `dir/shard-0 .. shard-(K-1)`, singleton batches (each ticket
-/// awaited), per-shard checkpoints at the shared global boundaries.
-/// Returns shard 0's replica (all K agree at shutdown) plus the ops.
-fn run_sharded_service(
-    dir: &PathBuf,
-    seed: u64,
-    k: usize,
-    updates: usize,
-    every: u64,
-) -> (DynamicMatching, Vec<Batch>) {
-    let meta = WalMeta {
-        structure: "matching".into(),
-        seed,
-        ids_recycling: false,
-    };
-    let mut wal = WalConfig::dir(dir, meta);
-    wal.checkpoint_every = Some(every);
-    wal.sync = false;
-    let (svc, _query) = ServiceConfig::builder()
-        .policy(CoalescePolicy {
-            max_batch: 4,
-            max_delay: Duration::ZERO,
-        })
-        .shards(k)
-        .wal(wal)
-        .start_sharded(move || fresh(seed, false))
-        .expect("start sharded service on fresh dir");
-    let h = svc.handle();
-    let mut rng = SplitMix64::new(seed ^ 0xD1CE);
-    let mut live: Vec<EdgeId> = Vec::new();
-    let mut ops = Vec::new();
-    for _ in 0..updates {
-        if !live.is_empty() && rng.bounded(10) < 4 {
-            let id = live.swap_remove(rng.bounded(live.len() as u64) as usize);
-            h.delete(id).wait().expect("delete own id");
-            ops.push(Batch::new().delete(id));
-        } else {
-            let a = rng.bounded(40) as u32;
-            let edge = vec![a, a + 1 + rng.bounded(5) as u32];
-            let c = h.insert(edge.clone()).wait().expect("insert");
-            live.push(c.done.id());
-            ops.push(Batch::new().insert(edge));
-        }
-    }
-    drop(h);
-    let (mut replicas, stats) = svc.shutdown();
-    assert!(
-        stats.service.checkpoints > 0,
-        "interval {every} never checkpointed"
-    );
-    assert_eq!(stats.service.updates as usize, updates);
-    (replicas.remove(0), ops)
-}
-
-#[test]
-fn torn_one_shard_tail_recovers_a_consistent_cut_at_every_byte() {
-    // SIGKILL-style: ONE shard's tail segment is truncated at every byte
-    // offset while the other shards' logs stay clean and complete.
-    // Recovery must land every replica on the same **consistency cut** —
-    // the longest prefix committed on ALL shards — so no shard is ever
-    // visibly ahead of the recovered global epoch, and the recovered state
-    // must equal a direct replay of exactly that prefix.
-    // Not a multiple of the checkpoint interval, so the newest segment
-    // holds committed batches (an aligned count would rotate to an empty
-    // tail and the truncation sweep would fuzz only a header).
-    let (k, seed, updates) = (3usize, 13u64, 78usize);
-    let dir = tdir("torn_shard");
-    let (served, ops) = run_sharded_service(&dir, seed, k, updates, 24);
-    check_invariants(&served).unwrap();
-    let victim = shard_dir(&dir, 1);
-    let (base, seg_path) = newest(&victim, "seg");
-    assert!(
-        base > 0 && base < updates as u64,
-        "tail segment base {base}"
-    );
-    let orig = std::fs::read(&seg_path).unwrap();
-    for cut in 0..orig.len() {
-        std::fs::write(&seg_path, &orig[..cut]).unwrap();
-        let rec = recover_sharded_matching(&dir, k, false, false)
-            .unwrap_or_else(|e| panic!("cut at byte {cut}: sharded recovery errored: {e}"));
-        assert!(
-            rec.next_seq >= base && rec.next_seq <= updates as u64,
-            "cut at byte {cut}: recovered {} batches",
-            rec.next_seq
-        );
-        assert_eq!(rec.shards.len(), k);
-        let reference = replay_prefix(seed, false, &ops[..rec.next_seq as usize]);
-        for (s, r) in rec.shards.iter().enumerate() {
-            check_invariants(r)
-                .unwrap_or_else(|e| panic!("cut at byte {cut}: shard {s} invariants: {e}"));
-            // Every replica — including the ones whose logs run past the
-            // cut — stops at the cut: the torn shard can never observe a
-            // peer ahead of the recovered global epoch.
-            assert_same(r, &reference);
-        }
-    }
-    std::fs::write(&seg_path, &orig).unwrap();
-    let rec = recover_sharded_matching(&dir, k, false, false).unwrap();
-    assert_eq!(rec.next_seq, updates as u64);
-    for r in &rec.shards {
-        assert_same(r, &served);
-    }
     std::fs::remove_dir_all(&dir).ok();
 }

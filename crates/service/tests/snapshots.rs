@@ -80,7 +80,6 @@ fn replay_prefix(wal: &Wal, prefix_updates: u64) -> DynamicMatching {
     let prefix = Wal {
         meta: wal.meta.clone(),
         base: 0,
-        routes: vec![None; batches.len()],
         batches,
         truncated: false,
     };

@@ -36,9 +36,8 @@ use pbdmm::primitives::cost::CostMeter;
 use pbdmm::primitives::obs::{Counter, Phase, Recorder};
 use pbdmm::primitives::rng::SplitMix64;
 use pbdmm::service::{
-    detect_shards, recover_dir_with, recover_sharded_matching, replay_into, replay_setcover,
-    shard_dir, CoalescePolicy, Done, RecoveryInfo, ServiceConfig, ServiceHandle, ServiceStats,
-    ShardedStats, WalConfig, MAX_SHARDS,
+    matching_for, recover_dir_with, replay_into, replay_setcover, wal_dir_meta, CoalescePolicy,
+    Done, RecoveryInfo, ServiceConfig, ServiceHandle, ServiceStats, WalConfig,
 };
 use pbdmm::setcover::CoverSnapshot;
 use pbdmm::{BatchDynamic, DynamicMatching, DynamicSetCover};
@@ -65,17 +64,18 @@ usage:
   pbdmm serve [--producers P] [--updates N] [--readers R] [--max-batch B]
               [--max-delay-us D] [--structure matching|setcover]
               [--wal PATH|none] [--wal-sync BOOL] [--checkpoint-every N]
-              [--compare direct|none] [--shards K] [--seed S] [--threads T]
+              [--compare direct|none] [--seed S] [--threads T]
               [--profile [interval=N]]
-  pbdmm replay <wal-file-or-dir> [--from-genesis BOOL] [--shards K] [--threads T]
-              [--profile]
+  pbdmm replay <wal-file-or-dir> [--from-genesis BOOL] [--threads T] [--profile]
   pbdmm daemon [--port P] [--host H] [--max-connections C] [--max-inflight W]
                [--max-batch B] [--max-delay-us D] [--wal PATH|none]
-               [--wal-sync BOOL] [--checkpoint-every N] [--shards K]
+               [--wal-sync BOOL] [--checkpoint-every N]
                [--seed S] [--threads T] [--profile [interval=N]]
   pbdmm load (--port P | --addr HOST:PORT) [--connections M] [--updates N]
-             [--queries Q] [--shutdown BOOL] [--shards K] [--seed S] [--threads T]
+             [--queries Q] [--shutdown BOOL] [--seed S] [--threads T]
              [--profile [interval=N]]
+
+  Every subcommand refuses flags it does not read (unknown flag --X).
 
   serve drives a synthetic P-producer load through the batch-coalescing
   update service (ingress -> coalesce -> WAL -> apply -> snapshot) and
@@ -117,17 +117,6 @@ usage:
   checkpoint it started from — unless --from-genesis true forces a
   full-history replay. daemon pointed at an existing segment directory
   (--wal DIR) recovers from it and resumes appending.
-
-  --shards K (serve, daemon; matching only) runs K matching shards behind
-  one routing tier: each batch is split by the deterministic vertex
-  partition (owner = minimum vertex id mod K), every shard keeps its own
-  segmented WAL under <dir>/shard-0 .. shard-(K-1), and reads resolve
-  against a per-shard snapshot at one global epoch. K=1 is byte-identical
-  to the unsharded path. replay auto-detects the shard-0.. layout (or
-  force it with --shards K) and recovers through the K-way merge onto a
-  consistent cross-shard cut; --from-genesis works there too. load
-  --shards K pins each connection's vertices to one shard, the traffic
-  locality a partitioned deployment sees.
 
   --profile (serve, daemon, replay, load) turns on the per-phase
   profiler: where batch time went (plan, WAL append, apply with settle
@@ -284,8 +273,92 @@ fn print_profile(obs: &Recorder) {
     }
 }
 
+/// A subcommand: its name, its handler, and the flags it reads. `--threads`
+/// is read for every subcommand, before dispatch.
+type Command = (
+    &'static str,
+    fn(&Args) -> Result<(), String>,
+    &'static [&'static str],
+);
+
+const COMMANDS: &[Command] = &[
+    ("match", cmd_match, &["seed"]),
+    (
+        "dynamic",
+        cmd_dynamic,
+        &["batch", "order", "contender", "seed"],
+    ),
+    ("cover", cmd_cover, &["seed"]),
+    ("gen", cmd_gen, &["n", "m", "rank", "seed", "out"]),
+    (
+        "serve",
+        cmd_serve,
+        &[
+            "producers",
+            "updates",
+            "readers",
+            "max-batch",
+            "max-delay-us",
+            "structure",
+            "wal",
+            "wal-sync",
+            "checkpoint-every",
+            "compare",
+            "seed",
+            "profile",
+        ],
+    ),
+    ("replay", cmd_replay, &["from-genesis", "profile"]),
+    (
+        "daemon",
+        cmd_daemon,
+        &[
+            "port",
+            "host",
+            "max-connections",
+            "max-inflight",
+            "max-batch",
+            "max-delay-us",
+            "wal",
+            "wal-sync",
+            "checkpoint-every",
+            "seed",
+            "profile",
+        ],
+    ),
+    (
+        "load",
+        cmd_load,
+        &[
+            "port",
+            "addr",
+            "connections",
+            "updates",
+            "queries",
+            "shutdown",
+            "seed",
+            "profile",
+        ],
+    ),
+];
+
 fn run() -> Result<(), String> {
     let args = parse_args()?;
+    let cmd = args.positional.first().ok_or("missing command")?.as_str();
+    let &(_, handler, accepted) = COMMANDS
+        .iter()
+        .find(|(name, _, _)| *name == cmd)
+        .ok_or_else(|| format!("unknown command {cmd:?}"))?;
+    // A flag the subcommand never reads is a typo or a removed option;
+    // ignoring it would silently run another configuration.
+    let mut given: Vec<&str> = args.flags.keys().map(String::as_str).collect();
+    given.sort_unstable();
+    if let Some(flag) = given
+        .into_iter()
+        .find(|f| *f != "threads" && !accepted.contains(f))
+    {
+        return Err(format!("unknown flag --{flag} for {cmd}"));
+    }
     // Size the process-global work-stealing pool before any parallel call;
     // all subcommands (and the structures they build) share that scheduler.
     // Validated strictly: `set_num_threads` would accept anything silently
@@ -301,18 +374,7 @@ fn run() -> Result<(), String> {
         }
         pbdmm::primitives::par::set_num_threads(threads);
     }
-    let cmd = args.positional.first().ok_or("missing command")?.as_str();
-    match cmd {
-        "match" => cmd_match(&args),
-        "dynamic" => cmd_dynamic(&args),
-        "cover" => cmd_cover(&args),
-        "gen" => cmd_gen(&args),
-        "serve" => cmd_serve(&args),
-        "replay" => cmd_replay(&args),
-        "daemon" => cmd_daemon(&args),
-        "load" => cmd_load(&args),
-        other => Err(format!("unknown command {other:?}")),
-    }
+    handler(&args)
 }
 
 fn load(args: &Args) -> Result<Hypergraph, String> {
@@ -812,164 +874,6 @@ where
     Ok((total, seconds, latencies, stats, read, s))
 }
 
-/// `serve_load` for the K-shard tier (`--shards K`, matching only): the
-/// same synthetic producer/reader load driven through
-/// [`ServiceConfig::builder().shards(K)`], so its report is directly
-/// comparable with the unsharded run. Snapshots are always enabled (the
-/// sharded tier exists for read scale-out); `readers = 0` merely skips the
-/// reader threads. Returns shard 0's replica — all K are byte-identical by
-/// construction — plus the routing stats.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-fn serve_load_sharded(
-    seed: u64,
-    shards: usize,
-    producers: usize,
-    per_producer: usize,
-    readers: usize,
-    policy: CoalescePolicy,
-    wal: Option<WalConfig>,
-    obs: Recorder,
-) -> Result<
-    (
-        u64,
-        f64,
-        Vec<f64>,
-        ServiceStats,
-        ReadReport,
-        DynamicMatching,
-        ShardedStats,
-    ),
-    String,
-> {
-    let mut builder = ServiceConfig::builder()
-        .policy(policy)
-        .shards(shards)
-        .obs(obs);
-    if let Some(cfg) = wal {
-        builder = builder.wal(cfg);
-    }
-    let (svc, query) = builder
-        .start_sharded(move || DynamicMatching::with_seed(seed))
-        .map_err(|e| e.to_string())?;
-    let start = std::time::Instant::now();
-    let all_latencies = Mutex::new(Vec::new());
-    let acked = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-    let read_acc = Mutex::new((0u64, 0u64, Vec::<f64>::new())); // reads, failed, staleness
-    let total: u64 = std::thread::scope(|scope| {
-        for r in 0..readers {
-            let q = query.clone();
-            let (acked, stop, read_acc) = (&acked, &stop, &read_acc);
-            scope.spawn(move || {
-                let mut rng = SplitMix64::new(seed ^ 0xD0_5EED ^ (r as u64) << 17);
-                let (mut reads, mut failed) = (0u64, 0u64);
-                let mut staleness = Vec::new();
-                let mut checked_epoch = u64::MAX;
-                while !stop.load(Ordering::Relaxed) {
-                    // Rotate point probes across the K shard snapshots: each
-                    // poll reads the shard owning a random vertex, the access
-                    // pattern the vertex-cut partition exists to serve.
-                    let v = rng.bounded(u32::MAX as u64) as u32;
-                    let snap = q.snapshot_for_vertex(v);
-                    if snap.epoch() != checked_epoch {
-                        checked_epoch = snap.epoch();
-                        if let Err(e) = snap.consistency() {
-                            eprintln!("reader {r}: inconsistent snapshot: {e}");
-                            failed += 1;
-                        }
-                        reads += 1;
-                    }
-                    for _ in 0..32 {
-                        if let Err(e) = snap.probe(&mut rng) {
-                            eprintln!("reader {r}: failed query: {e}");
-                            failed += 1;
-                        }
-                        reads += 1;
-                    }
-                    staleness
-                        .push(acked.load(Ordering::Relaxed).saturating_sub(snap.epoch()) as f64);
-                    std::thread::yield_now();
-                }
-                let mut acc = read_acc.lock().unwrap();
-                acc.0 += reads;
-                acc.1 += failed;
-                acc.2.append(&mut staleness);
-            });
-        }
-        let writer_handles: Vec<_> = (0..producers)
-            .map(|p| {
-                let h = svc.handle();
-                let q = query.clone();
-                let (lat, acked) = (&all_latencies, &acked);
-                scope.spawn(move || {
-                    let rng = SplitMix64::new(seed ^ (p as u64).wrapping_mul(0x9e37));
-                    let epoch_now: Box<dyn Fn() -> u64 + Sync> = Box::new(move || q.epoch());
-                    let (n, mut l, ryw) =
-                        service_producer_load(&h, rng, per_producer, acked, epoch_now.as_ref());
-                    lat.lock().unwrap().append(&mut l);
-                    (n as u64, ryw)
-                })
-            })
-            .collect();
-        let mut total = 0u64;
-        let mut ryw_total = 0u64;
-        for h in writer_handles {
-            let (n, ryw) = h.join().unwrap();
-            total += n;
-            ryw_total += ryw;
-        }
-        stop.store(true, Ordering::Relaxed);
-        read_acc.lock().unwrap().1 += ryw_total;
-        total
-    });
-    let seconds = start.elapsed().as_secs_f64();
-    let (mut replicas, routing) = svc.shutdown();
-    let m = replicas.remove(0);
-    // Every replica applied the same global batches from the same seed:
-    // anything but identical summaries is a determinism bug worth failing a
-    // benchmark run over.
-    for (s, r) in replicas.iter().enumerate() {
-        if (r.epoch(), r.num_edges(), r.matching_size())
-            != (m.epoch(), m.num_edges(), m.matching_size())
-        {
-            return Err(format!(
-                "shard {} diverged from shard 0: epoch={} edges={} matching={} vs epoch={} edges={} matching={}",
-                s + 1,
-                r.epoch(),
-                r.num_edges(),
-                r.matching_size(),
-                m.epoch(),
-                m.num_edges(),
-                m.matching_size()
-            ));
-        }
-    }
-    let mut latencies = all_latencies.into_inner().unwrap();
-    latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let (reads, failed, mut staleness) = read_acc.into_inner().unwrap();
-    staleness.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let read = ReadReport {
-        reads,
-        failed,
-        seconds,
-        staleness,
-    };
-    Ok((total, seconds, latencies, routing.service, read, m, routing))
-}
-
-/// One-line routing summary for a K-shard run: how the deterministic
-/// min-vertex partition spread batch ownership across shards, and how many
-/// cross-shard edges left stubs on non-owner shards.
-fn sharding_summary(r: &ShardedStats) -> String {
-    format!(
-        "sharding: K={} routed={:?} stubs={:?} imbalance={:.1}%",
-        r.shards(),
-        r.routed,
-        r.stubs,
-        r.imbalance_pct()
-    )
-}
-
 /// Resolve the `--wal` / `--wal-sync` / `--checkpoint-every` convention
 /// shared by `serve` and `daemon`: durable by default (auto-named temp
 /// path), `--wal none` disables, `--wal PATH` picks the location. An
@@ -982,15 +886,10 @@ fn sharding_summary(r: &ShardedStats) -> String {
 /// directory layout but disables rotation). A `--wal PATH` naming an
 /// **existing directory** also selects the segmented mode — that is how a
 /// restart points the daemon back at the log it is recovering from.
-///
-/// `shards > 1` forces the segmented mode regardless of the other flags:
-/// the sharded tier always logs under a directory of `shard-0 ..
-/// shard-(K-1)` subdirectories, one segmented log per shard.
 fn wal_from_flags(
     args: &Args,
     meta: &WalMeta,
     sync: bool,
-    shards: usize,
     tag: &str,
 ) -> Result<Option<WalConfig>, String> {
     let ckpt_every: Option<u64> = match args.flags.get("checkpoint-every") {
@@ -1016,7 +915,7 @@ fn wal_from_flags(
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.subsec_nanos())
                 .unwrap_or(0);
-            let ext = if ckpt_every.is_some() || shards > 1 {
+            let ext = if ckpt_every.is_some() {
                 "waldir"
             } else {
                 "wal"
@@ -1024,7 +923,7 @@ fn wal_from_flags(
             std::env::temp_dir().join(format!("pbdmm_{tag}_{}_{nanos}.{ext}", std::process::id()))
         }
     };
-    let mut cfg = if ckpt_every.is_some() || path.is_dir() || shards > 1 {
+    let mut cfg = if ckpt_every.is_some() || path.is_dir() {
         let mut cfg = WalConfig::dir(path, meta.clone());
         if let Some(n) = ckpt_every {
             // 0 keeps the segment-directory layout but never rotates.
@@ -1049,18 +948,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let seed: u64 = args.flag("seed", 42)?;
     let structure = args.flag("structure", "matching".to_string())?;
     let compare = args.flag("compare", "direct".to_string())?;
-    let shards: usize = args.flag("shards", 1)?;
     if producers == 0 || per_producer == 0 {
         return Err("--producers and --updates must be positive".into());
-    }
-    if shards == 0 || shards > MAX_SHARDS {
-        return Err(format!("--shards must be in 1..={MAX_SHARDS}"));
-    }
-    if shards > 1 && structure != "matching" {
-        return Err(format!(
-            "--shards {shards} requires --structure matching (the sharded tier \
-             replicates the matcher; setcover is unsharded)"
-        ));
     }
     if !matches!(compare.as_str(), "direct" | "none") {
         return Err(format!("unknown --compare mode {compare:?}"));
@@ -1080,12 +969,12 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         ids_recycling: false,
     };
     let prof = profile_from_flags(args)?;
-    let wal = wal_from_flags(args, &meta, wal_sync, shards, "serve")?;
+    let wal = wal_from_flags(args, &meta, wal_sync, "serve")?;
     let wal_path = wal.as_ref().map(|w| w.path.clone());
     println!(
         "serve: {producers} producers x {per_producer} updates, {readers} readers, \
          max_batch={max_batch} max_delay={max_delay_us}us structure={structure} \
-         shards={shards} wal={} (fsync {})",
+         wal={} (fsync {})",
         wal_path
             .as_ref()
             .map(|p| p.display().to_string())
@@ -1101,27 +990,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         let obs = prof.obs.clone();
         ProfilePrinter::spawn(every, move || Some(obs.snapshot()))
     });
-    let (total, seconds, latencies, stats, read, final_line, routing) = match structure.as_str() {
-        "matching" if shards > 1 => {
-            let (total, seconds, latencies, stats, read, m, routing) = serve_load_sharded(
-                seed,
-                shards,
-                producers,
-                per_producer,
-                readers,
-                policy,
-                wal,
-                prof.obs.clone(),
-            )?;
-            check_invariants(&m).map_err(|e| format!("post-serve invariants: {e}"))?;
-            let line = format!(
-                "final: epoch={} edges={} matching={}",
-                m.epoch(),
-                m.num_edges(),
-                m.matching_size()
-            );
-            (total, seconds, latencies, stats, read, line, Some(routing))
-        }
+    let (total, seconds, latencies, stats, read, final_line) = match structure.as_str() {
         "matching" => {
             let (total, seconds, latencies, stats, read, m) = serve_load(
                 DynamicMatching::with_seed(seed),
@@ -1140,7 +1009,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 m.num_edges(),
                 m.matching_size()
             );
-            (total, seconds, latencies, stats, read, line, None)
+            (total, seconds, latencies, stats, read, line)
         }
         "setcover" => {
             let (total, seconds, latencies, stats, read, c) = serve_load(
@@ -1161,7 +1030,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 c.matching_size(),
                 c.cover_size()
             );
-            (total, seconds, latencies, stats, read, line, None)
+            (total, seconds, latencies, stats, read, line)
         }
         other => return Err(format!("unknown structure {other:?}")),
     };
@@ -1203,9 +1072,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             stats.wal_batches,
             path.display()
         );
-    }
-    if let Some(routing) = &routing {
-        println!("{}", sharding_summary(routing));
     }
     print_profile(&prof.obs);
     println!("{final_line}");
@@ -1290,7 +1156,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
             // Replay with the profile recorder attached: the whole replay
             // is one `batch`/`apply` span, and the matching tier records
             // per-batch `settle`/`snapshot_publish` sub-spans inside it.
-            let mut m = DynamicMatching::with_seed(wal.meta.seed);
+            let mut m = matching_for(&wal.meta)?;
             m.set_obs(prof.obs.clone());
             let report = {
                 let _batch = prof.obs.span(Phase::Batch);
@@ -1350,25 +1216,10 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
 /// segments — or force a full-history replay with `--from-genesis true`.
 /// Ends with the same byte-comparable `final:` line as single-file replay,
 /// so CI can diff checkpointed recovery against the full history.
-///
-/// A directory laid out as `shard-0 .. shard-(K-1)` (written by a
-/// `--shards K` daemon or serve run) is detected automatically and
-/// recovered through the K-way merge: per-shard checkpoints, the
-/// cross-shard consistency cut, and route-directed sub-batch merging.
-/// `--shards K` overrides the detection (0, the default, auto-detects).
-fn replay_dir(dir: &PathBuf, args: &Args) -> Result<(), String> {
+fn replay_dir(dir: &Path, args: &Args) -> Result<(), String> {
     let from_genesis: bool = args.flag("from-genesis", false)?;
-    let shards_flag: usize = args.flag("shards", 0)?;
     let prof = profile_from_flags(args)?;
-    let shards = match shards_flag {
-        0 => detect_shards(dir),
-        1 => None,
-        k => Some(k),
-    };
-    if let Some(k) = shards {
-        return replay_sharded_dir(dir, k, from_genesis, &prof);
-    }
-    let meta = oldest_segment_meta(dir)?;
+    let meta = wal_dir_meta(dir)?;
     println!(
         "wal: segment directory {}, structure={} seed={}",
         dir.display(),
@@ -1380,7 +1231,6 @@ fn replay_dir(dir: &PathBuf, args: &Args) -> Result<(), String> {
         "matching" => {
             // Recover through the generic path with the profile recorder
             // attached to the structure before any batch replays.
-            let (seed, recycling) = (meta.seed, meta.ids_recycling);
             let obs = prof.obs.clone();
             let rec = {
                 let _batch = prof.obs.span(Phase::Batch);
@@ -1388,10 +1238,7 @@ fn replay_dir(dir: &PathBuf, args: &Args) -> Result<(), String> {
                 recover_dir_with(
                     dir,
                     move || {
-                        let mut m = DynamicMatching::with_seed(seed);
-                        if recycling {
-                            m.set_recycle_ids(true);
-                        }
+                        let mut m = matching_for(&meta).expect("structure matched above");
                         m.set_obs(obs.clone());
                         m
                     },
@@ -1437,65 +1284,6 @@ fn replay_dir(dir: &PathBuf, args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Replay a `shard-0 .. shard-(K-1)` WAL directory through the K-way
-/// sharded recovery (read-only: torn tails are tolerated, never trimmed),
-/// verify all K recovered replicas agree, and print the same
-/// byte-comparable `final:` line as every other replay path.
-fn replay_sharded_dir(
-    dir: &Path,
-    k: usize,
-    from_genesis: bool,
-    prof: &ProfileOpts,
-) -> Result<(), String> {
-    let meta = oldest_segment_meta(&shard_dir(dir, 0))?;
-    if meta.structure != "matching" {
-        return Err(format!(
-            "sharded WAL records structure {:?}; only matching is sharded",
-            meta.structure
-        ));
-    }
-    println!(
-        "wal: sharded segment directory {} (K={k}), structure={} seed={}",
-        dir.display(),
-        meta.structure,
-        meta.seed
-    );
-    let start = std::time::Instant::now();
-    let rec = {
-        let _batch = prof.obs.span(Phase::Batch);
-        let _apply = prof.obs.span(Phase::Apply);
-        recover_sharded_matching(dir, k, from_genesis, false)?
-    };
-    prof.obs.add(Counter::Batches, rec.info.report.batches);
-    prof.obs.add(Counter::Updates, rec.info.report.updates);
-    print_recovery(&rec.info, start.elapsed());
-    let mut replicas = rec.shards;
-    let m = replicas.remove(0);
-    check_invariants(&m).map_err(|e| format!("recovered invariants: {e}"))?;
-    for (s, r) in replicas.iter().enumerate() {
-        if (r.epoch(), r.num_edges(), r.matching_size())
-            != (m.epoch(), m.num_edges(), m.matching_size())
-        {
-            return Err(format!(
-                "recovered shard {} disagrees with shard 0 (epoch {} vs {})",
-                s + 1,
-                r.epoch(),
-                m.epoch()
-            ));
-        }
-        check_invariants(r).map_err(|e| format!("recovered shard {} invariants: {e}", s + 1))?;
-    }
-    println!(
-        "final: epoch={} edges={} matching={}",
-        m.epoch(),
-        m.num_edges(),
-        m.matching_size()
-    );
-    print_profile(&prof.obs);
-    println!("invariants: ok ({k} shards agree)");
-    Ok(())
-}
-
 /// Print what directory recovery actually did: which checkpoint it started
 /// from (genesis when none was usable or `--from-genesis` forced it) and
 /// how much log it replayed past that point.
@@ -1524,24 +1312,6 @@ fn print_recovery(info: &RecoveryInfo, elapsed: Duration) {
     );
 }
 
-/// Header metadata of the oldest segment in a WAL directory — segments all
-/// agree on it (validated during replay), so one read suffices to learn
-/// which structure and seed the log records.
-fn oldest_segment_meta(dir: &PathBuf) -> Result<WalMeta, String> {
-    let mut segs: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("{}: {e}", dir.display()))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "seg"))
-        .collect();
-    segs.sort();
-    let oldest = segs
-        .first()
-        .ok_or_else(|| format!("{} contains no .seg files", dir.display()))?;
-    Ok(read_wal_file(oldest)
-        .map_err(|e| format!("{}: {e}", oldest.display()))?
-        .meta)
-}
-
 fn cmd_daemon(args: &Args) -> Result<(), String> {
     use std::io::Write as _;
     let host = args.flag("host", "127.0.0.1".to_string())?;
@@ -1556,12 +1326,8 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
     let max_batch: usize = args.flag("max-batch", 1024)?;
     let max_delay_us: u64 = args.flag("max-delay-us", 0)?;
     let seed: u64 = args.flag("seed", 42)?;
-    let shards: usize = args.flag("shards", 1)?;
     if max_connections == 0 || max_inflight == 0 {
         return Err("--max-connections and --max-inflight must be positive".into());
-    }
-    if shards == 0 || shards > MAX_SHARDS {
-        return Err(format!("--shards must be in 1..={MAX_SHARDS}"));
     }
     let wal_sync: bool = args.flag("wal-sync", true)?;
     let meta = WalMeta {
@@ -1570,7 +1336,7 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
         ids_recycling: false,
     };
     let prof = profile_from_flags(args)?;
-    let wal = wal_from_flags(args, &meta, wal_sync, shards, "daemon")?;
+    let wal = wal_from_flags(args, &meta, wal_sync, "daemon")?;
     let wal_path = wal.as_ref().map(|w| w.path.clone());
     let cfg = DaemonConfig {
         addr: format!("{host}:{port}"),
@@ -1581,7 +1347,6 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
             max_delay: Duration::from_micros(max_delay_us),
         },
         wal,
-        shards,
         obs: prof.obs.clone(),
         ..Default::default()
     };
@@ -1616,7 +1381,7 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
     println!("daemon: listening on {}", daemon.local_addr());
     println!(
         "daemon: max_connections={max_connections} max_inflight={max_inflight} \
-         max_batch={max_batch} max_delay={max_delay_us}us seed={seed} shards={shards} \
+         max_batch={max_batch} max_delay={max_delay_us}us seed={seed} \
          wal={} (fsync {})",
         wal_path
             .as_ref()
@@ -1652,9 +1417,6 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
             report.service.wal_batches,
             path.display()
         );
-    }
-    if shards > 1 {
-        println!("{}", sharding_summary(&report.routing));
     }
     let m = &report.structure;
     println!(
@@ -1693,25 +1455,20 @@ fn cmd_load(args: &Args) -> Result<(), String> {
     let per_connection: usize = args.flag("updates", 2_500)?;
     let queries_per_window: usize = args.flag("queries", 8)?;
     let seed: u64 = args.flag("seed", 42)?;
-    let shards: usize = args.flag("shards", 1)?;
     let shutdown: bool = args.flag("shutdown", false)?;
     let prof = profile_from_flags(args)?;
     if connections == 0 || per_connection == 0 {
         return Err("--connections and --updates must be positive".into());
-    }
-    if shards == 0 || shards > MAX_SHARDS {
-        return Err(format!("--shards must be in 1..={MAX_SHARDS}"));
     }
     let cfg = LoadConfig {
         connections,
         per_connection,
         queries_per_window,
         seed,
-        shards,
     };
     println!(
         "load: {connections} connections x {per_connection} updates against {addr} \
-         (queries/window {queries_per_window}, seed {seed}, shard affinity K={shards})"
+         (queries/window {queries_per_window}, seed {seed})"
     );
     // With --profile interval=N, scrape the daemon's cumulative profile
     // over a fresh connection each interval and print the deltas.

@@ -611,6 +611,41 @@ fn daemon_flags_are_validated() {
 }
 
 #[test]
+fn unknown_flags_are_rejected() {
+    // A flag the subcommand does not read is refused before anything runs:
+    // a removed option (`--shards`) or a typo that would otherwise silently
+    // disable checkpoints (`--checkpoint-evry`).
+    for (args, flag, cmd) in [
+        (&["daemon", "--shards", "4"][..], "--shards", "daemon"),
+        (
+            &["daemon", "--checkpoint-evry", "100"][..],
+            "--checkpoint-evry",
+            "daemon",
+        ),
+        (&["serve", "--shards", "4"][..], "--shards", "serve"),
+        (
+            &["replay", "x.wal", "--shards", "2"][..],
+            "--shards",
+            "replay",
+        ),
+        (
+            &["load", "--port", "9", "--shards", "4"][..],
+            "--shards",
+            "load",
+        ),
+        (&["match", "g.hgr", "--batch", "8"][..], "--batch", "match"),
+    ] {
+        let out = pbdmm(args);
+        assert!(!out.status.success(), "{args:?} succeeded");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {flag} for {cmd}")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn load_flags_are_validated() {
     // The daemon's address is mandatory, one way or the other.
     let out = pbdmm(&["load"]);
