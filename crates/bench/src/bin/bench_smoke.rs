@@ -149,7 +149,7 @@ fn producer_churn(h: &ServiceHandle, p: u64, per_producer: usize) {
 /// `obs` is the phase recorder the service (and through it the structure)
 /// records into — pass a disabled one for pure-throughput runs.
 fn coalesced_service_load(sync: bool, per_producer: usize, obs: &Recorder) {
-    let wal_path = bench_wal_path("coalesced");
+    let wal_path = bench_wal_path("coalesced").with_extension("waldir");
     let svc = ServiceConfig::builder()
         .policy(CoalescePolicy {
             max_batch: 512,
@@ -157,7 +157,10 @@ fn coalesced_service_load(sync: bool, per_producer: usize, obs: &Recorder) {
             // the previous batch applies — no linger stalls.
             max_delay: Duration::ZERO,
         })
-        .wal_file(&wal_path, WalMeta::default())
+        // One segment, no checkpoints: the log the singleton baseline
+        // below writes, so the two compare the layer alone.
+        .wal_dir(&wal_path, WalMeta::default())
+        .checkpoint_every(0)
         .wal_sync(sync)
         // Scratch log, rewritten on every sample of this run.
         .wal_truncate(true)
@@ -171,7 +174,7 @@ fn coalesced_service_load(sync: bool, per_producer: usize, obs: &Recorder) {
         }
     });
     let (m, _) = svc.shutdown();
-    std::fs::remove_file(&wal_path).ok();
+    std::fs::remove_dir_all(&wal_path).ok();
     std::hint::black_box(m.matching_size());
 }
 
@@ -500,13 +503,14 @@ fn run_battery(samples: usize) -> BTreeMap<String, f64> {
         // figure.
         let obs = Recorder::enabled();
         {
-            let wal_path = bench_wal_path("profile");
+            let wal_path = bench_wal_path("profile").with_extension("waldir");
             let (svc, _query) = ServiceConfig::builder()
                 .policy(CoalescePolicy {
                     max_batch: 512,
                     max_delay: Duration::ZERO,
                 })
-                .wal_file(&wal_path, WalMeta::default())
+                .wal_dir(&wal_path, WalMeta::default())
+                .checkpoint_every(0)
                 .wal_sync(false)
                 .wal_truncate(true)
                 .obs(obs.clone())
@@ -519,7 +523,7 @@ fn run_battery(samples: usize) -> BTreeMap<String, f64> {
                 }
             });
             svc.shutdown();
-            std::fs::remove_file(&wal_path).ok();
+            std::fs::remove_dir_all(&wal_path).ok();
         }
         let report = obs.snapshot();
         for phase in [

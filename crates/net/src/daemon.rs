@@ -197,14 +197,14 @@ impl Daemon {
     }
 
     /// Bind the listener and **recover** the structure from the configured
-    /// segmented WAL directory (newest intact checkpoint + tail segments),
-    /// then resume serving and appending where the log left off. The
+    /// WAL directory (newest intact checkpoint + tail segments), then
+    /// resume serving and appending where the log left off. The
     /// structure's seed and id mode come from the configured WAL metadata,
     /// so a kill/restart loop needs nothing beyond the same
     /// [`DaemonConfig`]. An empty or missing directory starts fresh.
     pub fn recover_and_start(cfg: DaemonConfig) -> Result<(Daemon, RecoveryInfo), String> {
         let Some(wal) = cfg.wal.clone() else {
-            return Err("recovery requires a segmented WAL directory (DaemonConfig::wal)".into());
+            return Err("recovery requires a WAL directory (DaemonConfig::wal)".into());
         };
         matching_for(&wal.meta)?;
         let listener =

@@ -14,7 +14,7 @@ use pbdmm_net::client::{Client, ClientError, Mirror};
 use pbdmm_net::daemon::{Daemon, DaemonConfig};
 use pbdmm_net::load::{run_load, LoadConfig};
 use pbdmm_net::proto::{self, ErrorCode, Request, Response, UpdateResult};
-use pbdmm_service::WalConfig;
+use pbdmm_service::{CoalescePolicy, WalConfig};
 
 fn start(
     cfg: DaemonConfig,
@@ -497,4 +497,62 @@ fn daemon_recovers_from_segmented_wal_and_resumes() {
     assert_eq!(run2.structure.num_edges(), before.num_edges as usize - 1);
     pbdmm_matching::verify::check_invariants(&run2.structure).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn losing_the_wal_dir_fail_stops_the_daemon() {
+    // Fail-stop end to end: the WAL directory disappears under a running
+    // daemon, so the segment rotation after the third update fails. The
+    // committed prefix stays served; every later update is refused over
+    // the wire instead of being applied un-logged.
+    let dir = std::env::temp_dir().join(format!("pbdmm_daemon_fail_stop_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut wal = WalConfig::dir(
+        &dir,
+        WalMeta {
+            structure: "matching".into(),
+            seed: 7,
+            ids_recycling: false,
+        },
+    );
+    wal.checkpoint_every = Some(3);
+    let cfg = DaemonConfig {
+        policy: CoalescePolicy::singleton(),
+        wal: Some(wal),
+        ..DaemonConfig::default()
+    };
+    let (daemon, _) = Daemon::recover_and_start(cfg).unwrap();
+    let addr = daemon.local_addr();
+    let stop = daemon.stop_handle();
+    let join = std::thread::spawn(move || daemon.run());
+    let mut c = Client::connect(addr).unwrap();
+    let mut insert = |v: u32| {
+        let done = c
+            .submit_updates(vec![Update::Insert(vec![2 * v, 2 * v + 1])])
+            .unwrap();
+        assert_eq!(done.results.len(), 1);
+        done.results[0]
+    };
+    for v in 0..2 {
+        assert!(matches!(insert(v), UpdateResult::Inserted { .. }));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(matches!(insert(2), UpdateResult::Inserted { epoch: 3, .. }));
+    for v in 3..5 {
+        assert_eq!(
+            insert(v),
+            UpdateResult::Rejected {
+                code: ErrorCode::Internal
+            }
+        );
+    }
+    let q = c.point_query(0).unwrap();
+    assert_eq!(q.epoch, 3, "refused updates never become visible");
+    assert!(q.matched_edge.is_some());
+    stop.stop();
+    drop(c);
+    let report = join.join().unwrap();
+    assert_eq!(report.structure.num_edges(), 3);
+    assert_eq!(report.service.wal_batches, 3);
+    pbdmm_matching::verify::check_invariants(&report.structure).unwrap();
 }

@@ -159,7 +159,7 @@ pub enum CostHint {
     #[default]
     Medium,
     /// ≥ ~100ns/element: user closures of unknown weight, per-item map/set
-    /// mutation (`par_consume` task sets).
+    /// mutation (`par_apply_disjoint` group sets).
     Heavy,
 }
 

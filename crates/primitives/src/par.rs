@@ -321,35 +321,6 @@ where
     });
 }
 
-/// Consume an owned work list in parallel, one task per item, so uneven item
-/// costs balance through stealing. Used for coarse-grained task sets (e.g.
-/// one task per group) where the item count is far below any grain but each
-/// item is substantial.
-pub fn par_consume<T, F>(items: Vec<T>, f: F)
-where
-    T: Send,
-    F: Fn(T) + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return;
-    }
-    if n == 1 || parallelism() <= 1 || is_sequential() {
-        items.into_iter().for_each(f);
-        return;
-    }
-    let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    let base = SendPtr(slots.as_mut_ptr());
-    pool::current().run_range(n, 1, |lo, hi| {
-        for i in lo..hi {
-            // SAFETY: each index is taken by exactly one task; items left
-            // in place on panic are dropped by the Vec.
-            let item = unsafe { (*base.get().add(i)).take() };
-            f(item.expect("par_consume slot taken twice"));
-        }
-    });
-}
-
 /// Parallel flat-map (order-preserving).
 pub fn par_flat_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
@@ -665,15 +636,6 @@ mod tests {
         }
         assert_eq!(par_find_first(0, 10_000, |_| false), None);
         assert_eq!(par_find_first(5, 5, |_| true), None);
-    }
-
-    #[test]
-    fn par_consume_visits_every_item() {
-        let total = std::sync::atomic::AtomicUsize::new(0);
-        par_consume((0..1000usize).collect(), |i| {
-            total.fetch_add(i, Ordering::Relaxed);
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 999 * 1000 / 2);
     }
 
     #[test]

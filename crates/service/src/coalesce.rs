@@ -11,14 +11,11 @@
 //! * **in-batch duplicate deletes are deduplicated** — the first request
 //!   wins a batch slot, later duplicates resolve as already-deleted once the
 //!   batch commits (strict `apply` would reject the whole batch otherwise);
-//! * **a delete of an edge inserted by the same pending batch is deferred**
-//!   to the next batch — ids are assigned at apply time, so the current
-//!   batch cannot name them yet (this arises when replaying recorded traces,
-//!   where a batch's insert ids are predictable; live ingress can only learn
-//!   an id after its insert commits);
-//! * a delete of an id that is neither live nor created by this batch, and
-//!   an insert with an empty vertex set, are **rejected individually**
-//!   instead of poisoning the batch.
+//! * a delete of an id that is not live, and an insert with an empty
+//!   vertex set, are **rejected individually** instead of poisoning the
+//!   batch. Ids are assigned at apply time, so a delete can only name an
+//!   edge whose insert already committed; a delete of an edge inserted by
+//!   the same pending batch is an unknown id like any other.
 //!
 //! [`BatchDynamic::apply`]: pbdmm_matching::api::BatchDynamic::apply
 
@@ -80,10 +77,7 @@ pub enum Slot {
     /// holds the batch slot; this request resolves as already-deleted once
     /// that batch commits.
     DuplicateDelete(EdgeId),
-    /// Delete of an edge this same pending batch inserts: pushed to the
-    /// next batch (the id does not exist until this batch applies).
-    Deferred,
-    /// Delete of an id that is neither live nor created by this batch.
+    /// Delete of an id that is not live.
     RejectUnknown(EdgeId),
     /// Insert with an empty vertex set.
     RejectEmpty,
@@ -97,9 +91,6 @@ pub struct BatchPlan {
     pub batch: Batch,
     /// One [`Slot`] per input request, in input order.
     pub slots: Vec<Slot>,
-    /// Indices (into the input) of deferred requests, in arrival order; the
-    /// caller re-queues them at the front of the next batch.
-    pub deferred: Vec<usize>,
 }
 
 impl BatchPlan {
@@ -113,31 +104,24 @@ impl BatchPlan {
 /// module docs for the conflict rules). Takes the updates by value — the
 /// coalescer's hot path moves every insertion's vertex list straight into
 /// the formed batch, no per-update clone. `is_live` answers whether an edge
-/// id is currently live in the structure; `created_here` answers whether an
-/// id will be created by an insertion of this same pending batch (always
-/// `false` for live ingress — only trace replay can predict ids).
-pub fn plan_batch<L, C>(reqs: Vec<Update>, mut is_live: L, mut created_here: C) -> BatchPlan
+/// id is currently live in the structure.
+pub fn plan_batch<L>(reqs: Vec<Update>, mut is_live: L) -> BatchPlan
 where
     L: FnMut(EdgeId) -> bool,
-    C: FnMut(EdgeId) -> bool,
 {
     // First pass: classify. Batch positions depend on the final delete
     // count, so record per-kind ordinals and fix them up after.
     let mut slots: Vec<Slot> = Vec::with_capacity(reqs.len());
-    let mut deferred: Vec<usize> = Vec::new();
     let mut deletes: Vec<EdgeId> = Vec::new();
     let mut inserts: Vec<Vec<u32>> = Vec::new();
     let mut seen: FxHashSet<EdgeId> = FxHashSet::default();
     // Ordinal of the request within its kind; fixed up to batch positions
     // below (deletes keep their ordinal, inserts shift by the delete count).
     const INSERT_TAG: usize = usize::MAX / 2;
-    for (i, u) in reqs.into_iter().enumerate() {
+    for u in reqs {
         match u {
             Update::Delete(id) => {
-                if created_here(id) {
-                    slots.push(Slot::Deferred);
-                    deferred.push(i);
-                } else if !is_live(id) {
+                if !is_live(id) {
                     slots.push(Slot::RejectUnknown(id));
                 } else if !seen.insert(id) {
                     slots.push(Slot::DuplicateDelete(id));
@@ -166,7 +150,6 @@ where
     BatchPlan {
         batch: Batch::new().deletes(deletes).inserts(inserts),
         slots,
-        deferred,
     }
 }
 
@@ -186,7 +169,7 @@ mod tests {
             Update::Insert(vec![2, 3]),
             Update::Delete(EdgeId(8)),
         ];
-        let plan = plan_batch(reqs, |_| true, |_| false);
+        let plan = plan_batch(reqs, |_| true);
         assert_eq!(
             plan.batch.as_slice(),
             &[
@@ -206,7 +189,6 @@ mod tests {
                 Slot::InBatch(1),
             ]
         );
-        assert!(plan.deferred.is_empty());
     }
 
     #[test]
@@ -217,7 +199,7 @@ mod tests {
             Update::Delete(EdgeId(6)),
             Update::Delete(EdgeId(5)),
         ];
-        let plan = plan_batch(reqs, |_| true, |_| false);
+        let plan = plan_batch(reqs, |_| true);
         assert_eq!(plan.batch.num_deletes(), 2);
         assert_eq!(
             plan.slots,
@@ -231,27 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn defers_deletes_of_same_batch_inserts() {
-        // A replay-shaped drain: the delete of id 10 targets an insert of
-        // this very batch (`created_here`), so it moves to the next batch.
-        let reqs = vec![
-            Update::Insert(vec![0, 1]),
-            Update::Delete(EdgeId(10)),
-            Update::Delete(EdgeId(3)),
-        ];
-        let plan = plan_batch(reqs, |id| id == EdgeId(3), |id| id == EdgeId(10));
-        assert_eq!(plan.deferred, vec![1]);
-        assert_eq!(
-            plan.batch.as_slice(),
-            &[Update::Delete(EdgeId(3)), Update::Insert(vec![0, 1])]
-        );
-        assert_eq!(
-            plan.slots,
-            vec![Slot::InBatch(1), Slot::Deferred, Slot::InBatch(0)]
-        );
-    }
-
-    #[test]
     fn rejects_individually_without_poisoning_the_batch() {
         let live = ids(&[1]);
         let reqs = vec![
@@ -260,7 +221,7 @@ mod tests {
             Update::Delete(EdgeId(1)),     // fine
             Update::Insert(vec![4, 4, 2]), // normalized -> {2, 4}
         ];
-        let plan = plan_batch(reqs, |id| live.contains(&id), |_| false);
+        let plan = plan_batch(reqs, |id| live.contains(&id));
         assert_eq!(plan.slots[0], Slot::RejectEmpty);
         assert_eq!(plan.slots[1], Slot::RejectUnknown(EdgeId(99)));
         assert_eq!(
@@ -271,10 +232,9 @@ mod tests {
 
     #[test]
     fn empty_input_plans_empty_batch() {
-        let plan = plan_batch(Vec::new(), |_| true, |_| false);
+        let plan = plan_batch(Vec::new(), |_| true);
         assert!(plan.batch.is_empty());
         assert!(plan.slots.is_empty());
-        assert!(plan.deferred.is_empty());
     }
 
     #[test]

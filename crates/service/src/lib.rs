@@ -15,13 +15,14 @@
 //!    size/latency [`CoalescePolicy`] (flush at `max_batch` updates or
 //!    `max_delay` after the first, whichever first) and resolves conflicts
 //!    per the strict `apply` contract: deletions ordered before insertions,
-//!    in-batch duplicate deletes deduplicated, a delete of an edge inserted
-//!    by the same pending batch deferred to the next one, and individually
-//!    invalid updates (unknown id, empty vertex set) rejected without
-//!    poisoning the batch.
+//!    in-batch duplicate deletes deduplicated, and individually invalid
+//!    updates (unknown id, empty vertex set) rejected without poisoning the
+//!    batch.
 //! 3. **WAL** — the formed batch is appended to a durable write-ahead log
-//!    ([`pbdmm_graph::wal`], same line-based conventions as `graph::io`)
 //!    *before* it is applied, so a crash never loses an acknowledged batch.
+//!    The log is a segment directory ([`WalConfig::dir`]): numbered
+//!    `NNNNNN.seg` files in the [`pbdmm_graph::wal`] format (same
+//!    line-based conventions as `graph::io`), rotated at checkpoints.
 //! 4. **Apply** — one [`BatchDynamic::apply`] call on a pinned
 //!    [`ParPool`], settling the whole batch in one leveled round.
 //! 5. **Complete** — each submitter's ticket resolves with its slice of the
@@ -40,7 +41,8 @@
 //!
 //! [`replay`] reconstructs a structure from a recorded WAL
 //! deterministically — crash recovery and a trace-replay harness for
-//! benchmarking real update streams in one mechanism.
+//! benchmarking real update streams in one mechanism: both run the same
+//! loop over the logged batches.
 //!
 //! ```
 //! use pbdmm_matching::DynamicMatching;
@@ -80,7 +82,7 @@ pub mod service;
 pub use coalesce::{plan_batch, BatchPlan, CoalescePolicy, Slot};
 pub use replay::{
     matching_for, recover_dir_with, recover_matching_from_dir, replay_into, replay_matching,
-    replay_setcover, wal_dir_meta, Recovery, RecoveryInfo, ReplayReport,
+    wal_dir_meta, Recovery, RecoveryInfo, ReplayReport,
 };
 pub use service::{
     Completion, Done, QueryHandle, ServiceBuilder, ServiceConfig, ServiceError, ServiceHandle,

@@ -14,12 +14,10 @@
 
 use std::path::{Path, PathBuf};
 
-use pbdmm_graph::update::Update;
 use pbdmm_graph::wal::{read_wal_file, Wal, WalMeta};
 use pbdmm_matching::api::BatchDynamic;
 use pbdmm_matching::checkpoint::Checkpoint;
 use pbdmm_matching::DynamicMatching;
-use pbdmm_setcover::DynamicSetCover;
 
 use crate::coalesce::{plan_batch, Slot};
 
@@ -28,50 +26,60 @@ use crate::coalesce::{plan_batch, Slot};
 pub struct ReplayReport {
     /// Committed WAL batches consumed.
     pub batches: u64,
-    /// `apply` calls issued (≥ `batches`: a batch whose deletes
-    /// forward-reference its own inserts is split in two).
+    /// `apply` calls issued (one per non-empty batch).
     pub applies: u64,
     /// Updates applied.
     pub updates: u64,
-    /// Deletes deferred past their batch's inserts (see module docs).
-    pub deferred: u64,
 }
 
-/// Replay a decoded WAL into `s`, which must be **fresh** (no edges ever
-/// inserted — id assignment starts at 0) and seeded per the WAL metadata
-/// for exact reproduction.
+/// Replay a decoded log from genesis into `s`, which must be **fresh** (no
+/// edges ever inserted — id assignment starts at 0) and seeded per the WAL
+/// metadata for exact reproduction.
 ///
-/// Batches are re-planned through the coalescer's conflict rules before
-/// applying, so a trace whose batch deletes an edge inserted by the same
-/// batch (possible in merged or hand-written WALs — a live recorder never
-/// emits it) is split: inserts first, the forward-referencing deletes in a
-/// follow-up batch. That forward-reference classification predicts ids
-/// monotonically; a structure with deleted-id recycling replays any
-/// *recorded* log exactly (recycling is deterministic in apply order, and a
-/// live recorder only logs deletes of ids that are live at apply time), but
-/// hand-written forward-referencing traces are only supported for the
-/// default monotonic id assignment.
+/// The log must start at batch 0. A rotated segment (`# base: N`, N > 0)
+/// holds only the batches after a checkpoint, and replaying it alone from
+/// a fresh structure would build a state that never existed; replay its
+/// directory instead ([`recover_dir_with`]).
 pub fn replay_into<S: BatchDynamic>(s: &mut S, wal: &Wal) -> Result<ReplayReport, String> {
+    if wal.base != 0 {
+        return Err(format!(
+            "log starts at batch {} (`# base: {}`): it is a segment from the middle \
+             of a WAL directory, not a whole log; replay the directory instead",
+            wal.base, wal.base
+        ));
+    }
     if s.num_edges() != 0 {
         return Err("replay target must be a fresh structure".into());
     }
     let mut report = ReplayReport::default();
-    // Ids are assigned sequentially from 0 in apply order; this counter
-    // predicts them, which is what lets the planner distinguish "created by
-    // this batch's inserts" from "plain unknown id". The prediction is
-    // verified on the first insert-bearing apply below: a fresh structure
-    // assigns 0, 1, 2, … there in either id mode, while one that is empty
-    // but has handed out ids before would silently shift every recorded
-    // delete onto the wrong edge. (Later applies are not checked — a
-    // recycling structure legitimately reuses freed ids from then on.)
-    let mut next_insert_id: u64 = 0;
-    let mut freshness_verified = false;
-    for (seq, batch) in wal.batches.iter().enumerate() {
-        let plan = plan_batch(
-            batch.as_slice().to_vec(),
-            |id| s.contains_edge(id),
-            |id| id.raw() >= next_insert_id,
-        );
+    apply_logged(s, wal, true, &mut report)?;
+    Ok(report)
+}
+
+/// Apply every committed batch of `wal` to `s`, in order — the one loop
+/// behind [`replay_into`] and segment-directory recovery. Errors name the
+/// batch by its global sequence (`wal.base` + position).
+///
+/// Each batch goes through the coalescer's planner first, so a delete of an
+/// edge that is not live, or an insert with an empty vertex set, fails with
+/// its batch number instead of a bare `apply` error. A live recorder logs
+/// neither, so any rejection means the log is corrupt or hand-written.
+///
+/// With `fresh`, the first insert-bearing apply must assign ids 0, 1, 2, …
+/// — a fresh structure does so in either id mode, while one that is empty
+/// but has handed out ids before would silently shift every recorded
+/// delete onto the wrong edge. (Later applies are not checked: a recycling
+/// structure legitimately reuses freed ids from then on.)
+fn apply_logged<S: BatchDynamic>(
+    s: &mut S,
+    wal: &Wal,
+    fresh: bool,
+    report: &mut ReplayReport,
+) -> Result<(), String> {
+    let mut verify_ids = fresh;
+    for (i, batch) in wal.batches.iter().enumerate() {
+        let seq = wal.base + i as u64;
+        let plan = plan_batch(batch.as_slice().to_vec(), |id| s.contains_edge(id));
         for slot in &plan.slots {
             match slot {
                 Slot::RejectUnknown(id) => {
@@ -80,17 +88,16 @@ pub fn replay_into<S: BatchDynamic>(s: &mut S, wal: &Wal) -> Result<ReplayReport
                 Slot::RejectEmpty => {
                     return Err(format!("batch {seq}: insert with empty vertex set"));
                 }
-                _ => {}
+                Slot::InBatch(_) | Slot::DuplicateDelete(_) => {}
             }
         }
-        let inserts = plan.batch.num_inserts() as u64;
         if !plan.batch.is_empty() {
             report.updates += plan.batch.len() as u64;
             report.applies += 1;
             let out = s
                 .apply(plan.batch)
                 .map_err(|e| format!("batch {seq}: {e}"))?;
-            if !freshness_verified && !out.inserted.is_empty() {
+            if verify_ids && !out.inserted.is_empty() {
                 for (k, id) in out.inserted.iter().enumerate() {
                     if id.raw() != k as u64 {
                         return Err(format!(
@@ -100,37 +107,12 @@ pub fn replay_into<S: BatchDynamic>(s: &mut S, wal: &Wal) -> Result<ReplayReport
                         ));
                     }
                 }
-                freshness_verified = true;
-            }
-        }
-        next_insert_id += inserts;
-        if !plan.deferred.is_empty() {
-            // Forward-referencing deletes: their targets exist now. The
-            // follow-up goes through the planner again so duplicates among
-            // the deferred deletes coalesce instead of failing strict
-            // `apply` (merged traces can carry them).
-            let follow_ops: Vec<Update> = plan
-                .deferred
-                .iter()
-                .map(|&i| batch.as_slice()[i].clone())
-                .collect();
-            let follow = plan_batch(follow_ops, |id| s.contains_edge(id), |_| false);
-            for slot in &follow.slots {
-                if let Slot::RejectUnknown(id) = slot {
-                    return Err(format!("batch {seq}: delete of unknown edge {id}"));
-                }
-            }
-            if !follow.batch.is_empty() {
-                report.deferred += follow.batch.len() as u64;
-                report.updates += follow.batch.len() as u64;
-                report.applies += 1;
-                s.apply(follow.batch)
-                    .map_err(|e| format!("batch {seq} (deferred deletes): {e}"))?;
+                verify_ids = false;
             }
         }
         report.batches += 1;
     }
-    Ok(report)
+    Ok(())
 }
 
 /// The fresh [`DynamicMatching`] a WAL header describes: the recorded seed
@@ -156,13 +138,6 @@ pub fn replay_matching(wal: &Wal) -> Result<(DynamicMatching, ReplayReport), Str
     let mut m = matching_for(&wal.meta)?;
     let report = replay_into(&mut m, wal)?;
     Ok((m, report))
-}
-
-/// Replay a WAL recorded over a [`DynamicSetCover`] (element updates).
-pub fn replay_setcover(wal: &Wal) -> Result<(DynamicSetCover, ReplayReport), String> {
-    let mut c = DynamicSetCover::with_seed(wal.meta.seed);
-    let report = replay_into(&mut c, wal)?;
-    Ok((c, report))
 }
 
 // ---------------------------------------------------------------------------
@@ -263,8 +238,8 @@ pub struct Recovery<S> {
     pub report: ReplayReport,
     /// Metadata shared by every segment (validated for agreement).
     pub meta: WalMeta,
-    /// Whether the final segment ended in a torn append (dropped, exactly
-    /// like single-file replay).
+    /// Whether the final segment ended in a torn append (dropped: it was
+    /// never committed).
     pub truncated: bool,
 }
 
@@ -296,49 +271,6 @@ impl<S> Recovery<S> {
             truncated: self.truncated,
         }
     }
-}
-
-/// Replay one already-decoded tail segment into a **non-fresh** structure.
-///
-/// Unlike [`replay_into`], the target carries prior state (a restored
-/// checkpoint plus earlier segments), so insert ids cannot be predicted
-/// here — and need not be: a live recorder only logs deletes of ids that
-/// were live when the batch applied, so a recorded segment never
-/// forward-references its own inserts. Any planner rejection is therefore
-/// log corruption, not a replayable quirk.
-fn replay_tail_into<S: BatchDynamic>(
-    s: &mut S,
-    wal: &Wal,
-    report: &mut ReplayReport,
-) -> Result<(), String> {
-    for (i, batch) in wal.batches.iter().enumerate() {
-        let seq = wal.base + i as u64;
-        let plan = plan_batch(
-            batch.as_slice().to_vec(),
-            |id| s.contains_edge(id),
-            |_| false,
-        );
-        for slot in &plan.slots {
-            match slot {
-                Slot::RejectUnknown(id) => {
-                    return Err(format!("batch {seq}: delete of unknown edge {id}"));
-                }
-                Slot::RejectEmpty => {
-                    return Err(format!("batch {seq}: insert with empty vertex set"));
-                }
-                _ => {}
-            }
-        }
-        debug_assert!(plan.deferred.is_empty(), "recorded logs never defer");
-        if !plan.batch.is_empty() {
-            report.updates += plan.batch.len() as u64;
-            report.applies += 1;
-            s.apply(plan.batch)
-                .map_err(|e| format!("batch {seq}: {e}"))?;
-        }
-        report.batches += 1;
-    }
-    Ok(())
 }
 
 /// Replay the contiguous run of segments starting at sequence `start` into
@@ -401,7 +333,7 @@ fn replay_segments_from<S: BatchDynamic>(
                 path.display()
             ));
         }
-        replay_tail_into(s, &wal, report)?;
+        apply_logged(s, &wal, false, report)?;
         expected += wal.batches.len() as u64;
         replayed += 1;
         if wal.truncated {
@@ -549,7 +481,6 @@ mod tests {
         let (replayed, report) = replay_matching(&wal_of(batches)).unwrap();
         assert_eq!(report.batches, 3);
         assert_eq!(report.updates, 7);
-        assert_eq!(report.deferred, 0);
         let mut a = reference.matching();
         let mut b = replayed.matching();
         a.sort_unstable();
@@ -574,75 +505,22 @@ mod tests {
     }
 
     #[test]
-    fn deferred_duplicate_deletes_coalesce() {
-        // `i 0 1; d 0; d 0`: both deletes forward-reference the batch's own
-        // insert and defer; the follow-up batch must deduplicate them
-        // instead of failing strict apply.
-        let batches = vec![Batch::new()
-            .insert(vec![0, 1])
-            .delete(EdgeId(0))
-            .delete(EdgeId(0))];
-        let (m, report) = replay_matching(&wal_of(batches)).unwrap();
-        assert_eq!(m.num_edges(), 0);
-        assert_eq!(report.deferred, 1);
-        assert_eq!(report.applies, 2);
-        check_invariants(&m).unwrap();
-    }
-
-    #[test]
-    fn defers_forward_referencing_deletes() {
-        // One hand-written batch inserting two edges and deleting the first
-        // of them (id 0 is assigned by this very batch): the replayer must
-        // split it rather than reject it.
-        let batches = vec![Batch::new()
-            .insert(vec![0, 1])
-            .delete(EdgeId(0))
-            .insert(vec![2, 3])];
-        let (m, report) = replay_matching(&wal_of(batches)).unwrap();
-        assert_eq!(report.deferred, 1);
-        assert_eq!(report.applies, 2);
-        assert_eq!(m.num_edges(), 1);
-        assert!(m.contains_edge(EdgeId(1)));
-        check_invariants(&m).unwrap();
-    }
-
-    #[test]
     fn rejects_unknown_ids_and_stale_targets() {
         let err = replay_matching(&wal_of(vec![Batch::new().delete(EdgeId(5))])).unwrap_err();
         assert!(err.contains("unknown"), "{err}");
-        // A forward reference beyond the batch's own inserts is unknown too.
-        let err = replay_matching(&wal_of(vec![Batch::new()
-            .insert(vec![0, 1])
-            .delete(EdgeId(7))]))
-        .unwrap_err();
-        assert!(err.contains("unknown"), "{err}");
+        // A forward reference is unknown too, whether or not the batch's
+        // own inserts would assign the id: ids exist only after apply.
+        for target in [EdgeId(0), EdgeId(7)] {
+            let err = replay_matching(&wal_of(vec![Batch::new()
+                .insert(vec![0, 1])
+                .delete(target)]))
+            .unwrap_err();
+            assert!(err.contains("delete of unknown edge"), "{err}");
+        }
         // Fresh-structure precondition.
         let mut used = DynamicMatching::with_seed(1);
         used.insert_edges(&[vec![0, 1]]);
         let err = replay_into(&mut used, &wal_of(vec![])).unwrap_err();
         assert!(err.contains("fresh"), "{err}");
-    }
-
-    #[test]
-    fn replays_setcover_elements() {
-        let batches = vec![
-            Batch::new().inserts([vec![0, 1], vec![1, 2], vec![2]]),
-            Batch::new().delete(EdgeId(0)),
-        ];
-        let wal = Wal {
-            meta: WalMeta {
-                structure: "setcover".into(),
-                seed: 3,
-                ids_recycling: false,
-            },
-            base: 0,
-            batches,
-            truncated: false,
-        };
-        let (c, report) = replay_setcover(&wal).unwrap();
-        assert_eq!(report.batches, 2);
-        assert_eq!(c.num_elements(), 2);
-        assert!(c.cover_size() > 0);
-        check_invariants(c.matching()).unwrap();
     }
 }

@@ -105,7 +105,7 @@ pub struct Completion {
     /// The epoch at which this update's batch became **visible** on the
     /// snapshot read path (shared by every ticket of the batch).
     ///
-    /// For a service started with [`UpdateService::start_serving`] this is
+    /// For a service started with [`ServiceBuilder::start_serving`] this is
     /// the *structure's* update count right after the batch applied (the
     /// service captures the structure's pre-existing epoch at start and
     /// offsets by it), and the snapshot carrying this batch is published
@@ -113,7 +113,7 @@ pub struct Completion {
     /// `wait()` returns never observes
     /// `QueryHandle::epoch() < completion.epoch`: read your writes.
     ///
-    /// For a plain [`UpdateService::start`] (no read path, so no
+    /// For a plain [`ServiceBuilder::start`] (no read path, so no
     /// `Snapshots` bound to ask the structure through) the base is 0:
     /// epochs then count updates applied *through this service*, which
     /// coincides with the structure's epoch exactly when the structure
@@ -209,7 +209,7 @@ pub struct ServiceStats {
     pub max_batch_len: usize,
     /// Batches appended to the WAL (0 when no WAL is configured).
     pub wal_batches: u64,
-    /// Checkpoints made durable (segmented WAL with a checkpoint interval).
+    /// Checkpoints made durable (WAL with a checkpoint interval).
     pub checkpoints: u64,
     /// Checkpoint writes that failed (the service keeps running — a missed
     /// checkpoint only means recovery replays a longer tail).
@@ -229,11 +229,14 @@ impl ServiceStats {
     }
 }
 
-/// Durable-log configuration for an [`UpdateService`].
+/// Durable-log configuration for an [`UpdateService`]: a segment
+/// directory of numbered `NNNNNN.seg` files (each a self-contained WAL
+/// whose `# base:` header carries its first batch seq) plus `NNNNNN.ckpt`
+/// checkpoints at segment boundaries. Recovery loads the newest intact
+/// checkpoint and replays only the tail segments after it.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
-    /// Where the log lives: a single append-only file ([`Self::new`]), or a
-    /// segment directory ([`Self::dir`]).
+    /// The segment directory (created if missing).
     pub path: PathBuf,
     /// Header metadata — record the structure kind and seed so
     /// [`crate::replay`] can rebuild an identically-seeded instance.
@@ -242,45 +245,27 @@ pub struct WalConfig {
     /// not just process crash). Default `false`: flush to the OS only.
     pub sync: bool,
     /// Overwrite existing log content at `path`. Default `false`:
-    /// [`UpdateService::start`] refuses rather than silently destroying a
+    /// [`ServiceBuilder::start`] refuses rather than silently destroying a
     /// previous run's log — the artifact crash recovery depends on. Set it
     /// only for scratch logs.
     pub truncate: bool,
-    /// Segmented directory mode: `path` is a directory of numbered
-    /// `NNNNNN.seg` files (each a self-contained WAL whose `# base:` header
-    /// carries its first batch seq) plus `NNNNNN.ckpt` checkpoints at
-    /// segment boundaries. Recovery loads the newest intact checkpoint and
-    /// replays only the tail segments after it.
-    pub segmented: bool,
-    /// Segmented mode: take a checkpoint (and rotate the segment) after at
-    /// least this many updates, provided the structure supports
-    /// checkpointing. `None` disables rotation — one segment, full-replay
-    /// recovery.
+    /// Take a checkpoint (and rotate the segment) after at least this many
+    /// updates, provided the structure supports checkpointing. `None`
+    /// disables rotation — one segment `000000.seg`, full-replay recovery.
     pub checkpoint_every: Option<u64>,
 }
 
 impl WalConfig {
-    /// A flush-only (no fsync), overwrite-refusing single-file WAL at
-    /// `path` with the given metadata.
-    pub fn new(path: impl Into<PathBuf>, meta: WalMeta) -> Self {
+    /// A flush-only (no fsync), overwrite-refusing WAL directory at `path`
+    /// with checkpoint/compaction enabled at the default interval (see
+    /// [`WalConfig::DEFAULT_CHECKPOINT_EVERY`]).
+    pub fn dir(path: impl Into<PathBuf>, meta: WalMeta) -> Self {
         WalConfig {
             path: path.into(),
             meta,
             sync: false,
             truncate: false,
-            segmented: false,
-            checkpoint_every: None,
-        }
-    }
-
-    /// A segmented WAL directory at `path` with checkpoint/compaction
-    /// enabled at the default interval (see
-    /// [`WalConfig::DEFAULT_CHECKPOINT_EVERY`]).
-    pub fn dir(path: impl Into<PathBuf>, meta: WalMeta) -> Self {
-        WalConfig {
-            segmented: true,
             checkpoint_every: Some(Self::DEFAULT_CHECKPOINT_EVERY),
-            ..Self::new(path, meta)
         }
     }
 
@@ -309,9 +294,8 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// The one construction surface for services: configure policy, WAL
-    /// (single file or segment directory), fsync, checkpoint interval, and
-    /// scheduler, then call a terminal ([`ServiceBuilder::start`],
-    /// [`ServiceBuilder::start_serving`],
+    /// directory, fsync, checkpoint interval, and scheduler, then call a
+    /// terminal ([`ServiceBuilder::start`], [`ServiceBuilder::start_serving`],
     /// [`ServiceBuilder::recover_and_start_serving`], …) to get a running
     /// service — and, for the `serving` terminals, its [`QueryHandle`] — in
     /// one call.
@@ -341,7 +325,7 @@ pub struct ServiceBuilder {
     sync: bool,
     truncate: bool,
     /// `Some(override)` once [`Self::checkpoint_every`] was called;
-    /// otherwise the WAL mode's default stands.
+    /// otherwise the [`WalConfig`]'s interval stands.
     checkpoint_every: Option<Option<u64>>,
     /// Phase recorder shared by the coalescer and the structure.
     obs: Recorder,
@@ -379,14 +363,7 @@ impl ServiceBuilder {
         self
     }
 
-    /// Log batches to a single append-only WAL file (no rotation, no
-    /// checkpoints; recovery replays the whole file).
-    pub fn wal_file(mut self, path: impl Into<PathBuf>, meta: WalMeta) -> Self {
-        self.wal = Some(WalConfig::new(path, meta));
-        self
-    }
-
-    /// Log batches to a segmented WAL directory with checkpointing and
+    /// Log batches to a WAL segment directory with checkpointing and
     /// compaction (see [`WalConfig::dir`]). Recovery loads the newest
     /// intact checkpoint and replays only the tail segments.
     pub fn wal_dir(mut self, path: impl Into<PathBuf>, meta: WalMeta) -> Self {
@@ -405,7 +382,7 @@ impl ServiceBuilder {
     }
 
     /// `fsync` each appended batch (default off: flush to the OS only).
-    /// Order-independent with respect to `wal_file` / `wal_dir`.
+    /// Order-independent with respect to `wal_dir`.
     pub fn wal_sync(mut self, sync: bool) -> Self {
         self.sync = sync;
         self
@@ -418,9 +395,9 @@ impl ServiceBuilder {
         self
     }
 
-    /// Segmented mode: checkpoint + rotate after at least this many
-    /// updates; `0` disables checkpointing (one segment, full-replay
-    /// recovery). Default: [`WalConfig::DEFAULT_CHECKPOINT_EVERY`].
+    /// Checkpoint + rotate after at least this many updates; `0` disables
+    /// checkpointing (one segment `000000.seg`, full-replay recovery).
+    /// Default: [`WalConfig::DEFAULT_CHECKPOINT_EVERY`].
     pub fn checkpoint_every(mut self, updates: u64) -> Self {
         self.checkpoint_every = Some((updates > 0).then_some(updates));
         self
@@ -449,9 +426,7 @@ impl ServiceBuilder {
     where
         S: BatchDynamic + Checkpoint + Send + 'static,
     {
-        let config = self.config();
-        let ckpt_fn = ckpt_fn_for(&config, &structure);
-        UpdateService::start_inner(structure, config, 0, 0, ckpt_fn)
+        UpdateService::start_inner(structure, self.config(), 0, 0)
     }
 
     /// Terminal: start the service with the snapshot read path enabled,
@@ -465,11 +440,13 @@ impl ServiceBuilder {
     where
         S: BatchDynamic + Checkpoint + Snapshots + Send + 'static,
     {
-        let config = self.config();
-        let ckpt_fn = ckpt_fn_for(&config, &structure);
+        // Capture the pre-service epoch: `seq` numbers count updates
+        // applied *through this service*, while epochs count updates ever
+        // applied to the structure — they coincide exactly when the
+        // structure starts fresh, and differ by this base otherwise.
         let epoch_base = structure.epoch();
         let reader = structure.enable_snapshots();
-        let svc = UpdateService::start_inner(structure, config, epoch_base, 0, ckpt_fn)?;
+        let svc = UpdateService::start_inner(structure, self.config(), epoch_base, 0)?;
         Ok((svc, QueryHandle { reader }))
     }
 
@@ -488,8 +465,7 @@ impl ServiceBuilder {
     {
         let (config, rec) = self.recover(make)?;
         let info = rec.info();
-        let ckpt_fn = ckpt_fn_for(&config, &rec.structure);
-        let svc = UpdateService::start_inner(rec.structure, config, 0, rec.next_seq, ckpt_fn)?;
+        let svc = UpdateService::start_inner(rec.structure, config, 0, rec.next_seq)?;
         Ok((svc, info))
     }
 
@@ -505,11 +481,9 @@ impl ServiceBuilder {
     {
         let (config, mut rec) = self.recover(make)?;
         let info = rec.info();
-        let ckpt_fn = ckpt_fn_for(&config, &rec.structure);
         let epoch_base = rec.structure.epoch();
         let reader = rec.structure.enable_snapshots();
-        let svc =
-            UpdateService::start_inner(rec.structure, config, epoch_base, rec.next_seq, ckpt_fn)?;
+        let svc = UpdateService::start_inner(rec.structure, config, epoch_base, rec.next_seq)?;
         Ok((svc, QueryHandle { reader }, info))
     }
 
@@ -524,11 +498,6 @@ impl ServiceBuilder {
                 "recovery requires a WAL directory (ServiceBuilder::wal_dir)".into(),
             ));
         };
-        if !wal.segmented {
-            return Err(ServiceError::Wal(
-                "recovery requires a segmented WAL directory, not a single-file WAL".into(),
-            ));
-        }
         if wal.truncate {
             return Err(ServiceError::Wal(
                 "recover + truncate are contradictory: truncate destroys the log \
@@ -568,26 +537,6 @@ impl ServiceBuilder {
     }
 }
 
-/// The checkpoint serializer for this configuration, or `None` when the
-/// WAL is absent/unsegmented, checkpointing is disabled, or the structure
-/// does not support it.
-fn ckpt_fn_for<S: Checkpoint>(config: &ServiceConfig, structure: &S) -> Option<CkptFn<S>> {
-    let wal = config.wal.as_ref()?;
-    if !wal.segmented || wal.checkpoint_every.is_none() || !structure.checkpoint_supported() {
-        return None;
-    }
-    Some(Box::new(|s: &S| {
-        let mut buf = Vec::new();
-        s.write_checkpoint(&mut buf)?;
-        Ok(buf)
-    }))
-}
-
-/// Serializes a structure's complete state into a checkpoint payload.
-/// Built where the `Checkpoint` bound is available (the builder terminals),
-/// so the coalescer itself needs no trait bound beyond [`BatchDynamic`].
-type CkptFn<S> = Box<dyn Fn(&S) -> std::io::Result<Vec<u8>> + Send>;
-
 /// Counters the off-thread checkpoint writer publishes; folded into
 /// [`ServiceStats`] at shutdown.
 #[derive(Debug, Default)]
@@ -603,77 +552,53 @@ struct CkptJob {
     payload: Vec<u8>,
 }
 
-/// Segment-directory state of a [`WalSink`] (absent in single-file mode).
-struct SegmentedState {
-    dir: PathBuf,
-    meta: WalMeta,
-    checkpoint_every: Option<u64>,
-    /// Updates appended since the last checkpoint/rotation.
-    updates_since_ckpt: u64,
-    /// Hands serialized checkpoints to the writer thread; `None` when the
-    /// structure does not support checkpointing (one segment, no rotation).
-    ckpt_tx: Option<mpsc::Sender<CkptJob>>,
-    ckpt_join: Option<JoinHandle<()>>,
+/// The off-thread checkpoint writer of a [`WalSink`], with its interval.
+struct CkptWriter {
+    /// Checkpoint (and rotate) after at least this many updates.
+    every: u64,
+    /// Hands serialized checkpoints to the writer thread.
+    tx: mpsc::Sender<CkptJob>,
+    join: JoinHandle<()>,
 }
 
-impl Drop for SegmentedState {
-    fn drop(&mut self) {
-        // Disconnect first so the writer drains its queue and exits, then
-        // wait for the in-flight checkpoint to reach disk — shutdown must
-        // not race compaction.
-        drop(self.ckpt_tx.take());
-        if let Some(j) = self.ckpt_join.take() {
-            let _ = j.join();
-        }
-    }
-}
-
-/// The write side of the WAL: buffered file + the append-before-apply rule.
-/// In segmented mode `w` is the current segment, rotated at checkpoint
-/// boundaries.
+/// The write side of the WAL: the current segment of the log directory,
+/// buffered, plus the append-before-apply rule. The segment rotates at
+/// checkpoint boundaries.
 struct WalSink {
     w: std::io::BufWriter<std::fs::File>,
+    dir: PathBuf,
+    meta: WalMeta,
     sync: bool,
     /// Global batch sequence the next append gets (continues across
     /// segments and, after recovery, across process restarts).
     seq: u64,
-    seg: Option<SegmentedState>,
+    /// `None` when checkpointing is off (interval 0, or a structure that
+    /// cannot checkpoint): the log stays one segment.
+    ckpt: Option<CkptWriter>,
+    /// Updates appended since the last checkpoint/rotation.
+    updates_since_ckpt: u64,
+}
+
+impl Drop for WalSink {
+    fn drop(&mut self) {
+        // Disconnect first so the writer drains its queue and exits, then
+        // wait for the in-flight checkpoint to reach disk — shutdown must
+        // not race compaction.
+        if let Some(CkptWriter { tx, join, .. }) = self.ckpt.take() {
+            drop(tx);
+            let _ = join.join();
+        }
+    }
 }
 
 impl WalSink {
-    fn open(cfg: &WalConfig) -> Result<Self, ServiceError> {
-        if !cfg.truncate {
-            if let Ok(md) = std::fs::metadata(&cfg.path) {
-                if md.len() > 0 {
-                    return Err(ServiceError::Wal(format!(
-                        "refusing to overwrite existing WAL {:?} — replay or move it, \
-                         pick another path, or set WalConfig::truncate",
-                        cfg.path
-                    )));
-                }
-            }
-        }
-        let file = std::fs::File::create(&cfg.path)
-            .map_err(|e| ServiceError::Wal(format!("create {:?}: {e}", cfg.path)))?;
-        let mut w = std::io::BufWriter::new(file);
-        wal::write_header(&mut w, &cfg.meta)
-            .and_then(|()| w.flush())
-            .map_err(|e| ServiceError::Wal(format!("write header: {e}")))?;
-        Ok(WalSink {
-            w,
-            sync: cfg.sync,
-            seq: 0,
-            seg: None,
-        })
-    }
-
     /// Open a segment directory for appending, continuing the global batch
     /// sequence at `resume_seq` (0 for a fresh log; the recovered batch
     /// count when the caller just recovered from this directory). A new
     /// segment `resume_seq.seg` is always started: appending to a possibly
     /// torn previous segment is never attempted, and by definition no
     /// committed batch lives at or past `resume_seq`.
-    fn open_dir(
+    fn open(
         cfg: &WalConfig,
         resume_seq: u64,
         checkpointing: bool,
@@ -705,88 +630,74 @@ impl WalSink {
             .and_then(|()| w.flush())
             .and_then(|()| fsync_dir(&cfg.path))
             .map_err(|e| werr("write segment header", e))?;
-        let (ckpt_tx, ckpt_join) = if checkpointing && cfg.checkpoint_every.is_some() {
-            let (tx, rx) = mpsc::channel::<CkptJob>();
-            let dir = cfg.path.clone();
-            let join = std::thread::Builder::new()
-                .name("pbdmm-ckpt".into())
-                .spawn(move || checkpoint_writer_loop(dir, rx, stats))
-                .expect("spawn checkpoint thread");
-            (Some(tx), Some(join))
-        } else {
-            (None, None)
+        let ckpt = match cfg.checkpoint_every {
+            Some(every) if checkpointing => {
+                let (tx, rx) = mpsc::channel::<CkptJob>();
+                let dir = cfg.path.clone();
+                let join = std::thread::Builder::new()
+                    .name("pbdmm-ckpt".into())
+                    .spawn(move || checkpoint_writer_loop(dir, rx, stats))
+                    .expect("spawn checkpoint thread");
+                Some(CkptWriter { every, tx, join })
+            }
+            _ => None,
         };
         Ok(WalSink {
             w,
+            dir: cfg.path.clone(),
+            meta: cfg.meta.clone(),
             sync: cfg.sync,
             seq: resume_seq,
-            seg: Some(SegmentedState {
-                dir: cfg.path.clone(),
-                meta: cfg.meta.clone(),
-                checkpoint_every: cfg.checkpoint_every,
-                updates_since_ckpt: 0,
-                ckpt_tx,
-                ckpt_join,
-            }),
+            ckpt,
+            updates_since_ckpt: 0,
         })
     }
 
-    /// Post-apply hook: in segmented mode, count `updates` toward the
-    /// checkpoint interval and — when it is reached — serialize the
-    /// structure (in-memory, on the coalescer), rotate to a fresh segment,
-    /// and hand the payload to the checkpoint writer thread, which makes it
-    /// durable and compacts old segments without ever stalling this thread.
+    /// Post-apply hook: count `updates` toward the checkpoint interval and
+    /// — when it is reached — serialize the structure (in-memory, on the
+    /// coalescer), rotate to a fresh segment, and hand the payload to the
+    /// checkpoint writer thread, which makes it durable and compacts old
+    /// segments without ever stalling this thread.
     ///
     /// Serialization failure only skips the checkpoint (recovery replays a
     /// longer tail); rotation I/O failure is a real WAL error.
-    fn after_apply<S>(
+    fn after_apply<S: Checkpoint>(
         &mut self,
         s: &S,
         updates: u64,
-        ckpt: Option<&CkptFn<S>>,
         stats: &CkptStats,
     ) -> Result<(), ServiceError> {
-        let Some(seg) = self.seg.as_mut() else {
+        let Some(ckpt) = &self.ckpt else {
             return Ok(());
         };
-        let (Some(every), Some(ckpt)) = (seg.checkpoint_every, ckpt) else {
-            return Ok(());
-        };
-        if seg.ckpt_tx.is_none() {
-            return Ok(());
-        }
-        seg.updates_since_ckpt += updates;
-        if seg.updates_since_ckpt < every {
+        self.updates_since_ckpt += updates;
+        if self.updates_since_ckpt < ckpt.every {
             return Ok(());
         }
         // The payload is the state after exactly `self.seq` batches — the
         // boundary the new segment starts at.
-        let payload = match ckpt(s) {
-            Ok(p) => p,
-            Err(_) => {
-                stats.failures.fetch_add(1, Ordering::Relaxed);
-                seg.updates_since_ckpt = 0;
-                return Ok(());
-            }
-        };
-        let seg_path = segment_path(&seg.dir, self.seq);
+        let mut payload = Vec::new();
+        if s.write_checkpoint(&mut payload).is_err() {
+            stats.failures.fetch_add(1, Ordering::Relaxed);
+            self.updates_since_ckpt = 0;
+            return Ok(());
+        }
+        let seg_path = segment_path(&self.dir, self.seq);
         let next = std::fs::File::create(&seg_path)
             .map_err(|e| ServiceError::Wal(format!("rotate to {seg_path:?}: {e}")))?;
         let mut next_w = std::io::BufWriter::new(next);
-        wal::write_segment_header(&mut next_w, &seg.meta, self.seq)
+        wal::write_segment_header(&mut next_w, &self.meta, self.seq)
             .and_then(|()| next_w.flush())
-            .and_then(|()| fsync_dir(&seg.dir))
+            .and_then(|()| fsync_dir(&self.dir))
             .map_err(|e| ServiceError::Wal(format!("write segment header: {e}")))?;
         // Retire the old segment: everything in it is already flushed per
         // append (and fsynced if `sync`); nothing further is owed to it.
         self.w = next_w;
-        seg.updates_since_ckpt = 0;
-        if let Some(tx) = &seg.ckpt_tx {
-            let _ = tx.send(CkptJob {
-                seq: self.seq,
-                payload,
-            });
-        }
+        self.updates_since_ckpt = 0;
+        let _ = ckpt.tx.send(CkptJob {
+            seq: self.seq,
+            payload,
+        });
         Ok(())
     }
 
@@ -1019,89 +930,45 @@ impl<T: Snapshot> QueryHandle<T> {
     }
 }
 
-impl<S: BatchDynamic + Send + 'static> UpdateService<S> {
-    /// Start the service: spawns the coalescer thread, which takes
-    /// ownership of `structure` (get it back from [`Self::shutdown`]).
-    /// Fails only if the WAL cannot be created.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use ServiceConfig::builder().start(structure) — the builder is the \
-                one construction surface and enables checkpointing on segmented WALs"
-    )]
-    pub fn start(structure: S, config: ServiceConfig) -> Result<Self, ServiceError> {
-        Self::start_inner(structure, config, 0, 0, None)
-    }
-
+impl<S: BatchDynamic + Checkpoint + Send + 'static> UpdateService<S> {
+    /// Spawn the coalescer thread, which takes ownership of `structure`
+    /// (get it back from [`Self::shutdown`]). Fails only if the WAL cannot
+    /// be opened.
     fn start_inner(
         mut structure: S,
         config: ServiceConfig,
         epoch_base: u64,
         resume_seq: u64,
-        ckpt_fn: Option<CkptFn<S>>,
     ) -> Result<Self, ServiceError> {
         // The structure shares the service's recorder, so settlement and
         // snapshot-publication spans nest under the coalescer's apply span.
         structure.set_obs(config.obs.clone());
         let ckpt_stats = Arc::new(CkptStats::default());
-        let wal_sink = match &config.wal {
-            Some(cfg) if cfg.segmented => Some(WalSink::open_dir(
-                cfg,
-                resume_seq,
-                ckpt_fn.is_some(),
-                Arc::clone(&ckpt_stats),
-            )?),
-            Some(cfg) => Some(WalSink::open(cfg)?),
-            None => None,
-        };
+        let wal_sink = config
+            .wal
+            .as_ref()
+            .map(|cfg| {
+                WalSink::open(
+                    cfg,
+                    resume_seq,
+                    structure.checkpoint_supported(),
+                    Arc::clone(&ckpt_stats),
+                )
+            })
+            .transpose()?;
         let (tx, rx) = mpsc::channel();
         let join = std::thread::Builder::new()
             .name("pbdmm-coalescer".into())
-            .spawn(move || {
-                coalescer_loop(
-                    structure, config, wal_sink, rx, epoch_base, ckpt_fn, ckpt_stats,
-                )
-            })
+            .spawn(move || coalescer_loop(structure, config, wal_sink, rx, epoch_base, ckpt_stats))
             .expect("spawn coalescer thread");
         Ok(UpdateService {
             tx: Some(tx),
             join: Some(join),
         })
     }
+}
 
-    /// Start the service **with the snapshot read path enabled**: the
-    /// structure publishes an epoch-versioned snapshot after every applied
-    /// batch (and once immediately, so readers never find the cell empty),
-    /// and the returned [`QueryHandle`] — cloneable across any number of
-    /// reader threads — resolves queries against the latest one without
-    /// blocking the coalescer.
-    ///
-    /// Ordering guarantee: a batch's snapshot is published *before* its
-    /// tickets complete, so after `ticket.wait()` returns a completion `c`,
-    /// `query.epoch() >= c.epoch` always holds (read-your-writes), and
-    /// every published epoch equals the prefix of the apply history (= the
-    /// WAL) it reflects.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use ServiceConfig::builder().start_serving(structure) — the builder is \
-                the one construction surface and enables checkpointing on segmented WALs"
-    )]
-    pub fn start_serving(
-        mut structure: S,
-        config: ServiceConfig,
-    ) -> Result<(Self, QueryHandle<S::Snap>), ServiceError>
-    where
-        S: Snapshots,
-    {
-        // Capture the pre-service epoch: `seq` numbers count updates
-        // applied *through this service*, while epochs count updates ever
-        // applied to the structure — they coincide exactly when the
-        // structure starts fresh, and differ by this base otherwise.
-        let epoch_base = structure.epoch();
-        let reader = structure.enable_snapshots();
-        let svc = Self::start_inner(structure, config, epoch_base, 0, None)?;
-        Ok((svc, QueryHandle { reader }))
-    }
-
+impl<S: BatchDynamic + Send + 'static> UpdateService<S> {
     /// A new producer handle. Handles are cheap to clone and `Send`; the
     /// coalescer drains until every handle (and the service itself) is gone.
     pub fn handle(&self) -> ServiceHandle {
@@ -1132,13 +999,12 @@ impl<S: BatchDynamic + Send + 'static> UpdateService<S> {
 /// The coalescer: drain → plan → WAL → apply → complete, until the ingress
 /// disconnects (every handle and the service dropped) or the shutdown
 /// marker arrives and the backlog queued ahead of it is flushed.
-fn coalescer_loop<S: BatchDynamic>(
+fn coalescer_loop<S: BatchDynamic + Checkpoint>(
     mut s: S,
     config: ServiceConfig,
     mut wal: Option<WalSink>,
     rx: mpsc::Receiver<Msg>,
     epoch_base: u64,
-    ckpt_fn: Option<CkptFn<S>>,
     ckpt_stats: Arc<CkptStats>,
 ) -> (S, ServiceStats) {
     let policy = config.policy;
@@ -1253,12 +1119,8 @@ fn coalescer_loop<S: BatchDynamic>(
         let _batch_span = obs.span(Phase::Batch);
 
         // --- Plan: conflict resolution per the apply contract ------------
-        // Live ingress cannot name an id before its insert commits, so
-        // `created_here` is constantly false here; replay uses the planner
-        // with a real predictor (see `crate::replay`).
         let plan_span = obs.span(Phase::Plan);
-        let plan = plan_batch(ops, |id| s.contains_edge(id), |_| false);
-        debug_assert!(plan.deferred.is_empty(), "live ingress cannot defer");
+        let plan = plan_batch(ops, |id| s.contains_edge(id));
         // The batch's delete prefix, for slot → completion mapping below.
         let delete_ids: Vec<EdgeId> = plan
             .batch
@@ -1286,7 +1148,6 @@ fn coalescer_loop<S: BatchDynamic>(
                     stats.rejected += 1;
                     let _ = tx.send(Err(ServiceError::EmptyEdge));
                 }
-                Slot::Deferred => unreachable!("live ingress cannot defer"),
                 Slot::InBatch(_) | Slot::DuplicateDelete(_) => waiting.push((tx, slot)),
             }
         }
@@ -1366,16 +1227,14 @@ fn coalescer_loop<S: BatchDynamic>(
         };
         drop(apply_span);
 
-        // --- Checkpoint accounting (segmented WAL only) -------------------
+        // --- Checkpoint accounting ----------------------------------------
         // The batch is durable and applied; fold it into the checkpoint
         // interval, rotating + scheduling a checkpoint at the boundary.
         // A rotation failure wedges the WAL like any other log I/O failure
         // — but only for *future* batches; this one is already committed.
         if outcome.is_some() {
             if let Some(sink) = wal.as_mut() {
-                if let Err(e) =
-                    sink.after_apply(&s, batch_len as u64, ckpt_fn.as_ref(), &ckpt_stats)
-                {
+                if let Err(e) = sink.after_apply(&s, batch_len as u64, &ckpt_stats) {
                     wal = None;
                     wal_wedged = Some(e);
                 }
@@ -1431,7 +1290,7 @@ fn coalescer_loop<S: BatchDynamic>(
                         done: Done::AlreadyDeleted(id),
                     })
                 }
-                Slot::RejectUnknown(_) | Slot::RejectEmpty | Slot::Deferred => {
+                Slot::RejectUnknown(_) | Slot::RejectEmpty => {
                     unreachable!("resolved before the batch stage")
                 }
             };
@@ -1649,23 +1508,6 @@ mod tests {
         assert_eq!(c.seq, 0, "seq space is the service's own");
         assert_eq!(c.epoch, 3, "epoch space is the structure's history");
         assert!(q.epoch() >= c.epoch);
-        svc.shutdown();
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_still_work() {
-        // The pre-builder surface stays functional (no checkpointing).
-        let svc =
-            UpdateService::start(DynamicMatching::with_seed(20), ServiceConfig::default()).unwrap();
-        svc.handle().insert(vec![0, 1]).wait().unwrap();
-        let (m, _) = svc.shutdown();
-        assert_eq!(m.num_edges(), 1);
-        let (svc, q) =
-            UpdateService::start_serving(DynamicMatching::with_seed(21), ServiceConfig::default())
-                .unwrap();
-        svc.handle().insert(vec![0, 1]).wait().unwrap();
-        assert!(q.snapshot().is_matched(0));
         svc.shutdown();
     }
 

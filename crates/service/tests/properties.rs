@@ -78,22 +78,23 @@ fn producer_load(
 #[test]
 fn concurrent_interleavings_linearize_and_replay() {
     for seed in [1u64, 2, 3] {
-        let wal_path = std::env::temp_dir().join(format!("pbdmm_service_prop_{seed}.wal"));
-        std::fs::remove_file(&wal_path).ok(); // the service refuses to overwrite
+        let wal_dir = std::env::temp_dir().join(format!("pbdmm_service_prop_{seed}.waldir"));
+        std::fs::remove_dir_all(&wal_dir).ok(); // the service refuses to overwrite
         let structure_seed = 0xC0A1E5CE ^ seed;
         let svc = ServiceConfig::builder()
             .policy(CoalescePolicy {
                 max_batch: 48,
                 max_delay: Duration::from_micros(300),
             })
-            .wal_file(
-                &wal_path,
+            .wal_dir(
+                &wal_dir,
                 WalMeta {
                     structure: "matching".into(),
                     seed: structure_seed,
                     ids_recycling: false,
                 },
             )
+            .checkpoint_every(0)
             .start(DynamicMatching::with_seed(structure_seed))
             .unwrap();
 
@@ -149,7 +150,7 @@ fn concurrent_interleavings_linearize_and_replay() {
         check_invariants(&sequential).unwrap();
 
         // --- WAL replay: exact state reproduction, matching included.
-        let wal = read_wal_file(&wal_path).unwrap();
+        let wal = read_wal_file(&wal_dir.join("000000.seg")).unwrap();
         assert!(!wal.truncated);
         assert_eq!(wal.meta.seed, structure_seed);
         assert_eq!(wal.total_updates() as u64, stats.updates);
@@ -164,28 +165,29 @@ fn concurrent_interleavings_linearize_and_replay() {
         );
         assert_eq!(replayed.matching_size(), served.matching_size());
         check_invariants(&replayed).unwrap();
-        std::fs::remove_file(&wal_path).ok();
+        std::fs::remove_dir_all(&wal_dir).ok();
     }
 }
 
 #[test]
 fn wal_replay_is_deterministic_across_runs() {
     // Replaying the same file twice gives byte-identical state summaries.
-    let wal_path = std::env::temp_dir().join("pbdmm_service_determinism.wal");
-    std::fs::remove_file(&wal_path).ok(); // the service refuses to overwrite
+    let wal_dir = std::env::temp_dir().join("pbdmm_service_determinism.waldir");
+    std::fs::remove_dir_all(&wal_dir).ok(); // the service refuses to overwrite
     let svc = ServiceConfig::builder()
         .policy(CoalescePolicy {
             max_batch: 32,
             max_delay: Duration::from_micros(200),
         })
-        .wal_file(
-            &wal_path,
+        .wal_dir(
+            &wal_dir,
             WalMeta {
                 structure: "matching".into(),
                 seed: 77,
                 ids_recycling: false,
             },
         )
+        .checkpoint_every(0)
         .start(DynamicMatching::with_seed(77))
         .unwrap();
     let h = svc.handle();
@@ -194,14 +196,14 @@ fn wal_replay_is_deterministic_across_runs() {
     drop(h);
     let (served, _) = svc.shutdown();
 
-    let wal = read_wal_file(&wal_path).unwrap();
+    let wal = read_wal_file(&wal_dir.join("000000.seg")).unwrap();
     let (a, _) = pbdmm_service::replay_matching(&wal).unwrap();
     let (b, _) = pbdmm_service::replay_matching(&wal).unwrap();
     assert_eq!(live_edges(&a), live_edges(&b));
     assert_eq!(sorted_matching(&a), sorted_matching(&b));
     assert_eq!(live_edges(&a), live_edges(&served));
     assert_eq!(sorted_matching(&a), sorted_matching(&served));
-    std::fs::remove_file(&wal_path).ok();
+    std::fs::remove_dir_all(&wal_dir).ok();
 }
 
 #[test]

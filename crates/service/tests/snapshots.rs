@@ -90,22 +90,23 @@ fn replay_prefix(wal: &Wal, prefix_updates: u64) -> DynamicMatching {
 #[test]
 fn observed_snapshots_equal_wal_replay_prefixes() {
     for seed in [1u64, 2, 3] {
-        let wal_path = std::env::temp_dir().join(format!("pbdmm_snap_prefix_{seed}.wal"));
-        std::fs::remove_file(&wal_path).ok(); // the service refuses to overwrite
+        let wal_dir = std::env::temp_dir().join(format!("pbdmm_snap_prefix_{seed}.waldir"));
+        std::fs::remove_dir_all(&wal_dir).ok(); // the service refuses to overwrite
         let structure_seed = 0x5EED ^ seed;
         let (svc, q) = ServiceConfig::builder()
             .policy(CoalescePolicy {
                 max_batch: 32,
                 max_delay: Duration::from_micros(200),
             })
-            .wal_file(
-                &wal_path,
+            .wal_dir(
+                &wal_dir,
                 WalMeta {
                     structure: "matching".into(),
                     seed: structure_seed,
                     ids_recycling: false,
                 },
             )
+            .checkpoint_every(0)
             .start_serving(DynamicMatching::with_seed(structure_seed))
             .unwrap();
 
@@ -152,7 +153,7 @@ fn observed_snapshots_equal_wal_replay_prefixes() {
         // Every observed snapshot ≡ the sequential WAL replay prefix at
         // its epoch — snapshots only ever expose committed batch
         // boundaries of the durable history.
-        let wal = read_wal_file(&wal_path).unwrap();
+        let wal = read_wal_file(&wal_dir.join("000000.seg")).unwrap();
         assert!(!wal.truncated);
         let observed = observed.into_inner().unwrap();
         assert!(
@@ -168,7 +169,7 @@ fn observed_snapshots_equal_wal_replay_prefixes() {
                 "seed {seed}: snapshot at epoch {epoch} must equal its WAL prefix replay"
             );
         }
-        std::fs::remove_file(&wal_path).ok();
+        std::fs::remove_dir_all(&wal_dir).ok();
     }
 }
 

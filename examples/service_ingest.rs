@@ -14,27 +14,29 @@ use pbdmm::service::{replay_matching, Done, ServiceConfig};
 use pbdmm::{DynamicMatching, EdgeId};
 
 fn main() {
-    let wal_path = std::env::temp_dir().join("pbdmm_service_ingest_example.wal");
+    let wal_dir = std::env::temp_dir().join("pbdmm_service_ingest_example.waldir");
     // The service refuses to overwrite an existing WAL (it may be the only
-    // copy of a crashed run's data); this one is the example's scratch file.
-    std::fs::remove_file(&wal_path).ok();
+    // copy of a crashed run's data); this one is the example's scratch log.
+    std::fs::remove_dir_all(&wal_dir).ok();
     let seed = 42;
 
     // 1. Start the service through the builder: it takes ownership of the
     //    structure; producers talk to it through cloneable handles. Every
-    //    formed batch is appended to the WAL before it is applied.
+    //    formed batch is appended to the WAL before it is applied; with
+    //    checkpoints off the directory holds one segment, `000000.seg`.
     //    `start_serving` (vs plain `start`) also enables the snapshot read
     //    path and hands back a QueryHandle — see
     //    examples/concurrent_queries.rs for the read tier in full.
     let (svc, query) = ServiceConfig::builder()
-        .wal_file(
-            &wal_path,
+        .wal_dir(
+            &wal_dir,
             WalMeta {
                 structure: "matching".into(),
                 seed,
                 ids_recycling: false,
             },
         )
+        .checkpoint_every(0)
         .start_serving(DynamicMatching::with_seed(seed))
         .expect("start service");
 
@@ -88,6 +90,7 @@ fn main() {
 
     // 4. Replay the WAL: same batches, same seed, exact same final state —
     //    crash recovery and trace replay are the same mechanism.
+    let wal_path = wal_dir.join("000000.seg");
     let wal = read_wal_file(&wal_path).expect("read WAL");
     let (replayed, report) = replay_matching(&wal).expect("replay");
     assert_eq!(replayed.matching_size(), served.matching_size());
@@ -102,5 +105,5 @@ fn main() {
         wal_path.display(),
         replayed.matching_size()
     );
-    std::fs::remove_file(&wal_path).ok();
+    std::fs::remove_dir_all(&wal_dir).ok();
 }

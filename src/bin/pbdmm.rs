@@ -5,9 +5,9 @@
 //! pbdmm match graph.hgr                                   # static matching
 //! pbdmm dynamic graph.hgr --batch 256 --order uniform     # replay a stream
 //! pbdmm cover graph.hgr                                   # set cover view
-//! pbdmm serve --producers 4 --wal trace.wal               # ingest service
-//! pbdmm replay trace.wal                                  # rebuild from WAL
-//! pbdmm daemon --port 0 --wal trace.wal                   # network daemon
+//! pbdmm serve --producers 4 --wal trace.waldir            # ingest service
+//! pbdmm replay trace.waldir                               # rebuild from WAL
+//! pbdmm daemon --port 0 --wal trace.waldir                # network daemon
 //! pbdmm load --port 45231 --connections 4                 # wire load gen
 //! ```
 //!
@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use pbdmm::graph::wal::{read_wal_file, WalMeta};
+use pbdmm::graph::wal::{read_wal_file, Wal, WalMeta};
 use pbdmm::graph::workload::{insert_then_delete, DeletionOrder};
 use pbdmm::graph::{gen, io, Batch, EdgeId, Hypergraph};
 use pbdmm::matching::baseline::{NaiveDynamic, RecomputeMatching};
@@ -36,8 +36,8 @@ use pbdmm::primitives::cost::CostMeter;
 use pbdmm::primitives::obs::{Counter, Phase, Recorder};
 use pbdmm::primitives::rng::SplitMix64;
 use pbdmm::service::{
-    matching_for, recover_dir_with, replay_into, replay_setcover, wal_dir_meta, CoalescePolicy,
-    Done, RecoveryInfo, ServiceConfig, ServiceHandle, ServiceStats, WalConfig,
+    matching_for, recover_dir_with, replay_into, wal_dir_meta, CoalescePolicy, Done, RecoveryInfo,
+    ServiceConfig, ServiceHandle, ServiceStats, WalConfig,
 };
 use pbdmm::setcover::CoverSnapshot;
 use pbdmm::{BatchDynamic, DynamicMatching, DynamicSetCover};
@@ -63,12 +63,12 @@ usage:
   pbdmm gen <er|hyper|powerlaw|star|bipartite> [--n N] [--m M] [--rank R] [--seed S] -o <file>
   pbdmm serve [--producers P] [--updates N] [--readers R] [--max-batch B]
               [--max-delay-us D] [--structure matching|setcover]
-              [--wal PATH|none] [--wal-sync BOOL] [--checkpoint-every N]
+              [--wal DIR|none] [--wal-sync BOOL] [--checkpoint-every N]
               [--compare direct|none] [--seed S] [--threads T]
               [--profile [interval=N]]
-  pbdmm replay <wal-file-or-dir> [--from-genesis BOOL] [--threads T] [--profile]
+  pbdmm replay <wal-dir-or-file> [--from-genesis BOOL] [--threads T] [--profile]
   pbdmm daemon [--port P] [--host H] [--max-connections C] [--max-inflight W]
-               [--max-batch B] [--max-delay-us D] [--wal PATH|none]
+               [--max-batch B] [--max-delay-us D] [--wal DIR|none]
                [--wal-sync BOOL] [--checkpoint-every N]
                [--seed S] [--threads T] [--profile [interval=N]]
   pbdmm load (--port P | --addr HOST:PORT) [--connections M] [--updates N]
@@ -80,8 +80,8 @@ usage:
   serve drives a synthetic P-producer load through the batch-coalescing
   update service (ingress -> coalesce -> WAL -> apply -> snapshot) and
   reports throughput and per-update latency. Durable by default: each
-  formed batch is appended to the WAL (a temp file unless --wal names
-  one; --wal none disables) and fsynced (--wal-sync false for
+  formed batch is appended to the WAL (a temp directory unless --wal
+  names one; --wal none disables) and fsynced (--wal-sync false for
   flush-only) before its tickets complete. --readers R (default 2; 0
   disables) runs R concurrent reader threads resolving point queries
   against the epoch-snapshot read path while writers run, reporting read
@@ -108,15 +108,18 @@ usage:
   the flag to use all cores; also settable process-wide via the
   PBDMM_THREADS environment variable).
 
-  --checkpoint-every N (serve, daemon) switches the WAL to a segment
-  directory: the log rotates and a checkpoint of the live structure is
-  written after every >= N updates, and old segments compact away once a
-  checkpoint covers them. replay accepts either a single WAL file or such
-  a directory; for a directory it recovers the way a restarted daemon
-  would — newest intact checkpoint plus tail segments, printing which
-  checkpoint it started from — unless --from-genesis true forces a
-  full-history replay. daemon pointed at an existing segment directory
-  (--wal DIR) recovers from it and resumes appending.
+  --wal DIR (serve, daemon) names a segment directory: the log rotates
+  and a checkpoint of the live structure is written after every >= N
+  updates (--checkpoint-every N, default 65536; 0 keeps one segment,
+  000000.seg), and old segments compact away once a checkpoint covers
+  them. serve refuses a DIR that already holds a log; daemon recovers
+  from it and resumes appending (an empty or missing DIR starts fresh).
+  replay DIR recovers the way a restarted daemon would — newest intact
+  checkpoint plus tail segments, printing which checkpoint it started
+  from — unless --from-genesis true forces a full-history replay. replay
+  FILE replays one log file from genesis: a single-file log, or the
+  000000.seg of a directory (a later segment holds only the tail after
+  a checkpoint and is refused).
 
   --profile (serve, daemon, replay, load) turns on the per-phase
   profiler: where batch time went (plan, WAL append, apply with settle
@@ -876,32 +879,22 @@ where
 
 /// Resolve the `--wal` / `--wal-sync` / `--checkpoint-every` convention
 /// shared by `serve` and `daemon`: durable by default (auto-named temp
-/// path), `--wal none` disables, `--wal PATH` picks the location. An
-/// existing WAL is never overwritten — the service refuses rather than
+/// directory), `--wal none` disables, `--wal DIR` picks the segment
+/// directory. The log rotates with a checkpoint (and compaction) after
+/// every >= N updates of `--checkpoint-every N` (default
+/// [`WalConfig::DEFAULT_CHECKPOINT_EVERY`]; `0` keeps one segment). An
+/// existing log is never overwritten — the service refuses rather than
 /// destroying a recoverable log.
-///
-/// `--checkpoint-every N` switches to the segmented directory mode: PATH
-/// becomes a directory of rotated `NNNNNN.seg` files with a `NNNNNN.ckpt`
-/// checkpoint (and compaction) after every >= N updates (`0` keeps the
-/// directory layout but disables rotation). A `--wal PATH` naming an
-/// **existing directory** also selects the segmented mode — that is how a
-/// restart points the daemon back at the log it is recovering from.
 fn wal_from_flags(
     args: &Args,
     meta: &WalMeta,
     sync: bool,
     tag: &str,
 ) -> Result<Option<WalConfig>, String> {
-    let ckpt_every: Option<u64> = match args.flags.get("checkpoint-every") {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|e| format!("--checkpoint-every {v:?}: {e}"))?,
-        ),
-    };
+    let ckpt_every: u64 = args.flag("checkpoint-every", WalConfig::DEFAULT_CHECKPOINT_EVERY)?;
     let path = match args.flags.get("wal").map(String::as_str) {
         Some("none") => {
-            if ckpt_every.is_some() {
+            if args.flags.contains_key("checkpoint-every") {
                 return Err("--checkpoint-every requires a WAL (got --wal none)".into());
             }
             return Ok(None);
@@ -915,24 +908,11 @@ fn wal_from_flags(
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.subsec_nanos())
                 .unwrap_or(0);
-            let ext = if ckpt_every.is_some() {
-                "waldir"
-            } else {
-                "wal"
-            };
-            std::env::temp_dir().join(format!("pbdmm_{tag}_{}_{nanos}.{ext}", std::process::id()))
+            std::env::temp_dir().join(format!("pbdmm_{tag}_{}_{nanos}.waldir", std::process::id()))
         }
     };
-    let mut cfg = if ckpt_every.is_some() || path.is_dir() {
-        let mut cfg = WalConfig::dir(path, meta.clone());
-        if let Some(n) = ckpt_every {
-            // 0 keeps the segment-directory layout but never rotates.
-            cfg.checkpoint_every = (n > 0).then_some(n);
-        }
-        cfg
-    } else {
-        WalConfig::new(path, meta.clone())
-    };
+    let mut cfg = WalConfig::dir(path, meta.clone());
+    cfg.checkpoint_every = (ckpt_every > 0).then_some(ckpt_every);
     cfg.sync = sync;
     Ok(Some(cfg))
 }
@@ -960,8 +940,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     };
     // Durable by default: an update is acknowledged only once the batch
     // containing it is on the log (fsync per commit unless --wal-sync
-    // false). `--wal none` turns logging off entirely; `--wal FILE` picks
-    // the location (default: a file in the system temp dir).
+    // false). `--wal none` turns logging off entirely; `--wal DIR` picks
+    // the location (default: a directory in the system temp dir).
     let wal_sync: bool = args.flag("wal-sync", true)?;
     let meta = WalMeta {
         structure: structure.clone(),
@@ -1003,13 +983,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 prof.obs.clone(),
             )?;
             check_invariants(&m).map_err(|e| format!("post-serve invariants: {e}"))?;
-            let line = format!(
-                "final: epoch={} edges={} matching={}",
-                m.epoch(),
-                m.num_edges(),
-                m.matching_size()
-            );
-            (total, seconds, latencies, stats, read, line)
+            (total, seconds, latencies, stats, read, matching_final(&m))
         }
         "setcover" => {
             let (total, seconds, latencies, stats, read, c) = serve_load(
@@ -1023,14 +997,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 prof.obs.clone(),
             )?;
             check_invariants(c.matching()).map_err(|e| format!("post-serve invariants: {e}"))?;
-            let line = format!(
-                "final: epoch={} edges={} matching={} cover={}",
-                c.epoch(),
-                c.num_elements(),
-                c.matching_size(),
-                c.cover_size()
-            );
-            (total, seconds, latencies, stats, read, line)
+            (total, seconds, latencies, stats, read, cover_final(&c))
         }
         other => return Err(format!("unknown structure {other:?}")),
     };
@@ -1127,166 +1094,133 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Rebuild a structure from a recorded log and verify its invariants. A
+/// directory recovers exactly as a restarted daemon would — newest intact
+/// checkpoint plus tail segments, or the full history with
+/// `--from-genesis true`; a file replays as a one-segment log from genesis.
+/// Either way the run ends with the `final:` line serve and daemon print,
+/// so CI can diff recovery against the state that was served.
 fn cmd_replay(args: &Args) -> Result<(), String> {
     let path = PathBuf::from(
         args.positional
             .get(1)
             .ok_or("missing WAL file or directory argument")?,
     );
-    if path.is_dir() {
-        return replay_dir(&path, args);
-    }
-    let prof = profile_from_flags(args)?;
-    let wal = read_wal_file(&path)?;
-    println!(
-        "wal: {} committed batches, {} updates, structure={} seed={}{}",
-        wal.batches.len(),
-        wal.total_updates(),
-        wal.meta.structure,
-        wal.meta.seed,
-        if wal.truncated {
-            " (trailing uncommitted batch dropped)"
-        } else {
-            ""
-        }
-    );
-    let start = std::time::Instant::now();
-    match wal.meta.structure.as_str() {
-        "matching" => {
-            // Replay with the profile recorder attached: the whole replay
-            // is one `batch`/`apply` span, and the matching tier records
-            // per-batch `settle`/`snapshot_publish` sub-spans inside it.
-            let mut m = matching_for(&wal.meta)?;
-            m.set_obs(prof.obs.clone());
-            let report = {
-                let _batch = prof.obs.span(Phase::Batch);
-                let _apply = prof.obs.span(Phase::Apply);
-                replay_into(&mut m, &wal)?
-            };
-            prof.obs.add(Counter::Batches, report.batches);
-            prof.obs.add(Counter::Updates, report.updates);
-            check_invariants(&m).map_err(|e| format!("replayed invariants: {e}"))?;
-            println!(
-                "replayed {} updates in {} applies ({} deferred) in {:.1} ms",
-                report.updates,
-                report.applies,
-                report.deferred,
-                start.elapsed().as_secs_f64() * 1e3
-            );
-            println!(
-                "final: epoch={} edges={} matching={}",
-                m.epoch(),
-                m.num_edges(),
-                m.matching_size()
-            );
-        }
-        "setcover" => {
-            let (c, report) = {
-                let _batch = prof.obs.span(Phase::Batch);
-                let _apply = prof.obs.span(Phase::Apply);
-                replay_setcover(&wal)?
-            };
-            prof.obs.add(Counter::Batches, report.batches);
-            prof.obs.add(Counter::Updates, report.updates);
-            check_invariants(c.matching()).map_err(|e| format!("replayed invariants: {e}"))?;
-            println!(
-                "replayed {} updates in {} applies ({} deferred) in {:.1} ms",
-                report.updates,
-                report.applies,
-                report.deferred,
-                start.elapsed().as_secs_f64() * 1e3
-            );
-            println!(
-                "final: epoch={} edges={} matching={} cover={}",
-                c.epoch(),
-                c.num_elements(),
-                c.matching_size(),
-                c.cover_size()
-            );
-        }
-        other => return Err(format!("WAL records unknown structure {other:?}")),
-    }
-    print_profile(&prof.obs);
-    println!("invariants: ok");
-    Ok(())
-}
-
-/// Replay a segmented WAL directory: recover exactly as a restarted daemon
-/// would — load the newest intact checkpoint, replay only the tail
-/// segments — or force a full-history replay with `--from-genesis true`.
-/// Ends with the same byte-comparable `final:` line as single-file replay,
-/// so CI can diff checkpointed recovery against the full history.
-fn replay_dir(dir: &Path, args: &Args) -> Result<(), String> {
     let from_genesis: bool = args.flag("from-genesis", false)?;
     let prof = profile_from_flags(args)?;
-    let meta = wal_dir_meta(dir)?;
+    let file = if path.is_dir() {
+        None
+    } else {
+        Some(read_wal_file(&path)?)
+    };
+    let meta = match &file {
+        Some(wal) => wal.meta.clone(),
+        None => wal_dir_meta(&path)?,
+    };
     println!(
-        "wal: segment directory {}, structure={} seed={}",
-        dir.display(),
+        "wal: {}, structure={} seed={}",
+        path.display(),
         meta.structure,
         meta.seed
     );
-    let start = std::time::Instant::now();
-    match meta.structure.as_str() {
+    let final_line = match meta.structure.as_str() {
         "matching" => {
-            // Recover through the generic path with the profile recorder
-            // attached to the structure before any batch replays.
-            let obs = prof.obs.clone();
-            let rec = {
-                let _batch = prof.obs.span(Phase::Batch);
-                let _apply = prof.obs.span(Phase::Apply);
-                recover_dir_with(
-                    dir,
-                    move || {
-                        let mut m = matching_for(&meta).expect("structure matched above");
-                        m.set_obs(obs.clone());
-                        m
-                    },
-                    from_genesis,
-                )?
-            };
-            prof.obs.add(Counter::Batches, rec.info().report.batches);
-            prof.obs.add(Counter::Updates, rec.info().report.updates);
-            print_recovery(&rec.info(), start.elapsed());
-            let m = rec.structure;
-            check_invariants(&m).map_err(|e| format!("recovered invariants: {e}"))?;
-            println!(
-                "final: epoch={} edges={} matching={}",
-                m.epoch(),
-                m.num_edges(),
-                m.matching_size()
-            );
+            let m = replay_log(&path, file.as_ref(), from_genesis, &prof.obs, || {
+                matching_for(&meta).expect("structure matched above")
+            })?;
+            check_invariants(&m).map_err(|e| format!("replayed invariants: {e}"))?;
+            matching_final(&m)
         }
         "setcover" => {
-            let seed = meta.seed;
-            let rec = {
-                let _batch = prof.obs.span(Phase::Batch);
-                let _apply = prof.obs.span(Phase::Apply);
-                recover_dir_with(dir, move || DynamicSetCover::with_seed(seed), from_genesis)?
-            };
-            prof.obs.add(Counter::Batches, rec.info().report.batches);
-            prof.obs.add(Counter::Updates, rec.info().report.updates);
-            print_recovery(&rec.info(), start.elapsed());
-            let c = rec.structure;
-            check_invariants(c.matching()).map_err(|e| format!("recovered invariants: {e}"))?;
-            println!(
-                "final: epoch={} edges={} matching={} cover={}",
-                c.epoch(),
-                c.num_elements(),
-                c.matching_size(),
-                c.cover_size()
-            );
+            let c = replay_log(&path, file.as_ref(), from_genesis, &prof.obs, || {
+                DynamicSetCover::with_seed(meta.seed)
+            })?;
+            check_invariants(c.matching()).map_err(|e| format!("replayed invariants: {e}"))?;
+            cover_final(&c)
         }
         other => return Err(format!("WAL records unknown structure {other:?}")),
-    }
+    };
+    println!("{final_line}");
     print_profile(&prof.obs);
     println!("invariants: ok");
     Ok(())
 }
 
-/// Print what directory recovery actually did: which checkpoint it started
-/// from (genesis when none was usable or `--from-genesis` forced it) and
-/// how much log it replayed past that point.
+/// Rebuild a structure from the log at `path` with the profile recorder
+/// attached, and print what recovery did. `file` is the log already read
+/// from `path` when it is a single file (replayed from genesis); otherwise
+/// `path` is a directory and recovers through [`recover_dir_with`].
+fn replay_log<S: BatchDynamic + Checkpoint>(
+    path: &Path,
+    file: Option<&Wal>,
+    from_genesis: bool,
+    obs: &Recorder,
+    make: impl Fn() -> S,
+) -> Result<S, String> {
+    let make = || {
+        let mut s = make();
+        s.set_obs(obs.clone());
+        s
+    };
+    let start = std::time::Instant::now();
+    // The whole replay is one `batch`/`apply` span; the matching tier
+    // records per-batch `settle`/`snapshot_publish` sub-spans inside it.
+    let (s, info) = {
+        let _batch = obs.span(Phase::Batch);
+        let _apply = obs.span(Phase::Apply);
+        match file {
+            Some(wal) => {
+                let mut s = make();
+                let report = replay_into(&mut s, wal)?;
+                let info = RecoveryInfo {
+                    checkpoint: None,
+                    batches: report.batches,
+                    segments_replayed: 1,
+                    report,
+                    truncated: wal.truncated,
+                };
+                (s, info)
+            }
+            None => {
+                let rec = recover_dir_with(path, make, from_genesis)?;
+                let info = rec.info();
+                (rec.structure, info)
+            }
+        }
+    };
+    obs.add(Counter::Batches, info.report.batches);
+    obs.add(Counter::Updates, info.report.updates);
+    print_recovery(&info, start.elapsed());
+    Ok(s)
+}
+
+/// The byte-comparable `final:` line serve, replay and daemon print for a
+/// matching.
+fn matching_final(m: &DynamicMatching) -> String {
+    format!(
+        "final: epoch={} edges={} matching={}",
+        m.epoch(),
+        m.num_edges(),
+        m.matching_size()
+    )
+}
+
+/// The `final:` line for a set cover (its elements are the matched
+/// structure's edges).
+fn cover_final(c: &DynamicSetCover) -> String {
+    format!(
+        "final: epoch={} edges={} matching={} cover={}",
+        c.epoch(),
+        c.num_elements(),
+        c.matching_size(),
+        c.cover_size()
+    )
+}
+
+/// Print what recovery actually did: which checkpoint it started from
+/// (genesis for a file, or when no checkpoint was usable or
+/// `--from-genesis` forced it) and how much log it replayed past that
+/// point.
 fn print_recovery(info: &RecoveryInfo, elapsed: Duration) {
     match info.checkpoint {
         Some(seq) => println!(
@@ -1299,7 +1233,7 @@ fn print_recovery(info: &RecoveryInfo, elapsed: Duration) {
         ),
     }
     println!(
-        "replayed {} updates in {} applies across {} tail segments in {:.1} ms{}",
+        "replayed {} updates in {} applies across {} segments in {:.1} ms{}",
         info.report.updates,
         info.report.applies,
         info.segments_replayed,
@@ -1350,13 +1284,11 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
         obs: prof.obs.clone(),
         ..Default::default()
     };
-    // A segmented WAL directory is a recoverable log: resume from it (an
-    // empty or absent directory is just a fresh start), deriving seed and
-    // id mode from the segment metadata so a restarted daemon continues
-    // the exact run it crashed out of. Single-file WALs keep the
-    // refuse-to-overwrite behavior.
-    let segmented = cfg.wal.as_ref().is_some_and(|w| w.segmented);
-    let (daemon, recovered) = if segmented {
+    // A WAL directory is a recoverable log: resume from it (an empty or
+    // absent directory is just a fresh start), checking that its metadata
+    // matches seed and id mode, so a restarted daemon continues the exact
+    // run it crashed out of.
+    let (daemon, recovered) = if cfg.wal.is_some() {
         let (daemon, info) = Daemon::recover_and_start(cfg)?;
         (daemon, Some(info))
     } else {
@@ -1418,13 +1350,7 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
             path.display()
         );
     }
-    let m = &report.structure;
-    println!(
-        "final: epoch={} edges={} matching={}",
-        m.epoch(),
-        m.num_edges(),
-        m.matching_size()
-    );
+    println!("{}", matching_final(&report.structure));
     Ok(())
 }
 

@@ -163,9 +163,9 @@ fn threads_flag_is_validated() {
 
 #[test]
 fn serve_records_wal_and_replay_reproduces_final_state() {
-    let wal = tmpfile("serve.wal");
+    let wal = tmpfile("serve.waldir");
     // The service refuses to overwrite an existing WAL; start clean.
-    std::fs::remove_file(&wal).ok();
+    std::fs::remove_dir_all(&wal).ok();
     let out = pbdmm(&[
         "serve",
         "--producers",
@@ -215,11 +215,28 @@ fn serve_records_wal_and_replay_reproduces_final_state() {
         .to_string();
     assert_eq!(served_final, replayed_final, "{stdout}");
     assert!(stdout.contains("invariants: ok"), "{stdout}");
-    std::fs::remove_file(&wal).ok();
+    std::fs::remove_dir_all(&wal).ok();
+}
+
+/// The `final:` line of a successful run's stdout.
+fn final_line(out: &Output) -> String {
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}{stdout}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    stdout
+        .lines()
+        .find(|l| l.starts_with("final:"))
+        .unwrap_or_else(|| panic!("no final: line in {stdout}"))
+        .to_string()
 }
 
 #[test]
 fn serve_supports_setcover_and_compare_direct() {
+    let wal = tmpfile("setcover.waldir");
+    std::fs::remove_dir_all(&wal).ok();
     let out = pbdmm(&[
         "serve",
         "--producers",
@@ -230,16 +247,20 @@ fn serve_supports_setcover_and_compare_direct() {
         "setcover",
         "--seed",
         "3",
+        "--wal",
+        wal.to_str().unwrap(),
     ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let served_final = final_line(&out);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("cover="), "{stdout}");
+    assert!(served_final.contains("cover="), "{stdout}");
     assert!(stdout.contains("direct singleton"), "{stdout}");
     assert!(stdout.contains("coalescing speedup:"), "{stdout}");
+
+    // The set-cover log replays end to end through the CLI.
+    let out = pbdmm(&["replay", wal.to_str().unwrap()]);
+    assert_eq!(final_line(&out), served_final);
+    assert!(String::from_utf8_lossy(&out.stdout).contains("invariants: ok"));
+    std::fs::remove_dir_all(&wal).ok();
 }
 
 #[test]
@@ -306,6 +327,102 @@ fn replay_rejects_garbage() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("missing WAL file"));
 }
 
+#[test]
+fn replay_refuses_a_mid_log_segment() {
+    // A rotated segment holds only the batches after a checkpoint:
+    // replayed alone from a fresh structure it would print a state that
+    // never existed.
+    let seg = tmpfile("000005.seg");
+    std::fs::write(
+        &seg,
+        "# pbdmm-wal v1\n# structure: matching\n# seed: 5\n# base: 5\nb 5\ni 0 1\nc 5\n",
+    )
+    .unwrap();
+    let out = pbdmm(&["replay", seg.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stdout}");
+    assert!(!stdout.contains("final:"), "{stdout}");
+    assert!(
+        stderr.contains("batch 5") && stderr.contains("replay the directory"),
+        "{stderr}"
+    );
+    std::fs::remove_file(&seg).ok();
+}
+
+#[test]
+fn single_file_log_is_refused_as_a_wal_dir_and_still_replays() {
+    // A log in the single-file layout: the one segment of a directory
+    // written without checkpoints has the same bytes.
+    let dir = tmpfile("single_src.waldir");
+    std::fs::remove_dir_all(&dir).ok();
+    let out = pbdmm(&[
+        "serve",
+        "--producers",
+        "1",
+        "--updates",
+        "200",
+        "--readers",
+        "0",
+        "--compare",
+        "none",
+        "--seed",
+        "4",
+        "--wal",
+        dir.to_str().unwrap(),
+        "--checkpoint-every",
+        "0",
+    ]);
+    let recorded_final = final_line(&out);
+    let file = tmpfile("single.wal");
+    std::fs::copy(dir.join("000000.seg"), &file).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let before = std::fs::read(&file).unwrap();
+    let path = file.to_str().unwrap();
+
+    // serve and daemon take --wal as a directory: a file there is refused
+    // with an error naming it, and left as it was.
+    let out = pbdmm(&[
+        "serve",
+        "--producers",
+        "1",
+        "--updates",
+        "10",
+        "--compare",
+        "none",
+        "--wal",
+        path,
+    ]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(path), "{stderr}");
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_pbdmm"))
+        .args(["daemon", "--port", "0", "--wal", path])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn pbdmm daemon");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while daemon.try_wait().unwrap().is_none() {
+        if std::time::Instant::now() > deadline {
+            daemon.kill().ok();
+            daemon.wait().ok();
+            panic!("daemon kept running over a single-file log");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = daemon.wait_with_output().unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(path), "{stderr}");
+    assert_eq!(std::fs::read(&file).unwrap(), before, "log was modified");
+
+    // replay still reads it, as one segment from genesis.
+    let out = pbdmm(&["replay", path]);
+    assert_eq!(final_line(&out), recorded_final);
+    std::fs::remove_file(&file).ok();
+}
+
 /// Spawn `pbdmm daemon --port 0`, scan for its `daemon: listening on`
 /// line, and hand back the child for later harvest plus any preamble lines
 /// printed before it (e.g. the recovery report).
@@ -344,8 +461,8 @@ fn spawn_daemon(extra: &[&str]) -> (std::process::Child, String, String) {
 
 #[test]
 fn daemon_serves_load_and_wal_replay_matches_byte_for_byte() {
-    let wal = tmpfile("daemon_cli.wal");
-    let _ = std::fs::remove_file(&wal);
+    let wal = tmpfile("daemon_cli.waldir");
+    let _ = std::fs::remove_dir_all(&wal);
     let (child, addr, _) = spawn_daemon(&["--wal", wal.to_str().unwrap(), "--seed", "11"]);
 
     let out = pbdmm(&[
@@ -399,6 +516,7 @@ fn daemon_serves_load_and_wal_replay_matches_byte_for_byte() {
         .unwrap_or_else(|| panic!("no final: line in {replay_out}"));
     assert_eq!(daemon_final, replay_final);
     assert!(replay_out.contains("invariants: ok"), "{replay_out}");
+    std::fs::remove_dir_all(&wal).ok();
 }
 
 #[test]
@@ -495,7 +613,7 @@ fn daemon_restart_recovers_from_segment_directory() {
     let dir = tmpfile("daemon_ckpt.waldir");
     std::fs::remove_dir_all(&dir).ok();
 
-    // Run 1: fresh segmented WAL, some load, graceful shutdown.
+    // Run 1: fresh WAL directory, some load, graceful shutdown.
     let (child, addr, preamble) = spawn_daemon(&[
         "--wal",
         dir.to_str().unwrap(),
@@ -538,8 +656,8 @@ fn daemon_restart_recovers_from_segment_directory() {
         .find(|l| l.starts_with("final:"))
         .unwrap_or_else(|| panic!("no final: line in {run1}"));
 
-    // Run 2: pointing --wal at the existing directory recovers the run —
-    // an existing dir selects segmented mode without --checkpoint-every.
+    // Run 2: pointing --wal at the existing directory recovers the run,
+    // without repeating --checkpoint-every.
     let (child, addr, preamble) = spawn_daemon(&["--wal", dir.to_str().unwrap(), "--seed", "11"]);
     assert!(preamble.contains("daemon: recovered "), "{preamble:?}");
     let out = pbdmm(&[

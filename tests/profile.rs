@@ -289,8 +289,8 @@ fn serve_profile_output_parses() {
 fn replay_profile_reports_counters() {
     let dir = std::env::temp_dir().join("pbdmm_profile_tests");
     std::fs::create_dir_all(&dir).unwrap();
-    let wal = dir.join("replay_profile.wal");
-    std::fs::remove_file(&wal).ok();
+    let wal = dir.join("replay_profile.waldir");
+    std::fs::remove_dir_all(&wal).ok();
     let out = pbdmm(&[
         "serve",
         "--producers",
@@ -322,5 +322,5 @@ fn replay_profile_reports_counters() {
         .find(|l| l.starts_with("profile: "))
         .unwrap_or_else(|| panic!("no profile: line in {stdout}"));
     assert!(head.contains("updates=200"), "{head}");
-    std::fs::remove_file(&wal).ok();
+    std::fs::remove_dir_all(&wal).ok();
 }

@@ -1,8 +1,9 @@
 //! Every path that rebuilds state from a log agrees, in both id-allocation
-//! modes. One recorded history goes through `replay_matching` (single-file
-//! log), `recover_matching_from_dir` (from a checkpoint and from genesis),
-//! and `pbdmm replay` on the file and on the directory, and every path must
-//! print the `final:` line the service itself ended on. The history
+//! modes. One recorded history goes through `replay_matching` (the one
+//! segment of a log without checkpoints), `recover_matching_from_dir` (from
+//! a checkpoint and from genesis), and `pbdmm replay` on that segment file
+//! and on the directory, and every path must print the `final:` line the
+//! service itself ended on. The history
 //! deletes an edge whose id was recycled, so a path that builds the
 //! structure in the wrong id mode fails it.
 //!
@@ -127,11 +128,14 @@ fn every_replay_path_agrees_in_both_id_modes() {
             ids_recycling: recycling,
         };
         let root = tdir(&format!("agree_{recycling}"));
-        let file = root.join("history.wal");
+        let whole = root.join("whole.waldir");
+        let file = whole.join("000000.seg");
         let dir = root.join("history.waldir");
 
         let served = record(
-            ServiceConfig::builder().wal_file(&file, meta.clone()),
+            ServiceConfig::builder()
+                .wal_dir(&whole, meta.clone())
+                .checkpoint_every(0),
             &meta,
         );
         let expected = final_line(&served);
@@ -144,7 +148,7 @@ fn every_replay_path_agrees_in_both_id_modes() {
         assert_eq!(final_line(&served_dir), expected, "both recordings agree");
 
         // Compaction dropped the history below the older retained
-        // checkpoint; put it back from the single-file log so the same
+        // checkpoint; put it back from the one-segment log so the same
         // directory also replays from genesis.
         let wal = read_wal_file(&file).unwrap();
         let first = segment_bases(&dir)[0];

@@ -154,22 +154,23 @@ fn snapshots_agree_across_reuse_boundaries() {
 fn wal_replay_reproduces_recycled_ids_exactly() {
     let dir = std::env::temp_dir().join(format!("pbdmm_slab_reuse_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let wal_path = dir.join("reuse.wal");
-    let _ = std::fs::remove_file(&wal_path);
+    let wal_dir = dir.join("reuse.waldir");
+    let _ = std::fs::remove_dir_all(&wal_dir);
 
     let svc = ServiceConfig::builder()
         .policy(CoalescePolicy {
             max_batch: 16,
             max_delay: std::time::Duration::ZERO,
         })
-        .wal_file(
-            &wal_path,
+        .wal_dir(
+            &wal_dir,
             WalMeta {
                 seed: 11,
                 ids_recycling: true,
                 ..WalMeta::default()
             },
         )
+        .checkpoint_every(0)
         .wal_truncate(true)
         .start(recycling(11))
         .expect("WAL in temp dir");
@@ -192,7 +193,7 @@ fn wal_replay_reproduces_recycled_ids_exactly() {
     // Replay the log into a fresh same-seeded recycling structure: the
     // exact final state — live ids (including recycled ones) and matching —
     // must reproduce.
-    let wal = read_wal_file(&wal_path).expect("readable WAL");
+    let wal = read_wal_file(&wal_dir.join("000000.seg")).expect("readable WAL");
     let mut replayed = recycling(11);
     replay_into(&mut replayed, &wal).expect("clean replay");
     check_invariants(&replayed).unwrap();
@@ -204,7 +205,7 @@ fn wal_replay_reproduces_recycled_ids_exactly() {
     assert_eq!(Snapshots::snapshot(&served), Snapshots::snapshot(&replayed));
     let st = replayed.storage_stats();
     assert!(st.recycling && st.ids_allocated as usize == st.edge_slots);
-    std::fs::remove_file(&wal_path).ok();
+    std::fs::remove_dir_all(&wal_dir).ok();
 }
 
 #[test]
