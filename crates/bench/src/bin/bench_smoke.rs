@@ -15,22 +15,18 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::process::ExitCode;
-use std::sync::Mutex;
 use std::time::Duration;
 
 use pbdmm_bench::json::{self, Value};
 use pbdmm_bench::{fmt_f, Table};
 use pbdmm_graph::gen;
 use pbdmm_graph::update::Batch;
-use pbdmm_graph::wal::{self, WalMeta};
+use pbdmm_graph::wal::WalMeta;
 use pbdmm_graph::workload::{churn, insert_then_delete, DeletionOrder};
 use pbdmm_matching::driver::run_workload;
 use pbdmm_matching::snapshot::{Changes, MatchingSnapshot, SnapshotDelta, Snapshots};
 use pbdmm_matching::{DynamicMatching, DynamicMatchingBuilder};
-use pbdmm_net::load::{run_load, LoadConfig, LoadReport};
-use pbdmm_net::{Daemon, DaemonConfig};
 use pbdmm_primitives::obs::{Phase, Recorder};
 use pbdmm_primitives::par;
 use pbdmm_primitives::rng::SplitMix64;
@@ -91,15 +87,9 @@ fn throughput(samples: usize, units: u64, mut f: impl FnMut()) -> f64 {
 /// so the gate compares *scheduler/algorithm* changes, not runner hardware.
 const CALIBRATION: &str = "calibration_scalar_hashes_per_s";
 
-/// The ingest-service workload shape, shared by the coalesced and the
-/// direct-singleton variants so the two metrics compare the *layer*, not
-/// the load: each of `producers` threads alternates windows of inserts
-/// with deletions of the ids it got back, and both variants provide the
-/// same durability guarantee — an update is acknowledged only once the
-/// batch containing it is on the write-ahead log. That parity is the point
-/// of the comparison: the service amortizes the log append (and the
-/// per-`apply` fixed costs) over the whole coalesced batch, while the
-/// singleton path pays them per update — the classic group-commit win.
+/// The ingest-service workload shape of the per-phase profile run: each of
+/// `SERVICE_PRODUCERS` threads alternates windows of inserts with
+/// deletions of the ids it got back.
 const SERVICE_PRODUCERS: usize = 4;
 const SERVICE_UPDATES_PER_PRODUCER: usize = 2048;
 
@@ -116,9 +106,7 @@ fn bench_wal_path(name: &str) -> std::path::PathBuf {
 }
 
 /// One producer's share of the churn load: windows of inserts, then
-/// deletes of the ids they returned. Identical (including rng seeding by
-/// `p`) for the coalesced and singleton-baseline variants so their metrics
-/// compare the layer, not the load.
+/// deletes of the ids they returned, seeded by `p`.
 fn producer_churn(h: &ServiceHandle, p: u64, per_producer: usize) {
     let mut rng = SplitMix64::new(0xBE9C ^ p);
     let mut done = 0usize;
@@ -142,135 +130,6 @@ fn producer_churn(h: &ServiceHandle, p: u64, per_producer: usize) {
         }
         done += deletes;
     }
-}
-
-/// Drive the shared load through the coalescing service. `sync` makes the
-/// WAL fully durable (fsync per batch — the group-commit configuration).
-/// `obs` is the phase recorder the service (and through it the structure)
-/// records into — pass a disabled one for pure-throughput runs.
-fn coalesced_service_load(sync: bool, per_producer: usize, obs: &Recorder) {
-    let wal_path = bench_wal_path("coalesced").with_extension("waldir");
-    let svc = ServiceConfig::builder()
-        .policy(CoalescePolicy {
-            max_batch: 512,
-            // Group commit: batches form from whatever queues up while
-            // the previous batch applies — no linger stalls.
-            max_delay: Duration::ZERO,
-        })
-        // One segment, no checkpoints: the log the singleton baseline
-        // below writes, so the two compare the layer alone.
-        .wal_dir(&wal_path, WalMeta::default())
-        .checkpoint_every(0)
-        .wal_sync(sync)
-        // Scratch log, rewritten on every sample of this run.
-        .wal_truncate(true)
-        .obs(obs.clone())
-        .start(DynamicMatching::with_seed(11))
-        .expect("WAL in temp dir");
-    std::thread::scope(|scope| {
-        for p in 0..SERVICE_PRODUCERS as u64 {
-            let h = svc.handle();
-            scope.spawn(move || producer_churn(&h, p, per_producer));
-        }
-    });
-    let (m, _) = svc.shutdown();
-    std::fs::remove_dir_all(&wal_path).ok();
-    std::hint::black_box(m.matching_size());
-}
-
-/// The same load, same durability contract, without the coalescing layer:
-/// per-update singleton `apply` calls on one mutex-shared structure, each
-/// update appended to the WAL — and flushed, plus fsynced when `sync` —
-/// before it is acknowledged.
-fn direct_singleton_load(sync: bool, per_producer: usize) {
-    let wal_path = bench_wal_path("singleton");
-    let file = std::fs::File::create(&wal_path).expect("WAL in temp dir");
-    let mut w = std::io::BufWriter::new(file);
-    wal::write_header(&mut w, &WalMeta::default()).unwrap();
-    struct Shared {
-        m: DynamicMatching,
-        w: std::io::BufWriter<std::fs::File>,
-        seq: u64,
-    }
-    let shared = Mutex::new(Shared {
-        m: DynamicMatching::with_seed(11),
-        w,
-        seq: 0,
-    });
-    let apply_logged = |batch: Batch| {
-        let mut s = shared.lock().unwrap();
-        let seq = s.seq;
-        wal::write_batch(&mut s.w, seq, &batch).unwrap();
-        s.w.flush().unwrap();
-        if sync {
-            s.w.get_ref().sync_data().unwrap();
-        }
-        s.seq += 1;
-        s.m.apply(batch).expect("bench singleton apply")
-    };
-    std::thread::scope(|scope| {
-        for p in 0..SERVICE_PRODUCERS as u64 {
-            let apply_logged = &apply_logged;
-            scope.spawn(move || {
-                let mut rng = SplitMix64::new(0xBE9C ^ p);
-                let mut done = 0usize;
-                while done < per_producer {
-                    let window = 64.min(per_producer - done);
-                    let mut ids = Vec::with_capacity(window);
-                    for _ in 0..window {
-                        let out = apply_logged(Batch::new().insert(service_edge(&mut rng)));
-                        ids.push(out.inserted[0]);
-                    }
-                    done += window;
-                    let deletes = ids.len().min(per_producer - done);
-                    for &id in &ids[..deletes] {
-                        apply_logged(Batch::new().delete(id));
-                    }
-                    done += deletes;
-                }
-            });
-        }
-    });
-    let final_size = shared.into_inner().unwrap().m.matching_size();
-    std::fs::remove_file(&wal_path).ok();
-    std::hint::black_box(final_size);
-}
-
-/// The network tier end to end on loopback: a daemon over the coalescing
-/// service, driven by the multi-connection load generator with the same
-/// workload shape as `pbdmm load`. Returns the load report so the caller
-/// can record acknowledged-update and snapshot-read rates from one run.
-fn daemon_loopback_load(per_connection: usize) -> LoadReport {
-    let daemon = Daemon::start(
-        DynamicMatching::with_seed(23),
-        DaemonConfig {
-            policy: CoalescePolicy {
-                max_batch: 512,
-                max_delay: Duration::ZERO,
-            },
-            ..Default::default()
-        },
-    )
-    .expect("loopback daemon");
-    let addr = daemon.local_addr();
-    let stop = daemon.stop_handle();
-    let serving = std::thread::spawn(move || daemon.run());
-    let report = run_load(
-        addr,
-        &LoadConfig {
-            connections: SERVICE_PRODUCERS,
-            per_connection,
-            queries_per_window: 8,
-            seed: 23,
-        },
-    )
-    .expect("loopback load");
-    assert_eq!(report.failed, 0, "read-your-writes failed over loopback");
-    assert_eq!(report.protocol_errors, 0, "protocol errors over loopback");
-    stop.stop();
-    let daemon_report = serving.join().expect("daemon thread");
-    std::hint::black_box(daemon_report.structure.matching_size());
-    report
 }
 
 /// Build a matching of `n` disjoint edges (so every edge is matched),
@@ -442,89 +301,35 @@ fn run_battery(samples: usize) -> BTreeMap<String, f64> {
         );
     }
 
-    // Ingest-service layer at equal durability (an update is acknowledged
-    // only once the batch containing it is logged): the flush-only pair
-    // and the fully durable (fsync-per-commit) pair — the same *kind* of
-    // group-commit comparison `pbdmm serve --compare direct` makes, with
-    // this battery's own fixed load and constants. All four are
-    // recorded but ungated: the coalesced numbers hinge on producer/
-    // coalescer thread scheduling (observed ~15% swings between idle runs)
-    // and fsync latency is a host property, neither of which calibration
-    // can normalize. The singleton-fsync variant runs a smaller load (one
-    // fsync per update adds up fast on slow disks).
+    // Per-phase wall totals from one instrumented, snapshot-serving
+    // service run, so a PR can show *which phase* it moved, not just an
+    // end-to-end delta. Nanosecond totals, lower is better — ungated like
+    // every non-throughput figure. End-to-end service and wire throughput
+    // is layerbench's job (`BENCHMARK.json`).
     par::set_num_threads(4);
-    let service_total = (SERVICE_PRODUCERS * SERVICE_UPDATES_PER_PRODUCER) as u64;
-    metrics.insert(
-        "info_service_coalesced_wal_updates_per_s_t4".into(),
-        throughput(samples, service_total, || {
-            coalesced_service_load(false, SERVICE_UPDATES_PER_PRODUCER, &Recorder::disabled())
-        }),
-    );
-    metrics.insert(
-        "info_service_coalesced_fsync_updates_per_s_t4".into(),
-        throughput(samples, service_total, || {
-            coalesced_service_load(true, SERVICE_UPDATES_PER_PRODUCER, &Recorder::disabled())
-        }),
-    );
-    // Profiler on/off A/B at the same coalesced load, samples interleaved
-    // off/on/off/on so host drift lands on both arms equally (the PR 5
-    // methodology). Both ungated: they share the scheduling noise of the
-    // other service metrics. The pair is the opt-in-zero evidence — the
-    // off arm IS the shipped default (disabled recorders are no-op
-    // guards), so off vs the plain coalesced metric above is the <1%
-    // claim, and on/off is the price of actually running --profile.
     {
-        let off =
-            || coalesced_service_load(false, SERVICE_UPDATES_PER_PRODUCER, &Recorder::disabled());
-        let obs_on = Recorder::enabled();
-        off(); // warm-up (pool spin-up, page faults) outside both arms
-        let (mut best_off, mut best_on) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..samples.max(1) {
-            let t = std::time::Instant::now();
-            off();
-            best_off = best_off.min(t.elapsed().as_secs_f64());
-            let t = std::time::Instant::now();
-            coalesced_service_load(false, SERVICE_UPDATES_PER_PRODUCER, &obs_on);
-            best_on = best_on.min(t.elapsed().as_secs_f64());
-        }
-        metrics.insert(
-            "info_profile_off_updates_per_s_t4".into(),
-            service_total as f64 / best_off,
-        );
-        metrics.insert(
-            "info_profile_on_updates_per_s_t4".into(),
-            service_total as f64 / best_on,
-        );
-        // Per-phase wall totals from one dedicated instrumented run, so
-        // future PRs can show *which phase* they moved, not just the
-        // end-to-end delta. This run serves snapshots (unlike the churn
-        // above) so the publish phase is actually exercised. Nanosecond
-        // totals, lower is better — ungated like every non-throughput
-        // figure.
         let obs = Recorder::enabled();
-        {
-            let wal_path = bench_wal_path("profile").with_extension("waldir");
-            let (svc, _query) = ServiceConfig::builder()
-                .policy(CoalescePolicy {
-                    max_batch: 512,
-                    max_delay: Duration::ZERO,
-                })
-                .wal_dir(&wal_path, WalMeta::default())
-                .checkpoint_every(0)
-                .wal_sync(false)
-                .wal_truncate(true)
-                .obs(obs.clone())
-                .start_serving(DynamicMatching::with_seed(11))
-                .expect("WAL in temp dir");
-            std::thread::scope(|scope| {
-                for p in 0..SERVICE_PRODUCERS as u64 {
-                    let h = svc.handle();
-                    scope.spawn(move || producer_churn(&h, p, SERVICE_UPDATES_PER_PRODUCER));
-                }
-            });
-            svc.shutdown();
-            std::fs::remove_dir_all(&wal_path).ok();
-        }
+        let wal_path = bench_wal_path("profile").with_extension("waldir");
+        let (svc, _query) = ServiceConfig::builder()
+            .policy(CoalescePolicy {
+                max_batch: 512,
+                max_delay: Duration::ZERO,
+            })
+            .wal_dir(&wal_path, WalMeta::default())
+            .checkpoint_every(0)
+            .wal_sync(false)
+            .wal_truncate(true)
+            .obs(obs.clone())
+            .start_serving(DynamicMatching::with_seed(11))
+            .expect("WAL in temp dir");
+        std::thread::scope(|scope| {
+            for p in 0..SERVICE_PRODUCERS as u64 {
+                let h = svc.handle();
+                scope.spawn(move || producer_churn(&h, p, SERVICE_UPDATES_PER_PRODUCER));
+            }
+        });
+        svc.shutdown();
+        std::fs::remove_dir_all(&wal_path).ok();
         let report = obs.snapshot();
         for phase in [
             Phase::Batch,
@@ -542,9 +347,9 @@ fn run_battery(samples: usize) -> BTreeMap<String, f64> {
         }
     }
     // Snapshot read path: point queries against the latest published
-    // epoch snapshot while a writer churns. `info_` (ungated) for the same
-    // reason as the other service metrics — reader/writer/coalescer thread
-    // scheduling dominates on a loaded or small host.
+    // epoch snapshot while a writer churns. `info_` (ungated): reader/
+    // writer/coalescer thread scheduling dominates on a loaded or small
+    // host.
     let snapshot_reads = 200_000u64;
     metrics.insert(
         "info_snapshot_reads_per_s_t4".into(),
@@ -635,52 +440,11 @@ fn run_battery(samples: usize) -> BTreeMap<String, f64> {
         );
         std::fs::remove_dir_all(&dir).ok();
     }
-    // Network tier on loopback: the daemon + load-generator pair, the
-    // deployment's wire-path hot loop (framing, per-connection threads,
-    // TCP backpressure on top of the coalescing service). Both rates come
-    // from the same runs — best over samples of each. `info_` (ungated):
-    // loopback scheduling across 2×connections threads dominates.
-    {
-        let per_connection = SERVICE_UPDATES_PER_PRODUCER / 4;
-        let (mut best_updates, mut best_reads) = (0.0f64, 0.0f64);
-        for _ in 0..samples.max(1) {
-            let r = daemon_loopback_load(per_connection);
-            best_updates = best_updates.max(r.updates as f64 / r.seconds);
-            best_reads = best_reads.max(r.reads as f64 / r.seconds);
-        }
-        metrics.insert("info_daemon_wire_updates_per_s_t4".into(), best_updates);
-        metrics.insert("info_daemon_wire_reads_per_s_t4".into(), best_reads);
-    }
-    let singleton_per_producer = SERVICE_UPDATES_PER_PRODUCER / 8;
-    metrics.insert(
-        "info_direct_singleton_fsync_updates_per_s_t4".into(),
-        throughput(
-            samples,
-            (SERVICE_PRODUCERS * singleton_per_producer) as u64,
-            || direct_singleton_load(true, singleton_per_producer),
-        ),
-    );
-    metrics.insert(
-        "info_direct_singleton_wal_updates_per_s_t4".into(),
-        throughput(samples, service_total, || {
-            direct_singleton_load(false, SERVICE_UPDATES_PER_PRODUCER)
-        }),
-    );
-
-    // Dispatch-frequency metrics: many borderline-size parallel calls, the
+    // Dispatch-frequency metric: many borderline-size parallel calls, the
     // shape level settlement actually produces (a few-thousand-element
-    // semisort/scan per round). Scheduler overhead dominates here: this is
+    // semisort per round). Scheduler overhead dominates here: this is
     // where spawn-per-call vs pooled dispatch shows directly.
     par::set_num_threads(4);
-    let small: Vec<u64> = (0..16_384u64).map(|i| (i * 31) % 97).collect();
-    metrics.insert(
-        "repeated_scan_16k_elems_per_s_t4".into(),
-        throughput(samples, 512 * small.len() as u64, || {
-            for _ in 0..512 {
-                std::hint::black_box(pbdmm_primitives::exclusive_scan(&small));
-            }
-        }),
-    );
     let mut rng = SplitMix64::new(5);
     let small_pairs: Vec<(u32, u32)> = (0..8192)
         .map(|_| (rng.bounded(512) as u32, rng.next_u64() as u32))
@@ -694,18 +458,7 @@ fn run_battery(samples: usize) -> BTreeMap<String, f64> {
         }),
     );
 
-    // Primitive hot paths at full size: throughput parity check.
-    let xs: Vec<u64> = (0..1u64 << 20).map(|i| (i * 31) % 97).collect();
-    metrics.insert(
-        // `info_` metrics are recorded but NOT gated: single-pass bandwidth
-        // over 1M elements is dominated by host memory/CPU-steal noise
-        // (observed >2× swings between identical runs on virtualized CI),
-        // which no per-run calibration can normalize away.
-        "info_scan_1m_elems_per_s_t4".into(),
-        throughput(samples, xs.len() as u64, || {
-            std::hint::black_box(pbdmm_primitives::exclusive_scan(&xs));
-        }),
-    );
+    // The semisort hot path at full size.
     let mut rng = SplitMix64::new(7);
     let pairs: Vec<(u32, u32)> = (0..1 << 18)
         .map(|_| (rng.bounded(4096) as u32, rng.next_u64() as u32))
@@ -714,17 +467,6 @@ fn run_battery(samples: usize) -> BTreeMap<String, f64> {
         "semisort_pairs_per_s_t4".into(),
         throughput(samples, pairs.len() as u64, || {
             std::hint::black_box(pbdmm_primitives::group_by(pairs.clone()));
-        }),
-    );
-    let keys: Vec<u64> = (0..1u64 << 19)
-        .map(|i| i.wrapping_mul(0x9e37_79b9))
-        .collect();
-    metrics.insert(
-        "sort_keys_per_s_t4".into(),
-        throughput(samples, keys.len() as u64, || {
-            let mut k = keys.clone();
-            par::par_sort(&mut k);
-            std::hint::black_box(k);
         }),
     );
     par::set_num_threads(0);

@@ -1,4 +1,4 @@
-//! The experiment harness: regenerates every row of EXPERIMENTS.md.
+//! The experiment harness: regenerates the tables for experiments E1–E15.
 //!
 //! ```text
 //! cargo run --release -p pbdmm-bench --bin experiments -- all
@@ -7,8 +7,9 @@
 //! ```
 //!
 //! The paper (SPAA 2025) is a theory paper; these experiments validate each
-//! quantitative claim empirically — see DESIGN.md's per-experiment index for
-//! the claim ↔ experiment mapping.
+//! quantitative claim empirically. Each `eN_*` function's doc comment names
+//! the claim it checks; README's "Claims" table lists the expected output
+//! of the deterministic columns of E1, E5, E6 and E8.
 
 use pbdmm_bench::{doubling_sizes, fmt_f, loglog_slope, time, Table};
 use pbdmm_graph::workload::{churn, insert_then_delete, sliding_window, DeletionOrder};

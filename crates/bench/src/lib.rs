@@ -3,8 +3,8 @@
 //! Shared utilities for the experiment harness (`src/bin/experiments.rs`)
 //! and the Criterion benches: fixed-width table rendering, simple regression
 //! fits (for "is this curve flat / linear / cubic?" judgments), and wall
-//! clock helpers. Each experiment in EXPERIMENTS.md is regenerated by one
-//! harness subcommand; the utilities here keep their output uniform.
+//! clock helpers. Each experiment (E1–E15) is regenerated by one harness
+//! subcommand; the utilities here keep their output uniform.
 
 #![warn(missing_docs)]
 

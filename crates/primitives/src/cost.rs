@@ -2,8 +2,9 @@
 //!
 //! The paper's claims are about *model* cost — total work and critical-path
 //! depth — not wall-clock time, which on a particular machine conflates
-//! scheduling and memory effects. The experiments (EXPERIMENTS.md) therefore
-//! meter both: wall-clock via the harness, and model cost via this module.
+//! scheduling and memory effects. The experiment harness
+//! (`crates/bench/src/bin/experiments.rs`) therefore meters both:
+//! wall-clock via the harness, and model cost via this module.
 //!
 //! Costs are charged in aggregate (e.g. "this groupBy over k pairs costs k
 //! work and one O(log k) depth round"), mirroring how the paper's analysis
@@ -151,11 +152,11 @@ impl CostSnapshot {
 /// calibrated against the ~µs-scale cost of waking a pooled worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CostHint {
-    /// A few ns/element: arithmetic, copies, predicate scans (`scan`,
-    /// `find_next`, tabulate).
+    /// A few ns/element: arithmetic, copies, predicate scans (`find_next`,
+    /// tabulate).
     Light,
     /// Tens of ns/element: hashing, comparison sorting, branchy per-element
-    /// work (`semisort`, `sort`, dictionary phases).
+    /// work (`semisort`, `sort`).
     #[default]
     Medium,
     /// ≥ ~100ns/element: user closures of unknown weight, per-item map/set

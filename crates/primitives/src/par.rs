@@ -5,43 +5,25 @@
 //! that (a) small inputs stay sequential (adaptive grain control — the
 //! cutoff depends on the primitive's per-element [`CostHint`] and the
 //! worker count, because parallelism below the fork overhead costs more
-//! than it gains), (b) the whole workspace can be forced sequential for
-//! deterministic debugging via [`set_sequential`], and (c) the worker count
-//! can be configured per process via [`set_num_threads`] or the
-//! `PBDMM_THREADS` environment variable (the benchmark harness's speedup
-//! sweeps and the CI thread matrix use these).
+//! than it gains), and (b) the worker count can be configured per process
+//! via [`set_num_threads`] or the `PBDMM_THREADS` environment variable (the
+//! benchmark harness's speedup sweeps and the CI thread matrix use these).
+//! A one-thread pool is the sequential path: run a computation inside
+//! `ParPool::with_threads(1).install(..)` and every gate stays sequential.
 //!
 //! Work is executed as *splittable range tasks*: a call covering `0..n`
 //! submits one task to the current [`crate::pool::ParPool`], and the task
 //! splits itself in half lazily exactly as deep as idle workers demand.
 //! There is no thread spawning on any call path.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 pub use crate::cost::CostHint;
 use crate::pool;
 
-/// Historical default sequential cutoff. Kept for callers that want a
-/// hint-free size gate; the primitives themselves use their [`CostHint`]'s
-/// [`CostHint::sequential_cutoff`].
-pub const GRAIN: usize = 4096;
-
-static FORCE_SEQUENTIAL: AtomicBool = AtomicBool::new(false);
-
 /// Worker-count cap; 0 means "use `PBDMM_THREADS` or all available cores".
 static THREAD_CAP: AtomicUsize = AtomicUsize::new(0);
-
-/// Force all primitives in this crate to run sequentially (for debugging and
-/// for the sequential baselines in the benchmark harness). Global and sticky.
-pub fn set_sequential(seq: bool) {
-    FORCE_SEQUENTIAL.store(seq, Ordering::SeqCst);
-}
-
-/// Whether primitives are currently forced sequential.
-pub fn is_sequential() -> bool {
-    FORCE_SEQUENTIAL.load(Ordering::Relaxed)
-}
 
 /// Cap the number of worker threads used by the primitives (0 restores the
 /// default: `PBDMM_THREADS` if set, else one worker per available core).
@@ -91,19 +73,12 @@ pub fn parallelism() -> usize {
     pool::current_threads().max(1)
 }
 
-/// Should a primitive over `n` elements run in parallel? Hint-free variant
-/// using the historical [`GRAIN`] cutoff.
-#[inline]
-pub fn should_par(n: usize) -> bool {
-    n >= GRAIN && !is_sequential() && parallelism() > 1
-}
-
 /// Should a primitive over `n` elements of the given cost class run in
 /// parallel? The sequential cutoff comes from the hint: the cheaper each
 /// element, the larger the input must be before forking pays.
 #[inline]
 pub fn should_par_hint(n: usize, hint: CostHint) -> bool {
-    n >= hint.sequential_cutoff() && !is_sequential() && parallelism() > 1
+    n >= hint.sequential_cutoff() && parallelism() > 1
 }
 
 /// The number of threads that can actually run simultaneously: the current
@@ -126,16 +101,16 @@ fn effective_parallelism() -> usize {
 /// on oversubscribed hosts), floored by the hint's amortization minimum so
 /// scheduling cost stays negligible per leaf.
 #[inline]
-pub fn adaptive_grain(n: usize, hint: CostHint) -> usize {
+fn adaptive_grain(n: usize, hint: CostHint) -> usize {
     (n / (4 * effective_parallelism()))
         .max(hint.min_leaf())
         .max(1)
 }
 
-/// Serialization for tests that mutate the process-global scheduler knobs
-/// (`set_num_threads`, `set_sequential`): `cargo test` runs tests of one
-/// binary concurrently, so unserialized knob flips make assertions about
-/// the resulting global state flaky.
+/// Serialization for tests that mutate the process-global thread cap
+/// ([`set_num_threads`]): `cargo test` runs tests of one binary
+/// concurrently, so unserialized cap flips make assertions about the
+/// resulting global state flaky.
 #[cfg(test)]
 pub(crate) fn test_knob_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -155,7 +130,7 @@ impl<T> SendPtr<T> {
 }
 
 /// Split `0..n` into at most `k` near-equal contiguous ranges.
-pub(crate) fn ranges(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
+fn ranges(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
     let k = k.max(1).min(n.max(1));
     let base = n / k;
     let extra = n % k;
@@ -171,84 +146,12 @@ pub(crate) fn ranges(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
 
 /// The chunk count for fixed-partition helpers: a few chunks per effective
 /// worker so the pool's stealing can balance uneven chunk costs.
-pub(crate) fn chunk_count(n: usize) -> usize {
+fn chunk_count(n: usize) -> usize {
     (4 * effective_parallelism()).min(n.max(1))
 }
 
-/// Run `f` over contiguous index ranges covering `0..n` and return the
-/// per-range results in order. The partition has a few chunks per worker
-/// (balanced by work stealing); callers that need a *specific* partition
-/// compute it with the crate-private `ranges` and `par_run_ranges` pair.
-pub fn par_ranges<U, F>(n: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(std::ops::Range<usize>) -> U + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    par_run_ranges(ranges(n, chunk_count(n)), |_, r| f(r))
-}
-
-/// Run `f(index, range)` over an explicit pre-computed partition, results in
-/// partition order. Each range is one pool task. Callers that need the
-/// *same* partition across two passes (e.g. the blocked scan) compute it
-/// once with `ranges` and run both passes through this, so a concurrent
-/// [`set_num_threads`] cannot desynchronize the passes.
-pub(crate) fn par_run_ranges<U, F>(rs: Vec<std::ops::Range<usize>>, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize, std::ops::Range<usize>) -> U + Sync,
-{
-    if rs.len() <= 1 || is_sequential() || parallelism() <= 1 {
-        return rs.into_iter().enumerate().map(|(i, r)| f(i, r)).collect();
-    }
-    let k = rs.len();
-    let mut out: Vec<Option<U>> = std::iter::repeat_with(|| None).take(k).collect();
-    let slots = SendPtr(out.as_mut_ptr());
-    let rs = &rs;
-    pool::current().run_range(k, 1, |lo, hi| {
-        for (i, r) in rs.iter().enumerate().take(hi).skip(lo) {
-            let value = f(i, r.clone());
-            // SAFETY: each index is written by exactly one task.
-            unsafe { *slots.get().add(i) = Some(value) };
-        }
-    });
-    out.into_iter()
-        .map(|o| o.expect("range task not executed"))
-        .collect()
-}
-
-/// Run `f(i)` for every `i in 0..n` as splittable range tasks with adaptive
-/// grain — the pool-era `par_for`. Medium cost assumed; use
-/// [`par_for_hint`] when the per-element cost class is known.
-pub fn par_for<F>(n: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    par_for_hint(n, CostHint::Medium, f)
-}
-
-/// [`par_for`] with an explicit per-element cost hint.
-pub fn par_for_hint<F>(n: usize, hint: CostHint, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    if !should_par_hint(n, hint) {
-        for i in 0..n {
-            f(i);
-        }
-        return;
-    }
-    pool::current().run_range(n, adaptive_grain(n, hint), |lo, hi| {
-        for i in lo..hi {
-            f(i);
-        }
-    });
-}
-
 /// Tabulate `f(i)` for `i in 0..n` into a vector, writing results in place
-/// from splittable range tasks (no per-chunk buffers, no concat pass).
+/// from splittable range tasks (no per-chunk buffers, no concatenation).
 fn tabulate_hint<U, F>(n: usize, hint: CostHint, f: F) -> Vec<U>
 where
     U: Send,
@@ -282,25 +185,6 @@ where
     tabulate_hint(items.len(), CostHint::Medium, |i| f(&items[i]))
 }
 
-/// Parallel indexed map: `f(i, &items[i])`.
-pub fn par_map_indexed<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync + Send,
-{
-    tabulate_hint(items.len(), CostHint::Medium, |i| f(i, &items[i]))
-}
-
-/// Parallel for-each over shared references (the callee synchronizes).
-pub fn par_for_each<T, F>(items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync + Send,
-{
-    par_for_hint(items.len(), CostHint::Medium, |i| f(&items[i]));
-}
-
 /// Parallel for-each over mutable elements.
 pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
 where
@@ -321,51 +205,48 @@ where
     });
 }
 
-/// Parallel flat-map (order-preserving).
-pub fn par_flat_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> Vec<U> + Sync + Send,
-{
-    if !should_par_hint(items.len(), CostHint::Medium) {
-        return items.iter().flat_map(|t| f(t).into_iter()).collect();
-    }
-    concat(par_ranges(items.len(), |r| {
-        items[r]
-            .iter()
-            .flat_map(|t| f(t).into_iter())
-            .collect::<Vec<U>>()
-    }))
-}
-
-/// Parallel filter-map (order-preserving).
+/// Parallel filter-map (order-preserving). Each of a few contiguous chunks
+/// per worker (one pool task each, balanced by stealing) filters into its
+/// own buffer; the buffers are concatenated in chunk order.
 pub fn par_filter_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> Option<U> + Sync + Send,
 {
-    if !should_par_hint(items.len(), CostHint::Medium) {
+    let n = items.len();
+    if !should_par_hint(n, CostHint::Medium) {
         return items.iter().filter_map(f).collect();
     }
-    concat(par_ranges(items.len(), |r| {
-        items[r].iter().filter_map(&f).collect::<Vec<U>>()
-    }))
+    let rs = ranges(n, chunk_count(n));
+    let mut parts: Vec<Vec<U>> = std::iter::repeat_with(Vec::new).take(rs.len()).collect();
+    let slots = SendPtr(parts.as_mut_ptr());
+    pool::current().run_range(rs.len(), 1, |lo, hi| {
+        for (i, r) in rs.iter().enumerate().take(hi).skip(lo) {
+            let part = items[r.clone()].iter().filter_map(&f).collect();
+            // SAFETY: each chunk's buffer is written by exactly one task.
+            unsafe { *slots.get().add(i) = part };
+        }
+    });
+    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for part in parts {
+        out.extend(part);
+    }
+    out
 }
 
 /// Binary fork: run two closures as parallel tasks, the primitive operation
 /// of the binary-forking model. The second closure is published for
 /// stealing while the caller runs the first; no thread is spawned.
 #[inline]
-pub fn fork2<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+fn fork2<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
     B: FnOnce() -> RB + Send,
     RA: Send,
     RB: Send,
 {
-    if is_sequential() || parallelism() <= 1 {
+    if parallelism() <= 1 {
         (a(), b())
     } else {
         pool::current().join(a, b)
@@ -462,15 +343,6 @@ where
     });
 }
 
-/// Sort a slice, in parallel above the grain size.
-pub fn par_sort<T: Ord + Send>(items: &mut [T]) {
-    if !should_par_hint(items.len(), CostHint::Medium) {
-        items.sort_unstable();
-        return;
-    }
-    par_quicksort(items, &|a: &T, b: &T| a.cmp(b), fork_budget());
-}
-
 /// Sort by key, in parallel above the grain size.
 pub fn par_sort_by_key<T, K, F>(items: &mut [T], f: F)
 where
@@ -501,7 +373,7 @@ where
     C: Fn(&T, &T) -> std::cmp::Ordering + Sync,
 {
     let n = items.len();
-    if n < CostHint::Medium.sequential_cutoff() || forks == 0 || is_sequential() {
+    if n < CostHint::Medium.sequential_cutoff() || forks == 0 {
         items.sort_unstable_by(cmp);
         return;
     }
@@ -544,17 +416,6 @@ where
     store
 }
 
-/// Concatenate per-range result vectors (sequential `O(n)` tail of the
-/// chunked helpers).
-fn concat<U>(parts: Vec<Vec<U>>) -> Vec<U> {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    for p in parts {
-        out.extend(p);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,23 +425,6 @@ mod tests {
         let xs: Vec<u64> = (0..10_000).collect();
         let doubled = par_map(&xs, |x| x * 2);
         assert_eq!(doubled, xs.iter().map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_indexed_passes_indices() {
-        let xs = vec![10u64; 100];
-        let ys = par_map_indexed(&xs, |i, x| i as u64 + x);
-        assert_eq!(ys[0], 10);
-        assert_eq!(ys[99], 109);
-    }
-
-    #[test]
-    fn par_flat_map_preserves_order() {
-        let xs: Vec<u32> = (0..5000).collect();
-        let ys = par_flat_map(&xs, |&x| vec![x, x]);
-        for (i, pair) in ys.chunks(2).enumerate() {
-            assert_eq!(pair, [i as u32, i as u32]);
-        }
     }
 
     #[test]
@@ -603,22 +447,6 @@ mod tests {
         let v = par_tabulate(8192, |i| i);
         assert_eq!(v.len(), 8192);
         assert!(v.iter().enumerate().all(|(i, &x)| i == x));
-    }
-
-    #[test]
-    fn par_for_visits_all_once() {
-        let hits: Vec<AtomicUsize> = (0..10_000).map(|_| AtomicUsize::new(0)).collect();
-        par_for(10_000, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn par_sort_sorts() {
-        let mut v: Vec<i64> = (0..10_000).map(|i| (i * 7919) % 10_000).collect();
-        par_sort(&mut v);
-        assert!(v.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
@@ -663,13 +491,18 @@ mod tests {
 
     #[test]
     fn sequential_mode_round_trips() {
+        // A one-thread pool is the sequential mode: inside its scope no gate
+        // goes parallel, and leaving the scope restores the outer context.
         let _knobs = test_knob_lock();
-        set_sequential(true);
-        assert!(is_sequential());
+        set_num_threads(4);
         let xs: Vec<u64> = (0..10_000).collect();
-        assert_eq!(par_map(&xs, |x| x + 1)[9999], 10_000);
-        set_sequential(false);
-        assert!(!is_sequential());
+        pool::ParPool::with_threads(1).install(|| {
+            assert_eq!(parallelism(), 1);
+            assert!(!should_par_hint(1 << 20, CostHint::Light));
+            assert_eq!(par_map(&xs, |x| x + 1)[9999], 10_000);
+        });
+        assert!(should_par_hint(1 << 20, CostHint::Light));
+        set_num_threads(0);
     }
 
     #[test]
@@ -677,7 +510,7 @@ mod tests {
         let _knobs = test_knob_lock();
         set_num_threads(1);
         assert_eq!(num_threads(), 1);
-        assert!(!should_par(1 << 20));
+        assert!(!should_par_hint(1 << 20, CostHint::Medium));
         set_num_threads(0);
         assert!(num_threads() >= 1);
     }

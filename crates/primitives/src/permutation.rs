@@ -2,27 +2,14 @@
 //!
 //! The static greedy matcher assigns each edge a *priority*: its position in
 //! a uniformly random permutation. The paper cites [Gil, Matias, Vishkin '91]
-//! for an `O(n)`-work, `O(log n)`-depth parallel permutation. We provide:
-//!
-//! * [`random_permutation`] — sequential Fisher–Yates (the oracle),
-//! * [`random_priorities`] — i.i.d. 64-bit keys with index tie-breaking,
-//!   which is how the matcher actually consumes randomness: it never needs
-//!   the permutation array itself, only a total order on edges, and drawing a
-//!   key per edge is embarrassingly parallel (`O(n)` work, `O(1)` depth,
-//!   collision-free after tie-breaking).
+//! for an `O(n)`-work, `O(log n)`-depth parallel permutation. The matcher
+//! never needs the permutation array itself, only a total order on edges,
+//! so [`random_priorities`] draws i.i.d. 64-bit keys with index
+//! tie-breaking instead: embarrassingly parallel (`O(n)` work, `O(1)`
+//! depth) and collision-free after tie-breaking.
 
 use crate::par::par_tabulate;
 use crate::rng::SplitMix64;
-
-/// Sequential Fisher–Yates permutation of `0..n`.
-pub fn random_permutation(n: usize, rng: &mut SplitMix64) -> Vec<u32> {
-    let mut perm: Vec<u32> = (0..n as u32).collect();
-    for i in (1..n).rev() {
-        let j = rng.bounded(i as u64 + 1) as usize;
-        perm.swap(i, j);
-    }
-    perm
-}
 
 /// A priority: random key with the element index as tiebreaker, so priorities
 /// are distinct even on (astronomically unlikely) 64-bit key collisions.
@@ -55,55 +42,9 @@ pub fn random_priorities(n: usize, rng: &mut SplitMix64) -> Vec<Priority> {
     })
 }
 
-/// Recover the permutation induced by a priority vector: `result[k]` is the
-/// element with the `k`-th highest priority. Mostly used by tests and the
-/// sequential oracle.
-pub fn priorities_to_order(priorities: &[Priority]) -> Vec<u32> {
-    let mut idx: Vec<u32> = (0..priorities.len() as u32).collect();
-    idx.sort_unstable_by_key(|&i| priorities[i as usize]);
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fisher_yates_is_a_permutation() {
-        let mut rng = SplitMix64::new(42);
-        let p = random_permutation(1000, &mut rng);
-        let mut sorted = p.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..1000).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fisher_yates_deterministic_under_seed() {
-        let mut a = SplitMix64::new(7);
-        let mut b = SplitMix64::new(7);
-        assert_eq!(
-            random_permutation(100, &mut a),
-            random_permutation(100, &mut b)
-        );
-    }
-
-    #[test]
-    fn fisher_yates_is_roughly_uniform() {
-        // Position of element 0 over many draws should hit all slots.
-        let mut rng = SplitMix64::new(1);
-        let n = 8;
-        let mut counts = vec![0usize; n];
-        let trials = 16_000;
-        for _ in 0..trials {
-            let p = random_permutation(n, &mut rng);
-            let pos = p.iter().position(|&x| x == 0).unwrap();
-            counts[pos] += 1;
-        }
-        let expected = trials / n;
-        for &c in &counts {
-            assert!((c as i64 - expected as i64).abs() < (expected / 4) as i64);
-        }
-    }
 
     #[test]
     fn priorities_are_distinct() {
@@ -117,7 +58,8 @@ mod tests {
     fn priorities_order_is_permutation() {
         let mut rng = SplitMix64::new(13);
         let ps = random_priorities(5000, &mut rng);
-        let order = priorities_to_order(&ps);
+        let mut order: Vec<u32> = (0..ps.len() as u32).collect();
+        order.sort_unstable_by_key(|&i| ps[i as usize]);
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..5000).collect::<Vec<_>>());

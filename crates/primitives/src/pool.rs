@@ -2,7 +2,7 @@
 //!
 //! The PR 1 layer realized every `par_*` call with `std::thread::scope`,
 //! paying a ~60µs spawn/join round-trip per invocation — the dominant
-//! scheduling overhead on the hot paths (`scan`, `semisort`, settlement).
+//! scheduling overhead on the hot paths (`semisort`, settlement).
 //! This module replaces it with a pool in the Chase–Lev mold, std-only:
 //!
 //! * **persistent workers** parked on a condvar, woken in ~1µs;
@@ -15,7 +15,7 @@
 //!   deep as idle workers demand;
 //! * **cooperative blocking**: a thread waiting on a job (including a
 //!   worker inside a *nested* fork-join) executes pool tasks while it
-//!   waits, which makes nested `par_for` deadlock-free.
+//!   waits, which makes nested parallel loops deadlock-free.
 //!
 //! Pools are handed around as `Arc<ParPool>`. [`current`] resolves the pool
 //! a primitive should run on: an [`ParPool::install`] scope first, then the
@@ -552,7 +552,7 @@ pub fn current() -> Arc<ParPool> {
 /// The parallelism of the [`current`] context *without* building the global
 /// pool: an installed or worker pool answers directly; otherwise this is
 /// the configured [`crate::par::num_threads`] (the size the global pool
-/// would be built with). The `should_par*` gates use this, so a pinned
+/// would be built with). The `should_par_hint` gate uses this, so a pinned
 /// pool's parallelism counts even when the process-wide cap is 1.
 pub fn current_threads() -> usize {
     if let Some(n) = INSTALLED.with(|s| s.borrow().last().map(|p| p.threads())) {

@@ -57,55 +57,15 @@ impl SplitMix64 {
         (((self.next_u64() as u128) * (bound as u128)) >> 64) as u64
     }
 
-    /// Uniform value in the inclusive range `[lo, hi]`.
-    #[inline]
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo <= hi);
-        lo + self.bounded(hi - lo + 1)
-    }
-
     /// Fork an independent stream (for handing to a sub-computation).
     pub fn fork(&mut self) -> SplitMix64 {
         SplitMix64::new(self.next_u64())
-    }
-
-    /// Fill a byte buffer with pseudorandom data.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rest = chunks.into_remainder();
-        if !rest.is_empty() {
-            let word = self.next_u64().to_le_bytes();
-            rest.copy_from_slice(&word[..rest.len()]);
-        }
     }
 }
 
 #[inline]
 fn mix64_gamma(z: u64) -> u64 {
     mix64(z)
-}
-
-/// Sample `k` distinct indices from `[0, n)` (Floyd's algorithm).
-/// Returns fewer than `k` only if `k > n`.
-pub fn sample_distinct(rng: &mut SplitMix64, n: usize, k: usize) -> Vec<usize> {
-    if k >= n {
-        return (0..n).collect();
-    }
-    let mut chosen = crate::hash::FxHashSet::default();
-    let mut out = Vec::with_capacity(k);
-    for j in (n - k)..n {
-        let t = rng.range_inclusive(0, j as u64) as usize;
-        if chosen.insert(t) {
-            out.push(t);
-        } else {
-            chosen.insert(j);
-            out.push(j);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -139,20 +99,6 @@ mod tests {
     }
 
     #[test]
-    fn range_inclusive_hits_both_ends() {
-        let mut rng = SplitMix64::new(8);
-        let mut lo_seen = false;
-        let mut hi_seen = false;
-        for _ in 0..10_000 {
-            let v = rng.range_inclusive(3, 5);
-            assert!((3..=5).contains(&v));
-            lo_seen |= v == 3;
-            hi_seen |= v == 5;
-        }
-        assert!(lo_seen && hi_seen);
-    }
-
-    #[test]
     fn bounded_is_roughly_uniform() {
         let mut rng = SplitMix64::new(3);
         let mut counts = [0usize; 8];
@@ -176,30 +122,5 @@ mod tests {
         let xs: Vec<u64> = (0..10).map(|_| a.next_u64()).collect();
         let ys: Vec<u64> = (0..10).map(|_| b.next_u64()).collect();
         assert_ne!(xs, ys);
-    }
-
-    #[test]
-    fn sample_distinct_returns_distinct_in_range() {
-        let mut rng = SplitMix64::new(5);
-        let s = sample_distinct(&mut rng, 100, 20);
-        assert_eq!(s.len(), 20);
-        let set: std::collections::HashSet<_> = s.iter().collect();
-        assert_eq!(set.len(), 20);
-        assert!(s.iter().all(|&x| x < 100));
-    }
-
-    #[test]
-    fn sample_distinct_saturates() {
-        let mut rng = SplitMix64::new(5);
-        let s = sample_distinct(&mut rng, 5, 10);
-        assert_eq!(s.len(), 5);
-    }
-
-    #[test]
-    fn fill_bytes_covers_remainder() {
-        let mut rng = SplitMix64::new(11);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

@@ -1,5 +1,4 @@
-//! Semisort and its derived operations: `groupBy`, `sumBy`,
-//! `removeDuplicates`, `countBy` (§2).
+//! Semisort and its derived operations `groupBy` and `sumBy` (§2).
 //!
 //! The semisorting problem: reorganize keyed records so equal keys are
 //! adjacent, in any order. The paper uses it (following [Gu, Shun, Sun,
@@ -126,54 +125,6 @@ where
     out
 }
 
-/// Count occurrences per key.
-pub fn count_by<K>(keys: Vec<K>) -> Vec<(K, u64)>
-where
-    K: Hash + Eq + Clone + Send + Sync,
-{
-    sum_by(keys.into_iter().map(|k| (k, 1)).collect())
-}
-
-/// Deduplicate: the paper's `removeDuplicates`. Output order unspecified.
-pub fn remove_duplicates<K>(keys: Vec<K>) -> Vec<K>
-where
-    K: Hash + Eq + Clone + Send + Sync,
-{
-    if !should_par_hint(keys.len(), HINT) {
-        let mut set: crate::hash::FxHashSet<K> = crate::hash::FxHashSet::default();
-        let mut out = Vec::new();
-        for k in keys {
-            if set.insert(k.clone()) {
-                out.push(k);
-            }
-        }
-        return out;
-    }
-    let mut keyed: Vec<(u64, K)> = keys.into_iter().map(|k| (fx_hash(&k), k)).collect();
-    par_sort_by_key(&mut keyed, |t| t.0);
-    let mut out: Vec<K> = Vec::new();
-    let mut i = 0;
-    while i < keyed.len() {
-        let h = keyed[i].0;
-        let mut j = i;
-        while j < keyed.len() && keyed[j].0 == h {
-            j += 1;
-        }
-        if j - i == 1 {
-            out.push(keyed[i].1.clone());
-        } else {
-            let mut seen: crate::hash::FxHashSet<&K> = crate::hash::FxHashSet::default();
-            for t in &keyed[i..j] {
-                if seen.insert(&t.1) {
-                    out.push(t.1.clone());
-                }
-            }
-        }
-        i = j;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,25 +188,6 @@ mod tests {
         sums.sort();
         assert_eq!(sums.len(), 100);
         assert!(sums.iter().all(|&(_, c)| c == 600));
-    }
-
-    #[test]
-    fn count_by_counts() {
-        let keys: Vec<u32> = (0..30_000).map(|i| i % 3).collect();
-        let mut counts = count_by(keys);
-        counts.sort();
-        assert_eq!(counts, vec![(0, 10_000), (1, 10_000), (2, 10_000)]);
-    }
-
-    #[test]
-    fn remove_duplicates_small_and_large() {
-        assert_eq!(
-            sorted(remove_duplicates(vec![3, 1, 3, 2, 1])),
-            vec![1, 2, 3]
-        );
-        let keys: Vec<u32> = (0..80_000).map(|i| i % 1000).collect();
-        let deduped = remove_duplicates(keys);
-        assert_eq!(sorted(deduped), (0..1000).collect::<Vec<_>>());
     }
 
     #[test]

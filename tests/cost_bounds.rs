@@ -3,6 +3,8 @@
 //! Thresholds carry generous slack over the theoretical constants so the
 //! tests are robust to seed choice while still catching asymptotic
 //! regressions (e.g. an accidental O(deg) path would blow all of them up).
+//! One test, `cost_counts_are_exact_for_fixed_seeds`, has no slack: it pins
+//! the E1/E5/E6 counts of three fixed-seed workloads exactly.
 
 use pbdmm::graph::gen;
 use pbdmm::graph::workload::{churn, insert_then_delete, DeletionOrder};
@@ -153,4 +155,53 @@ fn settle_iterations_per_batch_logarithmic() {
         (max_iters as f64) <= 3.0 * lg,
         "settle iterations {max_iters} vs lg m {lg:.1}"
     );
+}
+
+/// E1/E5/E6 exactly: for a fixed seed the cost model is a deterministic
+/// function of (seed, batch sequence), whatever the thread count or
+/// scheduling, so its counts are pinned as exact integers — a noise-free
+/// regression signal. Three shapes from `graph::workload`: uniform churn
+/// (E1 work), power-law churn (E5 settle rounds) and delete-heavy,
+/// vertex-clustered decay (E6 payment). A change to the algorithm's
+/// coins, its charging or its settle loop moves at least one of them.
+#[test]
+fn cost_counts_are_exact_for_fixed_seeds() {
+    let er = gen::erdos_renyi(1 << 12, 1 << 14, 9);
+    let pa = gen::preferential_attachment(1 << 12, 6, 0x77);
+    let cases = [
+        (
+            "uniform churn",
+            churn(&er, 384, 11),
+            1,
+            [32768, 208237, 0, 6265, 16384],
+        ),
+        (
+            "power-law churn",
+            churn(&pa, 512, 12),
+            2,
+            [49110, 319205, 52, 7701, 24555],
+        ),
+        (
+            "clustered decay",
+            insert_then_delete(&er, 512, DeletionOrder::VertexClustered, 13),
+            3,
+            [32768, 157060, 1, 2877, 16384],
+        ),
+    ];
+    for (shape, w, seed, want) in cases {
+        let mut dm = DynamicMatching::with_seed(seed);
+        let r = run_workload(&mut dm, &w);
+        let s = dm.stats();
+        let got = [
+            r.updates,
+            r.work,
+            s.settle_rounds,
+            s.total_payment,
+            s.user_deletions,
+        ];
+        assert_eq!(
+            got, want,
+            "{shape}, seed {seed}: [updates, work, settle_rounds, payment, user_deletions]"
+        );
+    }
 }

@@ -6,13 +6,14 @@
 use pbdmm::graph::{gen, workload, DeletionOrder};
 use pbdmm::matching::driver::run_workload_with;
 use pbdmm::matching::verify::check_invariants;
+use pbdmm::primitives::cost::CostHint;
 use pbdmm::primitives::par;
 use pbdmm::{Batch, DynamicMatching, DynamicMatchingBuilder};
 
 #[test]
 fn dynamic_matching_sound_under_forced_parallelism() {
     par::set_num_threads(4);
-    assert!(par::should_par(1 << 20));
+    assert!(par::should_par_hint(1 << 20, CostHint::Medium));
 
     // Big enough single batches that the greedy matcher's primitives cross
     // the parallel grain.

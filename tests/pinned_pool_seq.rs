@@ -1,6 +1,6 @@
 //! Regression (code review, PR 2): a structure pinned to a multi-thread
 //! `ParPool` must actually run parallel on that pool even when the
-//! process-global thread cap is 1 — the `should_par*` gates consult the
+//! process-global thread cap is 1 — the `should_par_hint` gate consults the
 //! *current* pool's parallelism, not the raw global cap. Own test binary:
 //! it pins the global cap to 1 and must not race other suites.
 
@@ -36,7 +36,8 @@ fn pinned_pool_is_used_even_when_global_cap_is_one() {
     // reached the pinned pool, and plain primitives stay sequential.
     let jobs_after = pool.stats().jobs;
     let xs: Vec<u64> = (0..100_000).collect();
-    assert_eq!(pbdmm::primitives::scan::par_sum(&xs), 99_999 * 100_000 / 2);
+    let doubled = par::par_map(&xs, |x| 2 * x);
+    assert_eq!(doubled.iter().sum::<u64>(), 99_999 * 100_000);
     assert_eq!(pool.stats().jobs, jobs_after);
 
     par::set_num_threads(0);

@@ -165,25 +165,6 @@ fn workload_generators_always_validate() {
 }
 
 #[test]
-fn scan_filter_agree_with_std() {
-    let mut rng = SplitMix64::new(0xB5);
-    for _ in 0..cases() {
-        let n = rng.bounded(4000) as usize;
-        let xs: Vec<u64> = (0..n).map(|_| rng.bounded(1000)).collect();
-        let (scanned, total) = pbdmm::primitives::exclusive_scan(&xs);
-        let mut acc = 0u64;
-        for (i, &x) in xs.iter().enumerate() {
-            assert_eq!(scanned[i], acc);
-            acc += x;
-        }
-        assert_eq!(total, acc);
-        let kept = pbdmm::primitives::filter(&xs, |&x| x % 2 == 0);
-        let want: Vec<u64> = xs.iter().copied().filter(|x| x % 2 == 0).collect();
-        assert_eq!(kept, want);
-    }
-}
-
-#[test]
 fn group_by_loses_nothing() {
     let mut rng = SplitMix64::new(0xB6);
     for _ in 0..cases() {

@@ -12,8 +12,8 @@ use pbdmm::primitives::par;
 use pbdmm::primitives::pool::ParPool;
 use pbdmm::{Batch, DynamicMatching, DynamicMatchingBuilder};
 
-/// Tests here mutate process-global scheduler knobs (cap, sequential flag)
-/// and assert on pool activity, so they run serialized within this binary.
+/// Tests here mutate the process-global worker cap and assert on pool
+/// activity, so they run serialized within this binary.
 fn knob_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -71,15 +71,15 @@ fn matching_is_deterministic_across_scheduler_modes() {
     let _knobs = knob_lock();
     force_parallel();
     // Same seed, three scheduler configurations: forced 4-way global pool,
-    // an explicit pinned pool, and fully sequential. Identical matchings.
+    // an explicit pinned pool, and fully sequential (a one-thread pool).
+    // Identical matchings.
     let parallel = churn_fingerprint(DynamicMatching::with_seed(9));
     let pinned = {
         let pool = ParPool::with_threads(3);
         churn_fingerprint(DynamicMatchingBuilder::new().seed(9).pool(pool).build())
     };
-    par::set_sequential(true);
-    let sequential = churn_fingerprint(DynamicMatching::with_seed(9));
-    par::set_sequential(false);
+    let sequential =
+        ParPool::with_threads(1).install(|| churn_fingerprint(DynamicMatching::with_seed(9)));
     assert_eq!(parallel, sequential);
     assert_eq!(pinned, sequential);
 }
