@@ -52,24 +52,6 @@ pub fn reads_summary(reads: u64, seconds: f64, context: &str, failed: u64) -> St
     )
 }
 
-/// The full `batches:` line body both `serve` and `daemon` print from
-/// their final [`ServiceStats`]: batch-size shape plus the flush-cause
-/// census that explains it.
-///
-/// [`ServiceStats`]: pbdmm_service::ServiceStats
-pub fn batches_summary(stats: &pbdmm_service::ServiceStats) -> String {
-    format!(
-        "{} applied, mean size {:.1}, max {} (flush full/idle/timer/close: {}/{}/{}/{})",
-        stats.batches,
-        stats.mean_batch_len(),
-        stats.max_batch_len,
-        stats.flush_full,
-        stats.flush_idle,
-        stats.flush_timer,
-        stats.flush_close
-    )
-}
-
 /// The full `snapshot staleness:` line body over ascending-sorted samples
 /// of (acknowledged epoch − observed epoch).
 pub fn staleness_summary(sorted: &[f64]) -> String {
@@ -114,20 +96,6 @@ mod tests {
         assert_eq!(
             staleness_summary(&[0.0, 0.0, 3.0]),
             "p50 0, p99 3, max 3 updates behind acknowledged"
-        );
-        let stats = pbdmm_service::ServiceStats {
-            batches: 4,
-            updates: 10,
-            max_batch_len: 5,
-            flush_full: 1,
-            flush_idle: 2,
-            flush_timer: 0,
-            flush_close: 1,
-            ..Default::default()
-        };
-        assert_eq!(
-            batches_summary(&stats),
-            "4 applied, mean size 2.5, max 5 (flush full/idle/timer/close: 1/2/0/1)"
         );
     }
 }

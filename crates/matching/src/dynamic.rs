@@ -948,10 +948,10 @@ impl DynamicMatching {
             .iter()
             .map(|&m| self.s.matches[m].initial_sample_size as u64)
             .sum();
-        self.stats.settle_round_samples.push((
+        self.stats.settle_round(
             e_prime.len() as u64,
             stolen_mass + self.pending_bloated_mass,
-        ));
+        );
         self.pending_bloated_mass = bloated_mass;
 
         let victims: Vec<(EdgeId, EpochEnd)> = bloated

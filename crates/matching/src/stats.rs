@@ -49,9 +49,10 @@ pub struct MatchingStats {
     pub user_insertions: u64,
     /// Settle rounds executed across all batches.
     pub settle_rounds: u64,
-    /// Per-round ledger of (added sample size, deleted sample size) for
-    /// Lemma 5.6 (`S_a ≥ 2·S_d`).
-    pub settle_round_samples: Vec<(u64, u64)>,
+    /// Running minimum of the per-round `S_a / S_d` over settle rounds
+    /// with nonzero deleted sample size, for Lemma 5.6 (`S_a ≥ 2·S_d`);
+    /// `None` until such a round runs. O(1) however long the run.
+    pub min_round_ratio: Option<f64>,
     /// Batches processed.
     pub batches: u64,
 }
@@ -111,14 +112,18 @@ impl MatchingStats {
         }
     }
 
+    /// Record one settle round's added and deleted sample sizes.
+    pub fn settle_round(&mut self, added: u64, deleted: u64) {
+        if deleted > 0 {
+            let ratio = added as f64 / deleted as f64;
+            self.min_round_ratio = Some(self.min_round_ratio.map_or(ratio, |m| m.min(ratio)));
+        }
+    }
+
     /// Minimum per-round `S_a / S_d` over rounds with nonzero deletions
-    /// (Lemma 5.6 proves ≥ 2).
+    /// (Lemma 5.6 proves ≥ 2); infinite when no such round ran.
     pub fn min_round_sample_ratio(&self) -> f64 {
-        self.settle_round_samples
-            .iter()
-            .filter(|&&(_, d)| d > 0)
-            .map(|&(a, d)| a as f64 / d as f64)
-            .fold(f64::INFINITY, f64::min)
+        self.min_round_ratio.unwrap_or(f64::INFINITY)
     }
 
     /// Total user updates.
@@ -160,10 +165,10 @@ mod tests {
 
     #[test]
     fn round_ratio_min() {
-        let s = MatchingStats {
-            settle_round_samples: vec![(10, 2), (8, 4), (5, 0)],
-            ..Default::default()
-        };
+        let mut s = MatchingStats::default();
+        for (added, deleted) in [(10, 2), (8, 4), (5, 0)] {
+            s.settle_round(added, deleted);
+        }
         assert!((s.min_round_sample_ratio() - 2.0).abs() < 1e-12);
     }
 

@@ -16,7 +16,6 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use pbdmm_graph::Update;
-use pbdmm_primitives::obs::ProfileReport;
 
 use crate::proto::{
     self, ErrorCode, FrameError, Request, Response, UpdateResult, WireDelta, WireStats, MAX_FRAME,
@@ -83,7 +82,6 @@ pub struct Client {
     writer: BufWriter<TcpStream>,
     body: Vec<u8>,
     next_req_id: u64,
-    max_frame: usize,
     /// Epoch events that arrived interleaved while a correlation helper was
     /// waiting for its response.
     events: Vec<u64>,
@@ -115,7 +113,6 @@ impl Client {
             writer,
             body: Vec::new(),
             next_req_id: 1,
-            max_frame: MAX_FRAME,
             events: Vec::new(),
             delta_events: Vec::new(),
         })
@@ -163,7 +160,7 @@ impl Client {
     /// Read the next response frame. `Ok(None)` means the daemon closed the
     /// connection cleanly (EOF at a frame boundary).
     pub fn recv_response(&mut self) -> Result<Option<Response>, ClientError> {
-        match proto::read_frame(&mut self.reader, self.max_frame, &mut self.body)? {
+        match proto::read_frame(&mut self.reader, MAX_FRAME, &mut self.body)? {
             None => Ok(None),
             Some(()) => Ok(Some(Response::decode(&self.body)?)),
         }
@@ -243,25 +240,14 @@ impl Client {
         }
     }
 
-    /// Fetch daemon + structure counters.
+    /// Fetch the snapshot gauges and the daemon's counts (and its phase
+    /// spans, when it times them) in [`WireStats::report`].
     pub fn stats(&mut self) -> Result<WireStats, ClientError> {
         let req_id = self.next_req_id();
         self.send(&Request::Stats { req_id })?;
         match self.recv_for(req_id)? {
             Response::Stats { stats, .. } => Ok(stats),
             r => Err(ClientError::Unexpected(format!("{r:?} to Stats"))),
-        }
-    }
-
-    /// Scrape the daemon's cumulative per-phase profile. The report is all
-    /// zeros when the daemon was not started with profiling enabled —
-    /// check [`ProfileReport::is_empty`].
-    pub fn profile(&mut self) -> Result<ProfileReport, ClientError> {
-        let req_id = self.next_req_id();
-        self.send(&Request::Profile { req_id })?;
-        match self.recv_for(req_id)? {
-            Response::ProfileResult { report, .. } => Ok(report),
-            r => Err(ClientError::Unexpected(format!("{r:?} to Profile"))),
         }
     }
 
@@ -301,7 +287,6 @@ fn response_req_id(r: &Response) -> Option<u64> {
         Response::Completion { req_id, .. }
         | Response::QueryResult { req_id, .. }
         | Response::Stats { req_id, .. }
-        | Response::ProfileResult { req_id, .. }
         | Response::Error { req_id, .. } => Some(*req_id),
         Response::EpochEvent { .. } | Response::DeltaEvent { .. } => None,
     }

@@ -24,14 +24,14 @@
 //! final counters in a [`DaemonReport`].
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use pbdmm_matching::snapshot::{Changes, MatchingSnapshot, SnapshotDelta};
 use pbdmm_matching::DynamicMatching;
-use pbdmm_primitives::obs::{Counter, Phase, Recorder};
+use pbdmm_primitives::obs::{Counter, Phase, ProfileReport, Recorder};
 use pbdmm_primitives::pool::ParPool;
 use pbdmm_service::{
     matching_for, CoalescePolicy, Done, QueryHandle, RecoveryInfo, ServiceBuilder, ServiceConfig,
@@ -68,18 +68,15 @@ pub struct DaemonConfig {
     /// push the connection past this many un-completed updates is refused
     /// with [`ErrorCode::Overloaded`].
     pub max_inflight: usize,
-    /// Per-frame body cap handed to the decoder.
-    pub max_frame: usize,
     /// Coalescing policy for the underlying service.
     pub policy: CoalescePolicy,
     /// Durable write-ahead log (None: in-memory only).
     pub wal: Option<WalConfig>,
     /// Scheduler every `apply` runs on (None: the process-global pool).
     pub pool: Option<Arc<ParPool>>,
-    /// Phase/counter recorder shared with the service and matching tiers.
-    /// Enable it ([`Recorder::enabled`]) to serve [`Request::Profile`]
-    /// scrapes and per-phase breakdowns; the default disabled recorder
-    /// makes every instrumentation point a no-op.
+    /// The recorder shared with the service and matching tiers: every
+    /// count goes to it, and [`Request::Stats`] serves its report. Timing
+    /// is off by default; [`Recorder::enabled`] adds per-phase spans.
     pub obs: Recorder,
 }
 
@@ -89,7 +86,6 @@ impl Default for DaemonConfig {
             addr: "127.0.0.1:0".into(),
             max_connections: 64,
             max_inflight: 4096,
-            max_frame: MAX_FRAME,
             policy: CoalescePolicy::default(),
             wal: None,
             pool: None,
@@ -98,16 +94,30 @@ impl Default for DaemonConfig {
     }
 }
 
-/// Wire-tier counters a finished daemon reports (the service-tier counters
-/// ride in [`ServiceStats`]).
+/// Wire-tier counts of one daemon run: its recorder's counters between
+/// the daemon's start and its drain (the service-tier counts ride in
+/// [`ServiceStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireCounters {
     /// Connections ever accepted (including refused ones).
     pub total_connections: u64,
-    /// Updates/connections refused by admission control.
+    /// `SubmitBatch` frames and connections refused with
+    /// [`ErrorCode::Overloaded`].
     pub overloaded: u64,
     /// Connections closed for protocol violations.
     pub protocol_errors: u64,
+}
+
+impl WireCounters {
+    /// The counts `obs` gathered from `start` until now.
+    fn between(start: &ProfileReport, obs: &Recorder) -> Self {
+        let d = obs.snapshot().delta(start);
+        WireCounters {
+            total_connections: d.counter(Counter::Connections),
+            overloaded: d.counter(Counter::Overloaded),
+            protocol_errors: d.counter(Counter::ProtocolErrors),
+        }
+    }
 }
 
 /// Everything a drained daemon hands back.
@@ -129,9 +139,6 @@ struct Shared {
     cfg: DaemonConfig,
     draining: AtomicBool,
     conn_count: AtomicUsize,
-    total_conns: AtomicU64,
-    overloaded: AtomicU64,
-    protocol_errors: AtomicU64,
     /// Read-half clones of every open connection, for the drain's
     /// half-close. Entries are removed as connections exit.
     registry: Mutex<Vec<(u64, TcpStream)>>,
@@ -149,10 +156,8 @@ impl Shared {
             num_edges: st.num_edges as u64,
             matching_size: st.matching_size as u64,
             connections: self.conn_count.load(Ordering::Relaxed) as u32,
-            total_connections: self.total_conns.load(Ordering::Relaxed),
-            overloaded: self.overloaded.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
             draining: self.draining.load(Ordering::Relaxed) as u8,
+            report: self.cfg.obs.snapshot(),
         }
     }
 }
@@ -181,6 +186,8 @@ pub struct Daemon {
     svc: UpdateService<DynamicMatching>,
     acceptor: JoinHandle<()>,
     control_rx: mpsc::Receiver<()>,
+    /// The recorder's counts when the daemon started.
+    start: ProfileReport,
 }
 
 impl Daemon {
@@ -228,15 +235,13 @@ impl Daemon {
             .local_addr()
             .map_err(|e| format!("local_addr: {e}"))?;
         let (control, control_rx) = mpsc::channel();
+        let start = cfg.obs.snapshot();
         let shared = Arc::new(Shared {
             handle: svc.handle(),
             query,
             cfg,
             draining: AtomicBool::new(false),
             conn_count: AtomicUsize::new(0),
-            total_conns: AtomicU64::new(0),
-            overloaded: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
             registry: Mutex::new(Vec::new()),
             joins: Mutex::new(Vec::new()),
             control,
@@ -254,6 +259,7 @@ impl Daemon {
             svc,
             acceptor,
             control_rx,
+            start,
         })
     }
 
@@ -297,11 +303,7 @@ impl Daemon {
             }
         }
         let (structure, service) = self.svc.shutdown();
-        let wire = WireCounters {
-            total_connections: self.shared.total_conns.load(Ordering::Relaxed),
-            overloaded: self.shared.overloaded.load(Ordering::Relaxed),
-            protocol_errors: self.shared.protocol_errors.load(Ordering::Relaxed),
-        };
+        let wire = WireCounters::between(&self.start, &self.shared.cfg.obs);
         DaemonReport {
             structure,
             service,
@@ -326,8 +328,11 @@ fn builder_for(cfg: &DaemonConfig) -> ServiceBuilder {
 
 /// Accept until draining. Over-capacity connections are refused politely
 /// (handshake + `Error{Overloaded}`) on a detached thread so a slow peer
-/// never blocks the accept loop.
+/// never blocks the accept loop. A connection no thread can be started
+/// for is closed and counted as `Overloaded`; the loop keeps accepting.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
+    let obs = &shared.cfg.obs;
+    let mut conn_id = 0u64;
     for stream in listener.incoming() {
         if shared.draining.load(Ordering::SeqCst) {
             break; // woken by the drain's throwaway connection
@@ -336,7 +341,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             Ok(s) => s,
             Err(_) => continue,
         };
-        let conn_id = shared.total_conns.fetch_add(1, Ordering::Relaxed) + 1;
+        obs.add(Counter::Connections, 1);
+        conn_id += 1;
         reap_finished(&shared);
         // Reserve a slot atomically; refuse when full.
         let admitted = shared
@@ -346,20 +352,28 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             })
             .is_ok();
         if !admitted {
-            shared.overloaded.fetch_add(1, Ordering::Relaxed);
-            let h = std::thread::spawn(move || refuse(stream));
-            shared.joins.lock().expect("joins").push(h);
+            obs.add(Counter::Overloaded, 1);
+            // Without a thread for the refusal, the stream just closes.
+            if let Ok(h) = std::thread::Builder::new().spawn(move || refuse(stream)) {
+                shared.joins.lock().expect("joins").push(h);
+            }
             continue;
         }
         let conn_shared = Arc::clone(&shared);
-        let h = std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name("pbdmm-conn".into())
             .spawn(move || {
                 connection(stream, &conn_shared, conn_id);
                 conn_shared.conn_count.fetch_sub(1, Ordering::SeqCst);
-            })
-            .expect("spawn connection thread");
-        shared.joins.lock().expect("joins").push(h);
+            });
+        match spawned {
+            Ok(h) => shared.joins.lock().expect("joins").push(h),
+            // The stream closed with the unspawned closure; free its slot.
+            Err(_) => {
+                obs.add(Counter::Overloaded, 1);
+                shared.conn_count.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
     }
 }
 
@@ -449,7 +463,7 @@ fn connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
         Err(_) => return,
     };
     if let Err(e) = proto::read_handshake(&mut read_half) {
-        shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        shared.cfg.obs.add(Counter::ProtocolErrors, 1);
         let err = Response::Error {
             req_id: 0,
             code: ErrorCode::Protocol,
@@ -476,21 +490,25 @@ fn connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
     // unboundedly — the reader blocks, TCP backpressure does the rest.
     let inflight = Arc::new(AtomicUsize::new(0));
     let (tx, rx) = mpsc::sync_channel::<WorkItem>(shared.cfg.max_inflight.max(16));
-    let writer = {
-        let stream = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        };
+    let writer = stream.try_clone().and_then(|stream| {
         let shared = Arc::clone(shared);
         let inflight = Arc::clone(&inflight);
         std::thread::Builder::new()
             .name("pbdmm-conn-writer".into())
             .spawn(move || writer_loop(stream, rx, &shared, &inflight))
-            .expect("spawn connection writer")
-    };
-    shared.joins.lock().expect("joins").push(writer);
-
-    reader_loop(&mut read_half, tx, shared, &inflight);
+    });
+    match writer {
+        Ok(writer) => {
+            shared.joins.lock().expect("joins").push(writer);
+            reader_loop(&mut read_half, tx, shared, &inflight);
+        }
+        // No thread (or no descriptor) for the writer: turn the
+        // connection away; the caller frees its slot.
+        Err(_) => {
+            shared.cfg.obs.add(Counter::Overloaded, 1);
+            let _ = stream.shutdown(std::net::Shutdown::Both);
+        }
+    }
 
     shared
         .registry
@@ -523,7 +541,7 @@ fn reader_loop(
     loop {
         // The blocking socket read stays outside the decode span — idle
         // wait is not decode time.
-        let frame = proto::read_frame(read_half, shared.cfg.max_frame, &mut body);
+        let frame = proto::read_frame(read_half, MAX_FRAME, &mut body);
         let request = match frame {
             Ok(None) => return, // clean EOF: client is done
             Ok(Some(())) => {
@@ -541,8 +559,7 @@ fn reader_loop(
             Err(e) => {
                 // Protocol violation: structured error, then close only
                 // this connection.
-                obs.add(Counter::DecodeErrors, 1);
-                shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                obs.add(Counter::ProtocolErrors, 1);
                 let _ = tx.send(WorkItem::Ready(Response::Error {
                     req_id: 0,
                     code: ErrorCode::Protocol,
@@ -564,7 +581,7 @@ fn reader_loop(
                     let n = updates.len();
                     let window = shared.cfg.max_inflight;
                     if n > window || inflight.load(Ordering::SeqCst) + n > window {
-                        shared.overloaded.fetch_add(1, Ordering::Relaxed);
+                        obs.add(Counter::Overloaded, 1);
                         WorkItem::Ready(Response::Error {
                             req_id,
                             code: ErrorCode::Overloaded,
@@ -597,10 +614,6 @@ fn reader_loop(
             Request::Stats { req_id } => WorkItem::Ready(Response::Stats {
                 req_id,
                 stats: shared.wire_stats(),
-            }),
-            Request::Profile { req_id } => WorkItem::Ready(Response::ProfileResult {
-                req_id,
-                report: obs.snapshot(),
             }),
             Request::SubscribeEpoch {
                 req_id: _,

@@ -52,14 +52,14 @@ use pbdmm_primitives::obs::{ProfileReport, NUM_COUNTERS, NUM_PHASES};
 pub const MAGIC: [u8; 4] = *b"PBDM";
 
 /// Protocol version carried in the handshake. Bumped on any frame-layout
-/// change, including a change to the phase or counter list, which
-/// [`Response::ProfileResult`] encodes by position. Endpoints refuse to
-/// talk across versions.
-pub const VERSION: u16 = 2;
+/// change, including a change to the phase or counter list, which the
+/// [`ProfileReport`] inside [`Response::Stats`] encodes by position.
+/// Endpoints refuse to talk across versions.
+pub const VERSION: u16 = 3;
 
-/// Default cap on one frame's body (opcode + payload). A declared length
-/// above the cap is rejected *before* allocating — the admission control of
-/// the byte layer.
+/// Cap on one frame's body (opcode + payload), for daemon and client. A
+/// declared length above the cap is rejected *before* allocating — the
+/// admission control of the byte layer.
 pub const MAX_FRAME: usize = 1 << 20;
 
 // Request opcodes (client → daemon).
@@ -69,7 +69,6 @@ const OP_STATS: u8 = 0x03;
 const OP_SUBSCRIBE_EPOCH: u8 = 0x04;
 const OP_SHUTDOWN: u8 = 0x05;
 const OP_SUBSCRIBE_DELTAS: u8 = 0x06;
-const OP_PROFILE: u8 = 0x07;
 
 // Response opcodes (daemon → client): high bit set.
 const OP_COMPLETION: u8 = 0x81;
@@ -77,7 +76,6 @@ const OP_QUERY_RESULT: u8 = 0x82;
 const OP_STATS_RESULT: u8 = 0x83;
 const OP_EPOCH_EVENT: u8 = 0x84;
 const OP_DELTA_EVENT: u8 = 0x85;
-const OP_PROFILE_RESULT: u8 = 0x87;
 const OP_ERROR: u8 = 0x8F;
 
 // Per-update tags inside SubmitBatch.
@@ -217,7 +215,8 @@ pub enum Request {
         /// The vertex to look up.
         vertex: u32,
     },
-    /// Ask for daemon + structure counters.
+    /// Ask for the snapshot gauges and every count the daemon's recorder
+    /// holds. Answered with [`Response::Stats`].
     Stats {
         /// Correlation id.
         req_id: u64,
@@ -245,14 +244,6 @@ pub enum Request {
         /// Deltas are delivered for epochs strictly greater than this.
         /// Pass 0 to mirror from genesis (the first event is a resync).
         from_epoch: u64,
-    },
-    /// Ask for the daemon's cumulative per-phase profile — the wire
-    /// projection of `pbdmm serve --profile`. Answered with
-    /// [`Response::ProfileResult`]; the report is all zeros when the
-    /// daemon was not started with profiling enabled.
-    Profile {
-        /// Correlation id.
-        req_id: u64,
     },
     /// Ask the daemon to drain and exit (stop accepting, flush in-flight
     /// tickets, final stats). Answered with [`Response::Stats`].
@@ -347,8 +338,11 @@ impl UpdateResult {
     }
 }
 
-/// Daemon + structure counters carried by [`Response::Stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// What [`Response::Stats`] carries: the snapshot gauges plus the
+/// daemon's [`ProfileReport`], which holds every count (connections,
+/// `Overloaded` refusals, protocol errors, batches, WAL batches,
+/// checkpoints, …) and, when the daemon times phases, the phase spans.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireStats {
     /// Latest published snapshot epoch.
     pub epoch: u64,
@@ -358,14 +352,11 @@ pub struct WireStats {
     pub matching_size: u64,
     /// Connections currently open.
     pub connections: u32,
-    /// Connections ever accepted.
-    pub total_connections: u64,
-    /// Updates refused with [`ErrorCode::Overloaded`].
-    pub overloaded: u64,
-    /// Connections closed for protocol violations.
-    pub protocol_errors: u64,
     /// 1 once the daemon started draining.
     pub draining: u8,
+    /// The daemon recorder's counters and phase spans; render it with
+    /// [`ProfileReport::render`].
+    pub report: ProfileReport,
 }
 
 /// A daemon → client frame.
@@ -399,16 +390,8 @@ pub enum Response {
     Stats {
         /// Echoed correlation id.
         req_id: u64,
-        /// The counters.
+        /// The gauges and the daemon's counts.
         stats: WireStats,
-    },
-    /// Answer to [`Request::Profile`]: the daemon's cumulative
-    /// [`ProfileReport`] (per-phase totals, log₂ histograms, counters).
-    ProfileResult {
-        /// Echoed correlation id.
-        req_id: u64,
-        /// The profile snapshot. All zeros when profiling is disabled.
-        report: ProfileReport,
     },
     /// One epoch publication, streamed to subscribers.
     EpochEvent {
@@ -743,10 +726,6 @@ impl Request {
                 put_u64(&mut out, *req_id);
                 put_u64(&mut out, *from_epoch);
             }
-            Request::Profile { req_id } => {
-                out.push(OP_PROFILE);
-                put_u64(&mut out, *req_id);
-            }
             Request::Shutdown { req_id } => {
                 out.push(OP_SHUTDOWN);
                 put_u64(&mut out, *req_id);
@@ -799,9 +778,6 @@ impl Request {
             OP_SUBSCRIBE_DELTAS => Request::SubscribeDeltas {
                 req_id: c.u64("req_id")?,
                 from_epoch: c.u64("from_epoch")?,
-            },
-            OP_PROFILE => Request::Profile {
-                req_id: c.u64("req_id")?,
             },
             OP_SHUTDOWN => Request::Shutdown {
                 req_id: c.u64("req_id")?,
@@ -886,15 +862,8 @@ impl Response {
                 put_u64(&mut out, stats.num_edges);
                 put_u64(&mut out, stats.matching_size);
                 put_u32(&mut out, stats.connections);
-                put_u64(&mut out, stats.total_connections);
-                put_u64(&mut out, stats.overloaded);
-                put_u64(&mut out, stats.protocol_errors);
                 out.push(stats.draining);
-            }
-            Response::ProfileResult { req_id, report } => {
-                out.push(OP_PROFILE_RESULT);
-                put_u64(&mut out, *req_id);
-                put_profile(&mut out, report);
+                put_profile(&mut out, &stats.report);
             }
             Response::EpochEvent { epoch } => {
                 out.push(OP_EPOCH_EVENT);
@@ -1014,15 +983,9 @@ impl Response {
                     num_edges: c.u64("num_edges")?,
                     matching_size: c.u64("matching_size")?,
                     connections: c.u32("connections")?,
-                    total_connections: c.u64("total_connections")?,
-                    overloaded: c.u64("overloaded")?,
-                    protocol_errors: c.u64("protocol_errors")?,
                     draining: c.u8("draining")?,
+                    report: get_profile(&mut c)?,
                 },
-            },
-            OP_PROFILE_RESULT => Response::ProfileResult {
-                req_id: c.u64("req_id")?,
-                report: get_profile(&mut c)?,
             },
             OP_EPOCH_EVENT => Response::EpochEvent {
                 epoch: c.u64("epoch")?,
@@ -1221,11 +1184,26 @@ mod tests {
         assert_eq!(Response::decode(&resync.encode()).unwrap(), resync);
     }
 
+    /// A `Stats` frame with gauges and `report`.
+    fn stats_frame(req_id: u64, report: ProfileReport) -> Response {
+        Response::Stats {
+            req_id,
+            stats: WireStats {
+                epoch: 40,
+                num_edges: 12,
+                matching_size: 5,
+                connections: 2,
+                draining: 0,
+                report,
+            },
+        }
+    }
+
     #[test]
     fn profile_frames_round_trip() {
         use pbdmm_primitives::obs::{Counter, Phase, Recorder};
 
-        let req = Request::Profile { req_id: 21 };
+        let req = Request::Stats { req_id: 21 };
         assert_eq!(Request::decode(&req.encode()).unwrap(), req);
 
         // A populated report survives the sparse-bucket wire encoding.
@@ -1235,25 +1213,23 @@ mod tests {
         rec.record_ns(Phase::Plan, 2_000_000);
         rec.add(Counter::Batches, 2);
         rec.record_max(Counter::BatchMax, 64);
-        let resp = Response::ProfileResult {
-            req_id: 21,
-            report: rec.snapshot(),
-        };
+        let resp = stats_frame(21, rec.snapshot());
         assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
 
-        // The all-zero report of a profiling-disabled daemon too.
-        let empty = Response::ProfileResult {
-            req_id: 3,
-            report: ProfileReport::empty(),
-        };
+        // The all-zero report of a fresh daemon too.
+        let empty = stats_frame(3, ProfileReport::empty());
         assert_eq!(Response::decode(&empty.encode()).unwrap(), empty);
     }
 
     #[test]
     fn hostile_profile_frames_are_malformed_not_panics() {
+        // The report starts after op + req_id(8) + the gauges: epoch,
+        // edges, matching (8 each), connections (4) and draining (1).
+        let gauges = 1 + 8 + 8 + 8 + 8 + 4 + 1;
+
         // A phase count of u32::MAX backed by no bytes.
-        let mut body = vec![OP_PROFILE_RESULT];
-        body.extend_from_slice(&9u64.to_le_bytes()); // req_id
+        let mut body = stats_frame(9, ProfileReport::empty()).encode();
+        body.truncate(gauges);
         body.extend_from_slice(&0u64.to_le_bytes()); // wall_ns
         body.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
@@ -1262,15 +1238,11 @@ mod tests {
         ));
 
         // A bucket index beyond the histogram is malformed, not a panic.
-        let mut resp = Response::ProfileResult {
-            req_id: 9,
-            report: ProfileReport::empty(),
-        }
-        .encode();
+        let mut resp = stats_frame(9, ProfileReport::empty()).encode();
         // Rewrite the first phase to claim one bucket at index 200. The
-        // empty encoding is: op + req_id(8) + wall(8) + nphases(4), then
-        // per phase total(8)+count(8)+max(8)+nbuckets(4).
-        let first_nbuckets = 1 + 8 + 8 + 4 + 8 + 8 + 8;
+        // empty report encodes as wall(8) + nphases(4), then per phase
+        // total(8)+count(8)+max(8)+nbuckets(4).
+        let first_nbuckets = gauges + 8 + 4 + 8 + 8 + 8;
         resp[first_nbuckets..first_nbuckets + 4].copy_from_slice(&1u32.to_le_bytes());
         resp.insert(first_nbuckets + 4, 200); // bucket index
         let pos = first_nbuckets + 5;
@@ -1282,13 +1254,9 @@ mod tests {
             Err(FrameError::Malformed(_))
         ));
 
-        // Truncating a valid profile frame at any interior byte is
+        // Truncating a valid stats frame at any interior byte is
         // malformed (or torn at the transport layer), never a panic.
-        let whole = Response::ProfileResult {
-            req_id: 1,
-            report: ProfileReport::empty(),
-        }
-        .encode();
+        let whole = stats_frame(1, ProfileReport::empty()).encode();
         for cut in 1..whole.len() {
             assert!(Response::decode(&whole[..cut]).is_err(), "cut at {cut}");
         }

@@ -9,6 +9,7 @@ use pbdmm_graph::{EdgeId, Update};
 use pbdmm_net::proto::{
     self, ErrorCode, FrameError, Request, Response, UpdateResult, WireDelta, WireStats, MAX_FRAME,
 };
+use pbdmm_primitives::obs::ProfileReport;
 use pbdmm_primitives::rng::SplitMix64;
 
 /// Cases per property: 64 by default; the nightly CI job raises it via
@@ -91,6 +92,26 @@ fn arb_result(rng: &mut SplitMix64) -> UpdateResult {
     }
 }
 
+/// A report with random counters and a few random histogram buckets per
+/// phase (the wire encodes non-zero buckets sparsely).
+fn arb_report(rng: &mut SplitMix64) -> ProfileReport {
+    let mut report = ProfileReport::empty();
+    report.wall_ns = rng.next_u64();
+    for p in &mut report.phases {
+        p.total_ns = rng.next_u64();
+        p.count = rng.next_u64();
+        p.max_ns = rng.next_u64();
+        for _ in 0..rng.bounded(4) {
+            let i = rng.bounded(p.buckets.len() as u64) as usize;
+            p.buckets[i] = rng.next_u64();
+        }
+    }
+    for c in &mut report.counters {
+        *c = rng.next_u64();
+    }
+    report
+}
+
 fn arb_response(rng: &mut SplitMix64) -> Response {
     let req_id = rng.next_u64();
     match rng.bounded(6) {
@@ -112,10 +133,8 @@ fn arb_response(rng: &mut SplitMix64) -> Response {
                 num_edges: rng.next_u64(),
                 matching_size: rng.next_u64(),
                 connections: rng.next_u64() as u32,
-                total_connections: rng.next_u64(),
-                overloaded: rng.next_u64(),
-                protocol_errors: rng.next_u64(),
                 draining: rng.bounded(2) as u8,
+                report: arb_report(rng),
             },
         },
         3 => Response::EpochEvent {

@@ -5,7 +5,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pbdmm_graph::wal::WalMeta;
 use pbdmm_graph::Update;
@@ -14,6 +14,7 @@ use pbdmm_net::client::{Client, ClientError, Mirror};
 use pbdmm_net::daemon::{Daemon, DaemonConfig};
 use pbdmm_net::load::{run_load, LoadConfig};
 use pbdmm_net::proto::{self, ErrorCode, Request, Response, UpdateResult};
+use pbdmm_primitives::obs::Counter;
 use pbdmm_service::{CoalescePolicy, WalConfig};
 
 fn start(
@@ -166,7 +167,7 @@ fn hostile_client_is_isolated_from_well_behaved_ones() {
         .unwrap();
     assert!(matches!(done.results[0], UpdateResult::Inserted { .. }));
     let stats = good.stats().unwrap();
-    assert_eq!(stats.protocol_errors, 3);
+    assert_eq!(stats.report.counter(Counter::ProtocolErrors), 3);
 
     stop.stop();
     let report = join.join().unwrap();
@@ -199,13 +200,93 @@ fn oversized_batches_are_refused_while_admitted_traffic_completes() {
     let done = c.submit_updates(vec![Update::Insert(vec![0, 1])]).unwrap();
     assert!(matches!(done.results[0], UpdateResult::Inserted { .. }));
     let stats = c.stats().unwrap();
-    assert_eq!(stats.overloaded, 1);
+    assert_eq!(stats.report.counter(Counter::Overloaded), 1);
     assert_eq!(stats.num_edges, 1);
 
     stop.stop();
     let report = join.join().unwrap();
     assert_eq!(report.wire.overloaded, 1);
     assert_eq!(report.structure.num_edges(), 1);
+}
+
+/// Counters are always on: a daemon started without timing serves every
+/// count of its run in a live `Stats` frame, checkpoints included.
+#[test]
+fn live_stats_carry_every_count_without_timing() {
+    let dir = std::env::temp_dir().join(format!("pbdmm_daemon_live_stats_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut wal = WalConfig::dir(
+        &dir,
+        WalMeta {
+            structure: "matching".into(),
+            seed: 7,
+            ids_recycling: false,
+        },
+    );
+    wal.checkpoint_every = Some(4);
+    let (addr, stop, join) = start(DaemonConfig {
+        wal: Some(wal),
+        ..DaemonConfig::default()
+    });
+
+    let mut c = Client::connect(addr).unwrap();
+    let inserts = (0..10)
+        .map(|i| Update::Insert(vec![2 * i, 2 * i + 1]))
+        .collect();
+    c.submit_updates(inserts).unwrap();
+    let done = c
+        .submit_updates(vec![Update::Delete(pbdmm_graph::EdgeId(9_999))])
+        .unwrap();
+    assert!(matches!(
+        done.results[0],
+        UpdateResult::Rejected {
+            code: ErrorCode::UnknownEdge
+        }
+    ));
+    // One garbage connection: the daemon counts it before it answers.
+    {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        proto::read_handshake(&mut s).unwrap();
+        let mut body = Vec::new();
+        proto::read_frame(&mut s, proto::MAX_FRAME, &mut body)
+            .unwrap()
+            .unwrap();
+    }
+
+    // The checkpoint writer runs off the coalescer: poll the live frame.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let report = loop {
+        let report = c.stats().unwrap().report;
+        if report.counter(Counter::Checkpoints) >= 1 {
+            break report;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no checkpoint in the live counts:\n{}",
+            report.render()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(report.counter(Counter::Updates), 10);
+    assert!(report.counter(Counter::Batches) >= 1);
+    assert_eq!(
+        report.counter(Counter::WalBatches),
+        report.counter(Counter::Batches)
+    );
+    assert_eq!(report.counter(Counter::Rejected), 1);
+    assert_eq!(report.counter(Counter::ProtocolErrors), 1);
+    assert!(
+        report.phases.iter().all(|p| p.count == 0),
+        "timing is off:\n{}",
+        report.render()
+    );
+
+    stop.stop();
+    drop(c);
+    join.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -11,10 +11,13 @@
 //! log₂ duration histogram, from which [`ProfileReport`] derives totals,
 //! p50/p99 estimates, and maxima.
 //!
-//! **Opt-in-zero.** A disabled recorder (the default) is `Recorder(None)`:
-//! [`Recorder::span`] returns an empty guard without even reading the
-//! clock, and every other method is a branch on a `None`. Enabling costs
-//! two `Instant` reads and a handful of relaxed atomic adds per span.
+//! **Counters always on, timing opt-in.** Every recorder keeps its
+//! [`Counter`]s: one relaxed atomic add per event, whether or not timing
+//! is on. Phase timing is what [`Recorder::enabled`] switches on. On a
+//! [`Recorder::disabled`] recorder (the default) [`Recorder::span`]
+//! returns an empty guard without reading the clock, and
+//! [`Recorder::record_ns`] is a branch. Timing costs two `Instant` reads
+//! and a handful of relaxed atomic adds per span.
 //!
 //! Phases are **disjoint by construction** at each nesting level:
 //! [`Phase::Batch`] wraps one batch's busy time; `Plan`, `WalAppend`,
@@ -45,12 +48,15 @@
 //! assert!(batch.total_ns >= report.phase(Phase::Plan).total_ns);
 //! assert!(report.render().contains("profile: batches=10"));
 //!
-//! // Disabled recorders observe nothing and cost (almost) nothing.
+//! // Timing off: spans cost (almost) nothing and record nothing, but
+//! // counters still count.
 //! let off = Recorder::disabled();
 //! let _g = off.span(Phase::Settle);
 //! drop(_g);
+//! off.add(Counter::Updates, 3);
 //! assert!(!off.is_enabled());
 //! assert_eq!(off.snapshot().phase(Phase::Settle).count, 0);
+//! assert_eq!(off.snapshot().counter(Counter::Updates), 3);
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,67 +68,70 @@ use std::time::Instant;
 /// millennium in the top bucket.
 const BUCKETS: usize = 64;
 
-/// One pipeline superstep (or sub-step) a [`Recorder`] attributes time to.
-///
-/// The first group partitions a batch's busy time at the service tier;
-/// `Settle`/`SnapshotPublish` nest inside `Apply` at the matching tier;
-/// the `Net*` phases measure the daemon's frame handling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum Phase {
-    /// Whole-batch busy span: drain return → last ticket completed.
-    Batch = 0,
-    /// Batch formation: conflict resolution, dedup, validation.
-    Plan = 1,
-    /// Durable write-ahead-log append (and fsync when configured).
-    WalAppend = 2,
-    /// The `BatchDynamic::apply` call (contains `Settle` + `SnapshotPublish`).
-    Apply = 3,
-    /// Settlement rounds inside apply (the paper's random-settle loop).
-    Settle = 4,
-    /// O(batch) snapshot publication inside apply.
-    SnapshotPublish = 5,
-    /// Ticket completion: waking submitters with their outcome slices.
-    Complete = 6,
-    /// Network daemon: wire-frame decode.
-    NetDecode = 7,
-    /// Network daemon: request dispatch (decode → work item handed off).
-    NetDispatch = 8,
+/// Declares a `#[repr(u8)]` enum numbered in declaration order, with an
+/// `ALL` array of its variants, a `name()` per variant and a length
+/// constant — one list per enum, so the three cannot drift apart.
+macro_rules! named_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident, $len:ident {
+            $($(#[$vmeta:meta])* $variant:ident => $name:literal,)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum $ty {
+            $($(#[$vmeta])* $variant,)*
+        }
+
+        #[doc = concat!("Number of variants (length of [`", stringify!($ty), "::ALL`]).")]
+        pub const $len: usize = [$($name),*].len();
+
+        impl $ty {
+            /// Every variant, in display order.
+            pub const ALL: [$ty; $len] = [$($ty::$variant),*];
+
+            /// Stable snake_case name, used in reports and metric keys
+            /// (e.g. `info_phase_<name>_ns`).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)*
+                }
+            }
+        }
+    };
 }
 
-/// Number of phases (length of [`Phase::ALL`]).
-pub const NUM_PHASES: usize = 9;
+named_enum! {
+    /// One pipeline superstep (or sub-step) a [`Recorder`] attributes time to.
+    ///
+    /// The first group partitions a batch's busy time at the service tier;
+    /// `Settle`/`SnapshotPublish` nest inside `Apply` at the matching tier;
+    /// the `Net*` phases measure the daemon's frame handling.
+    pub enum Phase, NUM_PHASES {
+        /// Whole-batch busy span: drain return → last ticket completed.
+        Batch => "batch",
+        /// Batch formation: conflict resolution, dedup, validation.
+        Plan => "plan",
+        /// Durable write-ahead-log append (and fsync when configured).
+        WalAppend => "wal_append",
+        /// The `BatchDynamic::apply` call (contains `Settle` + `SnapshotPublish`).
+        Apply => "apply",
+        /// Settlement rounds inside apply (the paper's random-settle loop).
+        Settle => "settle",
+        /// O(batch) snapshot publication inside apply.
+        SnapshotPublish => "snapshot_publish",
+        /// Ticket completion: waking submitters with their outcome slices.
+        Complete => "complete",
+        /// Network daemon: wire-frame decode.
+        NetDecode => "net_decode",
+        /// Network daemon: request dispatch (decode → work item handed off).
+        NetDispatch => "net_dispatch",
+    }
+}
 
 impl Phase {
-    /// Every phase, in display order.
-    pub const ALL: [Phase; NUM_PHASES] = [
-        Phase::Batch,
-        Phase::Plan,
-        Phase::WalAppend,
-        Phase::Apply,
-        Phase::Settle,
-        Phase::SnapshotPublish,
-        Phase::Complete,
-        Phase::NetDecode,
-        Phase::NetDispatch,
-    ];
-
-    /// Stable snake_case name, used in reports, wire frames, and
-    /// bench-trajectory metric keys (`info_phase_<name>_ns`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Batch => "batch",
-            Phase::Plan => "plan",
-            Phase::WalAppend => "wal_append",
-            Phase::Apply => "apply",
-            Phase::Settle => "settle",
-            Phase::SnapshotPublish => "snapshot_publish",
-            Phase::Complete => "complete",
-            Phase::NetDecode => "net_decode",
-            Phase::NetDispatch => "net_dispatch",
-        }
-    }
-
     /// Nesting depth for report indentation: `Batch` is the root, the
     /// service phases its children, `Settle`/`SnapshotPublish` nest under
     /// `Apply`. Network phases run outside the batch span.
@@ -135,75 +144,60 @@ impl Phase {
     }
 }
 
-/// A monotonically accumulated event counter on a [`Recorder`].
-///
-/// Most counters are sums (`add`); the ones documented as *high-water*
-/// are maxima (`record_max`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum Counter {
-    /// Batches applied.
-    Batches = 0,
-    /// Updates applied (insertions + deletions).
-    Updates = 1,
-    /// High-water: largest batch applied.
-    BatchMax = 2,
-    /// Coalescer flushes triggered by reaching `max_batch`.
-    FlushFull = 3,
-    /// Coalescer flushes triggered by the ingress going idle.
-    FlushIdle = 4,
-    /// Coalescer flushes triggered by the `max_delay` timer.
-    FlushTimer = 5,
-    /// Coalescer flushes triggered by shutdown drain.
-    FlushClose = 6,
-    /// Settlement rounds executed across all batches.
-    SettleRounds = 7,
-    /// Structure levels occupied, summed over per-batch samples.
-    LevelsTouched = 8,
-    /// High-water: peak greedy-scratch table size (slots).
-    ScratchHighWater = 9,
-    /// Wire frames decoded by the daemon.
-    FramesDecoded = 10,
-    /// Malformed/oversized frames rejected by the daemon.
-    DecodeErrors = 11,
-}
-
-/// Number of counters (length of [`Counter::ALL`]).
-pub const NUM_COUNTERS: usize = 12;
-
-impl Counter {
-    /// Every counter, in display order.
-    pub const ALL: [Counter; NUM_COUNTERS] = [
-        Counter::Batches,
-        Counter::Updates,
-        Counter::BatchMax,
-        Counter::FlushFull,
-        Counter::FlushIdle,
-        Counter::FlushTimer,
-        Counter::FlushClose,
-        Counter::SettleRounds,
-        Counter::LevelsTouched,
-        Counter::ScratchHighWater,
-        Counter::FramesDecoded,
-        Counter::DecodeErrors,
-    ];
-
-    /// Stable snake_case name, used in reports and wire frames.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::Batches => "batches",
-            Counter::Updates => "updates",
-            Counter::BatchMax => "batch_max",
-            Counter::FlushFull => "flush_full",
-            Counter::FlushIdle => "flush_idle",
-            Counter::FlushTimer => "flush_timer",
-            Counter::FlushClose => "flush_close",
-            Counter::SettleRounds => "settle_rounds",
-            Counter::LevelsTouched => "levels_touched",
-            Counter::ScratchHighWater => "scratch_high_water",
-            Counter::FramesDecoded => "frames_decoded",
-            Counter::DecodeErrors => "decode_errors",
-        }
+named_enum! {
+    /// A monotonically accumulated event counter on a [`Recorder`].
+    ///
+    /// Most counters are sums (`add`); the ones documented as *high-water*
+    /// are maxima (`record_max`). Each event is counted once, where it
+    /// happens: the coalescer, the checkpoint writer, the matching tier and
+    /// the daemon all add to the one recorder they share.
+    pub enum Counter, NUM_COUNTERS {
+        /// Batches applied.
+        Batches => "batches",
+        /// Updates applied (insertions + deletions; excludes coalesced
+        /// duplicates and rejects).
+        Updates => "updates",
+        /// High-water: largest batch applied.
+        BatchMax => "batch_max",
+        /// Coalescer flushes triggered by reaching `max_batch`.
+        FlushFull => "flush_full",
+        /// Coalescer flushes triggered by the ingress going idle.
+        FlushIdle => "flush_idle",
+        /// Coalescer flushes triggered by the `max_delay` timer.
+        FlushTimer => "flush_timer",
+        /// Coalescer flushes triggered by shutdown drain.
+        FlushClose => "flush_close",
+        /// Settlement rounds executed across all batches (timing on only).
+        SettleRounds => "settle_rounds",
+        /// Structure levels occupied, summed over per-batch samples (timing
+        /// on only: counting them scans the matching).
+        LevelsTouched => "levels_touched",
+        /// High-water: peak greedy-scratch table size in slots (timing on
+        /// only).
+        ScratchHighWater => "scratch_high_water",
+        /// Wire frames decoded by the daemon.
+        FramesDecoded => "frames_decoded",
+        /// Connections the daemon closed for a protocol violation: a bad
+        /// handshake, or a malformed, oversized or torn frame.
+        ProtocolErrors => "protocol_errors",
+        /// Duplicate in-batch deletes coalesced away.
+        DupDeletes => "dup_deletes",
+        /// Updates rejected one by one (unknown id, empty vertex set).
+        Rejected => "rejected",
+        /// Batches committed to the WAL (appended and applied).
+        WalBatches => "wal_batches",
+        /// Checkpoints made durable.
+        Checkpoints => "checkpoints",
+        /// Checkpoints that failed to serialize or to reach disk.
+        CheckpointFailures => "checkpoint_failures",
+        /// Old WAL segments deleted by compaction.
+        SegmentsRemoved => "segments_removed",
+        /// Connections the daemon accepted, refused ones included.
+        Connections => "connections",
+        /// Requests refused with `Overloaded`: `SubmitBatch` frames beyond
+        /// the in-flight window, and connections beyond the cap or that no
+        /// thread could be started for.
+        Overloaded => "overloaded",
     }
 }
 
@@ -237,64 +231,68 @@ impl PhaseSlot {
 }
 
 struct Inner {
+    /// Whether spans and `record_ns` record (counters always do).
+    timing: bool,
     phases: [PhaseSlot; NUM_PHASES],
     counters: [AtomicU64; NUM_COUNTERS],
     started: Instant,
 }
 
-/// A shared, cheaply cloneable handle for recording phase timings and
-/// event counters. Disabled by default ([`Recorder::disabled`], also
-/// `Default`); every method on a disabled recorder is a no-op branch.
-#[derive(Clone, Default)]
-pub struct Recorder(Option<Arc<Inner>>);
+/// A shared, cheaply cloneable handle for recording event counters and,
+/// when timing is on, phase timings. Clones share one store. Timing is off
+/// by default ([`Recorder::disabled`], also `Default`); counters are
+/// always on.
+#[derive(Clone)]
+pub struct Recorder(Arc<Inner>);
+
+impl Default for Recorder {
+    fn default() -> Self {
+        Self::disabled()
+    }
+}
 
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_tuple("Recorder")
-            .field(&if self.0.is_some() { "on" } else { "off" })
+            .field(&if self.0.timing { "on" } else { "off" })
             .finish()
     }
 }
 
 impl Recorder {
-    /// A recorder that observes everything recorded through any clone.
+    /// A recorder that counts events and times phases.
     pub fn enabled() -> Self {
-        Recorder(Some(Arc::new(Inner {
-            phases: std::array::from_fn(|_| PhaseSlot::new()),
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            started: Instant::now(),
-        })))
+        Self::enabled_if(true)
     }
 
-    /// A recorder that observes nothing at (almost) no cost.
+    /// A recorder that counts events but times nothing, at (almost) no
+    /// cost per span.
     pub fn disabled() -> Self {
-        Recorder(None)
+        Self::enabled_if(false)
     }
 
     /// [`Recorder::enabled`] when `on`, [`Recorder::disabled`] otherwise.
     pub fn enabled_if(on: bool) -> Self {
-        if on {
-            Self::enabled()
-        } else {
-            Self::disabled()
-        }
+        Recorder(Arc::new(Inner {
+            timing: on,
+            phases: std::array::from_fn(|_| PhaseSlot::new()),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            started: Instant::now(),
+        }))
     }
 
-    /// Whether this recorder accumulates anything.
+    /// Whether phase timing is on. Counters record either way.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
+        self.0.timing
     }
 
     /// Start timing `phase`; the elapsed time records when the returned
-    /// guard drops. On a disabled recorder this does not read the clock.
+    /// guard drops. With timing off this does not read the clock.
     #[inline]
     pub fn span(&self, phase: Phase) -> Span<'_> {
         Span {
-            inner: self
-                .0
-                .as_deref()
-                .map(|inner| (inner, phase, Instant::now())),
+            inner: self.0.timing.then(|| (&*self.0, phase, Instant::now())),
         }
     }
 
@@ -302,53 +300,50 @@ impl Recorder {
     /// sites that time themselves (or absorb a pre-existing meter).
     #[inline]
     pub fn record_ns(&self, phase: Phase, ns: u64) {
-        if let Some(inner) = self.0.as_deref() {
-            inner.phases[phase as usize].record(ns);
+        if self.0.timing {
+            self.0.phases[phase as usize].record(ns);
         }
     }
 
     /// Add `n` to a sum counter.
     #[inline]
     pub fn add(&self, counter: Counter, n: u64) {
-        if let Some(inner) = self.0.as_deref() {
-            inner.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Raise a high-water counter to at least `v`.
     #[inline]
     pub fn record_max(&self, counter: Counter, v: u64) {
-        if let Some(inner) = self.0.as_deref() {
-            inner.counters[counter as usize].fetch_max(v, Ordering::Relaxed);
-        }
+        self.0.counters[counter as usize].fetch_max(v, Ordering::Relaxed);
     }
 
     /// A consistent-enough point-in-time copy of everything recorded so
     /// far (individual loads are relaxed; totals may trail counts by an
-    /// in-flight span). A disabled recorder snapshots to all zeros.
+    /// in-flight span). With timing off, the phases and `wall_ns` are zero.
     pub fn snapshot(&self) -> ProfileReport {
+        let inner = &*self.0;
         let mut report = ProfileReport::empty();
-        if let Some(inner) = self.0.as_deref() {
+        if inner.timing {
             report.wall_ns = inner.started.elapsed().as_nanos() as u64;
-            for (i, slot) in inner.phases.iter().enumerate() {
-                let p = &mut report.phases[i];
-                p.total_ns = slot.total_ns.load(Ordering::Relaxed);
-                p.count = slot.count.load(Ordering::Relaxed);
-                p.max_ns = slot.max_ns.load(Ordering::Relaxed);
-                for (b, bucket) in slot.buckets.iter().enumerate() {
-                    p.buckets[b] = bucket.load(Ordering::Relaxed);
-                }
+        }
+        for (i, slot) in inner.phases.iter().enumerate() {
+            let p = &mut report.phases[i];
+            p.total_ns = slot.total_ns.load(Ordering::Relaxed);
+            p.count = slot.count.load(Ordering::Relaxed);
+            p.max_ns = slot.max_ns.load(Ordering::Relaxed);
+            for (b, bucket) in slot.buckets.iter().enumerate() {
+                p.buckets[b] = bucket.load(Ordering::Relaxed);
             }
-            for (i, c) in inner.counters.iter().enumerate() {
-                report.counters[i] = c.load(Ordering::Relaxed);
-            }
+        }
+        for (i, c) in inner.counters.iter().enumerate() {
+            report.counters[i] = c.load(Ordering::Relaxed);
         }
         report
     }
 }
 
 /// Drop-records the elapsed time of one [`Recorder::span`]. Inert (and
-/// clock-free) when the recorder is disabled.
+/// clock-free) when timing is off.
 #[must_use = "a span records on drop; binding it to _ drops immediately"]
 pub struct Span<'a> {
     inner: Option<(&'a Inner, Phase, Instant)>,
@@ -434,7 +429,7 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// An all-zero report (what a disabled recorder snapshots to).
+    /// An all-zero report (what a fresh recorder snapshots to).
     pub fn empty() -> Self {
         ProfileReport {
             wall_ns: 0,
@@ -480,12 +475,14 @@ impl ProfileReport {
         d
     }
 
-    /// Render the stable human/grep-friendly profile table.
+    /// Render the stable human/grep-friendly profile table, the one
+    /// renderer every count is printed through.
     ///
     /// The first line is machine-anchored (`profile: batches=N updates=M
     /// wall=...`); phase rows follow, indented by nesting, with a `share`
-    /// column relative to the [`Phase::Batch`] busy total; counters close
-    /// the block. Phases and counters that recorded nothing are omitted.
+    /// column relative to the [`Phase::Batch`] busy total; the
+    /// [`Self::counters_line`] closes the block. Phases and counters that
+    /// recorded nothing are omitted.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -522,17 +519,24 @@ impl ProfileReport {
                 fmt_ns(p.max_ns),
             );
         }
-        let mut counters = String::new();
+        if self.counters.iter().any(|&c| c != 0) {
+            let _ = writeln!(out, "  {}", self.counters_line());
+        }
+        out
+    }
+
+    /// The `counters: name=value ...` line that closes [`Self::render`]:
+    /// every non-zero counter, in [`Counter::ALL`] order.
+    pub fn counters_line(&self) -> String {
+        use std::fmt::Write as _;
+        let mut line = String::from("counters:");
         for c in Counter::ALL {
             let v = self.counter(c);
             if v != 0 {
-                let _ = write!(counters, " {}={}", c.name(), v);
+                let _ = write!(line, " {}={}", c.name(), v);
             }
         }
-        if !counters.is_empty() {
-            let _ = writeln!(out, "  counters:{counters}");
-        }
-        out
+        line
     }
 }
 
@@ -566,6 +570,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_records_nothing() {
+        // Timing off: no phase span records, the counters still count.
         let r = Recorder::disabled();
         assert!(!r.is_enabled());
         {
@@ -576,8 +581,13 @@ mod tests {
         r.record_max(Counter::BatchMax, 100);
         r.record_ns(Phase::Settle, 1_000_000);
         let report = r.snapshot();
-        assert!(report.is_empty());
+        assert!(report
+            .phases
+            .iter()
+            .all(|p| p.count == 0 && p.total_ns == 0));
         assert_eq!(report.wall_ns, 0);
+        assert_eq!(report.counter(Counter::Batches), 5);
+        assert_eq!(report.counter(Counter::BatchMax), 100);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -26,7 +25,7 @@ use pbdmm_graph::wal::{self, WalMeta};
 use pbdmm_matching::api::{BatchDynamic, UpdateError};
 use pbdmm_matching::checkpoint::Checkpoint;
 use pbdmm_matching::snapshot::{Snapshot, SnapshotReader, Snapshots};
-use pbdmm_primitives::obs::{Counter, Phase, Recorder};
+use pbdmm_primitives::obs::{Counter, Phase, ProfileReport, Recorder};
 use pbdmm_primitives::pool::ParPool;
 
 use crate::coalesce::{plan_batch, CoalescePolicy, Slot};
@@ -184,7 +183,9 @@ impl ServiceHandle {
     }
 }
 
-/// Counters the coalescer keeps; returned by [`UpdateService::shutdown`].
+/// One service's counts, returned by [`UpdateService::shutdown`]: its
+/// recorder's [`Counter`]s between the service's start and its end (built
+/// only by `ServiceStats::between`).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServiceStats {
     /// Updates applied to the structure (insertions + deletions; excludes
@@ -205,7 +206,8 @@ pub struct ServiceStats {
     pub dup_deletes: u64,
     /// Individually rejected updates (unknown id / empty vertex set).
     pub rejected: u64,
-    /// Largest batch applied.
+    /// Largest batch applied (a high-water mark: on a shared recorder it
+    /// includes earlier services' batches).
     pub max_batch_len: usize,
     /// Batches appended to the WAL (0 when no WAL is configured).
     pub wal_batches: u64,
@@ -219,6 +221,27 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
+    /// The counts `obs` gathered from `start` until now.
+    fn between(start: &ProfileReport, obs: &Recorder) -> Self {
+        let d = obs.snapshot().delta(start);
+        let c = |counter| d.counter(counter);
+        ServiceStats {
+            updates: c(Counter::Updates),
+            batches: c(Counter::Batches),
+            flush_full: c(Counter::FlushFull),
+            flush_timer: c(Counter::FlushTimer),
+            flush_idle: c(Counter::FlushIdle),
+            flush_close: c(Counter::FlushClose),
+            dup_deletes: c(Counter::DupDeletes),
+            rejected: c(Counter::Rejected),
+            max_batch_len: c(Counter::BatchMax) as usize,
+            wal_batches: c(Counter::WalBatches),
+            checkpoints: c(Counter::Checkpoints),
+            checkpoint_failures: c(Counter::CheckpointFailures),
+            wal_segments_removed: c(Counter::SegmentsRemoved),
+        }
+    }
+
     /// Mean updates per applied batch — the coalescing factor.
     pub fn mean_batch_len(&self) -> f64 {
         if self.batches == 0 {
@@ -284,11 +307,9 @@ pub struct ServiceConfig {
     pub wal: Option<WalConfig>,
     /// Scheduler every `apply` runs on (None: the process-global pool).
     pub pool: Option<Arc<ParPool>>,
-    /// Phase recorder for per-phase observability (disabled by default —
-    /// a disabled recorder is a no-op branch per phase). The coalescer
-    /// records plan/WAL/apply/complete spans plus batch/flush counters
-    /// through it, and the structure it starts inherits it via
-    /// [`BatchDynamic::set_obs`].
+    /// The recorder the coalescer, the checkpoint writer and the structure
+    /// (via [`BatchDynamic::set_obs`]) count every event through, and
+    /// time phases through when its timing is on (off by default).
     pub obs: Recorder,
 }
 
@@ -352,12 +373,10 @@ impl ServiceBuilder {
         self
     }
 
-    /// Attach a phase [`Recorder`] (default: disabled, zero overhead).
-    /// The coalescer records per-batch plan / WAL-append / apply /
-    /// complete spans and batch-size/flush-cause counters; the structure
-    /// inherits the recorder through [`BatchDynamic::set_obs`], so
-    /// settlement and snapshot-publication time nest under apply. Snapshot
-    /// the same recorder at any time for a live per-phase breakdown.
+    /// Attach a [`Recorder`] (default: a fresh one, timing off) for every
+    /// count; with timing on it also gets per-batch plan / WAL-append /
+    /// apply / complete spans, with settlement and snapshot publication
+    /// nested under apply. Snapshot it at any time for the live counts.
     pub fn obs(mut self, obs: Recorder) -> Self {
         self.obs = obs;
         self
@@ -537,15 +556,6 @@ impl ServiceBuilder {
     }
 }
 
-/// Counters the off-thread checkpoint writer publishes; folded into
-/// [`ServiceStats`] at shutdown.
-#[derive(Debug, Default)]
-struct CkptStats {
-    checkpoints: AtomicU64,
-    failures: AtomicU64,
-    segments_removed: AtomicU64,
-}
-
 /// One checkpoint request: the serialized state after exactly `seq` batches.
 struct CkptJob {
     seq: u64,
@@ -602,7 +612,7 @@ impl WalSink {
         cfg: &WalConfig,
         resume_seq: u64,
         checkpointing: bool,
-        stats: Arc<CkptStats>,
+        obs: &Recorder,
     ) -> Result<Self, ServiceError> {
         let werr = |what: &str, e: std::io::Error| ServiceError::Wal(format!("{what}: {e}"));
         std::fs::create_dir_all(&cfg.path)
@@ -633,10 +643,10 @@ impl WalSink {
         let ckpt = match cfg.checkpoint_every {
             Some(every) if checkpointing => {
                 let (tx, rx) = mpsc::channel::<CkptJob>();
-                let dir = cfg.path.clone();
+                let (dir, obs) = (cfg.path.clone(), obs.clone());
                 let join = std::thread::Builder::new()
                     .name("pbdmm-ckpt".into())
-                    .spawn(move || checkpoint_writer_loop(dir, rx, stats))
+                    .spawn(move || checkpoint_writer_loop(dir, rx, obs))
                     .expect("spawn checkpoint thread");
                 Some(CkptWriter { every, tx, join })
             }
@@ -665,7 +675,7 @@ impl WalSink {
         &mut self,
         s: &S,
         updates: u64,
-        stats: &CkptStats,
+        obs: &Recorder,
     ) -> Result<(), ServiceError> {
         let Some(ckpt) = &self.ckpt else {
             return Ok(());
@@ -678,7 +688,7 @@ impl WalSink {
         // boundary the new segment starts at.
         let mut payload = Vec::new();
         if s.write_checkpoint(&mut payload).is_err() {
-            stats.failures.fetch_add(1, Ordering::Relaxed);
+            obs.add(Counter::CheckpointFailures, 1);
             self.updates_since_ckpt = 0;
             return Ok(());
         }
@@ -754,7 +764,7 @@ fn fsync_dir(dir: &Path) -> std::io::Result<()> {
 /// all off the coalescer, so the hot path never waits on checkpoint I/O.
 /// Exits when the coalescer drops its sender (and drains first, so the
 /// final checkpoint of a run still lands).
-fn checkpoint_writer_loop(dir: PathBuf, rx: mpsc::Receiver<CkptJob>, stats: Arc<CkptStats>) {
+fn checkpoint_writer_loop(dir: PathBuf, rx: mpsc::Receiver<CkptJob>, obs: Recorder) {
     while let Ok(mut job) = rx.recv() {
         // If the coalescer outran us, only the newest pending checkpoint
         // matters — the ones in between are superseded before they ever
@@ -764,16 +774,14 @@ fn checkpoint_writer_loop(dir: PathBuf, rx: mpsc::Receiver<CkptJob>, stats: Arc<
         }
         match write_checkpoint_file(&dir, job.seq, &job.payload) {
             Ok(()) => {
-                stats.checkpoints.fetch_add(1, Ordering::Relaxed);
+                obs.add(Counter::Checkpoints, 1);
                 // Compaction failure is not fatal: the files retry after
                 // the next checkpoint, and recovery works regardless.
                 if let Ok(removed) = compact_dir(&dir) {
-                    stats.segments_removed.fetch_add(removed, Ordering::Relaxed);
+                    obs.add(Counter::SegmentsRemoved, removed);
                 }
             }
-            Err(_) => {
-                stats.failures.fetch_add(1, Ordering::Relaxed);
-            }
+            Err(_) => obs.add(Counter::CheckpointFailures, 1),
         }
     }
 }
@@ -943,7 +951,8 @@ impl<S: BatchDynamic + Checkpoint + Send + 'static> UpdateService<S> {
         // The structure shares the service's recorder, so settlement and
         // snapshot-publication spans nest under the coalescer's apply span.
         structure.set_obs(config.obs.clone());
-        let ckpt_stats = Arc::new(CkptStats::default());
+        // This service's counts are the recorder's from here on.
+        let start = config.obs.snapshot();
         let wal_sink = config
             .wal
             .as_ref()
@@ -952,14 +961,14 @@ impl<S: BatchDynamic + Checkpoint + Send + 'static> UpdateService<S> {
                     cfg,
                     resume_seq,
                     structure.checkpoint_supported(),
-                    Arc::clone(&ckpt_stats),
+                    &config.obs,
                 )
             })
             .transpose()?;
         let (tx, rx) = mpsc::channel();
         let join = std::thread::Builder::new()
             .name("pbdmm-coalescer".into())
-            .spawn(move || coalescer_loop(structure, config, wal_sink, rx, epoch_base, ckpt_stats))
+            .spawn(move || coalescer_loop(structure, config, wal_sink, rx, epoch_base, start))
             .expect("spawn coalescer thread");
         Ok(UpdateService {
             tx: Some(tx),
@@ -1005,13 +1014,12 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
     mut wal: Option<WalSink>,
     rx: mpsc::Receiver<Msg>,
     epoch_base: u64,
-    ckpt_stats: Arc<CkptStats>,
+    start: ProfileReport,
 ) -> (S, ServiceStats) {
     let policy = config.policy;
     let max_batch = policy.max_batch.max(1);
     let linger = policy.max_delay;
     let obs = config.obs.clone();
-    let mut stats = ServiceStats::default();
     let mut next_seq: u64 = 0;
     // Once the shutdown marker is seen, stop waiting on the clock and just
     // drain whatever is already queued.
@@ -1088,19 +1096,16 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
                 }
             }
         }
-        if closed || closing {
-            stats.flush_close += 1;
-            obs.add(Counter::FlushClose, 1);
+        let cause = if closed || closing {
+            Counter::FlushClose
         } else if ops.len() >= max_batch {
-            stats.flush_full += 1;
-            obs.add(Counter::FlushFull, 1);
+            Counter::FlushFull
         } else if timer_expired {
-            stats.flush_timer += 1;
-            obs.add(Counter::FlushTimer, 1);
+            Counter::FlushTimer
         } else {
-            stats.flush_idle += 1;
-            obs.add(Counter::FlushIdle, 1);
-        }
+            Counter::FlushIdle
+        };
+        obs.add(cause, 1);
 
         // Fail-stopped: refuse everything drained without applying.
         if let Some(e) = &wal_wedged {
@@ -1141,11 +1146,11 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
         for (tx, slot) in done_txs.into_iter().zip(plan.slots.iter().copied()) {
             match slot {
                 Slot::RejectUnknown(id) => {
-                    stats.rejected += 1;
+                    obs.add(Counter::Rejected, 1);
                     let _ = tx.send(Err(ServiceError::UnknownEdge(id)));
                 }
                 Slot::RejectEmpty => {
-                    stats.rejected += 1;
+                    obs.add(Counter::Rejected, 1);
                     let _ = tx.send(Err(ServiceError::EmptyEdge));
                 }
                 Slot::InBatch(_) | Slot::DuplicateDelete(_) => waiting.push((tx, slot)),
@@ -1185,7 +1190,6 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
                     wal_wedged = Some(e);
                     continue;
                 }
-                stats.wal_batches += 1;
             }
         }
         drop(wal_span);
@@ -1214,8 +1218,6 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
                         if let Err(werr) = sink.rollback(mark) {
                             wal = None;
                             wal_wedged = Some(werr);
-                        } else {
-                            stats.wal_batches -= 1;
                         }
                     }
                     for (tx, _) in waiting {
@@ -1228,13 +1230,17 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
         drop(apply_span);
 
         // --- Checkpoint accounting ----------------------------------------
-        // The batch is durable and applied; fold it into the checkpoint
-        // interval, rotating + scheduling a checkpoint at the boundary.
-        // A rotation failure wedges the WAL like any other log I/O failure
-        // — but only for *future* batches; this one is already committed.
+        // The batch is durable and applied: it counts as a WAL batch now.
+        // Fold it into the checkpoint interval, rotating + scheduling a
+        // checkpoint at the boundary. A rotation failure wedges the WAL
+        // like any other log I/O failure — but only for *future* batches;
+        // this one is already committed.
+        if wal_mark.is_some() {
+            obs.add(Counter::WalBatches, 1);
+        }
         if outcome.is_some() {
             if let Some(sink) = wal.as_mut() {
-                if let Err(e) = sink.after_apply(&s, batch_len as u64, &ckpt_stats) {
+                if let Err(e) = sink.after_apply(&s, batch_len as u64, &obs) {
                     wal = None;
                     wal_wedged = Some(e);
                 }
@@ -1247,10 +1253,7 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
         // line up with `outcome.inserted` in batch order.
         let complete_span = obs.span(Phase::Complete);
         let batch_base = next_seq;
-        stats.updates += batch_len as u64;
         if batch_len > 0 {
-            stats.batches += 1;
-            stats.max_batch_len = stats.max_batch_len.max(batch_len);
             obs.add(Counter::Batches, 1);
             obs.add(Counter::Updates, batch_len as u64);
             obs.record_max(Counter::BatchMax, batch_len as u64);
@@ -1278,7 +1281,7 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
                     })
                 }
                 Slot::DuplicateDelete(id) => {
-                    stats.dup_deletes += 1;
+                    obs.add(Counter::DupDeletes, 1);
                     // Share the seq of the delete holding the slot.
                     let pos = delete_ids
                         .iter()
@@ -1305,10 +1308,7 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
     // queue (so a final in-flight checkpoint still lands) and is joined —
     // only then are the checkpoint counters final.
     drop(wal);
-    stats.checkpoints = ckpt_stats.checkpoints.load(Ordering::Relaxed);
-    stats.checkpoint_failures = ckpt_stats.failures.load(Ordering::Relaxed);
-    stats.wal_segments_removed = ckpt_stats.segments_removed.load(Ordering::Relaxed);
-    (s, stats)
+    (s, ServiceStats::between(&start, &obs))
 }
 
 #[cfg(test)]
@@ -1354,22 +1354,68 @@ mod tests {
 
     #[test]
     fn coalesced_duplicate_deletes_resolve_idempotently() {
-        let svc = quick().start(DynamicMatching::with_seed(2)).unwrap();
+        let dir = temp_wal_dir("pbdmm_svc_dup_deletes");
+        let obs = Recorder::disabled();
+        let svc = quick()
+            .obs(obs.clone())
+            .wal_dir(&dir, meta(2))
+            .checkpoint_every(1)
+            .start(DynamicMatching::with_seed(2))
+            .unwrap();
         let h = svc.handle();
         let id = h.insert(vec![0, 1]).wait().unwrap().done.id();
         // Both deletes are queued before the 100ms window closes, so they
         // coalesce into one batch: one wins the slot, one is deduplicated.
         let t1 = h.delete(id);
         let t2 = h.delete(id);
+        let unknown = h.delete(EdgeId(999));
         let (c1, c2) = (t1.wait().unwrap(), t2.wait().unwrap());
         assert_eq!(c1.done, Done::Deleted(id));
         assert_eq!(c2.done, Done::AlreadyDeleted(id));
         // The duplicate shares the winner's apply-order position.
         assert_eq!(c1.seq, c2.seq);
+        assert_eq!(unknown.wait(), Err(ServiceError::UnknownEdge(EdgeId(999))));
         drop(h);
         let (m, stats) = svc.shutdown();
         assert_eq!(m.num_edges(), 0);
         assert_eq!(stats.dup_deletes, 1);
+        assert_eq!((stats.updates, stats.rejected), (2, 1));
+        assert_eq!(stats.wal_batches, stats.batches);
+        assert!(stats.checkpoints >= 1, "{stats:?}");
+
+        // Every field is its counter: the recorder saw only this service.
+        let r = obs.snapshot();
+        let fields = [
+            (stats.updates, Counter::Updates),
+            (stats.batches, Counter::Batches),
+            (stats.flush_full, Counter::FlushFull),
+            (stats.flush_timer, Counter::FlushTimer),
+            (stats.flush_idle, Counter::FlushIdle),
+            (stats.flush_close, Counter::FlushClose),
+            (stats.dup_deletes, Counter::DupDeletes),
+            (stats.rejected, Counter::Rejected),
+            (stats.max_batch_len as u64, Counter::BatchMax),
+            (stats.wal_batches, Counter::WalBatches),
+            (stats.checkpoints, Counter::Checkpoints),
+            (stats.checkpoint_failures, Counter::CheckpointFailures),
+            (stats.wal_segments_removed, Counter::SegmentsRemoved),
+        ];
+        for (field, counter) in fields {
+            assert_eq!(field, r.counter(counter), "{}", counter.name());
+        }
+
+        // A second service on the same recorder reports only its own sums.
+        let svc = quick()
+            .obs(obs.clone())
+            .start(DynamicMatching::with_seed(3))
+            .unwrap();
+        svc.handle().insert(vec![4, 5]).wait().unwrap();
+        let (_, second) = svc.shutdown();
+        assert_eq!((second.updates, second.batches), (1, 1));
+        assert_eq!((second.dup_deletes, second.rejected), (0, 0));
+        assert_eq!((second.wal_batches, second.checkpoints), (0, 0));
+        assert_eq!(obs.snapshot().counter(Counter::Updates), stats.updates + 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -37,7 +37,7 @@ use pbdmm::primitives::obs::{Counter, Phase, Recorder};
 use pbdmm::primitives::rng::SplitMix64;
 use pbdmm::service::{
     matching_for, recover_dir_with, replay_into, wal_dir_meta, CoalescePolicy, Done, RecoveryInfo,
-    ServiceConfig, ServiceHandle, ServiceStats, WalConfig,
+    ServiceConfig, ServiceHandle, WalConfig,
 };
 use pbdmm::setcover::CoverSnapshot;
 use pbdmm::{BatchDynamic, DynamicMatching, DynamicSetCover};
@@ -121,16 +121,17 @@ usage:
   000000.seg of a directory (a later segment holds only the tail after
   a checkpoint and is refused).
 
-  --profile (serve, daemon, replay, load) turns on the per-phase
-  profiler: where batch time went (plan, WAL append, apply with settle
-  and snapshot-publish sub-phases, completion; plus frame decode and
-  dispatch in the daemon) as count/total/share/p50/p99/max per phase,
-  with batch-size and flush-cause counters, printed as a block at exit.
-  --profile interval=N (serve, daemon, load) also prints a delta report
-  every N seconds while running. load --profile scrapes the same table
-  from the live daemon over the wire (the daemon itself must run with
-  --profile, else load notes profiling is disabled). Off by default and
-  free when off: disabled recorders are no-op guards (see
+  --profile (serve, daemon, replay, load) adds per-phase timing to the
+  always-on counters: where batch time went (plan, WAL append, apply
+  with settle and snapshot-publish sub-phases, completion; plus frame
+  decode and dispatch in the daemon) as count/total/share/p50/p99/max
+  per phase, printed as a block at exit. serve and daemon always print
+  a counters: line (batches, flush causes, rejects, WAL batches,
+  checkpoints, overloads, protocol errors, ...). --profile interval=N
+  (serve, daemon, load) also prints a delta report every N seconds.
+  load --profile renders the live daemon's Stats frame as that table:
+  its counters always, its phase rows when the daemon runs with
+  --profile. Timing is off by default and free when off (see
   PERFORMANCE.md for how to read the table).";
 
 /// Minimal flag parser: `--key value` pairs after positional arguments.
@@ -745,9 +746,9 @@ fn direct_singleton_load<S: BatchDynamic + Send>(
     Ok((total?, seconds, guard.s))
 }
 
-/// What one `serve` run produced: (updates, seconds, latencies µs, service
-/// stats, read report, final structure).
-type ServeOutcome<S> = (u64, f64, Vec<f64>, ServiceStats, ReadReport, S);
+/// What one `serve` run produced: (updates, seconds, latencies µs, read
+/// report, final structure). Its counts are in the recorder it ran with.
+type ServeOutcome<S> = (u64, f64, Vec<f64>, ReadReport, S);
 
 /// Drive a synthetic multi-producer load through the service — with
 /// `readers` concurrent snapshot-reader threads resolving point queries
@@ -863,7 +864,7 @@ where
         total
     });
     let seconds = start.elapsed().as_secs_f64();
-    let (s, stats) = svc.shutdown();
+    let (s, _) = svc.shutdown();
     let mut latencies = all_latencies.into_inner().unwrap();
     latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let (reads, failed, mut staleness) = read_acc.into_inner().unwrap();
@@ -874,7 +875,7 @@ where
         seconds,
         staleness,
     };
-    Ok((total, seconds, latencies, stats, read, s))
+    Ok((total, seconds, latencies, read, s))
 }
 
 /// Resolve the `--wal` / `--wal-sync` / `--checkpoint-every` convention
@@ -970,9 +971,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         let obs = prof.obs.clone();
         ProfilePrinter::spawn(every, move || Some(obs.snapshot()))
     });
-    let (total, seconds, latencies, stats, read, final_line) = match structure.as_str() {
+    let (total, seconds, latencies, read, final_line) = match structure.as_str() {
         "matching" => {
-            let (total, seconds, latencies, stats, read, m) = serve_load(
+            let (total, seconds, latencies, read, m) = serve_load(
                 DynamicMatching::with_seed(seed),
                 producers,
                 per_producer,
@@ -983,10 +984,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 prof.obs.clone(),
             )?;
             check_invariants(&m).map_err(|e| format!("post-serve invariants: {e}"))?;
-            (total, seconds, latencies, stats, read, matching_final(&m))
+            (total, seconds, latencies, read, matching_final(&m))
         }
         "setcover" => {
-            let (total, seconds, latencies, stats, read, c) = serve_load(
+            let (total, seconds, latencies, read, c) = serve_load(
                 DynamicSetCover::with_seed(seed),
                 producers,
                 per_producer,
@@ -997,7 +998,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 prof.obs.clone(),
             )?;
             check_invariants(c.matching()).map_err(|e| format!("post-serve invariants: {e}"))?;
-            (total, seconds, latencies, stats, read, cover_final(&c))
+            (total, seconds, latencies, read, cover_final(&c))
         }
         other => return Err(format!("unknown structure {other:?}")),
     };
@@ -1010,7 +1011,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         "coalesced service: {}",
         metrics::throughput_summary(total, seconds)
     );
-    println!("batches: {}", metrics::batches_summary(&stats));
+    let counts = prof.obs.snapshot();
+    println!("{}", counts.counters_line());
     println!("ticket latency: {}", metrics::latency_summary(&latencies));
     if readers > 0 {
         println!(
@@ -1036,7 +1038,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if let Some(path) = &wal_path {
         println!(
             "wal: {} batches appended to {}",
-            stats.wal_batches,
+            counts.counter(Counter::WalBatches),
             path.display()
         );
     }
@@ -1341,7 +1343,7 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
         "daemon: drained after {} connections ({} overloaded, {} protocol errors)",
         report.wire.total_connections, report.wire.overloaded, report.wire.protocol_errors
     );
-    println!("batches: {}", metrics::batches_summary(&report.service));
+    println!("{}", prof.obs.snapshot().counters_line());
     print_profile(&prof.obs);
     if let Some(path) = &wal_path {
         println!(
@@ -1396,10 +1398,12 @@ fn cmd_load(args: &Args) -> Result<(), String> {
         "load: {connections} connections x {per_connection} updates against {addr} \
          (queries/window {queries_per_window}, seed {seed})"
     );
-    // With --profile interval=N, scrape the daemon's cumulative profile
-    // over a fresh connection each interval and print the deltas.
+    // With --profile interval=N, scrape the daemon's Stats frame over a
+    // fresh connection each interval and print the deltas of its report.
     let printer = prof.interval.map(|every| {
-        ProfilePrinter::spawn(every, move || Client::connect(addr).ok()?.profile().ok())
+        ProfilePrinter::spawn(every, move || {
+            Some(Client::connect(addr).ok()?.stats().ok()?.report)
+        })
     });
     let report = run_load(addr, &cfg)?;
     if let Some(p) = printer {
@@ -1431,21 +1435,19 @@ fn cmd_load(args: &Args) -> Result<(), String> {
         report.overloaded, report.protocol_errors
     );
     if prof.obs.is_enabled() {
-        // Scrape the daemon's cumulative per-phase profile over the wire.
-        let mut c = Client::connect(addr).map_err(|e| format!("profile connection: {e}"))?;
-        let daemon_profile = c.profile().map_err(|e| format!("profile request: {e}"))?;
-        if daemon_profile.is_empty() {
-            println!("profile: daemon profiling disabled (start the daemon with --profile)");
-        } else {
-            print!("{}", daemon_profile.render());
-        }
+        // Render the daemon's live counts (and its phase spans, if it
+        // times them) from one Stats scrape.
+        let mut c = Client::connect(addr).map_err(|e| format!("stats connection: {e}"))?;
+        let stats = c.stats().map_err(|e| format!("stats request: {e}"))?;
+        print!("{}", stats.report.render());
     }
     if shutdown {
         let mut c = Client::connect(addr).map_err(|e| format!("shutdown connection: {e}"))?;
         let stats = c.shutdown().map_err(|e| format!("shutdown request: {e}"))?;
+        let connections = stats.report.counter(Counter::Connections);
         println!(
-            "daemon stats at shutdown: epoch={} edges={} matching={} connections={}",
-            stats.epoch, stats.num_edges, stats.matching_size, stats.total_connections
+            "daemon stats at shutdown: epoch={} edges={} matching={} connections={connections}",
+            stats.epoch, stats.num_edges, stats.matching_size
         );
     }
     if report.protocol_errors > 0 {

@@ -1,6 +1,6 @@
 //! Integration tests of the per-phase profiler: recorder arithmetic
-//! against a real service run, the `Profile` wire scrape end to end, a
-//! hostile-bytes pass over the new frames, and the `--profile` CLI
+//! against a real service run, the report a `Stats` scrape carries end to
+//! end, a hostile-bytes pass over that frame, and the `--profile` CLI
 //! surface.
 
 use std::process::{Command, Output};
@@ -31,10 +31,15 @@ fn disabled_recorder_records_nothing() {
         obs.record_max(Counter::BatchMax, 99);
         obs.record_ns(Phase::Settle, 1_000_000);
     }
+    // Timing off: no phase span records, the counters still count.
     let report = obs.snapshot();
-    assert!(report.is_empty(), "disabled recorder must stay empty");
+    assert!(
+        report.phases.iter().all(|p| p.count == 0),
+        "a timing-off recorder must record no span"
+    );
     assert_eq!(report.phase(Phase::Batch).count, 0);
-    assert_eq!(report.counter(Counter::Batches), 0);
+    assert_eq!(report.counter(Counter::Batches), 3);
+    assert_eq!(report.counter(Counter::BatchMax), 99);
 }
 
 /// The acceptance-criteria arithmetic, against a real coalescing service
@@ -101,10 +106,10 @@ fn phase_totals_partition_busy_time() {
     assert_eq!(report.phase(Phase::Settle).count, stats.batches);
 }
 
-/// End-to-end `Profile` scrape: a daemon started with an enabled recorder
-/// serves per-phase counts over the wire, a second scrape is monotonically
-/// larger, and a daemon with the default (disabled) recorder answers with
-/// an all-zero report instead of an error.
+/// End-to-end scrape of the report in the `Stats` frame: a daemon started
+/// with timing on serves per-phase counts over the wire, a second scrape
+/// is monotonically larger, and a daemon with the default (timing-off)
+/// recorder serves no phase spans but its counts.
 #[test]
 fn wire_profile_scrape_round_trips() {
     let obs = Recorder::enabled();
@@ -125,7 +130,7 @@ fn wire_profile_scrape_round_trips() {
         c.submit_updates(vec![Update::Insert(vec![2 * i, 2 * i + 1])])
             .expect("insert over the wire");
     }
-    let first = c.profile().expect("profile scrape");
+    let first = c.stats().expect("stats scrape").report;
     assert!(!first.is_empty());
     assert!(first.counter(Counter::Batches) > 0);
     assert_eq!(first.counter(Counter::Updates), 8);
@@ -135,7 +140,7 @@ fn wire_profile_scrape_round_trips() {
 
     c.submit_updates(vec![Update::Insert(vec![100, 101])])
         .expect("insert over the wire");
-    let second = c.profile().expect("second scrape");
+    let second = c.stats().expect("second scrape").report;
     assert!(second.counter(Counter::Updates) == 9);
     assert!(second.phase(Phase::NetDecode).count > first.phase(Phase::NetDecode).count);
     // The scrape pair is exactly what `--profile interval=N` diffs.
@@ -146,25 +151,31 @@ fn wire_profile_scrape_round_trips() {
     stop.stop();
     serving.join().expect("daemon thread");
 
-    // A daemon without profiling answers the same request with an empty
-    // report — the wire contract `pbdmm load --profile` keys its
-    // "profiling disabled" note on.
+    // A daemon without timing answers the same request with no phase
+    // spans but the run's counts.
     let daemon = Daemon::start(DynamicMatching::with_seed(5), DaemonConfig::default())
         .expect("loopback daemon");
     let addr = daemon.local_addr();
     let stop = daemon.stop_handle();
     let serving = std::thread::spawn(move || daemon.run());
     let mut c = Client::connect(addr).expect("connect");
-    let report = c.profile().expect("profile scrape");
-    assert!(report.is_empty(), "disabled daemon must report empty");
+    c.submit_updates(vec![Update::Insert(vec![0, 1])])
+        .expect("insert over the wire");
+    let report = c.stats().expect("stats scrape").report;
+    assert!(
+        report.phases.iter().all(|p| p.count == 0),
+        "a timing-off daemon must report no span"
+    );
+    assert_eq!(report.counter(Counter::Updates), 1);
+    assert_eq!(report.counter(Counter::Batches), 1);
     drop(c);
     stop.stop();
     serving.join().expect("daemon thread");
 }
 
-/// Hostile bytes on the new opcode: a truncated `Profile` request body and
-/// a torn frame must not kill the daemon — it keeps serving well-formed
-/// clients afterwards.
+/// Hostile bytes on the scrape opcode: a truncated `Stats` request body
+/// and a torn frame must not kill the daemon — it keeps serving
+/// well-formed clients afterwards.
 #[test]
 fn malformed_profile_frames_do_not_kill_the_daemon() {
     use std::io::Write;
@@ -178,7 +189,7 @@ fn malformed_profile_frames_do_not_kill_the_daemon() {
     // Truncated body: a valid frame whose body is the opcode alone (the
     // req_id is missing). The daemon must treat it as a protocol error on
     // that connection, not panic.
-    let good = proto::Request::Profile { req_id: 7 }.encode();
+    let good = proto::Request::Stats { req_id: 7 }.encode();
     let mut s = std::net::TcpStream::connect(addr).expect("raw connect");
     proto::write_frame(&mut s, &good[..1]).expect("write truncated frame");
     s.shutdown(std::net::Shutdown::Write).ok();
@@ -192,7 +203,8 @@ fn malformed_profile_frames_do_not_kill_the_daemon() {
     let mut c = Client::connect(addr).expect("connect after garbage");
     c.submit_updates(vec![Update::Insert(vec![1, 2])])
         .expect("insert after garbage");
-    assert!(c.profile().expect("profile after garbage").is_empty());
+    let report = c.stats().expect("stats after garbage").report;
+    assert!(report.phases.iter().all(|p| p.count == 0));
     drop(c);
     stop.stop();
     let report = serving.join().expect("daemon thread");
