@@ -310,6 +310,7 @@ fn run_battery(samples: usize) -> BTreeMap<String, f64> {
     {
         let obs = Recorder::enabled();
         let wal_path = bench_wal_path("profile").with_extension("waldir");
+        std::fs::remove_dir_all(&wal_path).ok();
         let (svc, _query) = ServiceConfig::builder()
             .policy(CoalescePolicy {
                 max_batch: 512,
@@ -318,7 +319,6 @@ fn run_battery(samples: usize) -> BTreeMap<String, f64> {
             .wal_dir(&wal_path, WalMeta::default())
             .checkpoint_every(0)
             .wal_sync(false)
-            .wal_truncate(true)
             .obs(obs.clone())
             .start_serving(DynamicMatching::with_seed(11))
             .expect("WAL in temp dir");

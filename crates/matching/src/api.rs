@@ -301,38 +301,25 @@ pub trait BatchDynamic {
     }
 }
 
-/// Metering mode for [`DynamicMatchingBuilder`]: whether the structure's
-/// [`pbdmm_primitives::cost::CostMeter`] records model cost (cheap, on by
-/// default) or discards all charges (for wall-clock-only benchmarking).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MeterMode {
-    /// Record model work/depth/rounds (the default).
-    #[default]
-    Enabled,
-    /// Discard all charges; `work()` stays 0.
-    Disabled,
-}
-
-/// Builder for [`DynamicMatching`]: seed, leveling parameters, metering.
+/// Builder for [`DynamicMatching`]: seed, leveling parameters, id
+/// recycling, scheduler, recorder.
 ///
 /// # Examples
 /// ```
-/// use pbdmm_matching::api::{BatchDynamic, DynamicMatchingBuilder, MeterMode};
+/// use pbdmm_matching::api::{BatchDynamic, DynamicMatchingBuilder};
 /// use pbdmm_matching::LevelingConfig;
 ///
 /// let mut m = DynamicMatchingBuilder::new()
 ///     .seed(7)
 ///     .config(LevelingConfig { all_light: true, ..Default::default() })
-///     .metering(MeterMode::Disabled)
 ///     .build();
 /// m.insert_edges(&[vec![0, 1]]);
-/// assert_eq!(BatchDynamic::work(&m), 0); // metering disabled
+/// assert!(BatchDynamic::work(&m) > 0); // model cost is always metered
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DynamicMatchingBuilder {
     seed: Option<u64>,
     config: Option<LevelingConfig>,
-    metering: MeterMode,
     pool: Option<Arc<ParPool>>,
     recycle_ids: bool,
     obs: Option<Recorder>,
@@ -353,12 +340,6 @@ impl DynamicMatchingBuilder {
     /// Leveling parameters (default: the paper's `α = 2`, `c = 4`).
     pub fn config(mut self, config: LevelingConfig) -> Self {
         self.config = Some(config);
-        self
-    }
-
-    /// Model-cost metering mode (default: enabled).
-    pub fn metering(mut self, mode: MeterMode) -> Self {
-        self.metering = mode;
         self
     }
 
@@ -395,10 +376,9 @@ impl DynamicMatchingBuilder {
 
     /// Build the structure.
     pub fn build(self) -> DynamicMatching {
-        let mut dm = DynamicMatching::with_options(
+        let mut dm = DynamicMatching::with_seed_and_config(
             self.seed.unwrap_or(0x5eed),
             self.config.unwrap_or_default(),
-            self.metering,
         );
         if self.recycle_ids {
             dm.set_recycle_ids(true);
@@ -506,15 +486,10 @@ mod tests {
                 gap_log2: 2,
                 ..Default::default()
             })
+            .recycle_ids(true)
             .build();
         assert_eq!(m.structure().config.gap_log2, 2);
-
-        let mut muted = DynamicMatchingBuilder::new()
-            .metering(MeterMode::Disabled)
-            .build();
-        muted.insert_edges(&[vec![0, 1], vec![1, 2]]);
-        assert_eq!(muted.meter().work(), 0);
-        check_invariants(&muted).unwrap();
+        assert!(m.storage_stats().recycling);
     }
 
     #[test]

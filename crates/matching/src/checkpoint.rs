@@ -61,37 +61,20 @@ pub const CKPT_MAGIC: &str = "pbdmm-ckpt v1";
 pub const CKPT_END: &str = "end";
 
 /// Structures that can serialize their complete state for segment-boundary
-/// checkpoints. The default implementations report "unsupported" — a
-/// structure without checkpointing still works behind a segmented WAL, it
-/// just recovers by full replay.
+/// checkpoints. Every served structure implements it: recovery loads the
+/// newest intact checkpoint and replays only the log after it.
 pub trait Checkpoint {
-    /// Whether this structure implements checkpoint dump/restore.
-    fn checkpoint_supported(&self) -> bool {
-        false
-    }
-
     /// Serialize the complete state to `w`. The stream ends with the
     /// `# end` trailer; the caller owns durability (flush/fsync/rename).
-    fn write_checkpoint(&self, _w: &mut dyn Write) -> std::io::Result<()> {
-        Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "structure does not support checkpointing",
-        ))
-    }
+    fn write_checkpoint(&self, w: &mut dyn Write) -> std::io::Result<()>;
 
     /// Restore state from `r` into `self`, which must be freshly
     /// constructed (no updates applied). Errors name the offending line
     /// and leave `self` unusable — build a new instance before retrying.
-    fn read_checkpoint(&mut self, _r: &mut dyn BufRead) -> Result<(), String> {
-        Err("structure does not support checkpointing".to_string())
-    }
+    fn read_checkpoint(&mut self, r: &mut dyn BufRead) -> Result<(), String>;
 }
 
 impl Checkpoint for DynamicMatching {
-    fn checkpoint_supported(&self) -> bool {
-        true
-    }
-
     fn write_checkpoint(&self, w: &mut dyn Write) -> std::io::Result<()> {
         writeln!(w, "# {CKPT_MAGIC}")?;
         writeln!(w, "# structure: matching")?;
@@ -716,19 +699,5 @@ mod tests {
         assert_eq!(restored.stats.batches, dm.stats.batches);
         assert_eq!(restored.stats.user_insertions, dm.stats.user_insertions);
         assert_eq!(restored.epoch(), dm.epoch());
-    }
-
-    #[test]
-    fn unsupported_default_impl_errors() {
-        struct Nope;
-        impl Checkpoint for Nope {}
-        let n = Nope;
-        assert!(!n.checkpoint_supported());
-        let mut buf: Vec<u8> = Vec::new();
-        assert!(n.write_checkpoint(&mut buf).is_err());
-        let mut n = Nope;
-        assert!(n
-            .read_checkpoint(&mut std::io::Cursor::new(b"x".as_slice()))
-            .is_err());
     }
 }

@@ -32,7 +32,7 @@ use pbdmm_primitives::pool::ParPool;
 use pbdmm_primitives::rng::SplitMix64;
 use pbdmm_primitives::slab::{EpochSet, Slab};
 
-use crate::api::{validate_batch, Batch, BatchOutcome, MeterMode, UpdateError};
+use crate::api::{validate_batch, Batch, BatchOutcome, UpdateError};
 use crate::greedy::{parallel_greedy_match_in, GreedyScratch};
 use crate::level::{EdgeRec, EdgeType, LeveledStructure};
 use crate::snapshot::{MatchingSnapshot, SnapshotCell, SnapshotDelta};
@@ -91,7 +91,7 @@ pub(crate) enum IdAlloc {
     /// Monotonically increasing ids, never reused.
     Monotonic { next: u64 },
     /// Slab-backed: freed ids are reused LIFO.
-    Recycling { slots: Slab<()> },
+    Recycling { slots: Slab },
 }
 
 impl IdAlloc {
@@ -102,7 +102,7 @@ impl IdAlloc {
                 *next += 1;
                 id
             }
-            IdAlloc::Recycling { slots } => EdgeId(slots.insert(()) as u64),
+            IdAlloc::Recycling { slots } => EdgeId(slots.insert() as u64),
         }
     }
 
@@ -257,9 +257,6 @@ pub struct DynamicMatching {
     /// Change recorder for the in-flight batch; `Some` exactly while an
     /// `apply` runs with snapshots enabled.
     delta: Option<DeltaTracker>,
-    /// Cumulative wall time spent producing + publishing snapshots, in
-    /// nanoseconds (the bench's publish-cost telemetry).
-    snapshot_publish_nanos: u64,
     /// Phase recorder for wall-clock observability (settlement +
     /// publication spans, settle-round/level/scratch counters). Disabled
     /// by default — every record is then a no-op branch.
@@ -273,20 +270,6 @@ impl DynamicMatching {
     pub fn with_seed_and_config(seed: u64, config: crate::level::LevelingConfig) -> Self {
         let mut dm = Self::with_seed(seed);
         dm.s = LeveledStructure::with_config(config);
-        dm
-    }
-
-    /// Create with every knob explicit (what
-    /// [`crate::api::DynamicMatchingBuilder`] calls).
-    pub fn with_options(
-        seed: u64,
-        config: crate::level::LevelingConfig,
-        metering: MeterMode,
-    ) -> Self {
-        let mut dm = Self::with_seed_and_config(seed, config);
-        if metering == MeterMode::Disabled {
-            dm.meter = CostMeter::disabled();
-        }
         dm
     }
 
@@ -307,7 +290,6 @@ impl DynamicMatching {
             pool: None,
             snapshots: None,
             delta: None,
-            snapshot_publish_nanos: 0,
             obs: Recorder::disabled(),
         }
     }
@@ -447,42 +429,29 @@ impl DynamicMatching {
     /// *before* the caller observes the outcome — the ingest service relies
     /// on that ordering for its read-your-writes guarantee.
     ///
-    /// The normal path is O(batch): patch the previously published snapshot
+    /// Publication is O(batch): patch the previously published snapshot
     /// with the batch's [`SnapshotDelta`] and publish both (the delta feeds
     /// [`crate::snapshot::SnapshotReader::changes_since`] subscribers). A
     /// debug assertion cross-checks the patched snapshot against a full
     /// recapture every batch.
     fn maybe_publish_snapshot(&mut self) {
         let tracker = self.delta.take();
-        let Some(cell) = self.snapshots.clone() else {
+        let Some(cell) = &self.snapshots else {
             return;
         };
-        let start = std::time::Instant::now();
-        if let Some(tracker) = tracker {
-            let prev = cell.load();
-            let delta = tracker.finish(&self.s, prev.epoch(), self.epoch());
-            let next = prev.apply_delta(&delta);
-            debug_assert_eq!(
-                next,
-                MatchingSnapshot::capture(self),
-                "patched snapshot diverged from a full recapture"
-            );
-            cell.publish_with_delta(next, delta);
-        } else {
-            // Snapshots were enabled mid-apply (no tracker ran): fall back
-            // to a full capture, which also resyncs delta subscribers.
-            cell.publish(MatchingSnapshot::capture(self));
-        }
-        let elapsed = start.elapsed().as_nanos() as u64;
-        self.snapshot_publish_nanos += elapsed;
-        self.obs.record_ns(Phase::SnapshotPublish, elapsed);
-    }
-
-    /// Cumulative nanoseconds spent producing and publishing snapshots
-    /// across all applies (0 when snapshots were never enabled). The bench
-    /// divides this by edges touched to show publish cost is O(batch).
-    pub fn snapshot_publish_nanos(&self) -> u64 {
-        self.snapshot_publish_nanos
+        let _span = self.obs.span(Phase::SnapshotPublish);
+        // Enabling snapshots takes `&mut self`, so it cannot happen inside
+        // an `apply`: every batch that ends with a cell began with one.
+        let tracker = tracker.expect("snapshots enabled mid-apply");
+        let prev = cell.load();
+        let delta = tracker.finish(&self.s, prev.epoch(), self.epoch());
+        let next = prev.apply_delta(&delta);
+        debug_assert_eq!(
+            next,
+            MatchingSnapshot::capture(self),
+            "patched snapshot diverged from a full recapture"
+        );
+        cell.publish(next, delta);
     }
 
     #[inline]

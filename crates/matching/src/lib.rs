@@ -76,8 +76,7 @@ pub mod stats;
 pub mod verify;
 
 pub use api::{
-    Batch, BatchDynamic, BatchOutcome, DynamicMatchingBuilder, MeterMode, Update, UpdateError,
-    UpdateOutcome,
+    Batch, BatchDynamic, BatchOutcome, DynamicMatchingBuilder, Update, UpdateError, UpdateOutcome,
 };
 pub use checkpoint::Checkpoint;
 pub use dynamic::{BatchReport, DynamicMatching, LevelOccupancy, StorageStats};

@@ -43,9 +43,10 @@
 //! fell too far behind ([`Changes`]).
 //!
 //! [`Snapshots`] is the capability trait: any structure that can capture
-//! and publish snapshots (currently [`DynamicMatching`] here and
-//! `DynamicSetCover` in `pbdmm-setcover`) plugs into the generic serving
-//! layer (`pbdmm-service`'s `QueryHandle`).
+//! and publish snapshots plugs into the generic serving layer
+//! (`pbdmm-service`'s `QueryHandle`). [`DynamicMatching`] is the one
+//! publisher; `DynamicSetCover` in `pbdmm-setcover` forwards to its
+//! matching, so a cover is served as [`MatchingSnapshot`]s too.
 //!
 //! # Example
 //! ```
@@ -485,7 +486,6 @@ impl SnapshotDelta {
 /// publisher emits for subscription streaming.
 pub trait Snapshot {
     /// The change record published alongside each new snapshot version.
-    /// Structures without incremental maintenance use `()`.
     type Delta: Clone + Send + Sync + std::fmt::Debug + 'static;
 
     /// Number of updates the structure had applied when this snapshot was
@@ -533,7 +533,7 @@ pub enum Changes<T: Snapshot> {
 ///
 /// Alongside the slot, the cell keeps a bounded ring of the most recent
 /// [`Snapshot::Delta`]s (`(from_epoch, to_epoch, delta)`), fed by
-/// [`Self::publish_with_delta`] and drained by
+/// [`Self::publish`] and drained by
 /// [`SnapshotReader::changes_since`].
 #[derive(Debug)]
 pub struct SnapshotCell<T: Snapshot> {
@@ -568,33 +568,21 @@ impl<T: Snapshot> SnapshotCell<T> {
         self.slot.read().expect("snapshot cell poisoned").clone()
     }
 
-    /// Atomically replace the published snapshot *without* a delta: the
-    /// ring is cleared, so subscribers straddling this publication resync.
-    /// Readers that already hold an `Arc` keep their (older) snapshot
-    /// alive; new loads see `next`. Wakes every [`Self::wait_newer`]
-    /// waiter.
-    pub fn publish(&self, next: T) {
-        let mut guard = self.slot.write().expect("snapshot cell poisoned");
-        let old = std::mem::replace(&mut *guard, Arc::new(next));
-        drop(guard);
-        // If this was the last reference, the old snapshot's deallocation
-        // (O(its size)) happens here — outside the lock, so readers are
-        // never stalled behind it.
-        drop(old);
-        self.deltas.lock().expect("delta ring poisoned").clear();
-        self.bump_pulse();
-    }
-
     /// Atomically replace the published snapshot and record the delta that
     /// produced it (spanning the previous snapshot's epoch to `next`'s).
-    /// Order matters: slot swap, then ring push, then pulse bump — a
-    /// waiter woken by the pulse always finds the ring entry present.
-    pub fn publish_with_delta(&self, next: T, delta: T::Delta) {
+    /// Readers that already hold an `Arc` keep their (older) snapshot
+    /// alive; new loads see `next`. Wakes every [`Self::wait_newer`]
+    /// waiter. Order matters: slot swap, then ring push, then pulse bump —
+    /// a waiter woken by the pulse always finds the ring entry present.
+    pub fn publish(&self, next: T, delta: T::Delta) {
         let to = next.epoch();
         let mut guard = self.slot.write().expect("snapshot cell poisoned");
         let old = std::mem::replace(&mut *guard, Arc::new(next));
         drop(guard);
         let from = old.epoch();
+        // If this was the last reference, the old snapshot's deallocation
+        // (O(its size)) happens here — outside the lock, so readers are
+        // never stalled behind it.
         drop(old);
         {
             let mut ring = self.deltas.lock().expect("delta ring poisoned");
@@ -687,10 +675,8 @@ impl<T: Snapshot> Clone for SnapshotReader<T> {
 }
 
 impl<T: Snapshot> SnapshotReader<T> {
-    /// Wrap an existing cell — for [`Snapshots`] implementations outside
-    /// this crate (e.g. the set-cover adapter) that own their own
-    /// publication point.
-    pub fn from_cell(cell: Arc<SnapshotCell<T>>) -> Self {
+    /// Wrap an existing publication cell.
+    pub(crate) fn from_cell(cell: Arc<SnapshotCell<T>>) -> Self {
         SnapshotReader { cell }
     }
 

@@ -16,9 +16,10 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use pbdmm_graph::Update;
+use pbdmm_matching::snapshot::SnapshotDelta;
 
 use crate::proto::{
-    self, ErrorCode, FrameError, Request, Response, UpdateResult, WireDelta, WireStats, MAX_FRAME,
+    self, ErrorCode, FrameError, Request, Response, UpdateResult, WireStats, MAX_FRAME,
 };
 
 /// Why a client call failed: the transport/codec layer, or a structured
@@ -86,7 +87,7 @@ pub struct Client {
     /// waiting for its response.
     events: Vec<u64>,
     /// Delta events buffered the same way (`resync` flag + delta).
-    delta_events: Vec<(bool, WireDelta)>,
+    delta_events: Vec<(bool, SnapshotDelta)>,
 }
 
 impl Client {
@@ -175,7 +176,7 @@ impl Client {
     /// Delta events buffered while correlation helpers were waiting;
     /// returns and clears the buffer. Each entry is `(resync, delta)` —
     /// feed them to [`Mirror::apply`] in order.
-    pub fn take_delta_events(&mut self) -> Vec<(bool, WireDelta)> {
+    pub fn take_delta_events(&mut self) -> Vec<(bool, SnapshotDelta)> {
         std::mem::take(&mut self.delta_events)
     }
 
@@ -294,6 +295,10 @@ fn response_req_id(r: &Response) -> Option<u64> {
 
 /// A client-side mirror of the daemon's matching state, folded from a
 /// delta subscription's [`Response::DeltaEvent`] stream.
+///
+/// The mirror is keyed sparsely on purpose: the ids come from the peer, and
+/// a dense map (such as a `MatchingSnapshot`'s) would let one hostile id
+/// near 2^50 make the client allocate a huge spine.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Mirror {
     /// Epoch of the last applied delta.
@@ -307,23 +312,23 @@ pub struct Mirror {
 impl Mirror {
     /// Fold one delta event into the mirror. A `resync` event clears the
     /// mirror first (the delta then rebuilds the full state).
-    pub fn apply(&mut self, resync: bool, d: &WireDelta) {
+    pub fn apply(&mut self, resync: bool, d: &SnapshotDelta) {
         if resync {
             self.live.clear();
             self.matched.clear();
         }
         for id in &d.deleted {
-            self.live.remove(id);
-            self.matched.remove(id);
+            self.live.remove(&id.raw());
+            self.matched.remove(&id.raw());
         }
-        for &id in &d.inserted {
-            self.live.insert(id);
+        for id in &d.inserted {
+            self.live.insert(id.raw());
         }
         for id in &d.unmatched {
-            self.matched.remove(id);
+            self.matched.remove(&id.raw());
         }
         for (id, vs) in &d.matched {
-            self.matched.insert(*id, vs.clone());
+            self.matched.insert(id.raw(), vs.clone());
         }
         self.epoch = d.to_epoch;
     }

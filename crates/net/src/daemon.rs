@@ -39,7 +39,7 @@ use pbdmm_service::{
 };
 
 use crate::proto::{
-    self, ErrorCode, FrameError, Request, Response, UpdateResult, WireDelta, WireStats, MAX_FRAME,
+    self, ErrorCode, FrameError, Request, Response, UpdateResult, WireStats, MAX_FRAME,
 };
 
 /// How long a subscribed writer waits for a new epoch before re-checking
@@ -679,7 +679,7 @@ fn writer_loop(
                                     subscribed = Some((to_epoch, true));
                                     Response::DeltaEvent {
                                         resync: false,
-                                        delta: wire_delta(&delta),
+                                        delta,
                                     }
                                 }
                                 Changes::Resync(full) => {
@@ -762,34 +762,15 @@ fn writer_loop(
     linger_close(&stream);
 }
 
-/// Project a structure-side [`SnapshotDelta`] onto the wire.
-fn wire_delta(d: &SnapshotDelta) -> WireDelta {
-    WireDelta {
-        from_epoch: d.from_epoch,
-        to_epoch: d.to_epoch,
-        inserted: d.inserted.iter().map(|e| e.raw()).collect(),
-        deleted: d.deleted.iter().map(|e| e.raw()).collect(),
-        matched: d
-            .matched
-            .iter()
-            .map(|(e, vs)| (e.raw(), vs.clone()))
-            .collect(),
-        unmatched: d.unmatched.iter().map(|e| e.raw()).collect(),
-    }
-}
-
 /// Synthesize the full state of `snap` as one delta — the resync payload a
 /// subscriber that fell behind the delta ring rebuilds its mirror from.
-fn resync_delta(snap: &MatchingSnapshot) -> WireDelta {
-    WireDelta {
-        from_epoch: 0,
-        to_epoch: snap.epoch(),
-        inserted: snap.live_edges().map(|e| e.raw()).collect(),
-        deleted: Vec::new(),
+fn resync_delta(snap: &MatchingSnapshot) -> SnapshotDelta {
+    SnapshotDelta {
+        inserted: snap.live_edges().collect(),
         matched: snap
             .matched_edges()
-            .map(|(e, vs)| (e.raw(), vs.clone()))
+            .map(|(e, vs)| (e, vs.clone()))
             .collect(),
-        unmatched: Vec::new(),
+        ..SnapshotDelta::empty(0, snap.epoch())
     }
 }

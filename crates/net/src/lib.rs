@@ -63,4 +63,4 @@ pub mod proto;
 pub use client::{Client, Mirror};
 pub use daemon::{Daemon, DaemonConfig, DaemonReport, StopHandle, WireCounters};
 pub use load::{run_load, LoadConfig, LoadReport};
-pub use proto::{ErrorCode, FrameError, Request, Response, UpdateResult, WireDelta, WireStats};
+pub use proto::{ErrorCode, FrameError, Request, Response, UpdateResult, WireStats};

@@ -46,6 +46,7 @@ use std::io::{Read, Write};
 
 use pbdmm_graph::edge::EdgeId;
 use pbdmm_graph::update::Update;
+use pbdmm_matching::snapshot::SnapshotDelta;
 use pbdmm_primitives::obs::{ProfileReport, NUM_COUNTERS, NUM_PHASES};
 
 /// Handshake magic: the first four bytes either endpoint sends.
@@ -253,30 +254,6 @@ pub enum Request {
     },
 }
 
-/// The wire projection of one snapshot delta: everything that changed
-/// between two published epochs, carried by [`Response::DeltaEvent`].
-///
-/// Applying a `WireDelta` to a client-side mirror at `from_epoch` yields
-/// the state at `to_epoch`: remove `deleted`, add `inserted`, clear the
-/// match status of `unmatched`, then record `matched` (id → vertex set).
-/// A *resync* delta has `from_epoch == 0` semantics regardless of the
-/// mirror's epoch: clear everything first.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WireDelta {
-    /// Epoch the delta starts from (the client's last seen epoch).
-    pub from_epoch: u64,
-    /// Epoch the delta advances the mirror to.
-    pub to_epoch: u64,
-    /// Edge ids inserted in `(from, to]`, ascending.
-    pub inserted: Vec<u64>,
-    /// Edge ids deleted in `(from, to]`, ascending.
-    pub deleted: Vec<u64>,
-    /// Edges newly in the matching, with their full vertex sets.
-    pub matched: Vec<(u64, Vec<u32>)>,
-    /// Edge ids that left the matching (but may still be live).
-    pub unmatched: Vec<u64>,
-}
-
 /// The per-update slice of a [`Response::Completion`], mirroring
 /// `pbdmm_service::{Done, Completion, ServiceError}` on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -404,8 +381,11 @@ pub enum Response {
         /// epoch: `delta` rebuilds the full state and the client must
         /// clear its mirror before applying it.
         resync: bool,
-        /// What changed (or, under `resync`, the whole state).
-        delta: WireDelta,
+        /// What changed (or, under `resync`, the whole state). Applying it
+        /// to a mirror at `from_epoch` yields the state at `to_epoch`:
+        /// remove `deleted`, add `inserted`, clear the match status of
+        /// `unmatched`, then record `matched` (id → vertex set).
+        delta: SnapshotDelta,
     },
     /// A request failed, or the connection violated the protocol
     /// (`req_id == 0` marks a connection-level error sent just before the
@@ -875,24 +855,24 @@ impl Response {
                 put_u64(&mut out, delta.from_epoch);
                 put_u64(&mut out, delta.to_epoch);
                 put_u32(&mut out, delta.inserted.len() as u32);
-                for &id in &delta.inserted {
-                    put_u64(&mut out, id);
+                for id in &delta.inserted {
+                    put_u64(&mut out, id.raw());
                 }
                 put_u32(&mut out, delta.deleted.len() as u32);
-                for &id in &delta.deleted {
-                    put_u64(&mut out, id);
+                for id in &delta.deleted {
+                    put_u64(&mut out, id.raw());
                 }
                 put_u32(&mut out, delta.matched.len() as u32);
                 for (id, vs) in &delta.matched {
-                    put_u64(&mut out, *id);
+                    put_u64(&mut out, id.raw());
                     put_u32(&mut out, vs.len() as u32);
                     for &v in vs {
                         put_u32(&mut out, v);
                     }
                 }
                 put_u32(&mut out, delta.unmatched.len() as u32);
-                for &id in &delta.unmatched {
-                    put_u64(&mut out, id);
+                for id in &delta.unmatched {
+                    put_u64(&mut out, id.raw());
                 }
             }
             Response::Error {
@@ -1001,17 +981,17 @@ impl Response {
                 let n = c.count(8, "inserted count")?;
                 let mut inserted = Vec::with_capacity(n);
                 for _ in 0..n {
-                    inserted.push(c.u64("inserted id")?);
+                    inserted.push(EdgeId(c.u64("inserted id")?));
                 }
                 let n = c.count(8, "deleted count")?;
                 let mut deleted = Vec::with_capacity(n);
                 for _ in 0..n {
-                    deleted.push(c.u64("deleted id")?);
+                    deleted.push(EdgeId(c.u64("deleted id")?));
                 }
                 let n = c.count(12, "matched count")?;
                 let mut matched = Vec::with_capacity(n);
                 for i in 0..n {
-                    let id = c.u64("matched id")?;
+                    let id = EdgeId(c.u64("matched id")?);
                     let nv = c.count(4, &format!("matched {i} vertex count"))?;
                     let mut vs = Vec::with_capacity(nv);
                     for _ in 0..nv {
@@ -1022,11 +1002,11 @@ impl Response {
                 let n = c.count(8, "unmatched count")?;
                 let mut unmatched = Vec::with_capacity(n);
                 for _ in 0..n {
-                    unmatched.push(c.u64("unmatched id")?);
+                    unmatched.push(EdgeId(c.u64("unmatched id")?));
                 }
                 Response::DeltaEvent {
                     resync,
-                    delta: WireDelta {
+                    delta: SnapshotDelta {
                         from_epoch,
                         to_epoch,
                         inserted,
@@ -1165,13 +1145,13 @@ mod tests {
 
         let resp = Response::DeltaEvent {
             resync: false,
-            delta: WireDelta {
+            delta: SnapshotDelta {
                 from_epoch: 42,
                 to_epoch: 48,
-                inserted: vec![5, 9],
-                deleted: vec![2],
-                matched: vec![(5, vec![1, 2]), (9, vec![3, 4, 5])],
-                unmatched: vec![2],
+                inserted: vec![EdgeId(5), EdgeId(9)],
+                deleted: vec![EdgeId(2)],
+                matched: vec![(EdgeId(5), vec![1, 2]), (EdgeId(9), vec![3, 4, 5])],
+                unmatched: vec![EdgeId(2)],
             },
         };
         assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
@@ -1179,7 +1159,7 @@ mod tests {
         // A resync event with an empty delta (epoch-0 state).
         let resync = Response::DeltaEvent {
             resync: true,
-            delta: WireDelta::default(),
+            delta: SnapshotDelta::empty(0, 0),
         };
         assert_eq!(Response::decode(&resync.encode()).unwrap(), resync);
     }

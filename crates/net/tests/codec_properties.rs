@@ -6,8 +6,9 @@
 //! seeds (deterministic, reproducible).
 
 use pbdmm_graph::{EdgeId, Update};
+use pbdmm_matching::snapshot::SnapshotDelta;
 use pbdmm_net::proto::{
-    self, ErrorCode, FrameError, Request, Response, UpdateResult, WireDelta, WireStats, MAX_FRAME,
+    self, ErrorCode, FrameError, Request, Response, UpdateResult, WireStats, MAX_FRAME,
 };
 use pbdmm_primitives::obs::ProfileReport;
 use pbdmm_primitives::rng::SplitMix64;
@@ -54,11 +55,13 @@ fn arb_request(rng: &mut SplitMix64) -> Request {
     }
 }
 
-fn arb_delta(rng: &mut SplitMix64) -> WireDelta {
-    let ids = |rng: &mut SplitMix64, n: u64| -> Vec<u64> {
-        (0..rng.bounded(n)).map(|_| rng.next_u64() >> 8).collect()
+fn arb_delta(rng: &mut SplitMix64) -> SnapshotDelta {
+    let ids = |rng: &mut SplitMix64, n: u64| -> Vec<EdgeId> {
+        (0..rng.bounded(n))
+            .map(|_| EdgeId(rng.next_u64() >> 8))
+            .collect()
     };
-    WireDelta {
+    SnapshotDelta {
         from_epoch: rng.next_u64(),
         to_epoch: rng.next_u64(),
         inserted: ids(rng, 10),
@@ -67,7 +70,7 @@ fn arb_delta(rng: &mut SplitMix64) -> WireDelta {
             .map(|_| {
                 let card = 1 + rng.bounded(4) as usize;
                 (
-                    rng.next_u64() >> 8,
+                    EdgeId(rng.next_u64() >> 8),
                     (0..card).map(|_| rng.next_u64() as u32).collect(),
                 )
             })

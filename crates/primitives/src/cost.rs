@@ -12,11 +12,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Aggregated work/depth counters. Cheap enough to leave enabled: the
+/// Aggregated work/depth counters. Cheap enough to leave always on: the
 /// algorithm touches it O(1) times per parallel primitive invocation, not per
-/// element. A meter can also be constructed [`disabled`](Self::disabled),
-/// discarding every charge (wall-clock-only benchmarking).
-#[derive(Debug)]
+/// element.
+#[derive(Debug, Default)]
 pub struct CostMeter {
     /// Total model work (number of primitive operations, aggregated).
     work: AtomicU64,
@@ -25,19 +24,6 @@ pub struct CostMeter {
     /// Number of parallel rounds recorded (e.g. greedy-matching rounds,
     /// random-settle iterations); the quantity the whp depth proofs bound.
     rounds: AtomicU64,
-    /// Whether charges are recorded (fixed at construction).
-    enabled: bool,
-}
-
-impl Default for CostMeter {
-    fn default() -> Self {
-        CostMeter {
-            work: AtomicU64::new(0),
-            depth: AtomicU64::new(0),
-            rounds: AtomicU64::new(0),
-            enabled: true,
-        }
-    }
 }
 
 impl CostMeter {
@@ -46,42 +32,23 @@ impl CostMeter {
         Self::default()
     }
 
-    /// A meter that discards every charge (`work()` stays 0).
-    pub fn disabled() -> Self {
-        CostMeter {
-            enabled: false,
-            ..Self::default()
-        }
-    }
-
-    /// Whether this meter records charges.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Charge `w` units of work.
     #[inline]
     pub fn add_work(&self, w: u64) {
-        if self.enabled {
-            self.work.fetch_add(w, Ordering::Relaxed);
-        }
+        self.work.fetch_add(w, Ordering::Relaxed);
     }
 
     /// Charge one sequential phase of depth `d`.
     #[inline]
     pub fn add_depth(&self, d: u64) {
-        if self.enabled {
-            self.depth.fetch_add(d, Ordering::Relaxed);
-        }
+        self.depth.fetch_add(d, Ordering::Relaxed);
     }
 
     /// Record one parallel round (and its `O(log n)` model depth).
     #[inline]
     pub fn add_round(&self, n: usize) {
-        if self.enabled {
-            self.rounds.fetch_add(1, Ordering::Relaxed);
-            self.add_depth(log2_ceil(n.max(2)) as u64);
-        }
+        self.rounds.fetch_add(1, Ordering::Relaxed);
+        self.add_depth(log2_ceil(n.max(2)) as u64);
     }
 
     /// Charge a primitive over `n` elements: `n` work, `log n` depth.
@@ -251,17 +218,6 @@ mod tests {
         assert_eq!(d.work, 50);
         assert_eq!(d.depth, 7);
         assert_eq!(d.rounds, 0);
-    }
-
-    #[test]
-    fn disabled_meter_discards_charges() {
-        let m = CostMeter::disabled();
-        assert!(!m.is_enabled());
-        m.add_work(100);
-        m.add_depth(5);
-        m.add_round(1024);
-        m.charge_primitive(1 << 10);
-        assert_eq!(m.snapshot(), CostSnapshot::default());
     }
 
     #[test]

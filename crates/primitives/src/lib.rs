@@ -23,8 +23,8 @@
 //! * [`par`] — the data-parallel loops the matcher calls (`par_map`,
 //!   `par_filter_map`, `par_apply_disjoint`, ...) on the pool, with one
 //!   adaptive sequential-cutoff rule;
-//! * [`slab`] — flat slab storage: `Vec`-backed free-list slabs and
-//!   epoch-stamped dense sets/maps, the index-addressed state tables the
+//! * [`slab`] — flat slab storage: a `Vec`-backed free-list id allocator
+//!   and epoch-stamped dense sets/maps, the index-addressed state tables the
 //!   hot path uses instead of hash structures.
 
 #![warn(missing_docs)]

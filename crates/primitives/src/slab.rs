@@ -7,12 +7,11 @@
 //! array access, iteration is a linear scan of live slots. This module
 //! provides the generic pieces:
 //!
-//! * [`Slab<T>`] — a `Vec`-backed slab with a LIFO free list: `O(1)` insert
-//!   (reusing freed slots), `O(1)` remove/get by index, iteration over live
-//!   slots, and **swap-free stable ids** (a slot's index never changes while
-//!   it is live, unlike a swap-remove vector). Freed-slot reuse is
-//!   deterministic (LIFO in free order), so structures that allocate ids
-//!   from a slab replay identically.
+//! * [`Slab`] — a `Vec`-backed id allocator with a LIFO free list: `O(1)`
+//!   insert (reusing freed ids) and remove, and **swap-free stable ids**
+//!   (an id never changes while it is live, unlike a swap-remove vector).
+//!   Freed-id reuse is deterministic (LIFO in free order), so structures
+//!   that allocate ids from a slab replay identically.
 //! * [`EpochSet`] — a dense membership set over small integer keys with
 //!   `O(1)` insert/contains and `O(1)` *clear* (bump the epoch stamp instead
 //!   of touching the array). The batch logic reuses one set across millions
@@ -21,130 +20,83 @@
 //!   map, used e.g. to compact sparse vertex ids into a dense range once per
 //!   greedy call without hashing.
 
-/// A `Vec`-backed slab with free-list id reuse.
+/// A `Vec`-backed id allocator with free-list reuse.
 ///
-/// Indices handed out by [`Slab::insert`] are stable for the lifetime of the
-/// entry (no swapping), and freed indices are reused LIFO — deterministic,
-/// so id assignment driven by a slab is reproducible in apply order.
+/// Ids handed out by [`Slab::insert`] are stable until removed (no
+/// swapping), and freed ids are reused LIFO — deterministic, so id
+/// assignment driven by a slab is reproducible in apply order.
 ///
 /// # Examples
 /// ```
 /// use pbdmm_primitives::slab::Slab;
 ///
 /// let mut s = Slab::new();
-/// let a = s.insert("a");
-/// let b = s.insert("b");
-/// assert_eq!(s.remove(a), Some("a"));
-/// // The freed slot is reused (LIFO), so ids stay dense.
-/// let c = s.insert("c");
+/// let a = s.insert();
+/// let b = s.insert();
+/// assert!(s.remove(a));
+/// // The freed id is reused (LIFO), so ids stay dense.
+/// let c = s.insert();
 /// assert_eq!(c, a);
-/// assert_eq!(s.len(), 2);
-/// assert_eq!(s[b], "b");
+/// assert_ne!(c, b);
 /// assert_eq!(s.high_water(), 2); // never grew past two slots
 /// ```
-#[derive(Debug, Clone)]
-pub struct Slab<T> {
-    slots: Vec<Option<T>>,
+#[derive(Debug, Clone, Default)]
+pub struct Slab {
+    /// `live[i]`: is id `i` currently handed out?
+    live: Vec<bool>,
     free: Vec<u32>,
-    live: usize,
 }
 
-impl<T> Default for Slab<T> {
-    fn default() -> Self {
-        Slab {
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-        }
-    }
-}
-
-impl<T> Slab<T> {
+impl Slab {
     /// Create an empty slab.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Create an empty slab with room for `n` entries before reallocating.
-    pub fn with_capacity(n: usize) -> Self {
-        Slab {
-            slots: Vec::with_capacity(n),
-            free: Vec::new(),
-            live: 0,
-        }
-    }
-
-    /// Insert a value, returning its slot index. Reuses the most recently
-    /// freed slot if any (LIFO), else appends a fresh one.
-    pub fn insert(&mut self, value: T) -> usize {
-        self.live += 1;
+    /// Allocate an id: the most recently freed one if any (LIFO), else a
+    /// fresh one past the high-water mark.
+    pub fn insert(&mut self) -> usize {
         match self.free.pop() {
             Some(i) => {
-                debug_assert!(self.slots[i as usize].is_none());
-                self.slots[i as usize] = Some(value);
+                debug_assert!(!self.live[i as usize]);
+                self.live[i as usize] = true;
                 i as usize
             }
             None => {
-                self.slots.push(Some(value));
-                self.slots.len() - 1
+                self.live.push(true);
+                self.live.len() - 1
             }
         }
     }
 
-    /// Remove and return the value at `key`, if live. The slot goes onto the
-    /// free list for reuse.
-    pub fn remove(&mut self, key: usize) -> Option<T> {
-        let v = self.slots.get_mut(key)?.take()?;
-        self.free.push(key as u32);
-        self.live -= 1;
-        Some(v)
+    /// Free `key` for reuse. Returns `false` (and does nothing) if `key`
+    /// is not currently handed out.
+    pub fn remove(&mut self, key: usize) -> bool {
+        match self.live.get_mut(key) {
+            Some(live) if *live => {
+                *live = false;
+                self.free.push(key as u32);
+                true
+            }
+            _ => false,
+        }
     }
 
-    /// The value at `key`, if live.
-    #[inline]
-    pub fn get(&self, key: usize) -> Option<&T> {
-        self.slots.get(key)?.as_ref()
-    }
-
-    /// Mutable access to the value at `key`, if live.
-    #[inline]
-    pub fn get_mut(&mut self, key: usize) -> Option<&mut T> {
-        self.slots.get_mut(key)?.as_mut()
-    }
-
-    /// Is `key` a live slot?
-    #[inline]
-    pub fn contains(&self, key: usize) -> bool {
-        matches!(self.slots.get(key), Some(Some(_)))
-    }
-
-    /// Number of live entries.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Is the slab empty?
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// High-water mark: total slots ever allocated (live + free). The
-    /// occupancy ratio `len() / high_water()` is the storage-efficiency
-    /// telemetry the benches record.
+    /// High-water mark: total ids ever allocated (live + free). The
+    /// occupancy ratio against it is the storage-efficiency telemetry the
+    /// benches record.
     #[inline]
     pub fn high_water(&self) -> usize {
-        self.slots.len()
+        self.live.len()
     }
 
-    /// Number of freed slots currently awaiting reuse.
+    /// Number of freed ids currently awaiting reuse.
     #[inline]
     pub fn free_slots(&self) -> usize {
         self.free.len()
     }
 
-    /// The free list in reuse order: the *last* entry is the next slot
+    /// The free list in reuse order: the *last* entry is the next id
     /// [`Self::insert`] hands out (LIFO). Serialized verbatim by
     /// checkpoints so a restored slab allocates identically.
     #[inline]
@@ -152,55 +104,22 @@ impl<T> Slab<T> {
         &self.free
     }
 
-    /// Iterate over live `(index, value)` pairs in index order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|v| (i, v)))
-    }
-
-    /// Drop every entry and forget the free list.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-        self.live = 0;
-    }
-}
-
-impl Slab<()> {
-    /// Rebuild a unit slab from its high-water mark and free list (the
-    /// checkpoint-restore hook for id allocators): every index below
+    /// Rebuild a slab from its high-water mark and free list (the
+    /// checkpoint-restore hook for id allocators): every id below
     /// `high_water` that is not on the free list is live, and the free
     /// list's LIFO order is preserved verbatim so the restored slab hands
-    /// out ids identically. Rejects out-of-range or duplicate free indices.
+    /// out ids identically. Rejects out-of-range or duplicate free ids.
     pub fn from_occupancy(high_water: usize, free: Vec<u32>) -> Result<Self, String> {
-        let mut slots: Vec<Option<()>> = vec![Some(()); high_water];
+        let mut live = vec![true; high_water];
         for &i in &free {
-            let slot = slots
+            let slot = live
                 .get_mut(i as usize)
                 .ok_or_else(|| format!("free index {i} beyond high water {high_water}"))?;
-            if slot.take().is_none() {
+            if !std::mem::replace(slot, false) {
                 return Err(format!("free index {i} repeated"));
             }
         }
-        let live = high_water - free.len();
-        Ok(Slab { slots, free, live })
-    }
-}
-
-impl<T> std::ops::Index<usize> for Slab<T> {
-    type Output = T;
-    #[inline]
-    fn index(&self, key: usize) -> &T {
-        self.get(key).expect("indexed a dead slab slot")
-    }
-}
-
-impl<T> std::ops::IndexMut<usize> for Slab<T> {
-    #[inline]
-    fn index_mut(&mut self, key: usize) -> &mut T {
-        self.get_mut(key).expect("indexed a dead slab slot")
+        Ok(Slab { live, free })
     }
 }
 
@@ -341,72 +260,78 @@ mod tests {
 
     #[test]
     fn slab_insert_get_remove() {
-        let mut s: Slab<u64> = Slab::with_capacity(4);
-        let a = s.insert(10);
-        let b = s.insert(20);
+        let mut s = Slab::new();
+        let a = s.insert();
+        let b = s.insert();
         assert_eq!((a, b), (0, 1));
-        assert_eq!(s.get(a), Some(&10));
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.remove(a), Some(10));
-        assert_eq!(s.remove(a), None, "double remove is None");
-        assert!(!s.contains(a));
-        assert!(s.contains(b));
-        assert_eq!(s.len(), 1);
+        assert!(s.remove(a));
+        assert!(!s.remove(a), "double remove is a no-op");
+        assert!(!s.remove(7), "removing an id never handed out is a no-op");
+        assert_eq!(s.free_list(), &[a as u32]);
+        assert_eq!(s.high_water(), 2);
     }
 
     #[test]
     fn slab_reuses_freed_slots_lifo() {
-        let mut s: Slab<&str> = Slab::new();
-        let ids: Vec<usize> = (0..4).map(|i| s.insert(["a", "b", "c", "d"][i])).collect();
+        let mut s = Slab::new();
+        let ids: Vec<usize> = (0..4).map(|_| s.insert()).collect();
         s.remove(ids[1]);
         s.remove(ids[3]);
         // LIFO: most recently freed first.
-        assert_eq!(s.insert("x"), ids[3]);
-        assert_eq!(s.insert("y"), ids[1]);
+        assert_eq!(s.insert(), ids[3]);
+        assert_eq!(s.insert(), ids[1]);
         // Exhausted free list appends a fresh slot.
-        assert_eq!(s.insert("z"), 4);
+        assert_eq!(s.insert(), 4);
         assert_eq!(s.high_water(), 5);
         assert_eq!(s.free_slots(), 0);
     }
 
     #[test]
     fn slab_ids_are_stable_across_unrelated_removals() {
-        let mut s: Slab<u32> = Slab::new();
-        let keep = s.insert(7);
-        let gone = s.insert(8);
-        s.insert(9);
+        let mut s = Slab::new();
+        let keep = s.insert();
+        let gone = s.insert();
+        s.insert();
         s.remove(gone);
-        // Unlike swap-remove vectors, `keep`'s index is untouched.
-        assert_eq!(s[keep], 7);
-        assert_eq!(s.get(gone), None);
-    }
-
-    #[test]
-    fn slab_iterates_live_slots_in_index_order() {
-        let mut s: Slab<u32> = Slab::new();
-        let ids: Vec<usize> = (0..5).map(|i| s.insert(i * 10)).collect();
-        s.remove(ids[2]);
-        let seen: Vec<(usize, u32)> = s.iter().map(|(i, &v)| (i, v)).collect();
-        assert_eq!(seen, vec![(0, 0), (1, 10), (3, 30), (4, 40)]);
+        // Unlike swap-remove vectors, removing `gone` leaves `keep` live
+        // under its own id.
+        assert!(!s.remove(gone), "gone is dead");
+        assert!(s.remove(keep), "keep is still live");
     }
 
     #[test]
     fn slab_high_water_tracks_total_slots() {
-        let mut s: Slab<()> = Slab::new();
+        let mut s = Slab::new();
         for _ in 0..100 {
-            s.insert(());
+            s.insert();
         }
         for i in 0..100 {
             s.remove(i);
         }
         for _ in 0..100 {
-            s.insert(()); // all reused
+            s.insert(); // all reused
         }
         assert_eq!(s.high_water(), 100);
-        assert_eq!(s.len(), 100);
-        s.clear();
-        assert_eq!(s.high_water(), 0);
-        assert!(s.is_empty());
+        assert_eq!(s.free_slots(), 0);
+    }
+
+    #[test]
+    fn slab_from_occupancy_allocates_like_the_original() {
+        let mut s = Slab::new();
+        for _ in 0..6 {
+            s.insert();
+        }
+        s.remove(4);
+        s.remove(1);
+        let mut restored = Slab::from_occupancy(s.high_water(), s.free_list().to_vec()).unwrap();
+        for _ in 0..4 {
+            assert_eq!(restored.insert(), s.insert());
+        }
+        assert!(
+            Slab::from_occupancy(2, vec![2]).is_err(),
+            "beyond high water"
+        );
+        assert!(Slab::from_occupancy(3, vec![1, 1]).is_err(), "repeated");
     }
 
     #[test]

@@ -366,9 +366,7 @@ fn replay_segments_from<S: BatchDynamic>(
 /// `make` builds a fresh structure (correct seed and id mode) each time a
 /// starting point is tried: checkpoints are attempted newest to oldest, a
 /// torn or unreadable one falls back to the next older, and when none is
-/// usable (or `from_genesis` is set, or the structure reports
-/// [`Checkpoint::checkpoint_supported`] false) the whole log replays from
-/// segment 0. Recovery therefore never errors on a torn checkpoint — only
+/// usable (or `from_genesis` is set) the whole log replays from segment 0. Recovery therefore never errors on a torn checkpoint — only
 /// on genuine log corruption or compacted-away history it cannot bridge.
 pub fn recover_dir_with<S, F>(
     dir: &Path,
@@ -381,8 +379,7 @@ where
 {
     let contents = list_wal_dir(dir)?;
     let meta = oldest_segment_meta(dir, &contents)?;
-    let use_ckpts = !from_genesis && make().checkpoint_supported();
-    if use_ckpts {
+    if !from_genesis {
         for (seq, path) in contents.checkpoints.iter().rev() {
             let mut s = make();
             let loaded = std::fs::File::open(path)

@@ -256,7 +256,9 @@ impl ServiceStats {
 /// directory of numbered `NNNNNN.seg` files (each a self-contained WAL
 /// whose `# base:` header carries its first batch seq) plus `NNNNNN.ckpt`
 /// checkpoints at segment boundaries. Recovery loads the newest intact
-/// checkpoint and replays only the tail segments after it.
+/// checkpoint and replays only the tail segments after it. A fresh start
+/// refuses a directory that already holds a log: recover from it, or pick
+/// another path.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
     /// The segment directory (created if missing).
@@ -267,14 +269,9 @@ pub struct WalConfig {
     /// `fsync` after every appended batch (durability against power loss,
     /// not just process crash). Default `false`: flush to the OS only.
     pub sync: bool,
-    /// Overwrite existing log content at `path`. Default `false`:
-    /// [`ServiceBuilder::start`] refuses rather than silently destroying a
-    /// previous run's log — the artifact crash recovery depends on. Set it
-    /// only for scratch logs.
-    pub truncate: bool,
     /// Take a checkpoint (and rotate the segment) after at least this many
-    /// updates, provided the structure supports checkpointing. `None`
-    /// disables rotation — one segment `000000.seg`, full-replay recovery.
+    /// updates. `None` disables rotation — one segment `000000.seg`,
+    /// full-replay recovery.
     pub checkpoint_every: Option<u64>,
 }
 
@@ -287,7 +284,6 @@ impl WalConfig {
             path: path.into(),
             meta,
             sync: false,
-            truncate: false,
             checkpoint_every: Some(Self::DEFAULT_CHECKPOINT_EVERY),
         }
     }
@@ -344,7 +340,6 @@ pub struct ServiceBuilder {
     pool: Option<Arc<ParPool>>,
     wal: Option<WalConfig>,
     sync: bool,
-    truncate: bool,
     /// `Some(override)` once [`Self::checkpoint_every`] was called;
     /// otherwise the [`WalConfig`]'s interval stands.
     checkpoint_every: Option<Option<u64>>,
@@ -391,10 +386,9 @@ impl ServiceBuilder {
     }
 
     /// Adopt a fully-specified [`WalConfig`] (escape hatch; its `sync` /
-    /// `truncate` / `checkpoint_every` become the builder's).
+    /// `checkpoint_every` become the builder's).
     pub fn wal(mut self, cfg: WalConfig) -> Self {
         self.sync = cfg.sync;
-        self.truncate = cfg.truncate;
         self.checkpoint_every = Some(cfg.checkpoint_every);
         self.wal = Some(cfg);
         self
@@ -404,13 +398,6 @@ impl ServiceBuilder {
     /// Order-independent with respect to `wal_dir`.
     pub fn wal_sync(mut self, sync: bool) -> Self {
         self.sync = sync;
-        self
-    }
-
-    /// Overwrite existing log content instead of refusing (scratch logs
-    /// only — see [`WalConfig::truncate`]).
-    pub fn wal_truncate(mut self, truncate: bool) -> Self {
-        self.truncate = truncate;
         self
     }
 
@@ -427,7 +414,6 @@ impl ServiceBuilder {
         let mut wal = self.wal.clone();
         if let Some(w) = wal.as_mut() {
             w.sync = self.sync;
-            w.truncate = self.truncate;
             if let Some(every) = self.checkpoint_every {
                 w.checkpoint_every = every;
             }
@@ -517,13 +503,6 @@ impl ServiceBuilder {
                 "recovery requires a WAL directory (ServiceBuilder::wal_dir)".into(),
             ));
         };
-        if wal.truncate {
-            return Err(ServiceError::Wal(
-                "recover + truncate are contradictory: truncate destroys the log \
-                 recovery would read"
-                    .into(),
-            ));
-        }
         // Missing or empty directory: nothing to recover, start fresh. Any
         // other scan error (the removed sharded layout, say) is fatal:
         // starting fresh would write a new log beside the old history.
@@ -582,8 +561,8 @@ struct WalSink {
     /// Global batch sequence the next append gets (continues across
     /// segments and, after recovery, across process restarts).
     seq: u64,
-    /// `None` when checkpointing is off (interval 0, or a structure that
-    /// cannot checkpoint): the log stays one segment.
+    /// `None` when checkpointing is off (interval 0): the log stays one
+    /// segment.
     ckpt: Option<CkptWriter>,
     /// Updates appended since the last checkpoint/rotation.
     updates_since_ckpt: u64,
@@ -608,27 +587,15 @@ impl WalSink {
     /// segment `resume_seq.seg` is always started: appending to a possibly
     /// torn previous segment is never attempted, and by definition no
     /// committed batch lives at or past `resume_seq`.
-    fn open(
-        cfg: &WalConfig,
-        resume_seq: u64,
-        checkpointing: bool,
-        obs: &Recorder,
-    ) -> Result<Self, ServiceError> {
+    fn open(cfg: &WalConfig, resume_seq: u64, obs: &Recorder) -> Result<Self, ServiceError> {
         let werr = |what: &str, e: std::io::Error| ServiceError::Wal(format!("{what}: {e}"));
         std::fs::create_dir_all(&cfg.path)
             .map_err(|e| werr(&format!("create WAL dir {:?}", cfg.path), e))?;
         let contents = list_wal_dir(&cfg.path).map_err(ServiceError::Wal)?;
-        if cfg.truncate {
-            for (_, p) in contents.segments.iter().chain(contents.checkpoints.iter()) {
-                std::fs::remove_file(p).map_err(|e| werr(&format!("truncate {p:?}"), e))?;
-            }
-        } else if resume_seq == 0
-            && (!contents.segments.is_empty() || !contents.checkpoints.is_empty())
-        {
+        if resume_seq == 0 && (!contents.segments.is_empty() || !contents.checkpoints.is_empty()) {
             return Err(ServiceError::Wal(format!(
                 "refusing to overwrite existing WAL dir {:?} — recover from it \
-                 (ServiceBuilder::recover*), pick another path, or set \
-                 WalConfig::truncate",
+                 (ServiceBuilder::recover*) or pick another path",
                 cfg.path
             )));
         }
@@ -640,18 +607,15 @@ impl WalSink {
             .and_then(|()| w.flush())
             .and_then(|()| fsync_dir(&cfg.path))
             .map_err(|e| werr("write segment header", e))?;
-        let ckpt = match cfg.checkpoint_every {
-            Some(every) if checkpointing => {
-                let (tx, rx) = mpsc::channel::<CkptJob>();
-                let (dir, obs) = (cfg.path.clone(), obs.clone());
-                let join = std::thread::Builder::new()
-                    .name("pbdmm-ckpt".into())
-                    .spawn(move || checkpoint_writer_loop(dir, rx, obs))
-                    .expect("spawn checkpoint thread");
-                Some(CkptWriter { every, tx, join })
-            }
-            _ => None,
-        };
+        let ckpt = cfg.checkpoint_every.map(|every| {
+            let (tx, rx) = mpsc::channel::<CkptJob>();
+            let (dir, obs) = (cfg.path.clone(), obs.clone());
+            let join = std::thread::Builder::new()
+                .name("pbdmm-ckpt".into())
+                .spawn(move || checkpoint_writer_loop(dir, rx, obs))
+                .expect("spawn checkpoint thread");
+            CkptWriter { every, tx, join }
+        });
         Ok(WalSink {
             w,
             dir: cfg.path.clone(),
@@ -956,14 +920,7 @@ impl<S: BatchDynamic + Checkpoint + Send + 'static> UpdateService<S> {
         let wal_sink = config
             .wal
             .as_ref()
-            .map(|cfg| {
-                WalSink::open(
-                    cfg,
-                    resume_seq,
-                    structure.checkpoint_supported(),
-                    &config.obs,
-                )
-            })
+            .map(|cfg| WalSink::open(cfg, resume_seq, &config.obs))
             .transpose()?;
         let (tx, rx) = mpsc::channel();
         let join = std::thread::Builder::new()
@@ -1656,13 +1613,6 @@ mod tests {
     fn builder_refuses_contradictory_recovery_configs() {
         let no_wal = ServiceConfig::builder().recover_and_start(|| DynamicMatching::with_seed(1));
         assert!(matches!(no_wal, Err(ServiceError::Wal(_))));
-        let dir = temp_wal_dir("pbdmm_svc_seg_contradict");
-        let truncating = ServiceConfig::builder()
-            .wal_dir(&dir, meta(1))
-            .wal_truncate(true)
-            .recover_and_start(|| DynamicMatching::with_seed(1));
-        assert!(matches!(truncating, Err(ServiceError::Wal(_))));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

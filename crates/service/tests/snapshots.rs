@@ -9,8 +9,10 @@
 //!   query handle after a completed ticket never observes an epoch older
 //!   than that ticket's visibility epoch, and reader-observed epochs are
 //!   monotone;
-//! * the read path is generic over the [`Snapshots`] family (the set-cover
-//!   element adapter serves concurrent cover queries the same way).
+//! * the set-cover element adapter serves through its matching: readers
+//!   get the same [`MatchingSnapshot`]s (a chosen set is a matched vertex,
+//!   a covered element a live edge), and the cover's spans reach the
+//!   service's recorder.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -202,12 +204,15 @@ fn reader_never_sees_an_epoch_older_than_its_completed_tickets() {
 
 #[test]
 fn cover_queries_are_served_concurrently() {
+    use pbdmm_primitives::obs::{Phase, Recorder};
     use pbdmm_setcover::DynamicSetCover;
+    let obs = Recorder::enabled();
     let (svc, q) = ServiceConfig::builder()
         .policy(CoalescePolicy {
             max_batch: 48,
             max_delay: Duration::from_micros(200),
         })
+        .obs(obs.clone())
         .start_serving(DynamicSetCover::with_seed(5))
         .unwrap();
     let stop = AtomicBool::new(false);
@@ -222,8 +227,9 @@ fn cover_queries_are_served_concurrently() {
                     assert!(snap.epoch() >= last);
                     last = snap.epoch();
                     // The maintained r-approximation is visible read-side:
-                    // every live element covered, cover bounded by r·LB.
-                    assert!(snap.cover_size() <= 3 * snap.lower_bound().max(1));
+                    // the chosen sets (matched vertices) are bounded by
+                    // r times the lower bound (the matching size).
+                    assert!(snap.matched_vertices().count() <= 3 * snap.matching_size().max(1));
                 }
             });
         }
@@ -239,14 +245,16 @@ fn cover_queries_are_served_concurrently() {
                             let id = owned.swap_remove(rng.bounded(owned.len() as u64) as usize);
                             let c = h.delete(id).wait().unwrap();
                             assert!(q.epoch() >= c.epoch);
-                            assert!(!q.snapshot().contains_element(id), "read your deletes");
+                            assert!(!q.snapshot().contains_edge(id), "read your deletes");
                         } else {
                             let k = 1 + rng.bounded(3) as usize;
                             let sets: Vec<u32> = (0..k).map(|_| rng.bounded(48) as u32).collect();
                             let c = h.insert(sets).wait().unwrap();
                             assert!(q.epoch() >= c.epoch);
                             let id = c.done.id();
-                            assert!(q.snapshot().is_covered(id), "read your writes");
+                            // A live element is covered at every published
+                            // batch boundary.
+                            assert!(q.snapshot().contains_edge(id), "read your writes");
                             owned.push(id);
                         }
                     }
@@ -260,5 +268,10 @@ fn cover_queries_are_served_concurrently() {
     });
     let (dc, _) = svc.shutdown();
     check_invariants(dc.matching()).unwrap();
-    assert_eq!(q.snapshot().num_elements(), dc.num_elements());
+    assert_eq!(q.snapshot().num_edges(), dc.num_elements());
+    assert_eq!(*q.snapshot(), MatchingSnapshot::capture(dc.matching()));
+    // The cover's matching records its spans through the service's recorder.
+    let report = obs.snapshot();
+    assert!(report.phase(Phase::Settle).count > 0);
+    assert!(report.phase(Phase::SnapshotPublish).count > 0);
 }

@@ -21,13 +21,15 @@
 
 #![warn(missing_docs)]
 
-use std::sync::Arc;
+use std::io::{BufRead, Write};
 
 use pbdmm_graph::edge::{EdgeId, VertexId};
 use pbdmm_matching::api::{Batch, BatchDynamic, BatchOutcome, UpdateError};
-use pbdmm_matching::snapshot::{Snapshot, SnapshotCell, SnapshotReader, Snapshots};
+use pbdmm_matching::checkpoint::Checkpoint;
+use pbdmm_matching::snapshot::{MatchingSnapshot, SnapshotReader, Snapshots};
 use pbdmm_matching::{BatchReport, DynamicMatching};
 use pbdmm_primitives::hash::{FxHashMap, FxHashSet};
+use pbdmm_primitives::obs::Recorder;
 use pbdmm_primitives::rng::SplitMix64;
 
 /// A set identifier (a vertex in the reduction).
@@ -84,22 +86,36 @@ pub fn static_cover(elements: &[Vec<SetId>], seed: u64) -> (Vec<SetId>, usize) {
 /// workload driver and benchmarks replay the same mixed streams against the
 /// cover as against every matching contender.
 ///
+/// Every serving seam is the matching's: snapshots are
+/// [`MatchingSnapshot`]s published in `O(batch)` per batch, checkpoints are
+/// the matching's checkpoints byte for byte, and an attached recorder sees
+/// the matching's spans. A cover reader asks the snapshot: set `s` is chosen
+/// iff `is_matched(s)`, element `e` is live (hence covered) iff
+/// `contains_edge(e)`, the `OPT` lower bound is `matching_size()`, and the
+/// cover size is `matched_vertices().count()`.
+///
 /// # Examples
 /// ```
+/// use pbdmm_matching::snapshot::Snapshots;
 /// use pbdmm_setcover::DynamicSetCover;
 ///
 /// let mut dc = DynamicSetCover::with_seed(3);
+/// let reader = dc.enable_snapshots();
 /// let ids = dc.insert_elements(&[vec![0, 1], vec![1, 2], vec![2]]);
 /// assert!(ids.iter().all(|&e| dc.is_covered(e)));
+///
+/// // Concurrent readers see the same cover through the published snapshot.
+/// let snap = reader.latest();
+/// assert_eq!(snap.epoch(), 3);
+/// assert!(ids.iter().all(|&e| snap.contains_edge(e)));
+/// assert_eq!(snap.matched_vertices().count(), dc.cover_size());
+/// assert!(snap.matched_vertices().count() <= 2 * snap.matching_size()); // r = 2
+///
 /// dc.delete_elements(&ids);
 /// assert_eq!(dc.cover_size(), 0);
 /// ```
 pub struct DynamicSetCover {
     matching: DynamicMatching,
-    /// Publication point for the epoch-snapshot read path (see
-    /// [`Snapshots::enable_snapshots`]): refreshed after every element
-    /// batch so concurrent readers query the cover while batches apply.
-    snapshots: Option<Arc<SnapshotCell<CoverSnapshot>>>,
 }
 
 impl DynamicSetCover {
@@ -107,24 +123,14 @@ impl DynamicSetCover {
     pub fn with_seed(seed: u64) -> Self {
         DynamicSetCover {
             matching: DynamicMatching::with_seed(seed),
-            snapshots: None,
         }
     }
 
     /// The structure's epoch: total element updates applied so far (the
-    /// version carried by published [`CoverSnapshot`]s; see
+    /// version carried by published snapshots; see
     /// [`pbdmm_matching::DynamicMatching::epoch`]).
     pub fn epoch(&self) -> u64 {
         self.matching.epoch()
-    }
-
-    /// Publish a fresh [`CoverSnapshot`] if the read path is enabled.
-    /// Called after every mutating entry point, before the outcome is
-    /// returned to the caller.
-    fn maybe_publish_snapshot(&mut self) {
-        if let Some(cell) = &self.snapshots {
-            cell.publish(CoverSnapshot::capture(self));
-        }
     }
 
     /// Pin this cover's batches to an explicit scheduler (forwarded to the
@@ -138,9 +144,7 @@ impl DynamicSetCover {
     /// containing a new element; delete = a live element id). Strict; see
     /// [`UpdateError`].
     pub fn apply(&mut self, batch: Batch) -> Result<BatchOutcome<BatchReport>, UpdateError> {
-        let out = self.matching.apply(batch)?;
-        self.maybe_publish_snapshot();
-        Ok(out)
+        self.matching.apply(batch)
     }
 
     /// Insert a batch of elements; `batch[i]` lists the sets containing the
@@ -149,18 +153,14 @@ impl DynamicSetCover {
     /// # Panics
     /// If any element is contained in no set.
     pub fn insert_elements(&mut self, batch: &[Vec<SetId>]) -> Vec<ElementId> {
-        let ids = self.matching.insert_edges(batch);
-        self.maybe_publish_snapshot();
-        ids
+        self.matching.insert_edges(batch)
     }
 
     /// Delete a batch of elements by id, tolerantly (unknown and duplicate
     /// ids are skipped). Returns the ids actually deleted so callers can
     /// reconcile.
     pub fn delete_elements(&mut self, ids: &[ElementId]) -> Vec<ElementId> {
-        let gone = self.matching.delete_edges(ids);
-        self.maybe_publish_snapshot();
-        gone
+        self.matching.delete_edges(ids)
     }
 
     /// The current cover: every set incident on a matched element.
@@ -236,159 +236,37 @@ impl BatchDynamic for DynamicSetCover {
     fn work(&self) -> u64 {
         self.matching.meter().work()
     }
-}
 
-/// Summary counters of a [`CoverSnapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoverStats {
-    /// Element updates applied when the snapshot was captured.
-    pub epoch: u64,
-    /// Live elements.
-    pub num_elements: usize,
-    /// Chosen sets.
-    pub cover_size: usize,
-    /// Matching size — the lower bound on `OPT`.
-    pub lower_bound: usize,
-}
-
-/// A compact immutable snapshot of a [`DynamicSetCover`]: the live element
-/// ids, the chosen sets, and the `OPT` lower bound, at one epoch. Published
-/// after every element batch once [`Snapshots::enable_snapshots`] is
-/// called, so concurrent readers answer *"is this set in the cover?"* /
-/// *"is this element still covered?"* while batches apply.
-///
-/// # Example
-/// ```
-/// use pbdmm_matching::snapshot::{Snapshot, Snapshots};
-/// use pbdmm_setcover::DynamicSetCover;
-///
-/// let mut dc = DynamicSetCover::with_seed(3);
-/// let reader = dc.enable_snapshots();
-/// let ids = dc.insert_elements(&[vec![0, 1], vec![1, 2], vec![2]]);
-/// let snap = reader.latest();
-/// assert_eq!(snap.epoch(), 3);
-/// assert!(ids.iter().all(|&e| snap.is_covered(e)));
-/// assert!(snap.cover_size() <= 2 * snap.lower_bound()); // r = 2 here
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoverSnapshot {
-    epoch: u64,
-    /// Live element ids, ascending.
-    elements: Vec<ElementId>,
-    /// Chosen sets, ascending.
-    cover: Vec<SetId>,
-    /// Matching size at capture time.
-    lower_bound: usize,
-}
-
-impl CoverSnapshot {
-    /// Capture the current state of `dc` at its current epoch.
-    pub fn capture(dc: &DynamicSetCover) -> Self {
-        let mut elements: Vec<ElementId> = dc.matching.structure().edges.ids().to_vec();
-        elements.sort_unstable();
-        let mut cover = dc.cover();
-        cover.sort_unstable();
-        CoverSnapshot {
-            epoch: dc.epoch(),
-            elements,
-            cover,
-            lower_bound: dc.opt_lower_bound(),
-        }
-    }
-
-    /// Element updates applied when this snapshot was captured.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Number of live elements.
-    pub fn num_elements(&self) -> usize {
-        self.elements.len()
-    }
-
-    /// Number of chosen sets.
-    pub fn cover_size(&self) -> usize {
-        self.cover.len()
-    }
-
-    /// The matching size at capture time — a lower bound on the optimal
-    /// cover size, so `cover_size() <= r * lower_bound()`.
-    pub fn lower_bound(&self) -> usize {
-        self.lower_bound
-    }
-
-    /// Summary counters.
-    pub fn stats(&self) -> CoverStats {
-        CoverStats {
-            epoch: self.epoch,
-            num_elements: self.num_elements(),
-            cover_size: self.cover_size(),
-            lower_bound: self.lower_bound,
-        }
-    }
-
-    /// Was `s` a chosen set at this epoch?
-    pub fn in_cover(&self, s: SetId) -> bool {
-        self.cover.binary_search(&s).is_ok()
-    }
-
-    /// Was `e` a live element at this epoch?
-    pub fn contains_element(&self, e: ElementId) -> bool {
-        self.elements.binary_search(&e).is_ok()
-    }
-
-    /// Was `e` covered at this epoch? Snapshots are captured only at batch
-    /// boundaries, where the maintained invariant guarantees every live
-    /// element is covered — so this is liveness, stated as the query the
-    /// serving layer answers.
-    pub fn is_covered(&self, e: ElementId) -> bool {
-        self.contains_element(e)
-    }
-
-    /// Live element ids, ascending.
-    pub fn elements(&self) -> &[ElementId] {
-        &self.elements
-    }
-
-    /// The chosen sets, ascending.
-    pub fn cover(&self) -> &[SetId] {
-        &self.cover
+    fn set_obs(&mut self, obs: Recorder) {
+        self.matching.set_obs(obs);
     }
 }
 
-impl Snapshot for CoverSnapshot {
-    /// Cover snapshots are rebuilt whole per publication (no incremental
-    /// maintenance): subscribers always resync.
-    type Delta = ();
-
-    fn epoch(&self) -> u64 {
-        self.epoch
+/// A cover's checkpoint is its matching's checkpoint, byte for byte.
+impl Checkpoint for DynamicSetCover {
+    fn write_checkpoint(&self, w: &mut dyn Write) -> std::io::Result<()> {
+        self.matching.write_checkpoint(w)
     }
 
-    fn merge_delta(_older: (), _newer: &()) {}
+    fn read_checkpoint(&mut self, r: &mut dyn BufRead) -> Result<(), String> {
+        self.matching.read_checkpoint(r)
+    }
 }
 
-/// Set cover does not checkpoint yet: the defaults report "unsupported", so
-/// a segmented WAL serving this structure recovers by full replay.
-impl pbdmm_matching::checkpoint::Checkpoint for DynamicSetCover {}
-
+/// A cover publishes its matching's snapshots.
 impl Snapshots for DynamicSetCover {
-    type Snap = CoverSnapshot;
+    type Snap = MatchingSnapshot;
 
     fn epoch(&self) -> u64 {
-        DynamicSetCover::epoch(self)
+        self.matching.epoch()
     }
 
-    fn snapshot(&self) -> CoverSnapshot {
-        CoverSnapshot::capture(self)
+    fn snapshot(&self) -> MatchingSnapshot {
+        self.matching.snapshot()
     }
 
-    fn enable_snapshots(&mut self) -> SnapshotReader<CoverSnapshot> {
-        if self.snapshots.is_none() {
-            self.snapshots = Some(Arc::new(SnapshotCell::new(CoverSnapshot::capture(self))));
-        }
-        let cell = Arc::clone(self.snapshots.as_ref().expect("just created"));
-        SnapshotReader::from_cell(cell)
+    fn enable_snapshots(&mut self) -> SnapshotReader<MatchingSnapshot> {
+        self.matching.enable_snapshots()
     }
 }
 
@@ -524,6 +402,64 @@ mod tests {
         for &e in ids[1..].iter().chain(&out.inserted) {
             assert!(dc.is_covered(e));
         }
+    }
+
+    /// Drive `dc` through `batches` random mixed element batches and return
+    /// them, so a twin can apply the same stream.
+    fn churn(dc: &mut DynamicSetCover, batches: usize, seed: u64) -> Vec<Batch> {
+        let mut rng = SplitMix64::new(seed);
+        let mut live: Vec<ElementId> = Vec::new();
+        let mut applied = Vec::new();
+        for _ in 0..batches {
+            let mut b = Batch::new();
+            for _ in 0..rng.bounded(4) {
+                if !live.is_empty() {
+                    b = b.delete(live.swap_remove(rng.bounded(live.len() as u64) as usize));
+                }
+            }
+            for _ in 0..1 + rng.bounded(6) {
+                let k = 1 + rng.bounded(3) as usize;
+                b = b.insert((0..k).map(|_| rng.bounded(40) as SetId).collect());
+            }
+            live.extend(dc.apply(b.clone()).unwrap().inserted);
+            applied.push(b);
+        }
+        applied
+    }
+
+    #[test]
+    fn checkpoint_restores_a_cover_that_continues_in_lockstep() {
+        use pbdmm_matching::checkpoint::Checkpoint;
+        use pbdmm_matching::snapshot::MatchingSnapshot;
+
+        let mut dc = DynamicSetCover::with_seed(17);
+        churn(&mut dc, 30, 1);
+        let mut buf = Vec::new();
+        dc.write_checkpoint(&mut buf).unwrap();
+        let mut direct = Vec::new();
+        dc.matching().write_checkpoint(&mut direct).unwrap();
+        assert_eq!(buf, direct, "a cover's checkpoint is its matching's");
+
+        let mut restored = DynamicSetCover::with_seed(17);
+        restored
+            .read_checkpoint(&mut std::io::Cursor::new(&buf))
+            .unwrap();
+        // The cost meter is not checkpointed: compare the work each twin
+        // charges for the same further batches.
+        let (w0, r0) = (BatchDynamic::work(&dc), BatchDynamic::work(&restored));
+        for b in churn(&mut dc, 30, 2) {
+            restored.apply(b).unwrap();
+        }
+        assert_eq!(
+            MatchingSnapshot::capture(dc.matching()),
+            MatchingSnapshot::capture(restored.matching())
+        );
+        assert_eq!(dc.cover(), restored.cover());
+        assert_eq!(
+            BatchDynamic::work(&dc) - w0,
+            BatchDynamic::work(&restored) - r0
+        );
+        assert!(BatchDynamic::work(&restored) > 0);
     }
 
     #[test]

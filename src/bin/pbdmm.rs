@@ -26,7 +26,7 @@ use pbdmm::graph::{gen, io, Batch, EdgeId, Hypergraph};
 use pbdmm::matching::baseline::{NaiveDynamic, RecomputeMatching};
 use pbdmm::matching::checkpoint::Checkpoint;
 use pbdmm::matching::driver::run_workload;
-use pbdmm::matching::snapshot::{Snapshot, Snapshots};
+use pbdmm::matching::snapshot::Snapshots;
 use pbdmm::matching::verify::check_invariants;
 use pbdmm::matching::MatchingSnapshot;
 use pbdmm::net::daemon::{Daemon, DaemonConfig};
@@ -39,7 +39,6 @@ use pbdmm::service::{
     matching_for, recover_dir_with, replay_into, wal_dir_meta, CoalescePolicy, Done, RecoveryInfo,
     ServiceConfig, ServiceHandle, WalConfig,
 };
-use pbdmm::setcover::CoverSnapshot;
 use pbdmm::{BatchDynamic, DynamicMatching, DynamicSetCover};
 use pbdmm_bench::metrics;
 
@@ -564,64 +563,28 @@ fn service_producer_load(
     (done, latencies, ryw_violations)
 }
 
-/// What a `serve` snapshot type must answer for the CLI's reader threads:
-/// a handful of point queries per poll (counted as reads; `Err` means a
-/// failed query) plus a full self-consistency check run once per newly
-/// observed epoch.
-trait ProbeSnapshot: Snapshot {
-    fn probe(&self, rng: &mut SplitMix64) -> Result<(), String>;
-    fn consistency(&self) -> Result<(), String>;
-}
-
-impl ProbeSnapshot for MatchingSnapshot {
-    fn probe(&self, rng: &mut SplitMix64) -> Result<(), String> {
-        let v = rng.bounded(4096) as u32;
-        if self.is_matched(v) {
-            let e = self
-                .matched_edge_of(v)
-                .ok_or_else(|| format!("vertex {v} matched but has no matched edge"))?;
-            if !self.is_matched_edge(e) || !self.contains_edge(e) {
-                return Err(format!("vertex {v}'s matched edge {e} is not live+matched"));
-            }
-            let partners = self
-                .partners(v)
-                .ok_or_else(|| format!("vertex {v} matched but has no partners"))?;
-            if !partners.contains(&v) {
-                return Err(format!("matched edge {e} does not contain vertex {v}"));
-            }
-        } else if self.partner(v).is_some() {
-            return Err(format!("unmatched vertex {v} has a partner"));
+/// One reader poll's point query against a served snapshot (a matching's,
+/// or a cover's — sets are its vertices): a random vertex's matched edge
+/// must be live, matched, and contain it. `Err` means a failed query.
+fn probe(snap: &MatchingSnapshot, rng: &mut SplitMix64) -> Result<(), String> {
+    let v = rng.bounded(4096) as u32;
+    if snap.is_matched(v) {
+        let e = snap
+            .matched_edge_of(v)
+            .ok_or_else(|| format!("vertex {v} matched but has no matched edge"))?;
+        if !snap.is_matched_edge(e) || !snap.contains_edge(e) {
+            return Err(format!("vertex {v}'s matched edge {e} is not live+matched"));
         }
-        Ok(())
-    }
-
-    fn consistency(&self) -> Result<(), String> {
-        self.check_consistency()
-    }
-}
-
-impl ProbeSnapshot for CoverSnapshot {
-    fn probe(&self, rng: &mut SplitMix64) -> Result<(), String> {
-        let s = self.stats();
-        if s.cover_size != self.cover().len() || s.num_elements != self.elements().len() {
-            return Err("stats disagree with snapshot contents".into());
+        let partners = snap
+            .partners(v)
+            .ok_or_else(|| format!("vertex {v} matched but has no partners"))?;
+        if !partners.contains(&v) {
+            return Err(format!("matched edge {e} does not contain vertex {v}"));
         }
-        // Every live element is covered at a batch boundary.
-        if !self.elements().is_empty() {
-            let e = self.elements()[rng.bounded(self.elements().len() as u64) as usize];
-            if !self.is_covered(e) {
-                return Err(format!("live element {e} uncovered"));
-            }
-        }
-        Ok(())
+    } else if snap.partner(v).is_some() {
+        return Err(format!("unmatched vertex {v} has a partner"));
     }
-
-    fn consistency(&self) -> Result<(), String> {
-        if self.cover_size() > 0 && self.num_elements() == 0 {
-            return Err("non-empty cover over zero elements".into());
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// What the reader tier observed during one `serve` run.
@@ -765,8 +728,7 @@ fn serve_load<S>(
     obs: Recorder,
 ) -> Result<ServeOutcome<S>, String>
 where
-    S: BatchDynamic + Snapshots + Checkpoint + Send + 'static,
-    S::Snap: ProbeSnapshot,
+    S: BatchDynamic + Snapshots<Snap = MatchingSnapshot> + Checkpoint + Send + 'static,
 {
     let mut builder = ServiceConfig::builder().policy(policy).obs(obs);
     if let Some(cfg) = wal {
@@ -807,14 +769,14 @@ where
                     // cheap point probes on every poll.
                     if snap.epoch() != checked_epoch {
                         checked_epoch = snap.epoch();
-                        if let Err(e) = snap.consistency() {
+                        if let Err(e) = snap.check_consistency() {
                             eprintln!("reader {r}: inconsistent snapshot: {e}");
                             failed += 1;
                         }
                         reads += 1;
                     }
                     for _ in 0..32 {
-                        if let Err(e) = snap.probe(&mut rng) {
+                        if let Err(e) = probe(&snap, &mut rng) {
                             eprintln!("reader {r}: failed query: {e}");
                             failed += 1;
                         }

@@ -64,7 +64,7 @@ pub use pbdmm_setcover as setcover;
 pub use pbdmm_graph::{Batch, DeletionOrder, EdgeId, Hypergraph, Update, VertexId, Workload};
 pub use pbdmm_matching::{
     BatchDynamic, BatchOutcome, DynamicMatching, DynamicMatchingBuilder, LevelingConfig,
-    MatchResult, MeterMode, UpdateError, UpdateOutcome,
+    MatchResult, UpdateError, UpdateOutcome,
 };
 pub use pbdmm_service::{CoalescePolicy, ServiceConfig, UpdateService};
 pub use pbdmm_setcover::{DynamicSetCover, ElementId, SetId};

@@ -249,17 +249,33 @@ fn serve_supports_setcover_and_compare_direct() {
         "3",
         "--wal",
         wal.to_str().unwrap(),
+        "--checkpoint-every",
+        "50",
     ]);
     let served_final = final_line(&out);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(served_final.contains("cover="), "{stdout}");
     assert!(stdout.contains("direct singleton"), "{stdout}");
     assert!(stdout.contains("coalescing speedup:"), "{stdout}");
+    // A served cover checkpoints like a matching.
+    let names: Vec<String> = std::fs::read_dir(&wal)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(
+        names.iter().any(|n| n.ends_with(".ckpt")),
+        "no checkpoint written in {names:?}"
+    );
 
-    // The set-cover log replays end to end through the CLI.
+    // The set-cover log recovers from its newest checkpoint through the CLI.
     let out = pbdmm(&["replay", wal.to_str().unwrap()]);
     assert_eq!(final_line(&out), served_final);
-    assert!(String::from_utf8_lossy(&out.stdout).contains("invariants: ok"));
+    let replay_out = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        replay_out.contains("recovery: from checkpoint at batch"),
+        "{replay_out}"
+    );
+    assert!(replay_out.contains("invariants: ok"));
     std::fs::remove_dir_all(&wal).ok();
 }
 

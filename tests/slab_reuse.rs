@@ -171,7 +171,6 @@ fn wal_replay_reproduces_recycled_ids_exactly() {
             },
         )
         .checkpoint_every(0)
-        .wal_truncate(true)
         .start(recycling(11))
         .expect("WAL in temp dir");
     let h = svc.handle();
