@@ -32,6 +32,7 @@
 //! rank 2
 //! config 1 4 0                 <- gap_log2 heavy_factor all_light
 //! stats <13 counters>
+//! meter <work> <depth> <rounds> <- the CostMeter (absent: restored at 0)
 //! edges <high_water> <count>
 //! e 3 0 1                      <- edge 3 = {0, 1}, in live-list order
 //! matches <high_water> <count>
@@ -46,6 +47,7 @@
 use std::io::{BufRead, Write};
 
 use pbdmm_graph::edge::{EdgeId, VertexId};
+use pbdmm_primitives::cost::CostSnapshot;
 use pbdmm_primitives::rng::SplitMix64;
 use pbdmm_primitives::slab::Slab;
 
@@ -114,6 +116,8 @@ impl Checkpoint for DynamicMatching {
             st.settle_rounds,
             st.batches,
         )?;
+        let m = self.meter().snapshot();
+        writeln!(w, "meter {} {} {}", m.work, m.depth, m.rounds)?;
         writeln!(
             w,
             "edges {} {}",
@@ -312,6 +316,14 @@ impl DynamicMatching {
                 self.stats.user_insertions = next("user_insertions")?;
                 self.stats.settle_rounds = next("settle_rounds")?;
                 self.stats.batches = next("batches")?;
+            }
+            "meter" => {
+                let mut next = |what| parse_tok::<u64>(toks.next(), what);
+                self.meter().restore(CostSnapshot {
+                    work: next("meter work")?,
+                    depth: next("meter depth")?,
+                    rounds: next("meter rounds")?,
+                });
             }
             "edges" => {
                 let high_water: usize = parse_tok(toks.next(), "edge high-water")?;
@@ -699,5 +711,21 @@ mod tests {
         assert_eq!(restored.stats.batches, dm.stats.batches);
         assert_eq!(restored.stats.user_insertions, dm.stats.user_insertions);
         assert_eq!(restored.epoch(), dm.epoch());
+        assert_eq!(restored.meter().snapshot(), dm.meter().snapshot());
+        assert!(dm.meter().work() > 0);
+        // A checkpoint without the meter line still loads, its meter at 0.
+        let text = String::from_utf8(buf).unwrap();
+        let without: String = text
+            .lines()
+            .filter(|l| !l.starts_with("meter "))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_ne!(without, text);
+        let mut older = DynamicMatching::with_seed(0);
+        older
+            .read_checkpoint(&mut std::io::Cursor::new(without.as_bytes()))
+            .unwrap();
+        assert_eq!(older.meter().snapshot(), Default::default());
+        assert_eq!(older.stats.batches, dm.stats.batches);
     }
 }

@@ -23,7 +23,7 @@ pub enum EpochEnd {
 }
 
 /// Aggregated run statistics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MatchingStats {
     /// Epochs created, total.
     pub epochs_created: u64,

@@ -11,7 +11,7 @@
 //! (buffering them for [`Client::take_epoch_events`]) and match on
 //! `req_id`.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -80,7 +80,10 @@ pub struct QueryAnswer {
 /// One blocking connection to a pbdmm daemon.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
+    /// Encoded request frames not yet written: [`Client::flush`] hands
+    /// them to the socket in one write.
+    out: Vec<u8>,
     body: Vec<u8>,
     next_req_id: u64,
     /// Epoch events that arrived interleaved while a correlation helper was
@@ -101,17 +104,20 @@ impl Client {
         Self::from_stream(stream)
     }
 
-    /// Handshake over an already-connected stream.
+    /// Handshake over an already-connected stream. The stream is switched
+    /// to `TCP_NODELAY`: a flushed frame leaves at once, not after the
+    /// peer's delayed ACK.
     pub fn from_stream(stream: TcpStream) -> Result<Client, ClientError> {
+        stream.set_nodelay(true).map_err(FrameError::Io)?;
         let read_half = stream.try_clone().map_err(FrameError::Io)?;
         let mut reader = BufReader::new(read_half);
-        let mut writer = BufWriter::new(stream);
+        let mut writer = stream;
         proto::write_handshake(&mut writer)?;
-        writer.flush().map_err(FrameError::Io)?;
         proto::read_handshake(&mut reader)?;
         Ok(Client {
             reader,
             writer,
+            out: Vec::new(),
             body: Vec::new(),
             next_req_id: 1,
             events: Vec::new(),
@@ -136,25 +142,29 @@ impl Client {
         id
     }
 
-    /// Encode and send one request frame (buffered; flushed before this
-    /// returns). Use with [`Client::recv_response`] to pipeline.
+    /// Encode and send one request frame (with any frames still buffered,
+    /// in one write before this returns). Use with
+    /// [`Client::recv_response`] to pipeline.
     pub fn send(&mut self, req: &Request) -> Result<(), ClientError> {
-        proto::write_frame(&mut self.writer, &req.encode())?;
-        self.writer.flush().map_err(FrameError::Io)?;
-        Ok(())
+        self.send_buffered(req)?;
+        self.flush()
     }
 
-    /// Encode and buffer one request frame without flushing — the pipelined
-    /// half of [`Client::send`]; call [`Client::flush`] when the window is
-    /// assembled.
+    /// Encode and buffer one request frame without writing it — the
+    /// pipelined half of [`Client::send`]; call [`Client::flush`] when the
+    /// window is assembled.
     pub fn send_buffered(&mut self, req: &Request) -> Result<(), ClientError> {
-        proto::write_frame(&mut self.writer, &req.encode())?;
+        req.encode_frame(&mut self.out)?;
         Ok(())
     }
 
-    /// Flush buffered request frames to the socket.
+    /// Write every buffered request frame to the socket, in one write.
     pub fn flush(&mut self) -> Result<(), ClientError> {
-        self.writer.flush().map_err(FrameError::Io)?;
+        if !self.out.is_empty() {
+            let written = self.writer.write_all(&self.out);
+            self.out.clear();
+            written.map_err(FrameError::Io)?;
+        }
         Ok(())
     }
 
@@ -331,5 +341,26 @@ impl Mirror {
             self.matched.insert(id.raw(), vs.clone());
         }
         self.epoch = d.to_epoch;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn connected_sockets_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            proto::write_handshake(&mut s).unwrap();
+            proto::read_handshake(&mut s).unwrap();
+        });
+        let client = Client::connect(addr).unwrap();
+        assert!(client.writer.nodelay().unwrap());
+        assert!(client.reader.get_ref().nodelay().unwrap());
+        peer.join().unwrap();
     }
 }

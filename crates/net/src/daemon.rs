@@ -23,6 +23,7 @@
 //! completions, then shuts the service down and returns the structure and
 //! final counters in a [`DaemonReport`].
 
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -34,8 +35,8 @@ use pbdmm_matching::DynamicMatching;
 use pbdmm_primitives::obs::{Counter, Phase, ProfileReport, Recorder};
 use pbdmm_primitives::pool::ParPool;
 use pbdmm_service::{
-    matching_for, CoalescePolicy, Done, QueryHandle, RecoveryInfo, ServiceBuilder, ServiceConfig,
-    ServiceError, ServiceHandle, ServiceStats, Ticket, UpdateService, WalConfig,
+    matching_for, BatchTicket, CoalescePolicy, Done, QueryHandle, RecoveryInfo, ServiceBuilder,
+    ServiceConfig, ServiceError, ServiceHandle, ServiceStats, UpdateService, WalConfig,
 };
 
 use crate::proto::{
@@ -54,6 +55,11 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Handshake deadline: a connected-but-silent peer cannot hold an
 /// admission slot indefinitely.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// A writer hands its encoded responses to the socket once its queue is
+/// empty, or once this many bytes are pending, whichever comes first: a
+/// pipelined burst leaves in few writes, and the buffer stays bounded.
+const WRITE_CHUNK: usize = 64 * 1024;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -341,6 +347,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             Ok(s) => s,
             Err(_) => continue,
         };
+        // Every frame leaves in one write; without Nagle's algorithm it
+        // leaves at once instead of waiting on the peer's delayed ACK.
+        let _ = stream.set_nodelay(true);
         obs.add(Counter::Connections, 1);
         conn_id += 1;
         reap_finished(&shared);
@@ -394,17 +403,16 @@ fn reap_finished(shared: &Arc<Shared>) {
 
 /// Greet and turn away one over-capacity connection.
 fn refuse(stream: TcpStream) {
-    use std::io::Write;
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let mut w = std::io::BufWriter::new(&stream);
-    let _ = proto::write_handshake(&mut w);
+    let mut out = Vec::new();
+    let _ = proto::write_handshake(&mut out);
     let err = Response::Error {
         req_id: 0,
         code: ErrorCode::Overloaded,
         message: "connection limit reached".into(),
     };
-    let _ = proto::write_frame(&mut w, &err.encode());
-    let _ = w.flush();
+    let _ = err.encode_frame(&mut out);
+    let _ = (&stream).write_all(&out);
     linger_close(&stream);
 }
 
@@ -429,13 +437,9 @@ fn linger_close(stream: &TcpStream) {
 
 /// What the reader hands the writer, in request order.
 enum WorkItem {
-    /// A submitted batch: the writer waits the tickets (in order), builds
-    /// the `Completion`, and releases the in-flight window.
-    Batch {
-        req_id: u64,
-        n: usize,
-        tickets: Vec<Ticket>,
-    },
+    /// A submitted batch: the writer waits its one ticket, builds the
+    /// `Completion`, and releases the in-flight window.
+    Batch { req_id: u64, ticket: BatchTicket },
     /// A response the reader already resolved (queries, stats, errors).
     Ready(Response),
     /// Switch the writer into subscription mode: bare epoch pings
@@ -446,17 +450,12 @@ enum WorkItem {
 /// One connection, run on its own thread: handshake, spawn the writer,
 /// then decode requests until EOF, error, or violation.
 fn connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
-    use std::io::Write;
-
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
 
     // Handshake, under a read deadline so silent peers release their slot.
     let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
-    {
-        let mut w = std::io::BufWriter::new(&stream);
-        if proto::write_handshake(&mut w).is_err() || w.flush().is_err() {
-            return;
-        }
+    if proto::write_handshake(&mut &stream).is_err() {
+        return;
     }
     let mut read_half = match stream.try_clone() {
         Ok(s) => s,
@@ -469,9 +468,7 @@ fn connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
             code: ErrorCode::Protocol,
             message: format!("{e}"),
         };
-        let mut w = std::io::BufWriter::new(&stream);
-        let _ = proto::write_frame(&mut w, &err.encode());
-        let _ = w.flush();
+        let _ = proto::write_frame(&mut &stream, &err.encode());
         linger_close(&stream);
         return;
     }
@@ -523,7 +520,9 @@ fn code_of(e: &ServiceError) -> ErrorCode {
         ServiceError::UnknownEdge(_) => ErrorCode::UnknownEdge,
         ServiceError::EmptyEdge => ErrorCode::EmptyEdge,
         ServiceError::Closed => ErrorCode::Closed,
-        ServiceError::Rejected(_) | ServiceError::Wal(_) => ErrorCode::Internal,
+        ServiceError::Rejected(_) | ServiceError::Wal(_) | ServiceError::Spawn(_) => {
+            ErrorCode::Internal
+        }
     }
 }
 
@@ -589,11 +588,10 @@ fn reader_loop(
                         })
                     } else {
                         inflight.fetch_add(n, Ordering::SeqCst);
-                        let tickets = updates
-                            .into_iter()
-                            .map(|u| shared.handle.submit(u))
-                            .collect();
-                        WorkItem::Batch { req_id, n, tickets }
+                        WorkItem::Batch {
+                            req_id,
+                            ticket: shared.handle.submit_batch(updates),
+                        }
                     }
                 }
             }
@@ -646,27 +644,34 @@ fn reader_loop(
 }
 
 /// Serialize responses in request order; in subscription mode, ride the
-/// snapshot publication condvar and interleave `EpochEvent` frames.
+/// snapshot publication condvar and interleave `EpochEvent` frames. Every
+/// response is encoded into one reused buffer, which goes to the socket in
+/// one write when the queue runs empty (or [`WRITE_CHUNK`] bytes pend).
 fn writer_loop(
     stream: TcpStream,
     rx: mpsc::Receiver<WorkItem>,
     shared: &Arc<Shared>,
     inflight: &AtomicUsize,
 ) {
-    use std::io::Write;
-    let mut w = std::io::BufWriter::new(&stream);
+    let mut out: Vec<u8> = Vec::new();
+    // An idle connection keeps at most WRITE_CHUNK of buffer, whatever
+    // the largest frame it ever sent (a resync delta can be large).
+    let send = |out: &mut Vec<u8>| {
+        let sent = (&stream).write_all(out).is_ok();
+        out.clear();
+        out.shrink_to(WRITE_CHUNK);
+        sent
+    };
     // Last epoch delivered to the subscriber, and whether the subscription
     // streams deltas or bare epoch pings (None: not subscribed).
     let mut subscribed: Option<(u64, bool)> = None;
-    let mut dirty = false;
     loop {
         let item = match rx.try_recv() {
             Ok(item) => item,
             Err(mpsc::TryRecvError::Empty) => {
-                if dirty && w.flush().is_err() {
+                if !out.is_empty() && !send(&mut out) {
                     break;
                 }
-                dirty = false;
                 if let Some((last, deltas)) = subscribed {
                     let snap = shared.query.wait_for_newer(last, SUBSCRIPTION_TICK);
                     if snap.epoch() > last {
@@ -696,7 +701,7 @@ fn writer_loop(
                                 epoch: snap.epoch(),
                             }
                         };
-                        if proto::write_frame(&mut w, &ev.encode()).is_err() || w.flush().is_err() {
+                        if ev.encode_frame(&mut out).is_err() || !send(&mut out) {
                             break;
                         }
                     }
@@ -715,35 +720,29 @@ fn writer_loop(
                 subscribed = Some((from_epoch, deltas));
                 continue;
             }
-            WorkItem::Batch { req_id, n, tickets } => {
-                let mut results = Vec::with_capacity(tickets.len());
+            WorkItem::Batch { req_id, ticket } => {
+                let outcomes = ticket.wait();
+                inflight.fetch_sub(outcomes.len(), Ordering::SeqCst);
+                // Every applied update of one caller batch shares its
+                // batch's epoch.
                 let mut epoch = 0u64;
-                for t in tickets {
-                    match t.wait() {
+                let results = outcomes
+                    .into_iter()
+                    .map(|outcome| match outcome {
                         Ok(c) => {
                             epoch = epoch.max(c.epoch);
-                            results.push(match c.done {
-                                Done::Inserted(id) => UpdateResult::Inserted {
-                                    id: id.raw(),
-                                    seq: c.seq,
-                                    epoch: c.epoch,
-                                },
-                                Done::Deleted(id) => UpdateResult::Deleted {
-                                    id: id.raw(),
-                                    seq: c.seq,
-                                    epoch: c.epoch,
-                                },
-                                Done::AlreadyDeleted(id) => UpdateResult::AlreadyDeleted {
-                                    id: id.raw(),
-                                    seq: c.seq,
-                                    epoch: c.epoch,
-                                },
-                            });
+                            let (id, seq, epoch) = (c.done.id().raw(), c.seq, c.epoch);
+                            match c.done {
+                                Done::Inserted(_) => UpdateResult::Inserted { id, seq, epoch },
+                                Done::Deleted(_) => UpdateResult::Deleted { id, seq, epoch },
+                                Done::AlreadyDeleted(_) => {
+                                    UpdateResult::AlreadyDeleted { id, seq, epoch }
+                                }
+                            }
                         }
-                        Err(e) => results.push(UpdateResult::Rejected { code: code_of(&e) }),
-                    }
-                }
-                inflight.fetch_sub(n, Ordering::SeqCst);
+                        Err(e) => UpdateResult::Rejected { code: code_of(&e) },
+                    })
+                    .collect();
                 Response::Completion {
                     req_id,
                     epoch,
@@ -751,12 +750,16 @@ fn writer_loop(
                 }
             }
         };
-        if proto::write_frame(&mut w, &response.encode()).is_err() {
+        if response.encode_frame(&mut out).is_err() {
             break;
         }
-        dirty = true;
+        if out.len() >= WRITE_CHUNK && !send(&mut out) {
+            break;
+        }
     }
-    let _ = w.flush();
+    if !out.is_empty() {
+        send(&mut out);
+    }
     // By the time the channel closes the reader has already exited, so the
     // drain below never steals a live frame from it.
     linger_close(&stream);

@@ -438,14 +438,30 @@ pub fn read_handshake(r: &mut impl Read) -> Result<(), FrameError> {
     Ok(())
 }
 
-/// Write one frame: length prefix + body. The body must already contain
-/// the opcode (see [`Request::encode`] / [`Response::encode`]).
+/// Write one frame: length prefix + body, in one `write_all`. The body
+/// must already contain the opcode (see [`Request::encode`] /
+/// [`Response::encode`]). Hot paths encode straight into a reused buffer
+/// instead ([`Request::encode_frame`] / [`Response::encode_frame`]).
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), FrameError> {
-    debug_assert!(!body.is_empty(), "a frame body carries at least an opcode");
-    let len = u32::try_from(body.len())
-        .map_err(|_| FrameError::Malformed("frame body exceeds u32".into()))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(body)?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    push_frame(&mut frame, |out| out.extend_from_slice(body))?;
+    w.write_all(&frame)?;
+    Ok(())
+}
+
+/// Append one frame to `out`: a length prefix, then the body `encode`
+/// appends (opcode + payload). On error `out` is left as it was.
+fn push_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), FrameError> {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    encode(out);
+    let body = out.len() - at - 4;
+    debug_assert!(body > 0, "a frame body carries at least an opcode");
+    let Ok(len) = u32::try_from(body) else {
+        out.truncate(at);
+        return Err(FrameError::Malformed("frame body exceeds u32".into()));
+    };
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
     Ok(())
 }
 
@@ -666,52 +682,63 @@ impl Request {
     /// Encode into a frame body (opcode + payload) for [`write_frame`].
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
+        self.encode_body(&mut out);
+        out
+    }
+
+    /// Append this request to `out` as one whole frame (length prefix
+    /// and body), so a caller can hand `out` — this frame, or a window of
+    /// frames — to the socket in one write.
+    pub fn encode_frame(&self, out: &mut Vec<u8>) -> Result<(), FrameError> {
+        push_frame(out, |out| self.encode_body(out))
+    }
+
+    fn encode_body(&self, out: &mut Vec<u8>) {
         match self {
             Request::SubmitBatch { req_id, updates } => {
                 out.push(OP_SUBMIT_BATCH);
-                put_u64(&mut out, *req_id);
-                put_u32(&mut out, updates.len() as u32);
+                put_u64(out, *req_id);
+                put_u32(out, updates.len() as u32);
                 for u in updates {
                     match u {
                         Update::Insert(vs) => {
                             out.push(TAG_INSERT);
-                            put_u32(&mut out, vs.len() as u32);
+                            put_u32(out, vs.len() as u32);
                             for &v in vs {
-                                put_u32(&mut out, v);
+                                put_u32(out, v);
                             }
                         }
                         Update::Delete(id) => {
                             out.push(TAG_DELETE);
-                            put_u64(&mut out, id.raw());
+                            put_u64(out, id.raw());
                         }
                     }
                 }
             }
             Request::PointQuery { req_id, vertex } => {
                 out.push(OP_POINT_QUERY);
-                put_u64(&mut out, *req_id);
-                put_u32(&mut out, *vertex);
+                put_u64(out, *req_id);
+                put_u32(out, *vertex);
             }
             Request::Stats { req_id } => {
                 out.push(OP_STATS);
-                put_u64(&mut out, *req_id);
+                put_u64(out, *req_id);
             }
             Request::SubscribeEpoch { req_id, from_epoch } => {
                 out.push(OP_SUBSCRIBE_EPOCH);
-                put_u64(&mut out, *req_id);
-                put_u64(&mut out, *from_epoch);
+                put_u64(out, *req_id);
+                put_u64(out, *from_epoch);
             }
             Request::SubscribeDeltas { req_id, from_epoch } => {
                 out.push(OP_SUBSCRIBE_DELTAS);
-                put_u64(&mut out, *req_id);
-                put_u64(&mut out, *from_epoch);
+                put_u64(out, *req_id);
+                put_u64(out, *from_epoch);
             }
             Request::Shutdown { req_id } => {
                 out.push(OP_SHUTDOWN);
-                put_u64(&mut out, *req_id);
+                put_u64(out, *req_id);
             }
         }
-        out
     }
 
     /// Decode a frame body. Never panics; hostile bytes yield
@@ -777,6 +804,18 @@ impl Response {
     /// Encode into a frame body (opcode + payload) for [`write_frame`].
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(24);
+        self.encode_body(&mut out);
+        out
+    }
+
+    /// Append this response to `out` as one whole frame (length prefix
+    /// and body), so a caller can hand `out` — this frame, or a window of
+    /// frames — to the socket in one write.
+    pub fn encode_frame(&self, out: &mut Vec<u8>) -> Result<(), FrameError> {
+        push_frame(out, |out| self.encode_body(out))
+    }
+
+    fn encode_body(&self, out: &mut Vec<u8>) {
         match self {
             Response::Completion {
                 req_id,
@@ -784,32 +823,32 @@ impl Response {
                 results,
             } => {
                 out.push(OP_COMPLETION);
-                put_u64(&mut out, *req_id);
-                put_u64(&mut out, *epoch);
-                put_u32(&mut out, results.len() as u32);
+                put_u64(out, *req_id);
+                put_u64(out, *epoch);
+                put_u32(out, results.len() as u32);
                 for r in results {
                     match r {
                         UpdateResult::Inserted { id, seq, epoch } => {
                             out.push(TAG_INSERTED);
-                            put_u64(&mut out, *id);
-                            put_u64(&mut out, *seq);
-                            put_u64(&mut out, *epoch);
+                            put_u64(out, *id);
+                            put_u64(out, *seq);
+                            put_u64(out, *epoch);
                         }
                         UpdateResult::Deleted { id, seq, epoch } => {
                             out.push(TAG_DELETED);
-                            put_u64(&mut out, *id);
-                            put_u64(&mut out, *seq);
-                            put_u64(&mut out, *epoch);
+                            put_u64(out, *id);
+                            put_u64(out, *seq);
+                            put_u64(out, *epoch);
                         }
                         UpdateResult::AlreadyDeleted { id, seq, epoch } => {
                             out.push(TAG_ALREADY_DELETED);
-                            put_u64(&mut out, *id);
-                            put_u64(&mut out, *seq);
-                            put_u64(&mut out, *epoch);
+                            put_u64(out, *id);
+                            put_u64(out, *seq);
+                            put_u64(out, *epoch);
                         }
                         UpdateResult::Rejected { code } => {
                             out.push(TAG_REJECTED);
-                            put_u16(&mut out, *code as u16);
+                            put_u16(out, *code as u16);
                         }
                     }
                 }
@@ -821,58 +860,58 @@ impl Response {
                 partners,
             } => {
                 out.push(OP_QUERY_RESULT);
-                put_u64(&mut out, *req_id);
-                put_u64(&mut out, *epoch);
+                put_u64(out, *req_id);
+                put_u64(out, *epoch);
                 match matched_edge {
                     Some(id) => {
                         out.push(1);
-                        put_u64(&mut out, *id);
+                        put_u64(out, *id);
                     }
                     None => out.push(0),
                 }
-                put_u32(&mut out, partners.len() as u32);
+                put_u32(out, partners.len() as u32);
                 for &v in partners {
-                    put_u32(&mut out, v);
+                    put_u32(out, v);
                 }
             }
             Response::Stats { req_id, stats } => {
                 out.push(OP_STATS_RESULT);
-                put_u64(&mut out, *req_id);
-                put_u64(&mut out, stats.epoch);
-                put_u64(&mut out, stats.num_edges);
-                put_u64(&mut out, stats.matching_size);
-                put_u32(&mut out, stats.connections);
+                put_u64(out, *req_id);
+                put_u64(out, stats.epoch);
+                put_u64(out, stats.num_edges);
+                put_u64(out, stats.matching_size);
+                put_u32(out, stats.connections);
                 out.push(stats.draining);
-                put_profile(&mut out, &stats.report);
+                put_profile(out, &stats.report);
             }
             Response::EpochEvent { epoch } => {
                 out.push(OP_EPOCH_EVENT);
-                put_u64(&mut out, *epoch);
+                put_u64(out, *epoch);
             }
             Response::DeltaEvent { resync, delta } => {
                 out.push(OP_DELTA_EVENT);
                 out.push(u8::from(*resync));
-                put_u64(&mut out, delta.from_epoch);
-                put_u64(&mut out, delta.to_epoch);
-                put_u32(&mut out, delta.inserted.len() as u32);
+                put_u64(out, delta.from_epoch);
+                put_u64(out, delta.to_epoch);
+                put_u32(out, delta.inserted.len() as u32);
                 for id in &delta.inserted {
-                    put_u64(&mut out, id.raw());
+                    put_u64(out, id.raw());
                 }
-                put_u32(&mut out, delta.deleted.len() as u32);
+                put_u32(out, delta.deleted.len() as u32);
                 for id in &delta.deleted {
-                    put_u64(&mut out, id.raw());
+                    put_u64(out, id.raw());
                 }
-                put_u32(&mut out, delta.matched.len() as u32);
+                put_u32(out, delta.matched.len() as u32);
                 for (id, vs) in &delta.matched {
-                    put_u64(&mut out, id.raw());
-                    put_u32(&mut out, vs.len() as u32);
+                    put_u64(out, id.raw());
+                    put_u32(out, vs.len() as u32);
                     for &v in vs {
-                        put_u32(&mut out, v);
+                        put_u32(out, v);
                     }
                 }
-                put_u32(&mut out, delta.unmatched.len() as u32);
+                put_u32(out, delta.unmatched.len() as u32);
                 for id in &delta.unmatched {
-                    put_u64(&mut out, id.raw());
+                    put_u64(out, id.raw());
                 }
             }
             Response::Error {
@@ -881,13 +920,12 @@ impl Response {
                 message,
             } => {
                 out.push(OP_ERROR);
-                put_u64(&mut out, *req_id);
-                put_u16(&mut out, *code as u16);
-                put_u32(&mut out, message.len() as u32);
+                put_u64(out, *req_id);
+                put_u16(out, *code as u16);
+                put_u32(out, message.len() as u32);
                 out.extend_from_slice(message.as_bytes());
             }
         }
-        out
     }
 
     /// Decode a frame body. Never panics; hostile bytes yield
@@ -1123,6 +1161,45 @@ mod tests {
             Request::decode(&body),
             Err(FrameError::Malformed(_))
         ));
+    }
+
+    /// A writer that counts the `write` calls it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        let req = Request::SubmitBatch {
+            req_id: 5,
+            updates: vec![Update::Insert(vec![1, 2]), Update::Delete(EdgeId(3))],
+        };
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &req.encode()).unwrap();
+        assert_eq!(w.writes, 1, "length prefix and body go out together");
+        // The same bytes `encode_frame` appends to a reused buffer.
+        let mut framed = vec![0xEE];
+        req.encode_frame(&mut framed).unwrap();
+        assert_eq!(framed[1..], w.bytes[..]);
+        let mut body = Vec::new();
+        assert!(read_frame(&mut &w.bytes[..], MAX_FRAME, &mut body)
+            .unwrap()
+            .is_some());
+        assert_eq!(Request::decode(&body).unwrap(), req);
     }
 
     #[test]

@@ -88,6 +88,69 @@ fn submits_queries_and_read_your_writes_over_the_wire() {
     assert_eq!(report.wire.protocol_errors, 0);
 }
 
+/// One frame of 512 insertions over fresh vertex pairs, numbered from `base`.
+fn fresh_inserts(base: u32) -> Vec<Update> {
+    (0..512u32)
+        .map(|i| Update::Insert(vec![base + 2 * i, base + 2 * i + 1]))
+        .collect()
+}
+
+#[test]
+fn bulk_frames_round_trip_without_delayed_ack_stalls() {
+    // Each request (512 deletes + 512 inserts, about 11 KiB) and each
+    // Completion (about 25 KiB) exceeds an 8 KiB write buffer: a frame
+    // that left in two writes, or sat behind Nagle's algorithm, would wait
+    // on the peer's delayed ACK, which Linux holds for at least 40 ms.
+    let (addr, stop, join) = start(DaemonConfig::default());
+    let mut c = Client::connect(addr).unwrap();
+    let mut seed = fresh_inserts(0);
+    seed.extend(fresh_inserts(1024));
+    let mut live: Vec<u64> = c
+        .submit_updates(seed)
+        .unwrap()
+        .results
+        .iter()
+        .map(|r| match *r {
+            UpdateResult::Inserted { id, .. } => id,
+            ref other => panic!("seed insert resolved as {other:?}"),
+        })
+        .collect();
+    let mut rtts = Vec::new();
+    for frame in 0..20u32 {
+        let mut updates: Vec<Update> = live
+            .drain(..512)
+            .map(|id| Update::Delete(pbdmm_graph::EdgeId(id)))
+            .collect();
+        updates.extend(fresh_inserts((frame + 2) * 1024));
+        let t0 = Instant::now();
+        let done = c.submit_updates(updates).unwrap();
+        rtts.push(t0.elapsed());
+        assert_eq!(done.results.len(), 1024);
+        // One frame is one service batch: every result carries its epoch.
+        for r in &done.results {
+            match *r {
+                UpdateResult::Deleted { epoch, .. } => assert_eq!(epoch, done.epoch),
+                UpdateResult::Inserted { id, epoch, .. } => {
+                    assert_eq!(epoch, done.epoch);
+                    live.push(id);
+                }
+                ref other => panic!("frame {frame}: {other:?}"),
+            }
+        }
+    }
+    rtts.sort_unstable();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(40),
+        "median frame round trip {median:?} (all: {rtts:?})"
+    );
+    drop(c);
+    stop.stop();
+    let report = join.join().unwrap();
+    assert_eq!(report.structure.num_edges(), 1024);
+    assert_eq!(report.service.batches, 21, "{:?}", report.service);
+}
+
 #[test]
 fn hostile_client_is_isolated_from_well_behaved_ones() {
     let (addr, stop, join) = start(DaemonConfig::default());

@@ -73,6 +73,15 @@ impl CostMeter {
         self.rounds.load(Ordering::Relaxed)
     }
 
+    /// Set every counter to a recorded snapshot's value: a structure
+    /// restored from a checkpoint resumes its meter where the checkpointed
+    /// one stood, so its totals match a replay of the whole history.
+    pub fn restore(&self, at: CostSnapshot) {
+        self.work.store(at.work, Ordering::Relaxed);
+        self.depth.store(at.depth, Ordering::Relaxed);
+        self.rounds.store(at.rounds, Ordering::Relaxed);
+    }
+
     /// Reset all counters to zero.
     pub fn reset(&self) {
         self.work.store(0, Ordering::Relaxed);

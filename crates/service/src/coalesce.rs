@@ -1,9 +1,10 @@
 //! Batch formation: the pure planning step between raw per-update requests
 //! and one valid mixed [`Batch`] for [`BatchDynamic::apply`].
 //!
-//! The coalescer thread drains pending requests under a size/latency policy
-//! ([`CoalescePolicy`]) and hands them to [`plan_batch`], which resolves
-//! conflicts per the strict `apply` contract:
+//! The coalescer thread drains pending caller batches under a size/latency
+//! policy ([`CoalescePolicy`]), concatenates them in arrival order, and
+//! hands the updates to [`plan_batch`], which resolves conflicts per the
+//! strict `apply` contract:
 //!
 //! * **deletions are ordered before insertions** in the formed batch (the
 //!   contract processes them first anyway; the explicit order keeps the WAL
@@ -19,16 +20,24 @@
 //!
 //! [`BatchDynamic::apply`]: pbdmm_matching::api::BatchDynamic::apply
 
+use std::collections::hash_map::Entry;
 use std::time::Duration;
 
 use pbdmm_graph::edge::{normalize_vertices, EdgeId};
 use pbdmm_graph::update::{Batch, Update};
-use pbdmm_primitives::hash::FxHashSet;
+use pbdmm_primitives::hash::FxHashMap;
 
 /// The size/latency flush policy: a batch is closed as soon as it holds
 /// `max_batch` updates, or `max_delay` after its first update arrived,
 /// whichever comes first — and, in the default group-commit mode
 /// (`max_delay == 0`), as soon as the ingress is momentarily empty.
+///
+/// The unit the coalescer merges is a *caller batch* (one
+/// `ServiceHandle::submit_batch`, or one `submit`), and it never splits
+/// one: `max_batch` caps how much it merges. Whole caller batches join a
+/// batch while its total stays within `max_batch`; the first one that does
+/// not fit opens the next batch, and a single caller batch larger than
+/// `max_batch` is applied alone and whole.
 ///
 /// Group commit is self-clocking: while one batch is being applied, new
 /// submissions queue up and become the next batch, so batch sizes grow
@@ -39,7 +48,8 @@ use pbdmm_primitives::hash::FxHashSet;
 /// latency).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoalescePolicy {
-    /// Flush when this many updates are pending (amortization knob).
+    /// Flush when this many updates are pending (amortization knob): the
+    /// most updates the coalescer merges from several caller batches.
     pub max_batch: usize,
     /// Zero (default): group commit — flush whenever the ingress is
     /// momentarily empty. Positive: hold non-full batches open this long
@@ -74,9 +84,10 @@ pub enum Slot {
     /// deletions first, then insertions).
     InBatch(usize),
     /// In-batch duplicate delete, coalesced away: the id's first delete
-    /// holds the batch slot; this request resolves as already-deleted once
-    /// that batch commits.
-    DuplicateDelete(EdgeId),
+    /// holds the batch slot at this position; this request resolves as
+    /// already-deleted, with that slot's sequence number, once the batch
+    /// commits.
+    DuplicateDelete(usize),
     /// Delete of an id that is not live.
     RejectUnknown(EdgeId),
     /// Insert with an empty vertex set.
@@ -114,7 +125,9 @@ where
     let mut slots: Vec<Slot> = Vec::with_capacity(reqs.len());
     let mut deletes: Vec<EdgeId> = Vec::new();
     let mut inserts: Vec<Vec<u32>> = Vec::new();
-    let mut seen: FxHashSet<EdgeId> = FxHashSet::default();
+    // Each planned delete's batch position, so a duplicate names the slot
+    // it shares without scanning the batch.
+    let mut seen: FxHashMap<EdgeId, usize> = FxHashMap::default();
     // Ordinal of the request within its kind; fixed up to batch positions
     // below (deletes keep their ordinal, inserts shift by the delete count).
     const INSERT_TAG: usize = usize::MAX / 2;
@@ -123,11 +136,15 @@ where
             Update::Delete(id) => {
                 if !is_live(id) {
                     slots.push(Slot::RejectUnknown(id));
-                } else if !seen.insert(id) {
-                    slots.push(Slot::DuplicateDelete(id));
-                } else {
-                    slots.push(Slot::InBatch(deletes.len()));
-                    deletes.push(id);
+                    continue;
+                }
+                match seen.entry(id) {
+                    Entry::Occupied(held) => slots.push(Slot::DuplicateDelete(*held.get())),
+                    Entry::Vacant(slot) => {
+                        slot.insert(deletes.len());
+                        slots.push(Slot::InBatch(deletes.len()));
+                        deletes.push(id);
+                    }
                 }
             }
             Update::Insert(vs) => match normalize_vertices(vs) {
@@ -197,17 +214,20 @@ mod tests {
             Update::Delete(EdgeId(5)),
             Update::Delete(EdgeId(5)),
             Update::Delete(EdgeId(6)),
+            Update::Delete(EdgeId(6)),
             Update::Delete(EdgeId(5)),
         ];
         let plan = plan_batch(reqs, |_| true);
         assert_eq!(plan.batch.num_deletes(), 2);
+        // Each duplicate names the batch position of the delete it shares.
         assert_eq!(
             plan.slots,
             vec![
                 Slot::InBatch(0),
-                Slot::DuplicateDelete(EdgeId(5)),
+                Slot::DuplicateDelete(0),
                 Slot::InBatch(1),
-                Slot::DuplicateDelete(EdgeId(5)),
+                Slot::DuplicateDelete(1),
+                Slot::DuplicateDelete(0),
             ]
         );
     }

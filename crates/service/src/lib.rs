@@ -8,13 +8,17 @@
 //!
 //! Lifecycle (`ingress → coalesce → WAL → apply → complete`):
 //!
-//! 1. **Ingress** — producers submit single [`Update`]s through a cloneable
-//!    [`ServiceHandle`] (an MPSC channel); each submission returns a
-//!    [`Ticket`].
+//! 1. **Ingress** — producers submit caller batches of [`Update`]s
+//!    ([`ServiceHandle::submit_batch`], one ingress message each) or single
+//!    updates ([`ServiceHandle::submit`], a one-update caller batch)
+//!    through a cloneable [`ServiceHandle`] (an MPSC channel); each
+//!    submission returns a [`BatchTicket`] or [`Ticket`] over one one-shot
+//!    completion cell.
 //! 2. **Coalesce** — one coalescer thread drains the ingress under a
 //!    size/latency [`CoalescePolicy`] (flush at `max_batch` updates or
-//!    `max_delay` after the first, whichever first) and resolves conflicts
-//!    per the strict `apply` contract: deletions ordered before insertions,
+//!    `max_delay` after the first, whichever first), merging whole caller
+//!    batches — it never splits one — and resolves conflicts per the
+//!    strict `apply` contract: deletions ordered before insertions,
 //!    in-batch duplicate deletes deduplicated, and individually invalid
 //!    updates (unknown id, empty vertex set) rejected without poisoning the
 //!    batch.
@@ -25,9 +29,10 @@
 //!    line-based conventions as `graph::io`), rotated at checkpoints.
 //! 4. **Apply** — one [`BatchDynamic::apply`] call on a pinned
 //!    [`ParPool`], settling the whole batch in one leveled round.
-//! 5. **Complete** — each submitter's ticket resolves with its slice of the
-//!    [`BatchOutcome`] (its assigned [`EdgeId`] for inserts), plus the
-//!    update's position in the global apply order.
+//! 5. **Complete** — each caller batch's cell is filled once, waking its
+//!    ticket with its slice of the [`BatchOutcome`] (the assigned
+//!    [`EdgeId`] for inserts) plus each update's position in the global
+//!    apply order.
 //!
 //! The **read path** rides on epoch snapshots: start the service with
 //! [`ServiceBuilder::start_serving`] and any number of reader threads
@@ -85,6 +90,6 @@ pub use replay::{
     wal_dir_meta, Recovery, RecoveryInfo, ReplayReport,
 };
 pub use service::{
-    Completion, Done, QueryHandle, ServiceBuilder, ServiceConfig, ServiceError, ServiceHandle,
-    ServiceStats, ServingRecovery, Ticket, UpdateService, WalConfig,
+    BatchTicket, Completion, Done, QueryHandle, ServiceBuilder, ServiceConfig, ServiceError,
+    ServiceHandle, ServiceStats, ServingRecovery, Ticket, UpdateService, WalConfig,
 };

@@ -1,13 +1,14 @@
 //! The concurrent ingest/serve engine: [`UpdateService`].
 //!
-//! Many producer threads submit single [`Update`]s through a cloneable
-//! [`ServiceHandle`] (an MPSC ingress); one coalescer thread owns the
-//! structure, forms valid mixed batches under a [`CoalescePolicy`], appends
-//! each formed batch to the durable WAL **before** applying it, drives
-//! `apply` on a pinned [`ParPool`], and completes each submitter's
-//! [`Ticket`] with its slice of the [`BatchOutcome`] — the per-update
-//! mapping [`BatchOutcome::per_update`] exposes, computed slot-wise here so
-//! the hot path never clones the batch.
+//! Many producer threads submit caller batches ([`ServiceHandle::submit_batch`],
+//! or single [`Update`]s through [`ServiceHandle::submit`]) through a
+//! cloneable [`ServiceHandle`] (an MPSC ingress); one coalescer thread owns
+//! the structure, merges whole caller batches into valid mixed batches
+//! under a [`CoalescePolicy`], appends each formed batch to the durable WAL
+//! **before** applying it, drives `apply` on a pinned [`ParPool`], and
+//! completes each caller batch's one-shot cell with its slice of the
+//! [`BatchOutcome`] — the per-update mapping [`BatchOutcome::per_update`]
+//! exposes, computed slot-wise here so the hot path never clones the batch.
 //!
 //! [`BatchOutcome`]: pbdmm_matching::api::BatchOutcome
 //! [`BatchOutcome::per_update`]: pbdmm_matching::api::BatchOutcome::per_update
@@ -15,7 +16,7 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -50,6 +51,10 @@ pub enum ServiceError {
     Wal(String),
     /// The service shut down before this update was applied.
     Closed,
+    /// A service thread (the coalescer or the checkpoint writer) could not
+    /// be started: the process is out of threads or memory. Only
+    /// [`ServiceBuilder`]'s terminals return it.
+    Spawn(String),
 }
 
 impl std::fmt::Display for ServiceError {
@@ -60,6 +65,7 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Rejected(e) => write!(f, "batch rejected: {e}"),
             ServiceError::Wal(e) => write!(f, "WAL append failed: {e}"),
             ServiceError::Closed => write!(f, "service closed"),
+            ServiceError::Spawn(e) => write!(f, "cannot start service thread: {e}"),
         }
     }
 }
@@ -102,7 +108,7 @@ pub struct Completion {
     /// that held the batch slot.
     pub seq: u64,
     /// The epoch at which this update's batch became **visible** on the
-    /// snapshot read path (shared by every ticket of the batch).
+    /// snapshot read path (shared by every update of the batch).
     ///
     /// For a service started with [`ServiceBuilder::start_serving`] this is
     /// the *structure's* update count right after the batch applied (the
@@ -122,54 +128,134 @@ pub struct Completion {
     pub done: Done,
 }
 
-/// The submitter's side of one in-flight update: blocks until the batch
-/// containing it commits (or rejects it).
-#[derive(Debug)]
-pub struct Ticket(mpsc::Receiver<Result<Completion, ServiceError>>);
+/// One update's outcome, as a ticket returns it.
+type Outcome = Result<Completion, ServiceError>;
 
-impl Ticket {
-    /// Block until the update is applied (or rejected / the service closes).
-    pub fn wait(self) -> Result<Completion, ServiceError> {
-        match self.0.recv() {
-            Ok(r) => r,
-            Err(mpsc::RecvError) => Err(ServiceError::Closed),
+/// The one-shot completion cell of one caller batch: the coalescer fills
+/// it once with one outcome per update, and the submitter's ticket blocks
+/// on it until then.
+#[derive(Debug, Default)]
+struct CompletionCell {
+    outcomes: Mutex<Option<Vec<Outcome>>>,
+    filled: Condvar,
+}
+
+impl CompletionCell {
+    fn fill(&self, outcomes: Vec<Outcome>) {
+        *self.outcomes.lock().unwrap_or_else(|p| p.into_inner()) = Some(outcomes);
+        self.filled.notify_one();
+    }
+
+    fn wait(&self) -> Vec<Outcome> {
+        let mut guard = self.outcomes.lock().unwrap_or_else(|p| p.into_inner());
+        loop {
+            if let Some(outcomes) = guard.take() {
+                return outcomes;
+            }
+            guard = self.filled.wait(guard).unwrap_or_else(|p| p.into_inner());
         }
     }
 }
 
-/// One queued request: the update plus its completion channel.
-struct Req {
-    op: Update,
-    done: mpsc::Sender<Result<Completion, ServiceError>>,
+/// The coalescer's side of a [`CompletionCell`]: fills it exactly once. Dropped
+/// unfilled — the request never reached the coalescer, or the service
+/// closed with it still queued — it resolves every update of the caller
+/// batch as [`ServiceError::Closed`].
+struct Completer {
+    cell: Option<Arc<CompletionCell>>,
+    len: usize,
 }
 
-/// What flows through the ingress: updates, or the shutdown marker
+impl Completer {
+    fn complete(mut self, outcomes: Vec<Outcome>) {
+        debug_assert_eq!(outcomes.len(), self.len);
+        if let Some(cell) = self.cell.take() {
+            cell.fill(outcomes);
+        }
+    }
+}
+
+impl Drop for Completer {
+    fn drop(&mut self) {
+        if let Some(cell) = self.cell.take() {
+            cell.fill(vec![Err(ServiceError::Closed); self.len]);
+        }
+    }
+}
+
+/// The submitter's side of one in-flight caller batch: blocks until the
+/// service batch containing it commits (or rejects it), then returns one
+/// outcome per update, in the caller's order. The coalescer never splits
+/// a caller batch, so all of its applied updates share one epoch.
+#[derive(Debug)]
+pub struct BatchTicket(Arc<CompletionCell>);
+
+impl BatchTicket {
+    /// Block until the caller batch is applied (or rejected / the service
+    /// closes); one outcome per submitted update, in submission order.
+    pub fn wait(self) -> Vec<Result<Completion, ServiceError>> {
+        self.0.wait()
+    }
+}
+
+/// The submitter's side of one in-flight update: a one-update
+/// [`BatchTicket`].
+#[derive(Debug)]
+pub struct Ticket(BatchTicket);
+
+impl Ticket {
+    /// Block until the update is applied (or rejected / the service closes).
+    pub fn wait(self) -> Result<Completion, ServiceError> {
+        self.0.wait().pop().unwrap_or(Err(ServiceError::Closed))
+    }
+}
+
+/// One queued caller batch: its updates plus its completion cell.
+struct Req {
+    ops: Vec<Update>,
+    done: Completer,
+}
+
+/// What flows through the ingress: caller batches, or the shutdown marker
 /// [`UpdateService::shutdown`] enqueues so it never deadlocks on a
 /// still-alive [`ServiceHandle`].
 enum Msg {
-    Update(Req),
+    Batch(Req),
     Shutdown,
 }
 
-/// The cloneable producer side of an [`UpdateService`]: submit single
-/// updates from any thread; each returns a [`Ticket`].
+/// The cloneable producer side of an [`UpdateService`]: submit caller
+/// batches (or single updates) from any thread; each returns a ticket.
 #[derive(Clone)]
 pub struct ServiceHandle {
     tx: mpsc::Sender<Msg>,
 }
 
 impl ServiceHandle {
-    /// Submit one update. Never blocks (the ingress is unbounded); the
-    /// returned ticket resolves when the batch containing the update
-    /// commits.
-    pub fn submit(&self, op: Update) -> Ticket {
-        let (done, rx) = mpsc::channel();
-        if let Err(mpsc::SendError(Msg::Update(req))) = self.tx.send(Msg::Update(Req { op, done }))
-        {
-            // The coalescer is gone; resolve the ticket immediately.
-            let _ = req.done.send(Err(ServiceError::Closed));
+    /// Submit one caller batch: one ingress message, applied whole inside
+    /// one service batch (the coalescer may merge it with others but never
+    /// splits it). Never blocks (the ingress is unbounded); the returned
+    /// ticket resolves, with one outcome per update in `ops` order, when
+    /// that batch commits. An empty batch resolves at once, to no outcomes.
+    pub fn submit_batch(&self, ops: Vec<Update>) -> BatchTicket {
+        let cell = Arc::new(CompletionCell::default());
+        let done = Completer {
+            cell: Some(Arc::clone(&cell)),
+            len: ops.len(),
+        };
+        // An empty batch is never sent: `done` drops here, filling no
+        // outcomes. A refused send hands the request back, and dropping it
+        // resolves the batch as `Closed`.
+        if !ops.is_empty() {
+            let _ = self.tx.send(Msg::Batch(Req { ops, done }));
         }
-        Ticket(rx)
+        BatchTicket(cell)
+    }
+
+    /// Submit one update: a one-update caller batch. The returned ticket
+    /// resolves when the batch containing the update commits.
+    pub fn submit(&self, op: Update) -> Ticket {
+        Ticket(self.submit_batch(vec![op]))
     }
 
     /// Submit an insertion of a hyperedge over `vertices`.
@@ -607,15 +693,18 @@ impl WalSink {
             .and_then(|()| w.flush())
             .and_then(|()| fsync_dir(&cfg.path))
             .map_err(|e| werr("write segment header", e))?;
-        let ckpt = cfg.checkpoint_every.map(|every| {
-            let (tx, rx) = mpsc::channel::<CkptJob>();
-            let (dir, obs) = (cfg.path.clone(), obs.clone());
-            let join = std::thread::Builder::new()
-                .name("pbdmm-ckpt".into())
-                .spawn(move || checkpoint_writer_loop(dir, rx, obs))
-                .expect("spawn checkpoint thread");
-            CkptWriter { every, tx, join }
-        });
+        let ckpt = cfg
+            .checkpoint_every
+            .map(|every| {
+                let (tx, rx) = mpsc::channel::<CkptJob>();
+                let (dir, obs) = (cfg.path.clone(), obs.clone());
+                let join = std::thread::Builder::new()
+                    .name("pbdmm-ckpt".into())
+                    .spawn(move || checkpoint_writer_loop(dir, rx, obs))
+                    .map_err(|e| ServiceError::Spawn(format!("pbdmm-ckpt: {e}")))?;
+                Ok(CkptWriter { every, tx, join })
+            })
+            .transpose()?;
         Ok(WalSink {
             w,
             dir: cfg.path.clone(),
@@ -904,8 +993,8 @@ impl<T: Snapshot> QueryHandle<T> {
 
 impl<S: BatchDynamic + Checkpoint + Send + 'static> UpdateService<S> {
     /// Spawn the coalescer thread, which takes ownership of `structure`
-    /// (get it back from [`Self::shutdown`]). Fails only if the WAL cannot
-    /// be opened.
+    /// (get it back from [`Self::shutdown`]). Fails if the WAL cannot be
+    /// opened or a service thread cannot be started.
     fn start_inner(
         mut structure: S,
         config: ServiceConfig,
@@ -926,7 +1015,7 @@ impl<S: BatchDynamic + Checkpoint + Send + 'static> UpdateService<S> {
         let join = std::thread::Builder::new()
             .name("pbdmm-coalescer".into())
             .spawn(move || coalescer_loop(structure, config, wal_sink, rx, epoch_base, start))
-            .expect("spawn coalescer thread");
+            .map_err(|e| ServiceError::Spawn(format!("pbdmm-coalescer: {e}")))?;
         Ok(UpdateService {
             tx: Some(tx),
             join: Some(join),
@@ -981,48 +1070,46 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
     // Once the shutdown marker is seen, stop waiting on the clock and just
     // drain whatever is already queued.
     let mut closing = false;
+    // The ingress is disconnected, or drained after the shutdown marker:
+    // nothing more will be received.
+    let mut closed = false;
+    // A caller batch that did not fit in the previous batch: it opens the
+    // next one, so FIFO order holds and nothing received is ever dropped.
+    let mut carry: Option<Req> = None;
     // Set on the first WAL append failure: the durability contract ("an
     // acknowledged update is on the log") can no longer be met, so the
     // service fail-stops — every subsequent update is refused with the
     // original error instead of being applied un-logged.
     let mut wal_wedged: Option<ServiceError> = None;
     loop {
-        // --- Drain one batch's worth of requests. Ops and completion
-        // channels ride in parallel vectors so the planner can consume the
-        // ops (moving each insertion's vertex list into the batch).
-        let mut ops: Vec<Update> = Vec::new();
-        let mut done_txs: Vec<mpsc::Sender<Result<Completion, ServiceError>>> = Vec::new();
-        let push = |r: Req, ops: &mut Vec<Update>, txs: &mut Vec<_>| {
-            ops.push(r.op);
-            txs.push(r.done);
-        };
-        let mut closed = false;
-        // Block for the first request (unless already closing).
-        while ops.is_empty() && !closed {
+        // --- Drain one batch's worth of whole caller batches.
+        let mut drain = Drain::new(max_batch);
+        if let Some(r) = carry.take() {
+            drain.admit(r);
+        }
+        // Block for the first caller batch (unless already closing).
+        while drain.reqs.is_empty() && !closed {
             let first = if closing {
                 rx.try_recv().map_err(|_| ())
             } else {
                 rx.recv().map_err(|_| ())
             };
             match first {
-                Ok(Msg::Update(r)) => push(r, &mut ops, &mut done_txs),
+                Ok(Msg::Batch(r)) => drain.admit(r),
                 Ok(Msg::Shutdown) => closing = true,
                 Err(()) => closed = true,
             }
         }
-        if ops.is_empty() {
+        if drain.reqs.is_empty() {
             break;
         }
         // Greedy drain: take everything already queued (group commit).
-        while ops.len() < max_batch {
+        while !drain.full() && !closed {
             match rx.try_recv() {
-                Ok(Msg::Update(r)) => push(r, &mut ops, &mut done_txs),
+                Ok(Msg::Batch(r)) => drain.admit(r),
                 Ok(Msg::Shutdown) => closing = true,
                 Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    closed = true;
-                    break;
-                }
+                Err(mpsc::TryRecvError::Disconnected) => closed = true,
             }
         }
         // Linger: with a positive max_delay, hold the non-full batch open
@@ -1030,14 +1117,14 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
         let mut timer_expired = false;
         if !closing && !closed && !linger.is_zero() {
             let deadline = Instant::now() + linger;
-            while ops.len() < max_batch {
+            while !drain.full() {
                 let now = Instant::now();
                 if now >= deadline {
                     timer_expired = true;
                     break;
                 }
                 match rx.recv_timeout(deadline - now) {
-                    Ok(Msg::Update(r)) => push(r, &mut ops, &mut done_txs),
+                    Ok(Msg::Batch(r)) => drain.admit(r),
                     Ok(Msg::Shutdown) => {
                         closing = true;
                         break;
@@ -1055,7 +1142,7 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
         }
         let cause = if closed || closing {
             Counter::FlushClose
-        } else if ops.len() >= max_batch {
+        } else if drain.full() {
             Counter::FlushFull
         } else if timer_expired {
             Counter::FlushTimer
@@ -1063,14 +1150,14 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
             Counter::FlushIdle
         };
         obs.add(cause, 1);
+        carry = drain.carry.take();
+        let reqs = drain.reqs;
 
         // Fail-stopped: refuse everything drained without applying.
         if let Some(e) = &wal_wedged {
-            for r in done_txs {
-                let _ = r.send(Err(e.clone()));
-            }
-            if closed {
-                break;
+            for r in reqs {
+                let n = r.ops.len();
+                r.done.complete(vec![Err(e.clone()); n]);
             }
             continue;
         }
@@ -1082,6 +1169,18 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
 
         // --- Plan: conflict resolution per the apply contract ------------
         let plan_span = obs.span(Phase::Plan);
+        // Concatenate the caller batches in arrival order (moving each
+        // update), keeping each one's cell for completion.
+        let mut ops: Vec<Update> = Vec::new();
+        let mut callers: Vec<Completer> = Vec::with_capacity(reqs.len());
+        for Req { ops: mut o, done } in reqs {
+            callers.push(done);
+            if ops.is_empty() {
+                ops = o;
+            } else {
+                ops.append(&mut o);
+            }
+        }
         let plan = plan_batch(ops, |id| s.contains_edge(id));
         // The batch's delete prefix, for slot → completion mapping below.
         let delete_ids: Vec<EdgeId> = plan
@@ -1093,27 +1192,49 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
             })
             .collect();
         let num_deletes = delete_ids.len();
-
-        // Individually invalid updates resolve now: their outcome does not
-        // depend on the batch committing, so a later WAL/apply failure must
-        // not repaint them as durability errors. What remains (`waiting`)
-        // is every ticket whose fate is tied to the batch.
-        let mut waiting: Vec<(mpsc::Sender<Result<Completion, ServiceError>>, Slot)> =
-            Vec::with_capacity(done_txs.len());
-        for (tx, slot) in done_txs.into_iter().zip(plan.slots.iter().copied()) {
-            match slot {
-                Slot::RejectUnknown(id) => {
-                    obs.add(Counter::Rejected, 1);
-                    let _ = tx.send(Err(ServiceError::UnknownEdge(id)));
-                }
-                Slot::RejectEmpty => {
-                    obs.add(Counter::Rejected, 1);
-                    let _ = tx.send(Err(ServiceError::EmptyEdge));
-                }
-                Slot::InBatch(_) | Slot::DuplicateDelete(_) => waiting.push((tx, slot)),
-            }
-        }
+        let slots = plan.slots;
+        // Individually invalid updates resolve as rejected whatever the
+        // batch's fate: a later WAL/apply failure must not repaint them as
+        // durability errors.
+        let rejected = slots
+            .iter()
+            .filter(|s| matches!(s, Slot::RejectUnknown(_) | Slot::RejectEmpty))
+            .count();
+        obs.add(Counter::Rejected, rejected as u64);
         drop(plan_span);
+
+        // Resolve every caller batch's cell at once: `fate` is the
+        // committed batch's outcome, or the error that kept it from
+        // committing.
+        let complete = |callers: Vec<Completer>, fate: Result<Commit, &ServiceError>| {
+            let mut slots = slots.iter();
+            for done in callers {
+                let outcomes = slots
+                    .by_ref()
+                    .take(done.len)
+                    .map(|&slot| match (slot, &fate) {
+                        (Slot::RejectUnknown(id), _) => Err(ServiceError::UnknownEdge(id)),
+                        (Slot::RejectEmpty, _) => Err(ServiceError::EmptyEdge),
+                        (_, Err(e)) => Err((*e).clone()),
+                        (Slot::InBatch(pos), Ok(c)) => Ok(Completion {
+                            seq: c.base + pos as u64,
+                            epoch: c.epoch,
+                            done: if pos < num_deletes {
+                                Done::Deleted(delete_ids[pos])
+                            } else {
+                                Done::Inserted(c.inserted[pos - num_deletes])
+                            },
+                        }),
+                        (Slot::DuplicateDelete(pos), Ok(c)) => Ok(Completion {
+                            seq: c.base + pos as u64,
+                            epoch: c.epoch,
+                            done: Done::AlreadyDeleted(delete_ids[pos]),
+                        }),
+                    })
+                    .collect();
+                done.complete(outcomes);
+            }
+        };
 
         // --- WAL: append-before-apply -------------------------------------
         // Log end before this append, so a failed apply can roll the
@@ -1122,27 +1243,18 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
         let mut wal_mark: Option<u64> = None;
         if !plan.batch.is_empty() {
             if let Some(sink) = wal.as_mut() {
-                match sink.mark() {
-                    Ok(m) => wal_mark = Some(m),
-                    Err(e) => {
-                        for (tx, _) in waiting {
-                            let _ = tx.send(Err(e.clone()));
-                        }
-                        wal = None;
-                        wal_wedged = Some(e);
-                        continue;
-                    }
-                }
-                if let Err(e) = sink.append(&plan.batch) {
-                    // Durability contract: an un-logged batch must not be
-                    // applied — and once the log is wedged no later batch
-                    // can be made durable either, so the service
-                    // fail-stops: this drain and every subsequent update
-                    // are refused with the WAL error (acknowledged state
-                    // stays exactly the replayable committed prefix).
-                    for (tx, _) in waiting {
-                        let _ = tx.send(Err(e.clone()));
-                    }
+                // Durability contract: an un-logged batch must not be
+                // applied — and once the log is wedged no later batch can
+                // be made durable either, so the service fail-stops: this
+                // drain and every subsequent update are refused with the
+                // WAL error (acknowledged state stays exactly the
+                // replayable committed prefix).
+                let appended = sink.mark().and_then(|m| {
+                    wal_mark = Some(m);
+                    sink.append(&plan.batch)
+                });
+                if let Err(e) = appended {
+                    complete(callers, Err(&e));
                     wal = None;
                     wal_wedged = Some(e);
                     continue;
@@ -1154,8 +1266,8 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
         // --- Apply on the pinned scheduler --------------------------------
         let apply_span = obs.span(Phase::Apply);
         let batch_len = plan.batch.len();
-        let outcome = if plan.batch.is_empty() {
-            None
+        let inserted = if plan.batch.is_empty() {
+            Vec::new()
         } else {
             let batch = plan.batch;
             let result = match &config.pool {
@@ -1163,7 +1275,7 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
                 None => s.apply(batch),
             };
             match result {
-                Ok(out) => Some(out),
+                Ok(out) => out.inserted,
                 Err(e) => {
                     // Planner and structure disagreed (should not happen):
                     // the structure is untouched. The batch is already on
@@ -1177,9 +1289,7 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
                             wal_wedged = Some(werr);
                         }
                     }
-                    for (tx, _) in waiting {
-                        let _ = tx.send(Err(ServiceError::Rejected(e.clone())));
-                    }
+                    complete(callers, Err(&ServiceError::Rejected(e)));
                     continue;
                 }
             }
@@ -1195,7 +1305,7 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
         if wal_mark.is_some() {
             obs.add(Counter::WalBatches, 1);
         }
-        if outcome.is_some() {
+        if batch_len > 0 {
             if let Some(sink) = wal.as_mut() {
                 if let Err(e) = sink.after_apply(&s, batch_len as u64, &obs) {
                     wal = None;
@@ -1204,68 +1314,91 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
             }
         }
 
-        // --- Complete tickets with their BatchOutcome slices --------------
+        // --- Complete each caller batch with its BatchOutcome slice -------
         // Slot `pos` maps into the outcome exactly as `per_update` would:
         // positions below `num_deletes` are the delete prefix, the rest
-        // line up with `outcome.inserted` in batch order.
+        // line up with the inserted ids in batch order.
         let complete_span = obs.span(Phase::Complete);
-        let batch_base = next_seq;
+        let base = next_seq;
         if batch_len > 0 {
             obs.add(Counter::Batches, 1);
             obs.add(Counter::Updates, batch_len as u64);
             obs.record_max(Counter::BatchMax, batch_len as u64);
         }
         next_seq += batch_len as u64;
+        let dup_deletes = slots
+            .iter()
+            .filter(|s| matches!(s, Slot::DuplicateDelete(_)))
+            .count();
+        obs.add(Counter::DupDeletes, dup_deletes as u64);
         // The epoch at which this whole batch became visible: the
         // structure's update count right after the apply — which is also
         // the epoch the snapshot published inside `apply` carries, so
-        // completing tickets *after* this point is what makes
+        // completing the cells *after* this point is what makes
         // read-your-writes hold.
-        let visible_epoch = epoch_base + next_seq;
-        for (tx, slot) in waiting {
-            let msg = match slot {
-                Slot::InBatch(pos) => {
-                    let done = if pos < num_deletes {
-                        Done::Deleted(delete_ids[pos])
-                    } else {
-                        let out = outcome.as_ref().expect("non-empty batch was applied");
-                        Done::Inserted(out.inserted[pos - num_deletes])
-                    };
-                    Ok(Completion {
-                        seq: batch_base + pos as u64,
-                        epoch: visible_epoch,
-                        done,
-                    })
-                }
-                Slot::DuplicateDelete(id) => {
-                    obs.add(Counter::DupDeletes, 1);
-                    // Share the seq of the delete holding the slot.
-                    let pos = delete_ids
-                        .iter()
-                        .position(|d| *d == id)
-                        .expect("duplicate of a planned delete");
-                    Ok(Completion {
-                        seq: batch_base + pos as u64,
-                        epoch: visible_epoch,
-                        done: Done::AlreadyDeleted(id),
-                    })
-                }
-                Slot::RejectUnknown(_) | Slot::RejectEmpty => {
-                    unreachable!("resolved before the batch stage")
-                }
-            };
-            let _ = tx.send(msg);
-        }
+        complete(
+            callers,
+            Ok(Commit {
+                base,
+                epoch: epoch_base + next_seq,
+                inserted: &inserted,
+            }),
+        );
         drop(complete_span);
-        if closed {
-            break;
-        }
     }
     // Dropping the sink disconnects the checkpoint writer, which drains its
     // queue (so a final in-flight checkpoint still lands) and is joined —
     // only then are the checkpoint counters final.
     drop(wal);
     (s, ServiceStats::between(&start, &obs))
+}
+
+/// One batch's worth of whole caller batches, in arrival order.
+struct Drain {
+    reqs: Vec<Req>,
+    /// Updates in `reqs`.
+    total: usize,
+    /// The most updates merged from several caller batches.
+    max_batch: usize,
+    /// The first caller batch that did not fit: it opens the next batch.
+    carry: Option<Req>,
+}
+
+impl Drain {
+    fn new(max_batch: usize) -> Self {
+        Drain {
+            reqs: Vec::new(),
+            total: 0,
+            max_batch,
+            carry: None,
+        }
+    }
+
+    /// Take caller batch `r` whole if it fits within `max_batch` (the
+    /// first one always does, however large), else carry it.
+    fn admit(&mut self, r: Req) {
+        if self.reqs.is_empty() || self.total + r.ops.len() <= self.max_batch {
+            self.total += r.ops.len();
+            self.reqs.push(r);
+        } else {
+            self.carry = Some(r);
+        }
+    }
+
+    /// No further caller batch can join.
+    fn full(&self) -> bool {
+        self.total >= self.max_batch || self.carry.is_some()
+    }
+}
+
+/// A committed batch, as its callers' completions need it.
+struct Commit<'a> {
+    /// Sequence number of the batch's first update.
+    base: u64,
+    /// The epoch at which the batch became visible.
+    epoch: u64,
+    /// The ids the batch's insertions got, in batch order.
+    inserted: &'a [EdgeId],
 }
 
 #[cfg(test)]
@@ -1423,6 +1556,174 @@ mod tests {
         assert_eq!(stats.batches, 6);
         assert_eq!(stats.max_batch_len, 1);
         assert!((stats.mean_batch_len() - 1.0).abs() < 1e-9);
+    }
+
+    /// `n` insertions over fresh vertex pairs, numbered from `base`.
+    fn inserts(base: u32, n: u32) -> Vec<Update> {
+        (0..n)
+            .map(|i| Update::Insert(vec![base + 2 * i, base + 2 * i + 1]))
+            .collect()
+    }
+
+    #[test]
+    fn caller_batches_stay_whole_and_ordered_among_singletons() {
+        let svc = quick().start(DynamicMatching::with_seed(13)).unwrap();
+        // Force the ingress order A0, B0, A1, B1, …: producer A submits a
+        // caller batch, then producer B a singleton, in lockstep.
+        let step = std::sync::Barrier::new(2);
+        let (batches, singles) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| {
+                let h = svc.handle();
+                let mut tickets = Vec::new();
+                for k in 0..4u32 {
+                    tickets.push(h.submit_batch(inserts(1000 * k, 64)));
+                    step.wait();
+                    step.wait();
+                }
+                tickets
+            });
+            let b = scope.spawn(|| {
+                let h = svc.handle();
+                let mut tickets = Vec::new();
+                for k in 0..4u32 {
+                    step.wait();
+                    tickets.push(h.insert(vec![100_000 + 2 * k, 100_001 + 2 * k]));
+                    step.wait();
+                }
+                tickets
+            });
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        let mut next_seq = 0;
+        for (batch, single) in batches.into_iter().zip(singles) {
+            let outs: Vec<Completion> = batch.wait().into_iter().map(Result::unwrap).collect();
+            assert_eq!(outs.len(), 64);
+            for (i, c) in outs.iter().enumerate() {
+                assert!(matches!(c.done, Done::Inserted(_)), "{c:?}");
+                // Contiguous seqs in caller order, right after the previous
+                // producer's update: nothing was merged into the middle.
+                assert_eq!(c.seq, next_seq + i as u64);
+                assert_eq!(c.epoch, outs[0].epoch, "one caller batch, one epoch");
+            }
+            let single = single.wait().unwrap();
+            assert_eq!(single.seq, next_seq + 64);
+            next_seq += 65;
+        }
+        // A mixed caller batch resolves in caller order, not batch order
+        // (the planner moves its deletes to the front).
+        let h = svc.handle();
+        let ids: Vec<EdgeId> = h
+            .submit_batch(inserts(200_000, 3))
+            .wait()
+            .into_iter()
+            .map(|o| o.unwrap().done.id())
+            .collect();
+        let mixed = vec![
+            Update::Insert(vec![300_000, 300_001]),
+            Update::Delete(ids[2]),
+            Update::Insert(vec![]),
+            Update::Delete(ids[0]),
+            Update::Delete(ids[2]),
+        ];
+        let outs = h.submit_batch(mixed).wait();
+        assert!(matches!(
+            outs[0],
+            Ok(Completion {
+                done: Done::Inserted(_),
+                ..
+            })
+        ));
+        assert_eq!(outs[1].as_ref().unwrap().done, Done::Deleted(ids[2]));
+        assert_eq!(outs[2], Err(ServiceError::EmptyEdge));
+        assert_eq!(outs[3].as_ref().unwrap().done, Done::Deleted(ids[0]));
+        assert_eq!(outs[4].as_ref().unwrap().done, Done::AlreadyDeleted(ids[2]));
+        assert_eq!(outs[4].as_ref().unwrap().seq, outs[1].as_ref().unwrap().seq);
+        drop(h);
+        let (m, _) = svc.shutdown();
+        assert_eq!(m.num_edges(), 4 * 65 + 3 - 2 + 1);
+        check_invariants(&m).unwrap();
+    }
+
+    #[test]
+    fn singleton_policy_applies_a_caller_batch_whole() {
+        let svc = ServiceConfig::builder()
+            .policy(CoalescePolicy::singleton())
+            .start(DynamicMatching::with_seed(14))
+            .unwrap();
+        let outs = svc.handle().submit_batch(inserts(0, 10)).wait();
+        let epochs: Vec<u64> = outs.iter().map(|o| o.as_ref().unwrap().epoch).collect();
+        assert_eq!(epochs, vec![10; 10]);
+        let (_, stats) = svc.shutdown();
+        assert_eq!((stats.batches, stats.max_batch_len), (1, 10));
+    }
+
+    /// Caller batches that overflow `max_batch` in every way: pairs that
+    /// do not fit together, and one larger than `max_batch` on its own.
+    fn overflowing_backlog(h: &ServiceHandle) -> Vec<BatchTicket> {
+        let mut tickets: Vec<BatchTicket> = (0..5)
+            .map(|k| h.submit_batch(inserts(100 * k, 3)))
+            .collect();
+        tickets.push(h.submit_batch(inserts(1000, 10)));
+        tickets
+    }
+
+    fn all_inserted(tickets: Vec<BatchTicket>) -> Vec<u64> {
+        let mut seqs = Vec::new();
+        for t in tickets {
+            for o in t.wait() {
+                let c = o.expect("every queued caller batch is applied");
+                assert!(matches!(c.done, Done::Inserted(_)));
+                seqs.push(c.seq);
+            }
+        }
+        seqs
+    }
+
+    #[test]
+    fn shutdown_applies_a_backlog_that_overflows_max_batch() {
+        let policy = CoalescePolicy {
+            max_batch: 4,
+            max_delay: Duration::ZERO,
+        };
+        // Through `shutdown`, with a handle still alive.
+        let svc = ServiceConfig::builder()
+            .policy(policy)
+            .start(DynamicMatching::with_seed(15))
+            .unwrap();
+        let h = svc.handle();
+        let tickets = overflowing_backlog(&h);
+        let (m, stats) = svc.shutdown();
+        assert_eq!(all_inserted(tickets), (0..25).collect::<Vec<u64>>());
+        assert_eq!(m.num_edges(), 25);
+        assert_eq!((stats.batches, stats.max_batch_len), (6, 10));
+
+        // After every handle and the service itself are dropped: the
+        // coalescer sees the ingress disconnect and still applies all.
+        let svc = ServiceConfig::builder()
+            .policy(policy)
+            .start(DynamicMatching::with_seed(15))
+            .unwrap();
+        let tickets = overflowing_backlog(&svc.handle());
+        drop(svc);
+        assert_eq!(all_inserted(tickets), (0..25).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn batch_tickets_after_shutdown_resolve_closed() {
+        let svc = quick().start(DynamicMatching::with_seed(16)).unwrap();
+        let h = svc.handle();
+        svc.shutdown();
+        let outs = h.submit_batch(inserts(0, 3)).wait();
+        assert_eq!(outs, vec![Err(ServiceError::Closed); 3]);
+        assert!(h.submit_batch(Vec::new()).wait().is_empty());
+    }
+
+    #[test]
+    fn an_empty_caller_batch_resolves_to_no_outcomes() {
+        let svc = quick().start(DynamicMatching::with_seed(17)).unwrap();
+        assert!(svc.handle().submit_batch(Vec::new()).wait().is_empty());
+        let (_, stats) = svc.shutdown();
+        assert_eq!((stats.batches, stats.updates), (0, 0));
     }
 
     #[test]

@@ -187,6 +187,47 @@ fn every_replay_path_agrees_in_both_id_modes() {
     }
 }
 
+#[test]
+fn checkpoint_recovery_counts_the_whole_history() {
+    // A checkpoint carries the cost meter and the stats, so a structure
+    // recovered from one reports the same totals as a replay from genesis.
+    for recycling in [false, true] {
+        let meta = WalMeta {
+            structure: "matching".into(),
+            seed: 31,
+            ids_recycling: recycling,
+        };
+        let root = tdir(&format!("meter_{recycling}"));
+        let (whole, dir) = (root.join("whole.waldir"), root.join("history.waldir"));
+        let served = record(
+            ServiceConfig::builder()
+                .wal_dir(&whole, meta.clone())
+                .checkpoint_every(0),
+            &meta,
+        );
+        record(
+            ServiceConfig::builder()
+                .wal_dir(&dir, meta.clone())
+                .checkpoint_every(40),
+            &meta,
+        );
+        let wal = read_wal_file(&whole.join("000000.seg")).unwrap();
+        let (genesis, _) = replay_matching(&wal).unwrap();
+        let rec = recover_matching_from_dir(&dir, false).unwrap();
+        assert!(rec.checkpoint.is_some(), "recovery used a checkpoint");
+        let ctx = format!("recycling={recycling}");
+        assert!(genesis.meter().work() > 0, "{ctx}");
+        assert_eq!(genesis.meter().work(), served.meter().work(), "{ctx}");
+        assert_eq!(
+            rec.structure.meter().work(),
+            genesis.meter().work(),
+            "{ctx}"
+        );
+        assert_eq!(rec.structure.stats(), genesis.stats(), "{ctx}");
+        std::fs::remove_dir_all(&root).ok();
+    }
+}
+
 /// A directory in the removed sharded layout: one segment under `shard-0/`.
 fn sharded_layout(name: &str) -> (PathBuf, WalMeta) {
     let dir = tdir(name);
