@@ -154,7 +154,7 @@ fn snapshot_and_delta(n: u64) -> (std::sync::Arc<MatchingSnapshot>, SnapshotDelt
         next += chunk;
     }
     let reader = m.enable_snapshots();
-    let base = reader.latest();
+    let base = reader.snapshot();
     let mut b = Batch::new();
     for victim in ids.iter().step_by(39).take(256) {
         b = b.delete(*victim);

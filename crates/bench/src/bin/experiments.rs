@@ -125,12 +125,12 @@ fn e15_level_occupancy(scale: &Scale) {
     let mut assigned: Vec<Option<pbdmm_graph::EdgeId>> = vec![None; g.m()];
     for step in &w.steps {
         let ins: Vec<_> = step.insert.iter().map(|&i| g.edges[i].clone()).collect();
-        let ids = pbdmm_matching::baseline::MaximalMatcher::insert_edges(&mut dm, &ins);
+        let ids = pbdmm_matching::BatchDynamic::insert_edges(&mut dm, &ins);
         for (&ui, &id) in step.insert.iter().zip(&ids) {
             assigned[ui] = Some(id);
         }
         let dels: Vec<_> = step.delete.iter().map(|&i| assigned[i].unwrap()).collect();
-        pbdmm_matching::baseline::MaximalMatcher::delete_edges(&mut dm, &dels);
+        pbdmm_matching::BatchDynamic::delete_edges(&mut dm, &dels);
         step_idx += 1;
         if step_idx == mid {
             break;

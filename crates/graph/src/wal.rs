@@ -85,16 +85,12 @@ impl Wal {
     }
 }
 
-/// Write the WAL header (magic + metadata comments) for a standalone log
-/// (base 0).
-pub fn write_header<W: Write>(w: &mut W, meta: &WalMeta) -> std::io::Result<()> {
-    write_segment_header(w, meta, 0)
-}
-
-/// Write the header of a log whose first batch carries sequence number
-/// `base` — a rotated segment of a segmented WAL directory. Non-default
-/// header lines (`# ids:`, `# base:`) are emitted only when needed, so a
-/// standalone log's bytes are unchanged from the v1 format.
+/// Write the WAL header (magic + metadata comments) of a log whose first
+/// batch carries sequence number `base`: 0 for a standalone log or a
+/// directory's first segment, the running batch count for a segment
+/// rotated at a checkpoint. Non-default header lines (`# ids:`,
+/// `# base:`) are emitted only when needed, so a standalone log's bytes
+/// are unchanged from the v1 format.
 pub fn write_segment_header<W: Write>(w: &mut W, meta: &WalMeta, base: u64) -> std::io::Result<()> {
     writeln!(w, "# {WAL_MAGIC}")?;
     writeln!(w, "# structure: {}", meta.structure)?;
@@ -157,8 +153,10 @@ pub fn read_wal<R: BufRead>(reader: R) -> Result<Wal, String> {
     let mut saw_magic = false;
     // A malformed line becomes a hard error only if more content follows
     // it; held here until that is known (EOF with a pending error = the
-    // torn tail of a crashed append). Streaming: one line buffered at a
-    // time, so replaying multi-GB traces stays O(1) in memory.
+    // torn tail of a crashed append). Lines are read one at a time, but
+    // every committed batch is kept in `batches`: memory grows with the
+    // log, a whole segment per read (the whole history when a log never
+    // rotates).
     let mut pending_err: Option<String> = None;
 
     for (lineno, line) in reader.lines().enumerate() {
@@ -352,7 +350,7 @@ mod tests {
             ids_recycling: true,
         };
         let mut buf = Vec::new();
-        write_header(&mut buf, &meta).unwrap();
+        write_segment_header(&mut buf, &meta, 0).unwrap();
         for (seq, b) in sample_batches().iter().enumerate() {
             write_batch(&mut buf, seq as u64, b).unwrap();
         }
@@ -366,7 +364,7 @@ mod tests {
     #[test]
     fn trailing_uncommitted_batch_is_dropped() {
         let mut buf = Vec::new();
-        write_header(&mut buf, &WalMeta::default()).unwrap();
+        write_segment_header(&mut buf, &WalMeta::default(), 0).unwrap();
         write_batch(&mut buf, 0, &Batch::new().insert(vec![0, 1])).unwrap();
         // A torn append: `b`/`i` written, crash before `c`.
         buf.extend_from_slice(b"b 1\ni 2 3\n");
@@ -408,9 +406,9 @@ mod tests {
         assert!(parse("# pbdmm-wal v1\n# base: 5\nb 0\nc 0\nb 6\nc 6\n").is_err());
         // A base line after content is corruption, not metadata.
         assert!(parse("# pbdmm-wal v1\nb 0\nc 0\n# base: 5\nb 5\nc 5\n").is_err());
-        // The standalone header writer stays byte-compatible (no new lines).
+        // A standalone header stays byte-compatible (no new lines).
         let mut plain = Vec::new();
-        write_header(&mut plain, &WalMeta::default()).unwrap();
+        write_segment_header(&mut plain, &WalMeta::default(), 0).unwrap();
         assert_eq!(
             std::str::from_utf8(&plain).unwrap(),
             "# pbdmm-wal v1\n# structure: matching\n# seed: 0\n"

@@ -11,25 +11,17 @@
 //!   sampling matters.
 //!
 //! Both implement [`BatchDynamic`], the trait the harness drives so all
-//! contenders run the same mixed-batch workloads (it used to be called
-//! `MaximalMatcher` and live here; the re-export below keeps old imports
-//! compiling). [`drive_single_updates`] replays batches one update at a time
-//! (the sequential-dynamic cost model of BGS/Solomon/AS).
+//! contenders run the same mixed-batch workloads. [`drive_single_updates`]
+//! replays batches one update at a time (the sequential-dynamic cost model
+//! of BGS/Solomon/AS).
 
 use pbdmm_graph::edge::{EdgeId, EdgeVertices, VertexId};
 use pbdmm_primitives::cost::CostMeter;
 use pbdmm_primitives::hash::{FxHashMap, FxHashSet};
 use pbdmm_primitives::rng::SplitMix64;
 
-use crate::api::{validate_batch, Batch, BatchOutcome, UpdateError};
+use crate::api::{validate_batch, Batch, BatchDynamic, BatchOutcome, UpdateError};
 use crate::greedy::parallel_greedy_match;
-
-/// The harness-facing trait, formerly `MaximalMatcher`. Re-exported under
-/// the old name so existing code keeps compiling; new code should name
-/// [`crate::api::BatchDynamic`].
-pub use crate::api::BatchDynamic;
-/// Deprecated-style alias for [`BatchDynamic`] (the pre-redesign name).
-pub use crate::api::BatchDynamic as MaximalMatcher;
 
 /// Recompute-from-scratch baseline: stores the live edge set and reruns the
 /// parallel static greedy matcher after every batch. With the unified

@@ -431,7 +431,7 @@ impl DynamicMatching {
     ///
     /// Publication is O(batch): patch the previously published snapshot
     /// with the batch's [`SnapshotDelta`] and publish both (the delta feeds
-    /// [`crate::snapshot::SnapshotReader::changes_since`] subscribers). A
+    /// [`crate::snapshot::QueryHandle::changes_since`] subscribers). A
     /// debug assertion cross-checks the patched snapshot against a full
     /// recapture every batch.
     fn maybe_publish_snapshot(&mut self) {

@@ -87,7 +87,6 @@ pub use greedy::{
 };
 pub use level::{EdgeType, LeveledStructure, LevelingConfig};
 pub use snapshot::{
-    Changes, MatchingSnapshot, Snapshot, SnapshotCell, SnapshotDelta, SnapshotReader,
-    SnapshotStats, Snapshots,
+    Changes, MatchingSnapshot, QueryHandle, Snapshot, SnapshotDelta, SnapshotStats, Snapshots,
 };
 pub use stats::{EpochEnd, MatchingStats};

@@ -6,10 +6,10 @@
 //! its partner? how big is the matching?*) **while** batches apply. The
 //! mechanism here is the flat-snapshot pattern of parallel graph systems:
 //! after every batch the writer publishes a compact immutable
-//! [`MatchingSnapshot`] into a [`SnapshotCell`] by atomically swapping an
-//! [`Arc`]; any number of concurrent readers resolve queries against the
-//! latest published snapshot through a cloneable [`SnapshotReader`]
-//! without ever blocking the writer.
+//! [`MatchingSnapshot`] by atomically swapping an [`Arc`]; any number of
+//! concurrent readers resolve queries against the latest published
+//! snapshot through a cloneable [`QueryHandle`] without ever blocking the
+//! writer.
 //!
 //! **Incremental publication.** Snapshots are built on chunked
 //! copy-on-write maps (`CowMap`), so the writer does *not* rebuild the
@@ -36,15 +36,15 @@
 //!   that observes completion epoch `E` never reads a snapshot older
 //!   than `E`.
 //!
-//! **Delta subscriptions.** The cell retains a short ring of recently
-//! published deltas; [`SnapshotReader::changes_since`] turns it into a
+//! **Delta subscriptions.** The publication point retains a short ring of
+//! recently published deltas; [`QueryHandle::changes_since`] turns it into a
 //! catch-up API — a subscriber at epoch `E` gets either *up-to-date*, a
 //! merged delta covering `E → latest`, or a full resync snapshot if it
 //! fell too far behind ([`Changes`]).
 //!
 //! [`Snapshots`] is the capability trait: any structure that can capture
-//! and publish snapshots plugs into the generic serving layer
-//! (`pbdmm-service`'s `QueryHandle`). [`DynamicMatching`] is the one
+//! and publish snapshots plugs into the generic serving layer, which hands
+//! out the same [`QueryHandle`]. [`DynamicMatching`] is the one
 //! publisher; `DynamicSetCover` in `pbdmm-setcover` forwards to its
 //! matching, so a cover is served as [`MatchingSnapshot`]s too.
 //!
@@ -59,7 +59,7 @@
 //! let out = m.apply(Batch::new().inserts([vec![0, 1], vec![2, 3]])).unwrap();
 //!
 //! // `reader` could live on any number of other threads.
-//! let snap = reader.latest();
+//! let snap = reader.snapshot();
 //! assert_eq!(snap.epoch(), 2); // two updates applied so far
 //! assert!(snap.is_matched(0) && snap.is_matched(2));
 //! assert_eq!(snap.matched_edge_of(1), Some(out.inserted[0]));
@@ -351,7 +351,7 @@ fn canonicalize_edits<V>(edits: &mut Vec<(u64, Option<V>)>) {
 ///
 /// Produced by `DynamicMatching::apply` (when snapshots are enabled),
 /// consumed by [`MatchingSnapshot::apply_delta`] and streamed to
-/// subscribers via [`SnapshotReader::changes_since`].
+/// subscribers via [`QueryHandle::changes_since`].
 ///
 /// Conventions (all vectors sorted ascending by id):
 /// * `matched` lists edges matched at `to_epoch` that were unmatched at
@@ -376,7 +376,7 @@ fn canonicalize_edits<V>(edits: &mut Vec<(u64, Option<V>)>) {
 ///
 /// let mut m = DynamicMatching::with_seed(3);
 /// let reader = m.enable_snapshots();
-/// let base = reader.latest(); // epoch 0, empty
+/// let base = reader.snapshot(); // epoch 0, empty
 ///
 /// m.apply(Batch::new().inserts([vec![0, 1], vec![2, 3]])).unwrap();
 /// let delta = match reader.changes_since(base.epoch()) {
@@ -494,17 +494,17 @@ pub trait Snapshot {
     fn epoch(&self) -> u64;
 
     /// Compose two consecutive deltas into one spanning both. Used by
-    /// [`SnapshotReader::changes_since`] to catch a subscriber up over
+    /// [`QueryHandle::changes_since`] to catch a subscriber up over
     /// several publications in one message.
     fn merge_delta(older: Self::Delta, newer: &Self::Delta) -> Self::Delta;
 }
 
-/// How many recent deltas a [`SnapshotCell`] retains for
-/// [`SnapshotReader::changes_since`]. A subscriber more than this many
+/// How many recent deltas a publication point retains for
+/// [`QueryHandle::changes_since`]. A subscriber more than this many
 /// publications behind gets a full [`Changes::Resync`].
 const DELTA_RING_CAP: usize = 64;
 
-/// The answer to [`SnapshotReader::changes_since`]: how a subscriber at
+/// The answer to [`QueryHandle::changes_since`]: how a subscriber at
 /// some epoch catches up to the latest published snapshot.
 #[derive(Debug)]
 pub enum Changes<T: Snapshot> {
@@ -523,7 +523,8 @@ pub enum Changes<T: Snapshot> {
 }
 
 /// A single-slot publication point: the writer swaps in a fresh
-/// [`Arc`]-wrapped snapshot, concurrent readers grab the latest one.
+/// [`Arc`]-wrapped snapshot, concurrent readers grab the latest one
+/// through a [`QueryHandle`].
 ///
 /// The cell is a `RwLock<Arc<T>>` used *only* for the pointer swap: readers
 /// hold the lock just long enough to clone the `Arc` (two atomic ops) and
@@ -533,10 +534,9 @@ pub enum Changes<T: Snapshot> {
 ///
 /// Alongside the slot, the cell keeps a bounded ring of the most recent
 /// [`Snapshot::Delta`]s (`(from_epoch, to_epoch, delta)`), fed by
-/// [`Self::publish`] and drained by
-/// [`SnapshotReader::changes_since`].
+/// [`Self::publish`] and drained by [`QueryHandle::changes_since`].
 #[derive(Debug)]
-pub struct SnapshotCell<T: Snapshot> {
+pub(crate) struct SnapshotCell<T: Snapshot> {
     slot: RwLock<Arc<T>>,
     /// Publication counter guarding the condvar below. Bumped *after* the
     /// slot swap, so a waiter that re-checks the slot on every pulse never
@@ -553,7 +553,7 @@ type DeltaRing<T> = VecDeque<(u64, u64, Arc<<T as Snapshot>::Delta>)>;
 
 impl<T: Snapshot> SnapshotCell<T> {
     /// Create a cell holding `initial`.
-    pub fn new(initial: T) -> Self {
+    pub(crate) fn new(initial: T) -> Self {
         SnapshotCell {
             slot: RwLock::new(Arc::new(initial)),
             pulse: Mutex::new(0),
@@ -564,17 +564,18 @@ impl<T: Snapshot> SnapshotCell<T> {
 
     /// The latest published snapshot (cheap: clones the `Arc`, not the
     /// snapshot).
-    pub fn load(&self) -> Arc<T> {
+    pub(crate) fn load(&self) -> Arc<T> {
         self.slot.read().expect("snapshot cell poisoned").clone()
     }
 
     /// Atomically replace the published snapshot and record the delta that
     /// produced it (spanning the previous snapshot's epoch to `next`'s).
     /// Readers that already hold an `Arc` keep their (older) snapshot
-    /// alive; new loads see `next`. Wakes every [`Self::wait_newer`]
-    /// waiter. Order matters: slot swap, then ring push, then pulse bump —
-    /// a waiter woken by the pulse always finds the ring entry present.
-    pub fn publish(&self, next: T, delta: T::Delta) {
+    /// alive; new loads see `next`. Wakes every
+    /// [`QueryHandle::wait_for_newer`] waiter. Order matters: slot swap,
+    /// then ring push, then pulse bump — a waiter woken by the pulse always
+    /// finds the ring entry present.
+    pub(crate) fn publish(&self, next: T, delta: T::Delta) {
         let to = next.epoch();
         let mut guard = self.slot.write().expect("snapshot cell poisoned");
         let old = std::mem::replace(&mut *guard, Arc::new(next));
@@ -591,30 +592,64 @@ impl<T: Snapshot> SnapshotCell<T> {
             }
             ring.push_back((from, to, Arc::new(delta)));
         }
-        self.bump_pulse();
-    }
-
-    fn bump_pulse(&self) {
         // Pulse strictly after the slot swap: a waiter woken by this notify
         // is guaranteed to observe (at least) the snapshot just published.
         let mut gen = self.pulse.lock().expect("snapshot pulse poisoned");
         *gen += 1;
         self.published.notify_all();
     }
+}
+
+/// The read side of a published structure: cloneable, `Send + Sync`, and
+/// never blocks the writer. Obtained from [`Snapshots::enable_snapshots`]
+/// (or, behind the ingest service, from its `start_serving` terminals).
+///
+/// The full read surface: [`Self::snapshot`] (grab the newest snapshot),
+/// [`Self::epoch`] (just its position), [`Self::wait_for_newer`] (block
+/// until progress), and [`Self::changes_since`] (stream deltas). A handle
+/// outlives the structure's writer: after the writer is gone it keeps
+/// serving the last published snapshot.
+#[derive(Debug)]
+pub struct QueryHandle<T: Snapshot> {
+    cell: Arc<SnapshotCell<T>>,
+}
+
+impl<T: Snapshot> Clone for QueryHandle<T> {
+    fn clone(&self) -> Self {
+        QueryHandle {
+            cell: Arc::clone(&self.cell),
+        }
+    }
+}
+
+impl<T: Snapshot> QueryHandle<T> {
+    /// The latest published snapshot (cheap: an `Arc` clone; the snapshot
+    /// itself is immutable and stays valid for as long as the caller holds
+    /// it, regardless of how many batches apply meanwhile).
+    pub fn snapshot(&self) -> Arc<T> {
+        self.cell.load()
+    }
+
+    /// Epoch of the latest published snapshot: how many updates were
+    /// applied when it was captured.
+    pub fn epoch(&self) -> u64 {
+        self.snapshot().epoch()
+    }
 
     /// Block until a snapshot with epoch **greater than** `epoch` is
     /// published, or `timeout` elapses — whichever first — and return the
     /// latest snapshot either way (the caller distinguishes progress from
-    /// timeout by its epoch). This is the primitive epoch *subscriptions*
-    /// ride on: no polling loop, one condvar wakeup per publication.
-    pub fn wait_newer(&self, epoch: u64, timeout: Duration) -> Arc<T> {
+    /// timeout by its epoch). Delta subscriptions ride on this: no polling
+    /// loop, one condvar wakeup per publication.
+    pub fn wait_for_newer(&self, epoch: u64, timeout: Duration) -> Arc<T> {
+        let cell = &*self.cell;
         let deadline = Instant::now() + timeout;
-        let mut gen = self.pulse.lock().expect("snapshot pulse poisoned");
+        let mut gen = cell.pulse.lock().expect("snapshot pulse poisoned");
         loop {
             // Check the slot while holding the pulse lock: a publisher that
             // swapped the slot after this load cannot complete its pulse
             // bump (and drop its notify) until we wait — no lost wakeup.
-            let snap = self.load();
+            let snap = cell.load();
             if snap.epoch() > epoch {
                 return snap;
             }
@@ -622,7 +657,7 @@ impl<T: Snapshot> SnapshotCell<T> {
             if now >= deadline {
                 return snap;
             }
-            gen = self
+            gen = cell
                 .published
                 .wait_timeout(gen, deadline - now)
                 .expect("snapshot pulse poisoned")
@@ -630,79 +665,12 @@ impl<T: Snapshot> SnapshotCell<T> {
         }
     }
 
-    /// What changed since `epoch`? See [`SnapshotReader::changes_since`].
-    pub fn changes_since(&self, epoch: u64) -> Changes<T> {
-        let ring = self.deltas.lock().expect("delta ring poisoned");
-        let latest = self.load();
-        if latest.epoch() == epoch {
-            return Changes::UpToDate;
-        }
-        // The ring chains from→to; a subscriber can be caught up iff some
-        // retained entry starts exactly at its epoch.
-        let Some(start) = ring.iter().position(|&(from, _, _)| from == epoch) else {
-            return Changes::Resync(latest);
-        };
-        let mut merged: T::Delta = (*ring[start].2).clone();
-        let mut to = ring[start].1;
-        for (_, entry_to, delta) in ring.iter().skip(start + 1) {
-            merged = T::merge_delta(merged, delta);
-            to = *entry_to;
-        }
-        Changes::Delta {
-            to_epoch: to,
-            delta: merged,
-        }
-    }
-}
-
-/// The reader half of a [`SnapshotCell`]: cloneable, `Send + Sync`, and
-/// never blocks the writer. Obtained from [`Snapshots::enable_snapshots`].
-///
-/// The full read surface: [`Self::latest`] (grab the newest snapshot),
-/// [`Self::epoch`] (just its position), [`Self::wait_for_newer`] (block
-/// until progress), and [`Self::changes_since`] (stream deltas).
-#[derive(Debug)]
-pub struct SnapshotReader<T: Snapshot> {
-    cell: Arc<SnapshotCell<T>>,
-}
-
-impl<T: Snapshot> Clone for SnapshotReader<T> {
-    fn clone(&self) -> Self {
-        SnapshotReader {
-            cell: Arc::clone(&self.cell),
-        }
-    }
-}
-
-impl<T: Snapshot> SnapshotReader<T> {
-    /// Wrap an existing publication cell.
-    pub(crate) fn from_cell(cell: Arc<SnapshotCell<T>>) -> Self {
-        SnapshotReader { cell }
-    }
-
-    /// The latest published snapshot.
-    pub fn latest(&self) -> Arc<T> {
-        self.cell.load()
-    }
-
-    /// Epoch of the latest published snapshot.
-    pub fn epoch(&self) -> u64 {
-        self.latest().epoch()
-    }
-
-    /// Block until a snapshot **newer than** `epoch` is published or
-    /// `timeout` elapses, returning the latest snapshot either way. See
-    /// [`SnapshotCell::wait_newer`].
-    pub fn wait_for_newer(&self, epoch: u64, timeout: Duration) -> Arc<T> {
-        self.cell.wait_newer(epoch, timeout)
-    }
-
     /// What changed since `epoch`? Returns [`Changes::UpToDate`] if the
     /// latest snapshot *is* epoch `epoch`, a single merged
     /// [`Changes::Delta`] if every publication since `epoch` is still in
-    /// the cell's delta ring, and [`Changes::Resync`] (with the latest
-    /// full snapshot) if the subscriber fell too far behind — the
-    /// streaming pattern net subscriptions use instead of epoch pings.
+    /// the delta ring, and [`Changes::Resync`] (with the latest full
+    /// snapshot) if the subscriber fell too far behind — the streaming
+    /// pattern net subscriptions use.
     ///
     /// ```
     /// use pbdmm_matching::api::Batch;
@@ -725,7 +693,26 @@ impl<T: Snapshot> SnapshotReader<T> {
     /// assert!(matches!(reader.changes_since(at), Changes::UpToDate));
     /// ```
     pub fn changes_since(&self, epoch: u64) -> Changes<T> {
-        self.cell.changes_since(epoch)
+        let ring = self.cell.deltas.lock().expect("delta ring poisoned");
+        let latest = self.cell.load();
+        if latest.epoch() == epoch {
+            return Changes::UpToDate;
+        }
+        // The ring chains from→to; a subscriber can be caught up iff some
+        // retained entry starts exactly at its epoch.
+        let Some(start) = ring.iter().position(|&(from, _, _)| from == epoch) else {
+            return Changes::Resync(latest);
+        };
+        let mut merged: T::Delta = (*ring[start].2).clone();
+        let mut to = ring[start].1;
+        for (_, entry_to, delta) in ring.iter().skip(start + 1) {
+            merged = T::merge_delta(merged, delta);
+            to = *entry_to;
+        }
+        Changes::Delta {
+            to_epoch: to,
+            delta: merged,
+        }
     }
 }
 
@@ -748,9 +735,9 @@ pub trait Snapshots {
 
     /// Start publishing: capture the current state immediately (so readers
     /// never observe "no snapshot") and re-publish after every subsequent
-    /// `apply`. Returns a cloneable reader; calling this again returns a
-    /// reader backed by the same cell.
-    fn enable_snapshots(&mut self) -> SnapshotReader<Self::Snap>;
+    /// `apply`. Returns a cloneable [`QueryHandle`]; calling this again
+    /// returns a handle onto the same publication point.
+    fn enable_snapshots(&mut self) -> QueryHandle<Self::Snap>;
 }
 
 /// Summary counters of a [`MatchingSnapshot`] — the `stats()` answer the
@@ -998,8 +985,10 @@ impl Snapshots for DynamicMatching {
         MatchingSnapshot::capture(self)
     }
 
-    fn enable_snapshots(&mut self) -> SnapshotReader<MatchingSnapshot> {
-        SnapshotReader::from_cell(self.snapshot_cell())
+    fn enable_snapshots(&mut self) -> QueryHandle<MatchingSnapshot> {
+        QueryHandle {
+            cell: self.snapshot_cell(),
+        }
     }
 }
 
@@ -1013,12 +1002,12 @@ mod tests {
         let mut m = DynamicMatching::with_seed(1);
         let r = m.enable_snapshots();
         assert_eq!(r.epoch(), 0);
-        assert_eq!(r.latest().num_edges(), 0);
+        assert_eq!(r.snapshot().num_edges(), 0);
 
         let out = m
             .apply(Batch::new().inserts([vec![0, 1], vec![1, 2], vec![2, 3]]))
             .unwrap();
-        let snap = r.latest();
+        let snap = r.snapshot();
         assert_eq!(snap.epoch(), 3);
         assert_eq!(snap.num_edges(), 3);
         assert_eq!(snap.matching_size(), m.matching_size());
@@ -1029,7 +1018,7 @@ mod tests {
 
         // Deleting bumps the epoch by the batch size and republishes.
         m.apply(Batch::new().delete(out.inserted[0])).unwrap();
-        let snap2 = r.latest();
+        let snap2 = r.snapshot();
         assert_eq!(snap2.epoch(), 4);
         assert!(!snap2.contains_edge(out.inserted[0]));
         // The old snapshot is untouched (immutability).
@@ -1042,7 +1031,7 @@ mod tests {
         let mut m = DynamicMatching::with_seed(2);
         let r = m.enable_snapshots();
         m.insert_edges(&[vec![0, 1], vec![1, 2], vec![3, 4, 5], vec![6]]);
-        let snap = r.latest();
+        let snap = r.snapshot();
         for v in 0..8u32 {
             assert_eq!(snap.matched_edge_of(v), m.matched_edge_of(v), "vertex {v}");
             assert_eq!(snap.is_matched(v), m.matched_edge_of(v).is_some());
@@ -1078,7 +1067,7 @@ mod tests {
         assert_eq!(r.epoch(), 2);
         m.delete_edges(&ids);
         assert_eq!(r.epoch(), 4);
-        assert_eq!(r.latest().num_edges(), 0);
+        assert_eq!(r.snapshot().num_edges(), 0);
     }
 
     #[test]
@@ -1136,7 +1125,7 @@ mod tests {
                 scope.spawn(move || {
                     let mut last = 0u64;
                     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        let snap = r.latest();
+                        let snap = r.snapshot();
                         assert!(snap.epoch() >= last, "epochs must be monotone");
                         last = snap.epoch();
                         snap.check_consistency().unwrap();
@@ -1265,7 +1254,7 @@ mod tests {
         // apply(merge(a, b)) == apply(b) ∘ apply(a) on a real snapshot.
         let mut m = DynamicMatching::with_seed(11);
         let r = m.enable_snapshots();
-        let base = r.latest();
+        let base = r.snapshot();
         let mut deltas: Vec<SnapshotDelta> = Vec::new();
         let out = m
             .apply(Batch::new().inserts([vec![0, 1], vec![1, 2], vec![2, 3]]))
@@ -1282,7 +1271,7 @@ mod tests {
         let merged = SnapshotDelta::merge(deltas[0].clone(), &deltas[1]);
         let jumped = base.apply_delta(&merged);
         assert_eq!(stepped, jumped);
-        assert_eq!(jumped, *r.latest());
+        assert_eq!(jumped, *r.snapshot());
     }
 
     // -- changes_since -----------------------------------------------------
@@ -1337,7 +1326,7 @@ mod tests {
     fn apply_delta_tracks_capture_across_random_churn() {
         let mut m = DynamicMatching::with_seed(14);
         let r = m.enable_snapshots();
-        let mut patched = (*r.latest()).clone();
+        let mut patched = (*r.snapshot()).clone();
         let mut ids: Vec<EdgeId> = Vec::new();
         for wave in 0..30u32 {
             let out = m
@@ -1357,7 +1346,7 @@ mod tests {
                 Changes::UpToDate => {}
                 Changes::Resync(snap) => patched = (*snap).clone(),
             }
-            assert_eq!(patched, *r.latest(), "wave {wave}");
+            assert_eq!(patched, *r.snapshot(), "wave {wave}");
             patched.check_consistency().unwrap();
         }
     }

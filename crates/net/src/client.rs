@@ -4,12 +4,13 @@
 //! handshake on connect, encodes [`Request`] frames, and decodes
 //! [`Response`] frames. Requests may be **pipelined** (send many, then
 //! read the responses in order); the daemon serializes a connection's
-//! responses in request order, with one exception — an epoch subscription
-//! interleaves [`Response::EpochEvent`] frames anywhere in the stream.
+//! responses in request order, with one exception — a delta subscription
+//! interleaves [`Response::DeltaEvent`] frames anywhere in the stream.
 //! [`Client::recv_response`] surfaces every frame; the correlation helpers
 //! ([`Client::submit_updates`], [`Client::point_query`], …) skip events
-//! (buffering them for [`Client::take_epoch_events`]) and match on
-//! `req_id`.
+//! (buffering them for [`Client::take_delta_events`]) and match on
+//! `req_id`. A request too large for one frame ([`MAX_FRAME`]) fails
+//! locally with [`FrameError::TooLarge`]; nothing is sent.
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -86,10 +87,8 @@ pub struct Client {
     out: Vec<u8>,
     body: Vec<u8>,
     next_req_id: u64,
-    /// Epoch events that arrived interleaved while a correlation helper was
-    /// waiting for its response.
-    events: Vec<u64>,
-    /// Delta events buffered the same way (`resync` flag + delta).
+    /// Delta events that arrived interleaved while a correlation helper
+    /// was waiting for its response (`resync` flag + delta).
     delta_events: Vec<(bool, SnapshotDelta)>,
 }
 
@@ -120,7 +119,6 @@ impl Client {
             out: Vec::new(),
             body: Vec::new(),
             next_req_id: 1,
-            events: Vec::new(),
             delta_events: Vec::new(),
         })
     }
@@ -177,12 +175,6 @@ impl Client {
         }
     }
 
-    /// Epoch events that arrived interleaved while correlation helpers were
-    /// waiting; returns and clears the buffer.
-    pub fn take_epoch_events(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.events)
-    }
-
     /// Delta events buffered while correlation helpers were waiting;
     /// returns and clears the buffer. Each entry is `(resync, delta)` —
     /// feed them to [`Mirror::apply`] in order.
@@ -190,7 +182,7 @@ impl Client {
         std::mem::take(&mut self.delta_events)
     }
 
-    /// Read until the response correlated with `req_id` arrives. Epoch
+    /// Read until the response correlated with `req_id` arrives. Delta
     /// events are buffered; an error frame for `req_id` (or a
     /// connection-level one, `req_id == 0`) becomes [`ClientError::Server`].
     pub fn recv_for(&mut self, req_id: u64) -> Result<Response, ClientError> {
@@ -202,7 +194,6 @@ impl Client {
                 )))
             })?;
             match resp {
-                Response::EpochEvent { epoch } => self.events.push(epoch),
                 Response::DeltaEvent { resync, delta } => self.delta_events.push((resync, delta)),
                 Response::Error {
                     req_id: rid,
@@ -262,15 +253,6 @@ impl Client {
         }
     }
 
-    /// Subscribe this connection to epoch publications newer than
-    /// `from_epoch`; subsequent events arrive as interleaved
-    /// [`Response::EpochEvent`] frames (see [`Client::recv_response`] /
-    /// [`Client::take_epoch_events`]).
-    pub fn subscribe(&mut self, from_epoch: u64) -> Result<(), ClientError> {
-        let req_id = self.next_req_id();
-        self.send(&Request::SubscribeEpoch { req_id, from_epoch })
-    }
-
     /// Subscribe this connection to **state deltas** newer than
     /// `from_epoch`; subsequent changes arrive as interleaved
     /// [`Response::DeltaEvent`] frames. Pass `from_epoch = 0` to mirror
@@ -299,7 +281,7 @@ fn response_req_id(r: &Response) -> Option<u64> {
         | Response::QueryResult { req_id, .. }
         | Response::Stats { req_id, .. }
         | Response::Error { req_id, .. } => Some(*req_id),
-        Response::EpochEvent { .. } | Response::DeltaEvent { .. } => None,
+        Response::DeltaEvent { .. } => None,
     }
 }
 

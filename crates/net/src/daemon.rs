@@ -442,9 +442,8 @@ enum WorkItem {
     Batch { req_id: u64, ticket: BatchTicket },
     /// A response the reader already resolved (queries, stats, errors).
     Ready(Response),
-    /// Switch the writer into subscription mode: bare epoch pings
-    /// (`deltas: false`) or full state deltas (`deltas: true`).
-    Subscribe { from_epoch: u64, deltas: bool },
+    /// Switch the writer into delta-subscription mode from `from_epoch`.
+    Subscribe { req_id: u64, from_epoch: u64 },
 }
 
 /// One connection, run on its own thread: handshake, spawn the writer,
@@ -613,20 +612,9 @@ fn reader_loop(
                 req_id,
                 stats: shared.wire_stats(),
             }),
-            Request::SubscribeEpoch {
-                req_id: _,
-                from_epoch,
-            } => WorkItem::Subscribe {
-                from_epoch,
-                deltas: false,
-            },
-            Request::SubscribeDeltas {
-                req_id: _,
-                from_epoch,
-            } => WorkItem::Subscribe {
-                from_epoch,
-                deltas: true,
-            },
+            Request::SubscribeDeltas { req_id, from_epoch } => {
+                WorkItem::Subscribe { req_id, from_epoch }
+            }
             Request::Shutdown { req_id } => {
                 shared.draining.store(true, Ordering::SeqCst);
                 let _ = shared.control.send(());
@@ -644,9 +632,11 @@ fn reader_loop(
 }
 
 /// Serialize responses in request order; in subscription mode, ride the
-/// snapshot publication condvar and interleave `EpochEvent` frames. Every
+/// snapshot publication condvar and interleave `DeltaEvent` frames. Every
 /// response is encoded into one reused buffer, which goes to the socket in
-/// one write when the queue runs empty (or [`WRITE_CHUNK`] bytes pend).
+/// one write when the queue runs empty (or [`WRITE_CHUNK`] bytes pend). An
+/// event too large for one frame ends the subscription with an `Error`
+/// frame on its `req_id`; the connection keeps being served.
 fn writer_loop(
     stream: TcpStream,
     rx: mpsc::Receiver<WorkItem>,
@@ -662,9 +652,9 @@ fn writer_loop(
         out.shrink_to(WRITE_CHUNK);
         sent
     };
-    // Last epoch delivered to the subscriber, and whether the subscription
-    // streams deltas or bare epoch pings (None: not subscribed).
-    let mut subscribed: Option<(u64, bool)> = None;
+    // The subscription's `req_id` and the last epoch delivered to it
+    // (None: not subscribed).
+    let mut subscribed: Option<(u64, u64)> = None;
     loop {
         let item = match rx.try_recv() {
             Ok(item) => item,
@@ -672,36 +662,41 @@ fn writer_loop(
                 if !out.is_empty() && !send(&mut out) {
                     break;
                 }
-                if let Some((last, deltas)) = subscribed {
+                if let Some((req_id, last)) = subscribed {
                     let snap = shared.query.wait_for_newer(last, SUBSCRIPTION_TICK);
                     if snap.epoch() > last {
-                        let ev = if deltas {
-                            match shared.query.changes_since(last) {
-                                // The publication raced past between the
-                                // wait and the read; pick it up next tick.
-                                Changes::UpToDate => continue,
-                                Changes::Delta { to_epoch, delta } => {
-                                    subscribed = Some((to_epoch, true));
-                                    Response::DeltaEvent {
-                                        resync: false,
-                                        delta,
-                                    }
-                                }
-                                Changes::Resync(full) => {
-                                    subscribed = Some((full.epoch(), true));
-                                    Response::DeltaEvent {
-                                        resync: true,
-                                        delta: resync_delta(&full),
-                                    }
-                                }
-                            }
-                        } else {
-                            subscribed = Some((snap.epoch(), false));
-                            Response::EpochEvent {
-                                epoch: snap.epoch(),
-                            }
+                        let (to_epoch, ev) = match shared.query.changes_since(last) {
+                            // The publication raced past between the
+                            // wait and the read; pick it up next tick.
+                            Changes::UpToDate => continue,
+                            Changes::Delta { to_epoch, delta } => (
+                                to_epoch,
+                                Response::DeltaEvent {
+                                    resync: false,
+                                    delta,
+                                },
+                            ),
+                            Changes::Resync(full) => (
+                                full.epoch(),
+                                Response::DeltaEvent {
+                                    resync: true,
+                                    delta: resync_delta(&full),
+                                },
+                            ),
                         };
-                        if ev.encode_frame(&mut out).is_err() || !send(&mut out) {
+                        subscribed = Some((req_id, to_epoch));
+                        if let Err(e) = ev.encode_frame(&mut out) {
+                            subscribed = None;
+                            let end = Response::Error {
+                                req_id,
+                                code: ErrorCode::Internal,
+                                message: format!("subscription ended: delta event {e}"),
+                            };
+                            if end.encode_frame(&mut out).is_err() {
+                                break;
+                            }
+                        }
+                        if !send(&mut out) {
                             break;
                         }
                     }
@@ -716,8 +711,8 @@ fn writer_loop(
         };
         let response = match item {
             WorkItem::Ready(r) => r,
-            WorkItem::Subscribe { from_epoch, deltas } => {
-                subscribed = Some((from_epoch, deltas));
+            WorkItem::Subscribe { req_id, from_epoch } => {
+                subscribed = Some((req_id, from_epoch));
                 continue;
             }
             WorkItem::Batch { req_id, ticket } => {

@@ -19,7 +19,7 @@
 //!   unbounded queue) and fault isolation (a protocol violation closes
 //!   *that* connection only).
 //! * [`client`] — a small blocking client: the handshake, pipelined
-//!   request submission, and response correlation (epoch-event frames may
+//!   request submission, and response correlation (delta-event frames may
 //!   interleave with responses; the client surfaces both).
 //! * [`load`] — the multi-connection load generator behind `pbdmm load`:
 //!   M concurrent connections drive the daemon with the same synthetic

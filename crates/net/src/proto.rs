@@ -24,9 +24,13 @@
 //! Requests flow client → daemon ([`Request`]), responses daemon → client
 //! ([`Response`]). One request may produce one response
 //! ([`Response::Completion`] for [`Request::SubmitBatch`]), and a
-//! subscription ([`Request::SubscribeEpoch`]) produces a *stream* of
-//! [`Response::EpochEvent`] frames interleaved with other responses —
+//! subscription ([`Request::SubscribeDeltas`]) produces a *stream* of
+//! [`Response::DeltaEvent`] frames interleaved with other responses —
 //! clients must tolerate interleaving.
+//!
+//! Both directions hold frames to [`MAX_FRAME`]: a reader refuses a longer
+//! one, so an encoder refuses to produce it ([`Request::encode_frame`],
+//! [`Response::encode_frame`]).
 //!
 //! # Example
 //! ```
@@ -55,19 +59,19 @@ pub const MAGIC: [u8; 4] = *b"PBDM";
 /// Protocol version carried in the handshake. Bumped on any frame-layout
 /// change, including a change to the phase or counter list, which the
 /// [`ProfileReport`] inside [`Response::Stats`] encodes by position.
-/// Endpoints refuse to talk across versions.
-pub const VERSION: u16 = 3;
+/// Endpoints refuse to talk across versions. Version 4 removed the
+/// epoch-ping subscription (request opcode `0x04`, response `0x84`).
+pub const VERSION: u16 = 4;
 
 /// Cap on one frame's body (opcode + payload), for daemon and client. A
 /// declared length above the cap is rejected *before* allocating — the
-/// admission control of the byte layer.
+/// admission control of the byte layer — and no endpoint encodes one.
 pub const MAX_FRAME: usize = 1 << 20;
 
 // Request opcodes (client → daemon).
 const OP_SUBMIT_BATCH: u8 = 0x01;
 const OP_POINT_QUERY: u8 = 0x02;
 const OP_STATS: u8 = 0x03;
-const OP_SUBSCRIBE_EPOCH: u8 = 0x04;
 const OP_SHUTDOWN: u8 = 0x05;
 const OP_SUBSCRIBE_DELTAS: u8 = 0x06;
 
@@ -75,7 +79,6 @@ const OP_SUBSCRIBE_DELTAS: u8 = 0x06;
 const OP_COMPLETION: u8 = 0x81;
 const OP_QUERY_RESULT: u8 = 0x82;
 const OP_STATS_RESULT: u8 = 0x83;
-const OP_EPOCH_EVENT: u8 = 0x84;
 const OP_DELTA_EVENT: u8 = 0x85;
 const OP_ERROR: u8 = 0x8F;
 
@@ -105,7 +108,8 @@ pub enum FrameError {
         got: usize,
     },
     /// The declared body length is zero or exceeds the frame cap. Rejected
-    /// before any allocation.
+    /// before any allocation; an encoder refuses a body over the cap the
+    /// same way.
     TooLarge {
         /// The declared length.
         len: usize,
@@ -222,23 +226,16 @@ pub enum Request {
         /// Correlation id.
         req_id: u64,
     },
-    /// Subscribe to epoch publications newer than `from_epoch`: the daemon
-    /// streams one [`Response::EpochEvent`] per observed publication,
-    /// interleaved with this connection's other responses.
-    SubscribeEpoch {
-        /// Correlation id.
-        req_id: u64,
-        /// Events are delivered only for epochs strictly greater than this.
-        from_epoch: u64,
-    },
-    /// Subscribe to **state deltas**: instead of bare epoch numbers the
-    /// daemon streams one [`Response::DeltaEvent`] per observed
-    /// publication, carrying exactly what changed since the event the
-    /// client last saw — the wire projection of
-    /// `SnapshotReader::changes_since`. If the server-side delta log no
+    /// Subscribe to **state deltas**: the daemon streams one
+    /// [`Response::DeltaEvent`] per observed publication, interleaved with
+    /// this connection's other responses, carrying exactly what changed
+    /// since the event the client last saw — the wire projection of
+    /// `QueryHandle::changes_since`. If the server-side delta log no
     /// longer reaches back to the client's epoch, the daemon sends one
     /// event with `resync` set whose delta rebuilds the full state from
-    /// scratch (the client clears its mirror first).
+    /// scratch (the client clears its mirror first). An event that would
+    /// exceed [`MAX_FRAME`] ends the stream with one [`Response::Error`]
+    /// (`Internal`, this request's `req_id`); the connection stays up.
     SubscribeDeltas {
         /// Correlation id.
         req_id: u64,
@@ -370,11 +367,6 @@ pub enum Response {
         /// The gauges and the daemon's counts.
         stats: WireStats,
     },
-    /// One epoch publication, streamed to subscribers.
-    EpochEvent {
-        /// The newly visible epoch.
-        epoch: u64,
-    },
     /// One state delta, streamed to [`Request::SubscribeDeltas`] clients.
     DeltaEvent {
         /// When set, the delta log did not reach back to the client's
@@ -440,8 +432,9 @@ pub fn read_handshake(r: &mut impl Read) -> Result<(), FrameError> {
 
 /// Write one frame: length prefix + body, in one `write_all`. The body
 /// must already contain the opcode (see [`Request::encode`] /
-/// [`Response::encode`]). Hot paths encode straight into a reused buffer
-/// instead ([`Request::encode_frame`] / [`Response::encode_frame`]).
+/// [`Response::encode`]) and fit [`MAX_FRAME`]. Hot paths encode straight
+/// into a reused buffer instead ([`Request::encode_frame`] /
+/// [`Response::encode_frame`]).
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), FrameError> {
     let mut frame = Vec::with_capacity(4 + body.len());
     push_frame(&mut frame, |out| out.extend_from_slice(body))?;
@@ -450,18 +443,23 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), FrameError> {
 }
 
 /// Append one frame to `out`: a length prefix, then the body `encode`
-/// appends (opcode + payload). On error `out` is left as it was.
+/// appends (opcode + payload). A body over [`MAX_FRAME`], which every
+/// reader refuses, is [`FrameError::TooLarge`]; on error `out` is left as
+/// it was.
 fn push_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), FrameError> {
     let at = out.len();
     out.extend_from_slice(&[0; 4]);
     encode(out);
     let body = out.len() - at - 4;
     debug_assert!(body > 0, "a frame body carries at least an opcode");
-    let Ok(len) = u32::try_from(body) else {
+    if body > MAX_FRAME {
         out.truncate(at);
-        return Err(FrameError::Malformed("frame body exceeds u32".into()));
-    };
-    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        return Err(FrameError::TooLarge {
+            len: body,
+            cap: MAX_FRAME,
+        });
+    }
+    out[at..at + 4].copy_from_slice(&(body as u32).to_le_bytes());
     Ok(())
 }
 
@@ -688,7 +686,8 @@ impl Request {
 
     /// Append this request to `out` as one whole frame (length prefix
     /// and body), so a caller can hand `out` — this frame, or a window of
-    /// frames — to the socket in one write.
+    /// frames — to the socket in one write. A body over [`MAX_FRAME`] is
+    /// [`FrameError::TooLarge`] and leaves `out` unchanged.
     pub fn encode_frame(&self, out: &mut Vec<u8>) -> Result<(), FrameError> {
         push_frame(out, |out| self.encode_body(out))
     }
@@ -723,11 +722,6 @@ impl Request {
             Request::Stats { req_id } => {
                 out.push(OP_STATS);
                 put_u64(out, *req_id);
-            }
-            Request::SubscribeEpoch { req_id, from_epoch } => {
-                out.push(OP_SUBSCRIBE_EPOCH);
-                put_u64(out, *req_id);
-                put_u64(out, *from_epoch);
             }
             Request::SubscribeDeltas { req_id, from_epoch } => {
                 out.push(OP_SUBSCRIBE_DELTAS);
@@ -778,10 +772,6 @@ impl Request {
             OP_STATS => Request::Stats {
                 req_id: c.u64("req_id")?,
             },
-            OP_SUBSCRIBE_EPOCH => Request::SubscribeEpoch {
-                req_id: c.u64("req_id")?,
-                from_epoch: c.u64("from_epoch")?,
-            },
             OP_SUBSCRIBE_DELTAS => Request::SubscribeDeltas {
                 req_id: c.u64("req_id")?,
                 from_epoch: c.u64("from_epoch")?,
@@ -810,7 +800,8 @@ impl Response {
 
     /// Append this response to `out` as one whole frame (length prefix
     /// and body), so a caller can hand `out` — this frame, or a window of
-    /// frames — to the socket in one write.
+    /// frames — to the socket in one write. A body over [`MAX_FRAME`] is
+    /// [`FrameError::TooLarge`] and leaves `out` unchanged.
     pub fn encode_frame(&self, out: &mut Vec<u8>) -> Result<(), FrameError> {
         push_frame(out, |out| self.encode_body(out))
     }
@@ -883,10 +874,6 @@ impl Response {
                 put_u32(out, stats.connections);
                 out.push(stats.draining);
                 put_profile(out, &stats.report);
-            }
-            Response::EpochEvent { epoch } => {
-                out.push(OP_EPOCH_EVENT);
-                put_u64(out, *epoch);
             }
             Response::DeltaEvent { resync, delta } => {
                 out.push(OP_DELTA_EVENT);
@@ -1004,9 +991,6 @@ impl Response {
                     draining: c.u8("draining")?,
                     report: get_profile(&mut c)?,
                 },
-            },
-            OP_EPOCH_EVENT => Response::EpochEvent {
-                epoch: c.u64("epoch")?,
             },
             OP_DELTA_EVENT => {
                 let resync = match c.u8("resync flag")? {
@@ -1239,6 +1223,101 @@ mod tests {
             delta: SnapshotDelta::empty(0, 0),
         };
         assert_eq!(Response::decode(&resync.encode()).unwrap(), resync);
+    }
+
+    #[test]
+    fn encoders_refuse_a_body_over_the_frame_cap() {
+        // The cap is a legal body; one byte more is what every reader
+        // refuses, so no encoder produces it and `out` keeps what it held.
+        let mut out = Vec::new();
+        write_frame(&mut out, &vec![0xAB; MAX_FRAME]).unwrap();
+        let before = out.clone();
+        let err = write_frame(&mut out, &vec![0xAB; MAX_FRAME + 1]).unwrap_err();
+        assert!(
+            matches!(err, FrameError::TooLarge { len, cap: MAX_FRAME } if len == MAX_FRAME + 1)
+        );
+        // 100k inserts encode to 1.3 MB: a client fails them locally.
+        let updates = (0..100_000).map(|v| Update::Insert(vec![v, v + 1]));
+        let big = Request::SubmitBatch {
+            req_id: 2,
+            updates: updates.collect(),
+        };
+        let err = big.encode_frame(&mut out).unwrap_err();
+        assert!(matches!(err, FrameError::TooLarge { cap: MAX_FRAME, .. }));
+        assert_eq!(out, before);
+    }
+
+    #[test]
+    fn removed_epoch_ping_opcodes_are_malformed() {
+        // Up to version 3, request 0x04 was SubscribeEpoch{req_id,
+        // from_epoch} and response 0x84 was EpochEvent{epoch}.
+        let sub = [[0x04].as_slice(), &[0; 16]].concat();
+        assert!(matches!(
+            Request::decode(&sub),
+            Err(FrameError::Malformed(_))
+        ));
+        let ping = [[0x84].as_slice(), &[0; 8]].concat();
+        assert!(matches!(
+            Response::decode(&ping),
+            Err(FrameError::Malformed(_))
+        ));
+        assert_eq!(VERSION, 4, "removing them changed the frame set");
+    }
+
+    /// Decode a lowercase hex string.
+    fn unhex(s: &str) -> Vec<u8> {
+        let digit = |i| u8::from_str_radix(&s[i..i + 2], 16).unwrap();
+        (0..s.len()).step_by(2).map(digit).collect()
+    }
+
+    #[test]
+    fn delta_stream_bytes_are_pinned() {
+        // Frames (length prefix included) as protocol version 3 encoded
+        // them: a subscriber reads the same bytes after the version bump.
+        let sub = Request::SubscribeDeltas {
+            req_id: 0x0102_0304_0506_0708,
+            from_epoch: 42,
+        };
+        let mut out = Vec::new();
+        sub.encode_frame(&mut out).unwrap();
+        assert_eq!(out, unhex("110000000608070605040302012a00000000000000"));
+        assert_eq!(Request::decode(&out[4..]).unwrap(), sub);
+
+        let delta = Response::DeltaEvent {
+            resync: false,
+            delta: SnapshotDelta {
+                from_epoch: 42,
+                to_epoch: 48,
+                inserted: vec![EdgeId(5), EdgeId(9)],
+                deleted: vec![EdgeId(2)],
+                matched: vec![(EdgeId(5), vec![1, 2]), (EdgeId(9), vec![3, 4, 5])],
+                unmatched: vec![EdgeId(7)],
+            },
+        };
+        let resync = Response::DeltaEvent {
+            resync: true,
+            delta: SnapshotDelta {
+                from_epoch: 0,
+                to_epoch: 300,
+                inserted: vec![EdgeId(1), EdgeId(0x1_0000_0000)],
+                deleted: vec![EdgeId(3)],
+                matched: vec![(EdgeId(0x1_0000_0000), vec![7, 0xdead_beef])],
+                unmatched: vec![EdgeId(4)],
+            },
+        };
+        let delta_hex = "6e00000085002a00000000000000300000000000000002000000050000000000\
+            0000090000000000000001000000020000000000000002000000050000000000\
+            0000020000000100000002000000090000000000000003000000030000000400\
+            000005000000010000000700000000000000";
+        let resync_hex = "56000000850100000000000000002c0100000000000002000000010000000000\
+            0000000000000100000001000000030000000000000001000000000000000100\
+            00000200000007000000efbeadde010000000400000000000000";
+        for (resp, hex) in [(delta, delta_hex), (resync, resync_hex)] {
+            let mut out = Vec::new();
+            resp.encode_frame(&mut out).unwrap();
+            assert_eq!(out, unhex(hex));
+            assert_eq!(Response::decode(&out[4..]).unwrap(), resp);
+        }
     }
 
     /// A `Stats` frame with gauges and `report`.

@@ -33,7 +33,7 @@ fn arb_update(rng: &mut SplitMix64) -> Update {
 
 fn arb_request(rng: &mut SplitMix64) -> Request {
     let req_id = rng.next_u64();
-    match rng.bounded(6) {
+    match rng.bounded(5) {
         0 => Request::SubmitBatch {
             req_id,
             updates: (0..rng.bounded(20)).map(|_| arb_update(rng)).collect(),
@@ -43,11 +43,7 @@ fn arb_request(rng: &mut SplitMix64) -> Request {
             vertex: rng.next_u64() as u32,
         },
         2 => Request::Stats { req_id },
-        3 => Request::SubscribeEpoch {
-            req_id,
-            from_epoch: rng.next_u64(),
-        },
-        4 => Request::SubscribeDeltas {
+        3 => Request::SubscribeDeltas {
             req_id,
             from_epoch: rng.next_u64(),
         },
@@ -117,7 +113,7 @@ fn arb_report(rng: &mut SplitMix64) -> ProfileReport {
 
 fn arb_response(rng: &mut SplitMix64) -> Response {
     let req_id = rng.next_u64();
-    match rng.bounded(6) {
+    match rng.bounded(5) {
         0 => Response::Completion {
             req_id,
             epoch: rng.next_u64(),
@@ -140,10 +136,7 @@ fn arb_response(rng: &mut SplitMix64) -> Response {
                 report: arb_report(rng),
             },
         },
-        3 => Response::EpochEvent {
-            epoch: rng.next_u64(),
-        },
-        4 => Response::DeltaEvent {
+        3 => Response::DeltaEvent {
             resync: rng.bounded(2) == 0,
             delta: arb_delta(rng),
         },

@@ -1,7 +1,7 @@
 //! End-to-end loopback tests for the daemon: real TCP connections against
 //! a real [`Daemon`], covering read-your-writes over the wire, fault
 //! isolation (one hostile client never takes the daemon down), admission
-//! control under tight limits, epoch subscriptions, and graceful drain.
+//! control under tight limits, delta subscriptions, and graceful drain.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -408,36 +408,6 @@ fn connection_cap_refuses_politely_and_frees_slots() {
 }
 
 #[test]
-fn epoch_subscription_streams_publications() {
-    let (addr, stop, join) = start(DaemonConfig::default());
-
-    let mut sub = Client::connect(addr).unwrap();
-    sub.subscribe(0).unwrap();
-
-    let mut writer = Client::connect(addr).unwrap();
-    let done = writer
-        .submit_updates(vec![Update::Insert(vec![0, 1])])
-        .unwrap();
-
-    // The subscriber sees an event at (or beyond) the writer's epoch.
-    sub.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let mut last = 0;
-    while last < done.epoch {
-        match sub.recv_response().unwrap() {
-            Some(Response::EpochEvent { epoch }) => {
-                assert!(epoch > last, "events must be strictly increasing");
-                last = epoch;
-            }
-            Some(r) => panic!("unexpected frame {r:?}"),
-            None => panic!("daemon closed the subscription early"),
-        }
-    }
-
-    stop.stop();
-    join.join().unwrap();
-}
-
-#[test]
 fn drain_refuses_new_work_and_reports_final_stats() {
     let (addr, _stop, join) = start(DaemonConfig::default());
 
@@ -568,6 +538,65 @@ fn delta_subscription_mirrors_server_state() {
         let rec = &report.structure.structure().edges[pbdmm_graph::EdgeId(*id)];
         assert_eq!(&rec.vertices, vs);
     }
+}
+
+/// A subscriber behind the delta ring is owed a resync of the whole
+/// state. Once that state no longer fits one frame, the daemon ends the
+/// subscription with an `Error` on its `req_id` rather than send a frame
+/// the client refuses, and keeps serving the connection.
+#[test]
+fn oversized_resync_ends_the_subscription_not_the_connection() {
+    const FRAMES: u32 = 65;
+    const PER_FRAME: u32 = 616;
+    let (addr, stop, join) = start(DaemonConfig::default());
+
+    // 65 publications of disjoint pairs: 40,040 live edges, all matched.
+    // A resync costs 8 bytes per live edge plus 20 per matched pair, about
+    // 1.12 MB, and the 64-delta ring no longer reaches back to epoch 0.
+    let mut writer = Client::connect(addr).unwrap();
+    for f in 0..FRAMES {
+        let base = 2 * f * PER_FRAME;
+        let updates = (0..PER_FRAME)
+            .map(|i| Update::Insert(vec![base + 2 * i, base + 2 * i + 1]))
+            .collect();
+        writer.submit_updates(updates).unwrap();
+    }
+
+    let mut sub = Client::connect(addr).unwrap();
+    sub.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let req_id = sub.next_req_id();
+    sub.send(&Request::SubscribeDeltas {
+        req_id,
+        from_epoch: 0,
+    })
+    .unwrap();
+    match sub.recv_response().unwrap() {
+        Some(Response::Error {
+            req_id: got,
+            code: ErrorCode::Internal,
+            ..
+        }) => assert_eq!(got, req_id),
+        other => panic!("expected the subscription's Error frame, got {other:?}"),
+    }
+
+    // The connection still answers queries...
+    let q = sub.point_query(0).unwrap();
+    assert_eq!(q.epoch, u64::from(FRAMES * PER_FRAME));
+    assert_eq!(q.partners, vec![0, 1]);
+    // ... and the ended subscription streams nothing more.
+    let top = 2 * FRAMES * PER_FRAME;
+    writer
+        .submit_updates(vec![Update::Insert(vec![top, top + 1])])
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    let q = sub.point_query(top).unwrap();
+    assert_eq!(q.partners, vec![top, top + 1]);
+    assert!(sub.take_delta_events().is_empty());
+
+    drop((writer, sub));
+    stop.stop();
+    let report = join.join().unwrap();
+    assert_eq!(report.wire.protocol_errors, 0);
 }
 
 #[test]

@@ -18,6 +18,7 @@ use pbdmm_graph::wal::{read_wal_file, Wal, WalMeta};
 use pbdmm_matching::api::BatchDynamic;
 use pbdmm_matching::checkpoint::Checkpoint;
 use pbdmm_matching::DynamicMatching;
+use pbdmm_setcover::DynamicSetCover;
 
 use crate::coalesce::{plan_batch, Slot};
 
@@ -129,6 +130,21 @@ pub fn matching_for(meta: &WalMeta) -> Result<DynamicMatching, String> {
     let mut m = DynamicMatching::with_seed(meta.seed);
     m.set_recycle_ids(meta.ids_recycling);
     Ok(m)
+}
+
+/// The fresh [`DynamicSetCover`] a WAL header describes, as
+/// [`matching_for`] is for matchings. A cover allocates only monotonic
+/// ids, so a header recording recycled ids is refused: replayed with
+/// monotonic ids, a logged delete of a reused id would remove another
+/// element than the one logged.
+pub fn cover_for(meta: &WalMeta) -> Result<DynamicSetCover, String> {
+    match (meta.structure.as_str(), meta.ids_recycling) {
+        ("setcover", false) => Ok(DynamicSetCover::with_seed(meta.seed)),
+        ("setcover", true) => Err("WAL records `# ids: recycling`, but a set cover \
+                                   allocates only monotonic ids"
+            .into()),
+        (other, _) => Err(format!("WAL records structure {other:?}, not a set cover")),
+    }
 }
 
 /// Replay a WAL recorded over a [`DynamicMatching`]: builds the structure

@@ -25,7 +25,7 @@ use pbdmm_graph::update::{Batch, Update};
 use pbdmm_graph::wal::{self, WalMeta};
 use pbdmm_matching::api::{BatchDynamic, UpdateError};
 use pbdmm_matching::checkpoint::Checkpoint;
-use pbdmm_matching::snapshot::{Snapshot, SnapshotReader, Snapshots};
+use pbdmm_matching::snapshot::Snapshots;
 use pbdmm_primitives::obs::{Counter, Phase, ProfileReport, Recorder};
 use pbdmm_primitives::pool::ParPool;
 
@@ -33,6 +33,27 @@ use crate::coalesce::{plan_batch, CoalescePolicy, Slot};
 use crate::replay::{
     ckpt_path, list_wal_dir, recover_dir_with, segment_path, Recovery, RecoveryInfo,
 };
+
+/// The read side of a serving deployment, returned by
+/// [`ServiceBuilder::start_serving`]: the matching crate's cloneable
+/// snapshot handle. A snapshot observed after a ticket's `wait()` returned
+/// is never older than that ticket's [`Completion::epoch`] (read-your-writes).
+///
+/// ```
+/// use pbdmm_matching::DynamicMatching;
+/// use pbdmm_service::ServiceConfig;
+///
+/// let (svc, query) = ServiceConfig::builder()
+///     .start_serving(DynamicMatching::with_seed(7))
+///     .unwrap();
+/// let c = svc.handle().insert(vec![0, 1]).wait().unwrap();
+/// // The batch is already visible: read your writes.
+/// assert!(query.epoch() >= c.epoch);
+/// let snap = query.snapshot();
+/// assert!(snap.is_matched(0) && snap.partner(0) == Some(1));
+/// svc.shutdown();
+/// ```
+pub use pbdmm_matching::snapshot::QueryHandle;
 
 /// Why a single submitted update failed. Per-update: one bad submission
 /// never poisons the batch it was coalesced into.
@@ -536,32 +557,16 @@ impl ServiceBuilder {
         // applied to the structure — they coincide exactly when the
         // structure starts fresh, and differ by this base otherwise.
         let epoch_base = structure.epoch();
-        let reader = structure.enable_snapshots();
+        let query = structure.enable_snapshots();
         let svc = UpdateService::start_inner(structure, self.config(), epoch_base, 0)?;
-        Ok((svc, QueryHandle { reader }))
+        Ok((svc, query))
     }
 
     /// Terminal: recover from the configured WAL directory (newest intact
-    /// checkpoint + tail segments; see [`crate::replay::recover_dir_with`])
-    /// and resume appending where the log left off. An empty or
-    /// not-yet-created directory starts fresh from `make()` — so a
-    /// crash/restart loop needs no first-run special case.
-    pub fn recover_and_start<S, F>(
-        self,
-        make: F,
-    ) -> Result<(UpdateService<S>, RecoveryInfo), ServiceError>
-    where
-        S: BatchDynamic + Checkpoint + Send + 'static,
-        F: FnMut() -> S,
-    {
-        let (config, rec) = self.recover(make)?;
-        let info = rec.info();
-        let svc = UpdateService::start_inner(rec.structure, config, 0, rec.next_seq)?;
-        Ok((svc, info))
-    }
-
-    /// Terminal: [`Self::recover_and_start`] plus the snapshot read path —
-    /// the full serving-resume in one call.
+    /// checkpoint + tail segments; see [`crate::replay::recover_dir_with`]),
+    /// enable the snapshot read path, and resume appending where the log
+    /// left off. An empty or not-yet-created directory starts fresh from
+    /// `make()` — so a crash/restart loop needs no first-run special case.
     pub fn recover_and_start_serving<S, F>(
         self,
         make: F,
@@ -573,9 +578,9 @@ impl ServiceBuilder {
         let (config, mut rec) = self.recover(make)?;
         let info = rec.info();
         let epoch_base = rec.structure.epoch();
-        let reader = rec.structure.enable_snapshots();
+        let query = rec.structure.enable_snapshots();
         let svc = UpdateService::start_inner(rec.structure, config, epoch_base, rec.next_seq)?;
-        Ok((svc, QueryHandle { reader }, info))
+        Ok((svc, query, info))
     }
 
     fn recover<S, F>(&self, mut make: F) -> Result<(ServiceConfig, Recovery<S>), ServiceError>
@@ -912,83 +917,6 @@ fn compact_dir(dir: &Path) -> std::io::Result<u64> {
 pub struct UpdateService<S: BatchDynamic + Send + 'static> {
     tx: Option<mpsc::Sender<Msg>>,
     join: Option<JoinHandle<(S, ServiceStats)>>,
-}
-
-/// The read side of a serving deployment: a cloneable, `Send + Sync`
-/// handle through which any number of reader threads resolve queries
-/// against the **latest published snapshot** — without ever blocking the
-/// coalescer or each other. Obtained from [`ServiceBuilder::start_serving`].
-///
-/// Readers see epochs advance monotonically, one step per applied batch;
-/// a snapshot observed after a ticket's `wait()` returned is never older
-/// than that ticket's [`Completion::epoch`] (read-your-writes).
-///
-/// ```
-/// use pbdmm_matching::DynamicMatching;
-/// use pbdmm_service::ServiceConfig;
-///
-/// let (svc, query) = ServiceConfig::builder()
-///     .start_serving(DynamicMatching::with_seed(7))
-///     .unwrap();
-/// let c = svc.handle().insert(vec![0, 1]).wait().unwrap();
-/// // The batch is already visible: read your writes.
-/// assert!(query.epoch() >= c.epoch);
-/// let snap = query.snapshot();
-/// assert!(snap.is_matched(0) && snap.partner(0) == Some(1));
-/// svc.shutdown();
-/// ```
-#[derive(Debug)]
-pub struct QueryHandle<T: Snapshot> {
-    reader: SnapshotReader<T>,
-}
-
-impl<T: Snapshot> Clone for QueryHandle<T> {
-    fn clone(&self) -> Self {
-        QueryHandle {
-            reader: self.reader.clone(),
-        }
-    }
-}
-
-impl<T: Snapshot> QueryHandle<T> {
-    /// The latest published snapshot (cheap: an `Arc` clone; the snapshot
-    /// itself is immutable and stays valid for as long as the caller holds
-    /// it, regardless of how many batches apply meanwhile).
-    pub fn snapshot(&self) -> Arc<T> {
-        self.reader.latest()
-    }
-
-    /// Epoch of the latest published snapshot: how many updates were
-    /// applied when it was captured.
-    pub fn epoch(&self) -> u64 {
-        self.reader.epoch()
-    }
-
-    /// Block until a snapshot **newer than** `epoch` is published or
-    /// `timeout` elapses — whichever first — and return the latest snapshot
-    /// either way (distinguish progress from timeout by its epoch). This is
-    /// the epoch-subscription hook: no polling, one condvar wakeup per
-    /// published batch, so a subscriber (e.g. a network connection
-    /// streaming `EpochEvent`s) rides the publication pulse directly.
-    pub fn wait_for_newer(&self, epoch: u64, timeout: std::time::Duration) -> Arc<T> {
-        self.reader.wait_for_newer(epoch, timeout)
-    }
-
-    /// What changed since `epoch`: up-to-date, a merged
-    /// [`pbdmm_matching::snapshot::Snapshot::Delta`], or a full resync
-    /// snapshot if the subscriber fell behind the publication ring. See
-    /// [`SnapshotReader::changes_since`] — this is how network
-    /// subscriptions stream deltas instead of epoch pings.
-    pub fn changes_since(&self, epoch: u64) -> pbdmm_matching::snapshot::Changes<T> {
-        self.reader.changes_since(epoch)
-    }
-
-    /// The underlying [`SnapshotReader`] (the full read surface: `latest /
-    /// epoch / wait_for_newer / changes_since`), cloneable independently of
-    /// the handle.
-    pub fn reader(&self) -> &SnapshotReader<T> {
-        &self.reader
-    }
 }
 
 impl<S: BatchDynamic + Checkpoint + Send + 'static> UpdateService<S> {
@@ -1871,8 +1799,8 @@ mod tests {
                 .checkpoint_every(4)
         };
         // First run starts fresh: the directory does not exist yet.
-        let (svc, info) = build()
-            .recover_and_start(|| DynamicMatching::with_seed(34))
+        let (svc, _, info) = build()
+            .recover_and_start_serving(|| DynamicMatching::with_seed(34))
             .unwrap();
         assert_eq!(info.batches, 0);
         assert_eq!(info.checkpoint, None);
@@ -1885,10 +1813,11 @@ mod tests {
         svc.shutdown();
         // Second run resumes at batch 10 and keeps appending; recorded ids
         // stay valid across the restart.
-        let (svc, info) = build()
-            .recover_and_start(|| DynamicMatching::with_seed(34))
+        let (svc, q, info) = build()
+            .recover_and_start_serving(|| DynamicMatching::with_seed(34))
             .unwrap();
         assert_eq!(info.batches, 10);
+        assert_eq!(q.epoch(), 10, "the recovered state is served at once");
         let h = svc.handle();
         assert!(matches!(
             h.delete(ids[0]).wait().unwrap().done,
@@ -1912,7 +1841,8 @@ mod tests {
 
     #[test]
     fn builder_refuses_contradictory_recovery_configs() {
-        let no_wal = ServiceConfig::builder().recover_and_start(|| DynamicMatching::with_seed(1));
+        let no_wal =
+            ServiceConfig::builder().recover_and_start_serving(|| DynamicMatching::with_seed(1));
         assert!(matches!(no_wal, Err(ServiceError::Wal(_))));
     }
 

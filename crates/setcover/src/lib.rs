@@ -26,7 +26,7 @@ use std::io::{BufRead, Write};
 use pbdmm_graph::edge::{EdgeId, VertexId};
 use pbdmm_matching::api::{Batch, BatchDynamic, BatchOutcome, UpdateError};
 use pbdmm_matching::checkpoint::Checkpoint;
-use pbdmm_matching::snapshot::{MatchingSnapshot, SnapshotReader, Snapshots};
+use pbdmm_matching::snapshot::{MatchingSnapshot, QueryHandle, Snapshots};
 use pbdmm_matching::{BatchReport, DynamicMatching};
 use pbdmm_primitives::hash::{FxHashMap, FxHashSet};
 use pbdmm_primitives::obs::Recorder;
@@ -105,7 +105,7 @@ pub fn static_cover(elements: &[Vec<SetId>], seed: u64) -> (Vec<SetId>, usize) {
 /// assert!(ids.iter().all(|&e| dc.is_covered(e)));
 ///
 /// // Concurrent readers see the same cover through the published snapshot.
-/// let snap = reader.latest();
+/// let snap = reader.snapshot();
 /// assert_eq!(snap.epoch(), 3);
 /// assert!(ids.iter().all(|&e| snap.contains_edge(e)));
 /// assert_eq!(snap.matched_vertices().count(), dc.cover_size());
@@ -265,7 +265,7 @@ impl Snapshots for DynamicSetCover {
         self.matching.snapshot()
     }
 
-    fn enable_snapshots(&mut self) -> SnapshotReader<MatchingSnapshot> {
+    fn enable_snapshots(&mut self) -> QueryHandle<MatchingSnapshot> {
         self.matching.enable_snapshots()
     }
 }

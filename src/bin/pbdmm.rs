@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use pbdmm::graph::wal::{read_wal_file, Wal, WalMeta};
 use pbdmm::graph::workload::{insert_then_delete, DeletionOrder};
-use pbdmm::graph::{gen, io, Batch, EdgeId, Hypergraph};
+use pbdmm::graph::{gen, io, EdgeId, Hypergraph};
 use pbdmm::matching::baseline::{NaiveDynamic, RecomputeMatching};
 use pbdmm::matching::checkpoint::Checkpoint;
 use pbdmm::matching::driver::run_workload;
@@ -36,8 +36,8 @@ use pbdmm::primitives::cost::CostMeter;
 use pbdmm::primitives::obs::{Counter, Phase, Recorder};
 use pbdmm::primitives::rng::SplitMix64;
 use pbdmm::service::{
-    matching_for, recover_dir_with, replay_into, wal_dir_meta, CoalescePolicy, Done, RecoveryInfo,
-    ServiceConfig, ServiceHandle, WalConfig,
+    cover_for, matching_for, recover_dir_with, replay_into, wal_dir_meta, CoalescePolicy, Done,
+    RecoveryInfo, ServiceConfig, ServiceHandle, WalConfig,
 };
 use pbdmm::{BatchDynamic, DynamicMatching, DynamicSetCover};
 use pbdmm_bench::metrics;
@@ -63,8 +63,7 @@ usage:
   pbdmm serve [--producers P] [--updates N] [--readers R] [--max-batch B]
               [--max-delay-us D] [--structure matching|setcover]
               [--wal DIR|none] [--wal-sync BOOL] [--checkpoint-every N]
-              [--compare direct|none] [--seed S] [--threads T]
-              [--profile [interval=N]]
+              [--seed S] [--threads T] [--profile [interval=N]]
   pbdmm replay <wal-dir-or-file> [--from-genesis BOOL] [--threads T] [--profile]
   pbdmm daemon [--port P] [--host H] [--max-connections C] [--max-inflight W]
                [--max-batch B] [--max-delay-us D] [--wal DIR|none]
@@ -84,9 +83,9 @@ usage:
   flush-only) before its tickets complete. --readers R (default 2; 0
   disables) runs R concurrent reader threads resolving point queries
   against the epoch-snapshot read path while writers run, reporting read
-  throughput and snapshot-staleness percentiles. --compare direct (the
-  default) runs the same load at the same durability as per-update
-  singleton applies under a mutex — the group-commit comparison. replay
+  throughput and snapshot-staleness percentiles. The group-commit
+  comparison is two runs: --max-batch 1 applies and logs every update
+  alone, the default --max-batch 1024 coalesces them. replay
   rebuilds a structure from a recorded WAL and verifies its invariants;
   its final: line (epoch included) is byte-comparable with serve's.
 
@@ -306,7 +305,6 @@ const COMMANDS: &[Command] = &[
             "wal",
             "wal-sync",
             "checkpoint-every",
-            "compare",
             "seed",
             "profile",
         ],
@@ -601,114 +599,6 @@ struct ReadReport {
     staleness: Vec<f64>,
 }
 
-/// The same load at the same durability contract, without the coalescing
-/// layer: per-update singleton `apply` calls on one mutex-shared structure,
-/// each update appended to its own WAL (flushed, fsynced when `sync`)
-/// before it is acknowledged — what an application gets without group
-/// commit. Returns (updates, seconds, structure).
-fn direct_singleton_load<S: BatchDynamic + Send>(
-    structure: S,
-    producers: usize,
-    per_producer: usize,
-    seed: u64,
-    wal: Option<(PathBuf, WalMeta, bool)>,
-) -> Result<(u64, f64, S), String> {
-    struct Shared<S> {
-        s: S,
-        wal: Option<(std::io::BufWriter<std::fs::File>, bool)>,
-        seq: u64,
-    }
-    let wal_sink = match &wal {
-        None => None,
-        Some((path, meta, sync)) => {
-            // Scratch log (deleted below) — refuse to clobber a real file.
-            if std::fs::metadata(path)
-                .map(|md| md.len() > 0)
-                .unwrap_or(false)
-            {
-                return Err(format!(
-                    "refusing to overwrite existing file {path:?} for the baseline's scratch WAL"
-                ));
-            }
-            let file = std::fs::File::create(path).map_err(|e| format!("create {path:?}: {e}"))?;
-            let mut w = std::io::BufWriter::new(file);
-            pbdmm::graph::wal::write_header(&mut w, meta)
-                .map_err(|e| format!("write {path:?}: {e}"))?;
-            Some((w, *sync))
-        }
-    };
-    let shared = Mutex::new(Shared {
-        s: structure,
-        wal: wal_sink,
-        seq: 0,
-    });
-    let apply_logged = |batch: Batch| -> Result<_, String> {
-        use std::io::Write;
-        let mut g = shared.lock().unwrap();
-        let seq = g.seq;
-        if let Some((w, sync)) = g.wal.as_mut() {
-            let sync = *sync;
-            pbdmm::graph::wal::write_batch(w, seq, &batch)
-                .and_then(|()| w.flush())
-                .map_err(|e| format!("singleton WAL append: {e}"))?;
-            if sync {
-                w.get_ref()
-                    .sync_data()
-                    .map_err(|e| format!("singleton WAL fsync: {e}"))?;
-            }
-        }
-        g.seq += 1;
-        g.s.apply(batch)
-            .map_err(|e| format!("singleton apply: {e}"))
-    };
-    let start = std::time::Instant::now();
-    let total: Result<u64, String> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..producers)
-            .map(|p| {
-                let apply_logged = &apply_logged;
-                scope.spawn(move || -> Result<u64, String> {
-                    const WINDOW: usize = 64;
-                    const UNIVERSE: u64 = 4096;
-                    let mut rng = SplitMix64::new(seed ^ (p as u64).wrapping_mul(0x9e37));
-                    let mut done = 0usize;
-                    while done < per_producer {
-                        let window = WINDOW.min(per_producer - done);
-                        let mut ids = Vec::with_capacity(window);
-                        for _ in 0..window {
-                            let a = rng.bounded(UNIVERSE) as u32;
-                            let b = a + 1 + rng.bounded(7) as u32;
-                            let vs = if rng.bounded(4) == 0 {
-                                vec![a, b, b + 1 + rng.bounded(5) as u32]
-                            } else {
-                                vec![a, b]
-                            };
-                            let out = apply_logged(Batch::new().insert(vs))?;
-                            ids.push(out.inserted[0]);
-                        }
-                        done += window;
-                        let deletes = (ids.len() / 2).min(per_producer - done);
-                        for &id in ids.iter().take(deletes) {
-                            apply_logged(Batch::new().delete(id))?;
-                        }
-                        done += deletes;
-                    }
-                    Ok(done as u64)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("baseline producer panicked"))
-            .sum()
-    });
-    let seconds = start.elapsed().as_secs_f64();
-    let guard = shared.into_inner().unwrap();
-    if let Some((path, _, _)) = &wal {
-        std::fs::remove_file(path).ok();
-    }
-    Ok((total?, seconds, guard.s))
-}
-
 /// What one `serve` run produced: (updates, seconds, latencies µs, read
 /// report, final structure). Its counts are in the recorder it ran with.
 type ServeOutcome<S> = (u64, f64, Vec<f64>, ReadReport, S);
@@ -736,8 +626,8 @@ where
     }
     // --readers 0 really disables the read tier: plain `start`, so the
     // structure never captures snapshots and producers skip the epoch
-    // checks — the write path (and the --compare direct speedup) is then
-    // measured without any read-side overhead.
+    // checks — the write path is then measured without any read-side
+    // overhead.
     let (svc, query) = if readers > 0 {
         let (svc, q) = builder
             .start_serving(structure)
@@ -890,12 +780,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let max_delay_us: u64 = args.flag("max-delay-us", 0)?;
     let seed: u64 = args.flag("seed", 42)?;
     let structure = args.flag("structure", "matching".to_string())?;
-    let compare = args.flag("compare", "direct".to_string())?;
     if producers == 0 || per_producer == 0 {
         return Err("--producers and --updates must be positive".into());
-    }
-    if !matches!(compare.as_str(), "direct" | "none") {
-        return Err(format!("unknown --compare mode {compare:?}"));
     }
     let policy = CoalescePolicy {
         max_batch: max_batch.max(1),
@@ -968,7 +854,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if let Some(p) = printer {
         p.finish();
     }
-    let service_rate = total as f64 / seconds;
     println!(
         "coalesced service: {}",
         metrics::throughput_summary(total, seconds)
@@ -1006,55 +891,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     }
     print_profile(&prof.obs);
     println!("{final_line}");
-
-    if compare == "direct" {
-        // The baseline gets the identical durability contract: its own WAL,
-        // appended and flushed (and fsynced, if the service fsyncs) before
-        // each singleton apply is acknowledged.
-        let direct_wal = wal_path.as_ref().map(|p| {
-            let mut path = p.clone();
-            path.set_extension("direct.wal");
-            (path, meta.clone(), wal_sync)
-        });
-        let (dtotal, dseconds, _) = match structure.as_str() {
-            "matching" => {
-                let (t, s, m) = direct_singleton_load(
-                    DynamicMatching::with_seed(seed),
-                    producers,
-                    per_producer,
-                    seed,
-                    direct_wal,
-                )?;
-                (t, s, m.num_edges())
-            }
-            _ => {
-                let (t, s, c) = direct_singleton_load(
-                    DynamicSetCover::with_seed(seed),
-                    producers,
-                    per_producer,
-                    seed,
-                    direct_wal,
-                )?;
-                (t, s, c.num_elements())
-            }
-        };
-        let direct_rate = dtotal as f64 / dseconds;
-        println!(
-            "direct singleton ({producers} threads, mutex, batch=1, same durability): \
-             {dtotal} updates in {:.1} ms -> {:.0} updates/s",
-            dseconds * 1e3,
-            direct_rate
-        );
-        println!(
-            "coalescing speedup: {:.2}x {}",
-            service_rate / direct_rate,
-            if service_rate > direct_rate {
-                "(service wins)"
-            } else {
-                "(WARNING: singleton applies were faster on this run)"
-            }
-        );
-    }
     Ok(())
 }
 
@@ -1096,8 +932,9 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
             matching_final(&m)
         }
         "setcover" => {
+            cover_for(&meta)?;
             let c = replay_log(&path, file.as_ref(), from_genesis, &prof.obs, || {
-                DynamicSetCover::with_seed(meta.seed)
+                cover_for(&meta).expect("header checked above")
             })?;
             check_invariants(c.matching()).map_err(|e| format!("replayed invariants: {e}"))?;
             cover_final(&c)

@@ -180,8 +180,6 @@ fn serve_records_wal_and_replay_reproduces_final_state() {
         "9",
         "--wal",
         wal.to_str().unwrap(),
-        "--compare",
-        "none",
     ]);
     assert!(
         out.status.success(),
@@ -234,7 +232,7 @@ fn final_line(out: &Output) -> String {
 }
 
 #[test]
-fn serve_supports_setcover_and_compare_direct() {
+fn serve_supports_setcover_and_replay_recovers_it() {
     let wal = tmpfile("setcover.waldir");
     std::fs::remove_dir_all(&wal).ok();
     let out = pbdmm(&[
@@ -255,8 +253,6 @@ fn serve_supports_setcover_and_compare_direct() {
     let served_final = final_line(&out);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(served_final.contains("cover="), "{stdout}");
-    assert!(stdout.contains("direct singleton"), "{stdout}");
-    assert!(stdout.contains("coalescing speedup:"), "{stdout}");
     // A served cover checkpoints like a matching.
     let names: Vec<String> = std::fs::read_dir(&wal)
         .unwrap()
@@ -280,6 +276,63 @@ fn serve_supports_setcover_and_compare_direct() {
 }
 
 #[test]
+fn serve_max_batch_one_is_the_singleton_baseline() {
+    // The group-commit comparison's other side: every update is planned,
+    // logged and applied as a batch of its own, through the same WAL.
+    let wal = tmpfile("singleton.waldir");
+    std::fs::remove_dir_all(&wal).ok();
+    let out = pbdmm(&[
+        "serve",
+        "--max-batch",
+        "1",
+        "--producers",
+        "2",
+        "--updates",
+        "200",
+        "--seed",
+        "6",
+        "--wal",
+        wal.to_str().unwrap(),
+    ]);
+    let served_final = final_line(&out);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("counters: batches=400 updates=400 batch_max=1 "),
+        "{stdout}"
+    );
+    assert!(stdout.contains("wal: 400 batches appended"), "{stdout}");
+    let out = pbdmm(&["replay", wal.to_str().unwrap()]);
+    assert_eq!(final_line(&out), served_final);
+    std::fs::remove_dir_all(&wal).ok();
+}
+
+#[test]
+fn replay_refuses_a_recycling_set_cover_log() {
+    // With recycled ids, batch 2 reuses e0 and batch 4 deletes the element
+    // inserted in batch 3 (e3). A cover allocates monotonic ids: it would
+    // give batch 2 e3 and delete that one instead, and still verify.
+    let log = "# pbdmm-wal v1\n# structure: setcover\n# seed: 5\n# ids: recycling\n\
+               b 0\ni 0 1\ni 2 3\ni 4 5\nc 0\nb 1\nd 0\nc 1\n\
+               b 2\ni 6 7\nc 2\nb 3\ni 8 9\nc 3\nb 4\nd 3\nc 4\n";
+    let file = tmpfile("recycling_cover.wal");
+    std::fs::write(&file, log).unwrap();
+    let dir = tmpfile("recycling_cover.waldir");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("000000.seg"), log).unwrap();
+    for path in [&file, &dir] {
+        let out = pbdmm(&["replay", path.to_str().unwrap()]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{path:?}: {stdout}");
+        assert!(!stdout.contains("invariants: ok"), "{path:?}: {stdout}");
+        assert!(stderr.contains("ids: recycling"), "{path:?}: {stderr}");
+    }
+    std::fs::remove_file(&file).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn serve_sustains_concurrent_readers_with_zero_failed_queries() {
     // The acceptance workload: 4 reader threads resolving snapshot point
     // queries while writers run; every query must succeed and the
@@ -293,8 +346,6 @@ fn serve_sustains_concurrent_readers_with_zero_failed_queries() {
         "--readers",
         "4",
         "--wal",
-        "none",
-        "--compare",
         "none",
         "--seed",
         "11",
@@ -323,8 +374,6 @@ fn serve_sustains_concurrent_readers_with_zero_failed_queries() {
         "--readers",
         "0",
         "--wal",
-        "none",
-        "--compare",
         "none",
     ]);
     assert!(out.status.success());
@@ -380,8 +429,6 @@ fn single_file_log_is_refused_as_a_wal_dir_and_still_replays() {
         "200",
         "--readers",
         "0",
-        "--compare",
-        "none",
         "--seed",
         "4",
         "--wal",
@@ -404,8 +451,6 @@ fn single_file_log_is_refused_as_a_wal_dir_and_still_replays() {
         "1",
         "--updates",
         "10",
-        "--compare",
-        "none",
         "--wal",
         path,
     ]);
@@ -553,8 +598,6 @@ fn serve_with_checkpoints_and_dir_replay_recover_identically() {
         dir.to_str().unwrap(),
         "--checkpoint-every",
         "200",
-        "--compare",
-        "none",
     ]);
     assert!(
         out.status.success(),
@@ -757,6 +800,7 @@ fn unknown_flags_are_rejected() {
             "daemon",
         ),
         (&["serve", "--shards", "4"][..], "--shards", "serve"),
+        (&["serve", "--compare", "direct"][..], "--compare", "serve"),
         (
             &["replay", "x.wal", "--shards", "2"][..],
             "--shards",

@@ -229,8 +229,6 @@ fn serve_profile_output_parses() {
         "1",
         "--wal",
         "none",
-        "--compare",
-        "none",
         "--profile",
     ]);
     assert!(
@@ -272,8 +270,6 @@ fn serve_profile_output_parses() {
         "0",
         "--wal",
         "none",
-        "--compare",
-        "none",
     ]);
     assert!(out.status.success());
     assert!(!String::from_utf8_lossy(&out.stdout).contains("profile:"));
@@ -311,8 +307,6 @@ fn replay_profile_reports_counters() {
         "200",
         "--readers",
         "0",
-        "--compare",
-        "none",
         "--wal",
         wal.to_str().unwrap(),
     ]);

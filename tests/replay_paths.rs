@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::time::{Duration, Instant};
 
-use pbdmm::graph::wal::{read_wal_file, write_batch, write_header, write_segment_header, WalMeta};
+use pbdmm::graph::wal::{read_wal_file, write_batch, write_segment_header, WalMeta};
 use pbdmm::graph::{Batch, EdgeId};
 use pbdmm::primitives::rng::SplitMix64;
 use pbdmm::service::{
@@ -238,7 +238,7 @@ fn sharded_layout(name: &str) -> (PathBuf, WalMeta) {
     };
     std::fs::create_dir(dir.join("shard-0")).unwrap();
     let mut seg = std::fs::File::create(dir.join("shard-0").join("000000.seg")).unwrap();
-    write_header(&mut seg, &meta).unwrap();
+    write_segment_header(&mut seg, &meta, 0).unwrap();
     write_batch(&mut seg, 0, &Batch::new().insert(vec![0, 1])).unwrap();
     (dir, meta)
 }

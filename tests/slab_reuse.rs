@@ -132,7 +132,7 @@ fn snapshots_agree_across_reuse_boundaries() {
     let ids = a.insert_edges(&[vec![0, 1], vec![1, 2], vec![3, 4]]);
     b.insert_edges(&[vec![0, 1], vec![1, 2], vec![3, 4]]);
     let reader = a.enable_snapshots();
-    let before = reader.latest();
+    let before = reader.snapshot();
     // Delete + reinsert across the reuse boundary, same batches both sides.
     let batch = Batch::new()
         .deletes([ids[0], ids[2]])
