@@ -16,7 +16,6 @@
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
-use std::time::Duration;
 
 use pbdmm_bench::json::{self, Value};
 use pbdmm_bench::{fmt_f, Table};
@@ -26,13 +25,11 @@ use pbdmm_graph::wal::WalMeta;
 use pbdmm_graph::workload::{churn, insert_then_delete, DeletionOrder};
 use pbdmm_matching::driver::run_workload;
 use pbdmm_matching::snapshot::{Changes, MatchingSnapshot, SnapshotDelta, Snapshots};
-use pbdmm_matching::{DynamicMatching, DynamicMatchingBuilder};
+use pbdmm_matching::DynamicMatching;
 use pbdmm_primitives::obs::{Phase, Recorder};
 use pbdmm_primitives::par;
 use pbdmm_primitives::rng::SplitMix64;
-use pbdmm_service::{
-    recover_matching_from_dir, CoalescePolicy, Done, ServiceConfig, ServiceHandle, WalConfig,
-};
+use pbdmm_service::{recover_matching_from_dir, Done, ServiceConfig, ServiceHandle, WalConfig};
 
 /// Schema tag so the checker can refuse files from a different layout.
 const SCHEMA: &str = "pbdmm-bench-smoke-v1";
@@ -178,10 +175,7 @@ fn snapshot_and_delta(n: u64) -> (std::sync::Arc<MatchingSnapshot>, SnapshotDelt
 fn snapshot_read_load(total_reads: u64) {
     use std::sync::atomic::{AtomicBool, Ordering};
     let (svc, query) = ServiceConfig::builder()
-        .policy(CoalescePolicy {
-            max_batch: 512,
-            max_delay: Duration::ZERO,
-        })
+        .max_batch(512)
         .start_serving(DynamicMatching::with_seed(17))
         .expect("no WAL to fail");
     let stop = AtomicBool::new(false);
@@ -289,10 +283,8 @@ fn run_battery(samples: usize) -> BTreeMap<String, f64> {
             "info_slab_churn_ids_allocated".into(),
             st.ids_allocated as f64,
         );
-        let mut dm = DynamicMatchingBuilder::new()
-            .seed(1)
-            .recycle_ids(true)
-            .build();
+        let mut dm = DynamicMatching::with_seed(1);
+        dm.set_recycle_ids(true);
         run_workload(&mut dm, &w_churn);
         let st = dm.storage_stats();
         metrics.insert(
@@ -312,10 +304,7 @@ fn run_battery(samples: usize) -> BTreeMap<String, f64> {
         let wal_path = bench_wal_path("profile").with_extension("waldir");
         std::fs::remove_dir_all(&wal_path).ok();
         let (svc, _query) = ServiceConfig::builder()
-            .policy(CoalescePolicy {
-                max_batch: 512,
-                max_delay: Duration::ZERO,
-            })
+            .max_batch(512)
             .wal_dir(&wal_path, WalMeta::default())
             .checkpoint_every(0)
             .wal_sync(false)
@@ -406,10 +395,7 @@ fn run_battery(samples: usize) -> BTreeMap<String, f64> {
         );
         wal.checkpoint_every = Some(1024);
         let svc = ServiceConfig::builder()
-            .policy(CoalescePolicy {
-                max_batch: 1,
-                max_delay: Duration::ZERO,
-            })
+            .max_batch(1)
             .wal(wal)
             .start(DynamicMatching::with_seed(29))
             .expect("segmented WAL in temp dir");

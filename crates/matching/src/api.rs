@@ -1,5 +1,5 @@
 //! The unified batch-update API: [`BatchDynamic`], [`Batch`]/[`Update`],
-//! [`BatchOutcome`], [`UpdateError`], and [`DynamicMatchingBuilder`].
+//! [`BatchOutcome`], and [`UpdateError`].
 //!
 //! The paper's algorithm (Fig. 3/4, Theorem 1.1) processes a *single batch
 //! containing both insertions and deletions*. This module makes that the
@@ -40,18 +40,14 @@
 //! assert_eq!(out.deleted_count(), 1);
 //! assert!(pbdmm_matching::verify::check_invariants(&m).is_ok());
 //! ```
-
-use std::sync::Arc;
+//!
+//! [`DynamicMatching`]: crate::DynamicMatching
 
 use pbdmm_graph::edge::{normalize_vertices, EdgeId, EdgeVertices};
 use pbdmm_primitives::hash::FxHashSet;
 use pbdmm_primitives::obs::Recorder;
-use pbdmm_primitives::pool::ParPool;
 
 pub use pbdmm_graph::update::{Batch, Update};
-
-use crate::dynamic::DynamicMatching;
-use crate::level::LevelingConfig;
 
 /// Why a batch was rejected. `apply` validates the whole batch up front and
 /// mutates nothing on error.
@@ -108,7 +104,7 @@ pub struct BatchOutcome<R = ()> {
     /// the surviving subset, so callers can reconcile.
     pub deleted: Vec<EdgeId>,
     /// Implementation-specific per-batch report (e.g. settle iterations and
-    /// model cost for [`DynamicMatching`]).
+    /// model cost for [`DynamicMatching`](crate::DynamicMatching)).
     pub report: R,
 }
 
@@ -301,102 +297,11 @@ pub trait BatchDynamic {
     }
 }
 
-/// Builder for [`DynamicMatching`]: seed, leveling parameters, id
-/// recycling, scheduler, recorder.
-///
-/// # Examples
-/// ```
-/// use pbdmm_matching::api::{BatchDynamic, DynamicMatchingBuilder};
-/// use pbdmm_matching::LevelingConfig;
-///
-/// let mut m = DynamicMatchingBuilder::new()
-///     .seed(7)
-///     .config(LevelingConfig { all_light: true, ..Default::default() })
-///     .build();
-/// m.insert_edges(&[vec![0, 1]]);
-/// assert!(BatchDynamic::work(&m) > 0); // model cost is always metered
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct DynamicMatchingBuilder {
-    seed: Option<u64>,
-    config: Option<LevelingConfig>,
-    pool: Option<Arc<ParPool>>,
-    recycle_ids: bool,
-    obs: Option<Recorder>,
-}
-
-impl DynamicMatchingBuilder {
-    /// Start from the paper's defaults.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The algorithm's private RNG seed (default: a fixed constant).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
-    }
-
-    /// Leveling parameters (default: the paper's `α = 2`, `c = 4`).
-    pub fn config(mut self, config: LevelingConfig) -> Self {
-        self.config = Some(config);
-        self
-    }
-
-    /// Pin the structure's batches to an explicit scheduler: every parallel
-    /// primitive of a whole `apply` call (settlement, greedy rounds,
-    /// semisorts) runs on this pool. Defaults to the process-global pool
-    /// (sized by `set_num_threads` / `PBDMM_THREADS`), which is already
-    /// persistent — pass a pool here to isolate this structure's work from
-    /// other components sharing the process.
-    pub fn pool(mut self, pool: Arc<ParPool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Recycle deleted edge ids (default: off). With recycling on, freed
-    /// ids are reused LIFO by later insertions, keeping the id space — and
-    /// therefore the flat storage tables — dense under unbounded churn.
-    /// Reuse is deterministic in apply order, so WAL replay of a recycling
-    /// structure reproduces the exact same ids; the historical
-    /// "ids are never reused" contract only holds with recycling off.
-    pub fn recycle_ids(mut self, recycle: bool) -> Self {
-        self.recycle_ids = recycle;
-        self
-    }
-
-    /// Attach a phase [`Recorder`] (default: disabled — zero overhead).
-    /// Settlement and snapshot-publication spans plus settle-round /
-    /// level-occupancy / scratch-high-water counters record through it;
-    /// see [`pbdmm_primitives::obs`].
-    pub fn obs(mut self, obs: Recorder) -> Self {
-        self.obs = Some(obs);
-        self
-    }
-
-    /// Build the structure.
-    pub fn build(self) -> DynamicMatching {
-        let mut dm = DynamicMatching::with_seed_and_config(
-            self.seed.unwrap_or(0x5eed),
-            self.config.unwrap_or_default(),
-        );
-        if self.recycle_ids {
-            dm.set_recycle_ids(true);
-        }
-        if let Some(pool) = self.pool {
-            dm.set_pool(pool);
-        }
-        if let Some(obs) = self.obs {
-            dm.set_obs(obs);
-        }
-        dm
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verify::check_invariants;
+    use crate::DynamicMatching;
 
     #[test]
     fn strict_apply_rejects_and_leaves_structure_untouched() {
@@ -476,20 +381,6 @@ mod tests {
         let (ins, del) = validate_batch(&batch, |_| true).unwrap();
         assert_eq!(ins, vec![vec![1, 3], vec![2]]); // normalized
         assert_eq!(del, vec![EdgeId(0)]);
-    }
-
-    #[test]
-    fn builder_configures_everything() {
-        let m = DynamicMatchingBuilder::new()
-            .seed(9)
-            .config(LevelingConfig {
-                gap_log2: 2,
-                ..Default::default()
-            })
-            .recycle_ids(true)
-            .build();
-        assert_eq!(m.structure().config.gap_log2, 2);
-        assert!(m.storage_stats().recycling);
     }
 
     #[test]

@@ -551,15 +551,13 @@ impl DynamicMatching {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{Batch, DynamicMatchingBuilder};
+    use crate::api::Batch;
     use pbdmm_primitives::rng::SplitMix64 as TestRng;
 
-    fn builder(recycle: bool) -> DynamicMatchingBuilder {
-        let mut b = DynamicMatchingBuilder::new().seed(7);
-        if recycle {
-            b = b.recycle_ids(true);
-        }
-        b
+    fn fresh(recycle: bool) -> DynamicMatching {
+        let mut dm = DynamicMatching::with_seed(7);
+        dm.set_recycle_ids(recycle);
+        dm
     }
 
     /// Drive `dm` through `batches` random mixed batches, returning the
@@ -616,12 +614,12 @@ mod tests {
     use crate::snapshot::MatchingSnapshot as MatchingSnapshotOf;
 
     fn roundtrip(recycle: bool) {
-        let mut dm = builder(recycle).build();
+        let mut dm = fresh(recycle);
         churn(&mut dm, 40, 0xfeed);
         let mut buf = Vec::new();
         dm.write_checkpoint(&mut buf).unwrap();
 
-        let mut restored = builder(recycle).build();
+        let mut restored = fresh(recycle);
         restored
             .read_checkpoint(&mut std::io::Cursor::new(&buf))
             .unwrap();
@@ -692,14 +690,14 @@ mod tests {
 
     #[test]
     fn config_and_stats_survive() {
-        let mut dm = DynamicMatchingBuilder::new()
-            .seed(11)
-            .config(LevelingConfig {
+        let mut dm = DynamicMatching::with_seed_and_config(
+            11,
+            LevelingConfig {
                 gap_log2: 2,
                 heavy_factor: 2,
                 all_light: false,
-            })
-            .build();
+            },
+        );
         churn(&mut dm, 20, 9);
         let mut buf = Vec::new();
         dm.write_checkpoint(&mut buf).unwrap();

@@ -67,7 +67,7 @@ pub struct StorageStats {
     /// Freed ids currently awaiting reuse (always 0 without recycling).
     pub free_ids: usize,
     /// Whether deleted ids are recycled (see
-    /// [`crate::api::DynamicMatchingBuilder::recycle_ids`]).
+    /// [`DynamicMatching::set_recycle_ids`]).
     pub recycling: bool,
 }
 
@@ -267,6 +267,17 @@ impl DynamicMatching {
     /// Create with explicit leveling parameters (for the ablation
     /// experiments; production use wants [`Self::with_seed`]'s paper
     /// defaults).
+    ///
+    /// # Examples
+    /// ```
+    /// use pbdmm_matching::api::BatchDynamic;
+    /// use pbdmm_matching::{DynamicMatching, LevelingConfig};
+    ///
+    /// let config = LevelingConfig { all_light: true, ..Default::default() };
+    /// let mut m = DynamicMatching::with_seed_and_config(7, config);
+    /// m.insert_edges(&[vec![0, 1]]);
+    /// assert!(BatchDynamic::work(&m) > 0); // model cost is always metered
+    /// ```
     pub fn with_seed_and_config(seed: u64, config: crate::level::LevelingConfig) -> Self {
         let mut dm = Self::with_seed(seed);
         dm.s = LeveledStructure::with_config(config);
@@ -294,11 +305,16 @@ impl DynamicMatching {
         }
     }
 
-    /// Switch deleted-id recycling on or off (see
-    /// [`crate::api::DynamicMatchingBuilder::recycle_ids`]). Only allowed
-    /// on a structure that has not assigned any id yet: recycling changes
-    /// which ids future insertions receive, so flipping it mid-history
-    /// would break WAL replay of the earlier prefix.
+    /// Switch deleted-id recycling on or off (default: off). With recycling
+    /// on, freed ids are reused LIFO by later insertions, keeping the id
+    /// space — and therefore the flat storage tables — dense under
+    /// unbounded churn. Reuse is deterministic in apply order, so WAL
+    /// replay of a recycling structure reproduces the exact same ids; the
+    /// historical "ids are never reused" contract only holds with
+    /// recycling off. Only allowed on a structure that has not assigned
+    /// any id yet: recycling changes which ids future insertions receive,
+    /// so flipping it mid-history would break WAL replay of the earlier
+    /// prefix.
     ///
     /// # Panics
     /// If any edge was ever inserted.
@@ -329,9 +345,12 @@ impl DynamicMatching {
         }
     }
 
-    /// Pin this structure's batches to an explicit scheduler (see
-    /// [`crate::api::DynamicMatchingBuilder::pool`]). By default batches run
-    /// on the process-global pool.
+    /// Pin this structure's batches to an explicit scheduler: every
+    /// parallel primitive of a whole `apply` call (settlement, greedy
+    /// rounds, semisorts) runs on this pool. By default batches run on the
+    /// process-global pool (sized by `set_num_threads` / `PBDMM_THREADS`),
+    /// which is already persistent — pass a pool here to isolate this
+    /// structure's work from other components sharing the process.
     pub fn set_pool(&mut self, pool: Arc<ParPool>) {
         self.pool = Some(pool);
     }
@@ -341,8 +360,7 @@ impl DynamicMatching {
         self.pool.as_ref()
     }
 
-    /// Attach a phase [`Recorder`] (see
-    /// [`crate::api::DynamicMatchingBuilder::obs`]). Every subsequent
+    /// Attach a phase [`Recorder`] (default: timing off). Every subsequent
     /// `apply` records a [`Phase::Settle`] span (the whole mutation:
     /// deletions, settle rounds, insertions), a [`Phase::SnapshotPublish`]
     /// span, and the settle-round / level-occupancy / scratch-high-water

@@ -6,7 +6,7 @@
 //!
 //! * [`api`] — the unified batch-update surface: [`Update`]/[`Batch`], the
 //!   [`BatchDynamic`] trait every contender implements, [`BatchOutcome`],
-//!   [`UpdateError`], and [`DynamicMatchingBuilder`].
+//!   and [`UpdateError`].
 //! * [`greedy`] — the static random greedy maximal matcher (§3): the
 //!   sequential oracle (Fig. 1) and the work-efficient parallel
 //!   implementation (Fig. 2, Lemma 1.3) that computes the identical
@@ -75,9 +75,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod verify;
 
-pub use api::{
-    Batch, BatchDynamic, BatchOutcome, DynamicMatchingBuilder, Update, UpdateError, UpdateOutcome,
-};
+pub use api::{Batch, BatchDynamic, BatchOutcome, Update, UpdateError, UpdateOutcome};
 pub use checkpoint::Checkpoint;
 pub use dynamic::{BatchReport, DynamicMatching, LevelOccupancy, StorageStats};
 pub use greedy::{

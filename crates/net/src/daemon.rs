@@ -9,8 +9,9 @@
 //! * **Admission control** — a cap on concurrent connections (excess
 //!   connections are greeted, told [`ErrorCode::Overloaded`], and closed)
 //!   and a per-connection bounded in-flight window (a `SubmitBatch` that
-//!   would exceed it is refused with `Overloaded` instead of queueing
-//!   without bound). Daemon memory is bounded by
+//!   would exceed it, or whose `Completion` would not fit one frame, is
+//!   refused with `Overloaded` instead of queueing without bound or being
+//!   applied unanswered). Daemon memory is bounded by
 //!   `connections × (window + channel slack)`.
 //! * **Fault isolation** — a protocol violation (bad magic, oversized or
 //!   torn frame, unknown opcode) draws a structured [`Response::Error`] and
@@ -35,12 +36,13 @@ use pbdmm_matching::DynamicMatching;
 use pbdmm_primitives::obs::{Counter, Phase, ProfileReport, Recorder};
 use pbdmm_primitives::pool::ParPool;
 use pbdmm_service::{
-    matching_for, BatchTicket, CoalescePolicy, Done, QueryHandle, RecoveryInfo, ServiceBuilder,
-    ServiceConfig, ServiceError, ServiceHandle, ServiceStats, UpdateService, WalConfig,
+    matching_for, BatchTicket, Done, QueryHandle, RecoveryInfo, ServiceBuilder, ServiceConfig,
+    ServiceError, ServiceHandle, ServiceStats, UpdateService, WalConfig, DEFAULT_MAX_BATCH,
 };
 
 use crate::proto::{
-    self, ErrorCode, FrameError, Request, Response, UpdateResult, WireStats, MAX_FRAME,
+    self, ErrorCode, FrameError, Request, Response, UpdateResult, WireStats, MAX_BATCH_UPDATES,
+    MAX_FRAME,
 };
 
 /// How long a subscribed writer waits for a new epoch before re-checking
@@ -72,10 +74,11 @@ pub struct DaemonConfig {
     pub max_connections: usize,
     /// Per-connection in-flight update window: a `SubmitBatch` that would
     /// push the connection past this many un-completed updates is refused
-    /// with [`ErrorCode::Overloaded`].
+    /// with [`ErrorCode::Overloaded`], as is one of more than
+    /// [`MAX_BATCH_UPDATES`], whose `Completion` would not fit one frame.
     pub max_inflight: usize,
-    /// Coalescing policy for the underlying service.
-    pub policy: CoalescePolicy,
+    /// The service's batch cap (see `ServiceBuilder::max_batch`).
+    pub max_batch: usize,
     /// Durable write-ahead log (None: in-memory only).
     pub wal: Option<WalConfig>,
     /// Scheduler every `apply` runs on (None: the process-global pool).
@@ -92,7 +95,7 @@ impl Default for DaemonConfig {
             addr: "127.0.0.1:0".into(),
             max_connections: 64,
             max_inflight: 4096,
-            policy: CoalescePolicy::default(),
+            max_batch: DEFAULT_MAX_BATCH,
             wal: None,
             pool: None,
             obs: Recorder::disabled(),
@@ -318,10 +321,10 @@ impl Daemon {
     }
 }
 
-/// The service builder a [`DaemonConfig`] describes (policy, WAL, pool).
+/// The service builder a [`DaemonConfig`] describes (batch cap, WAL, pool).
 fn builder_for(cfg: &DaemonConfig) -> ServiceBuilder {
     let mut b = ServiceConfig::builder()
-        .policy(cfg.policy)
+        .max_batch(cfg.max_batch)
         .obs(cfg.obs.clone());
     if let Some(wal) = cfg.wal.clone() {
         b = b.wal(wal);
@@ -578,12 +581,19 @@ fn reader_loop(
                 } else {
                     let n = updates.len();
                     let window = shared.cfg.max_inflight;
-                    if n > window || inflight.load(Ordering::SeqCst) + n > window {
+                    // Refused before anything is applied: a frame larger
+                    // than the window, or than one `Completion` can answer.
+                    let cap = window.min(MAX_BATCH_UPDATES);
+                    if n > cap || inflight.load(Ordering::SeqCst) + n > window {
                         obs.add(Counter::Overloaded, 1);
                         WorkItem::Ready(Response::Error {
                             req_id,
                             code: ErrorCode::Overloaded,
-                            message: format!("in-flight window ({window} updates) is full"),
+                            message: if n > cap {
+                                format!("a frame holds at most {cap} updates")
+                            } else {
+                                format!("in-flight window ({window} updates) is full")
+                            },
                         })
                     } else {
                         inflight.fetch_add(n, Ordering::SeqCst);

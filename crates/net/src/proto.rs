@@ -60,13 +60,20 @@ pub const MAGIC: [u8; 4] = *b"PBDM";
 /// change, including a change to the phase or counter list, which the
 /// [`ProfileReport`] inside [`Response::Stats`] encodes by position.
 /// Endpoints refuse to talk across versions. Version 4 removed the
-/// epoch-ping subscription (request opcode `0x04`, response `0x84`).
-pub const VERSION: u16 = 4;
+/// epoch-ping subscription (request opcode `0x04`, response `0x84`);
+/// version 5 removed the linger window's flush-cause counter.
+pub const VERSION: u16 = 5;
 
 /// Cap on one frame's body (opcode + payload), for daemon and client. A
 /// declared length above the cap is rejected *before* allocating — the
 /// admission control of the byte layer — and no endpoint encodes one.
 pub const MAX_FRAME: usize = 1 << 20;
+
+/// The most updates one [`Request::SubmitBatch`] may carry: the most whose
+/// [`Response::Completion`] fits one frame. The completion header (opcode,
+/// `req_id`, `epoch`, result count) takes 21 bytes and the largest result
+/// 25. The daemon refuses a larger frame before applying any of it.
+pub const MAX_BATCH_UPDATES: usize = (MAX_FRAME - 21) / 25;
 
 // Request opcodes (client → daemon).
 const OP_SUBMIT_BATCH: u8 = 0x01;
@@ -153,8 +160,9 @@ impl From<std::io::Error> for FrameError {
 #[repr(u16)]
 pub enum ErrorCode {
     /// Admission control refused the work: the connection's in-flight
-    /// window is full or the daemon is at its connection cap. Back off and
-    /// retry.
+    /// window is full or the daemon is at its connection cap (back off and
+    /// retry), or the frame holds more than [`MAX_BATCH_UPDATES`] updates
+    /// (split it).
     Overloaded = 1,
     /// The peer violated the protocol (bad magic, oversized or torn frame,
     /// unknown opcode). The daemon closes the offending connection.
@@ -1261,7 +1269,6 @@ mod tests {
             Response::decode(&ping),
             Err(FrameError::Malformed(_))
         ));
-        assert_eq!(VERSION, 4, "removing them changed the frame set");
     }
 
     /// Decode a lowercase hex string.
@@ -1333,6 +1340,55 @@ mod tests {
                 report,
             },
         }
+    }
+
+    /// A `Stats` frame carries phases and counters by position, so these
+    /// lists are part of the wire format: a change to either one bumps
+    /// `VERSION`, and this test with it.
+    #[test]
+    fn stats_lists_are_pinned_to_the_version() {
+        use pbdmm_primitives::obs::{Counter, Phase};
+        assert_eq!(VERSION, 5);
+        let phases: Vec<&str> = Phase::ALL.iter().map(|p| p.name()).collect();
+        assert_eq!(
+            phases,
+            [
+                "batch",
+                "plan",
+                "wal_append",
+                "apply",
+                "settle",
+                "snapshot_publish",
+                "complete",
+                "net_decode",
+                "net_dispatch",
+            ]
+        );
+        let counters: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
+        assert_eq!(
+            counters,
+            [
+                "batches",
+                "updates",
+                "batch_max",
+                "flush_full",
+                "flush_idle",
+                "flush_close",
+                "settle_rounds",
+                "levels_touched",
+                "scratch_high_water",
+                "frames_decoded",
+                "protocol_errors",
+                "dup_deletes",
+                "rejected",
+                "wal_batches",
+                "checkpoints",
+                "checkpoint_failures",
+                "segments_removed",
+                "connections",
+                "overloaded",
+            ]
+        );
     }
 
     #[test]

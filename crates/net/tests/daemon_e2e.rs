@@ -15,7 +15,7 @@ use pbdmm_net::daemon::{Daemon, DaemonConfig};
 use pbdmm_net::load::{run_load, LoadConfig};
 use pbdmm_net::proto::{self, ErrorCode, Request, Response, UpdateResult};
 use pbdmm_primitives::obs::Counter;
-use pbdmm_service::{CoalescePolicy, WalConfig};
+use pbdmm_service::WalConfig;
 
 fn start(
     cfg: DaemonConfig,
@@ -270,6 +270,42 @@ fn oversized_batches_are_refused_while_admitted_traffic_completes() {
     let report = join.join().unwrap();
     assert_eq!(report.wire.overloaded, 1);
     assert_eq!(report.structure.num_edges(), 1);
+}
+
+/// However wide the in-flight window, a `SubmitBatch` whose `Completion`
+/// cannot fit one frame is refused before any of it is applied: the client
+/// learns the outcome of every update the daemon applies.
+#[test]
+fn a_batch_whose_completion_cannot_fit_one_frame_is_refused_unapplied() {
+    let (addr, stop, join) = start(DaemonConfig {
+        max_inflight: 100_000,
+        ..DaemonConfig::default()
+    });
+    assert_eq!(proto::MAX_BATCH_UPDATES, 41_942);
+    let rank1 = |n: u32| (0..n).map(|v| Update::Insert(vec![v])).collect();
+
+    let mut c = Client::connect(addr).unwrap();
+    match c.submit_updates(rank1(41_943)) {
+        Err(ClientError::Server {
+            code: ErrorCode::Overloaded,
+            ..
+        }) => {}
+        other => panic!("expected Overloaded, got {other:?}"),
+    }
+    // Same connection: nothing of the refused frame was applied.
+    assert_eq!(c.stats().unwrap().epoch, 0);
+    let done = c.submit_updates(rank1(41_942)).unwrap();
+    assert_eq!(done.results.len(), 41_942);
+    assert!(done
+        .results
+        .iter()
+        .all(|r| matches!(r, UpdateResult::Inserted { .. })));
+
+    stop.stop();
+    drop(c);
+    let report = join.join().unwrap();
+    assert_eq!(report.structure.num_edges(), 41_942);
+    assert_eq!(report.wire.overloaded, 1);
 }
 
 /// Counters are always on: a daemon started without timing serves every
@@ -690,7 +726,7 @@ fn losing_the_wal_dir_fail_stops_the_daemon() {
     );
     wal.checkpoint_every = Some(3);
     let cfg = DaemonConfig {
-        policy: CoalescePolicy::singleton(),
+        max_batch: 1,
         wal: Some(wal),
         ..DaemonConfig::default()
     };

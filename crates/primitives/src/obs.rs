@@ -163,8 +163,6 @@ named_enum! {
         FlushFull => "flush_full",
         /// Coalescer flushes triggered by the ingress going idle.
         FlushIdle => "flush_idle",
-        /// Coalescer flushes triggered by the `max_delay` timer.
-        FlushTimer => "flush_timer",
         /// Coalescer flushes triggered by shutdown drain.
         FlushClose => "flush_close",
         /// Settlement rounds executed across all batches (timing on only).
@@ -195,8 +193,9 @@ named_enum! {
         /// Connections the daemon accepted, refused ones included.
         Connections => "connections",
         /// Requests refused with `Overloaded`: `SubmitBatch` frames beyond
-        /// the in-flight window, and connections beyond the cap or that no
-        /// thread could be started for.
+        /// the in-flight window or the per-frame update cap, and
+        /// connections beyond the cap or that no thread could be started
+        /// for.
         Overloaded => "overloaded",
     }
 }

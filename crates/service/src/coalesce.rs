@@ -1,10 +1,23 @@
-//! Batch formation: the pure planning step between raw per-update requests
-//! and one valid mixed [`Batch`] for [`BatchDynamic::apply`].
+//! Batch formation: the one batching rule, and the pure planning step
+//! between caller batches and one valid mixed [`Batch`] for
+//! [`BatchDynamic::apply`].
 //!
-//! The coalescer thread drains pending caller batches under a size/latency
-//! policy ([`CoalescePolicy`]), concatenates them in arrival order, and
-//! hands the updates to [`plan_batch`], which resolves conflicts per the
-//! strict `apply` contract:
+//! The rule is **group commit over whole caller batches**. The coalescer
+//! thread blocks for the first pending caller batch (one
+//! `ServiceHandle::submit_batch`, or one `submit`), takes every caller
+//! batch already queued behind it, and closes the batch once the ingress
+//! is momentarily empty. It never splits a caller batch: `max_batch`
+//! (default [`DEFAULT_MAX_BATCH`]) caps how much it merges. Whole caller
+//! batches join while the total stays within `max_batch`; the first one
+//! that does not fit opens the next batch, and one larger than `max_batch`
+//! is applied alone and whole. The rule is self-clocking: while one batch
+//! applies, new submissions queue up and become the next one, so batch
+//! sizes grow with load and an idle stream waits on no timer. A caller
+//! that wants bigger batches submits bigger caller batches.
+//!
+//! The coalescer concatenates the merged caller batches in arrival order
+//! and hands the updates to [`plan_batch`], which resolves conflicts per
+//! the strict `apply` contract:
 //!
 //! * **deletions are ordered before insertions** in the formed batch (the
 //!   contract processes them first anyway; the explicit order keeps the WAL
@@ -21,61 +34,15 @@
 //! [`BatchDynamic::apply`]: pbdmm_matching::api::BatchDynamic::apply
 
 use std::collections::hash_map::Entry;
-use std::time::Duration;
 
 use pbdmm_graph::edge::{normalize_vertices, EdgeId};
 use pbdmm_graph::update::{Batch, Update};
 use pbdmm_primitives::hash::FxHashMap;
 
-/// The size/latency flush policy: a batch is closed as soon as it holds
-/// `max_batch` updates, or `max_delay` after its first update arrived,
-/// whichever comes first — and, in the default group-commit mode
-/// (`max_delay == 0`), as soon as the ingress is momentarily empty.
-///
-/// The unit the coalescer merges is a *caller batch* (one
-/// `ServiceHandle::submit_batch`, or one `submit`), and it never splits
-/// one: `max_batch` caps how much it merges. Whole caller batches join a
-/// batch while its total stays within `max_batch`; the first one that does
-/// not fit opens the next batch, and a single caller batch larger than
-/// `max_batch` is applied alone and whole.
-///
-/// Group commit is self-clocking: while one batch is being applied, new
-/// submissions queue up and become the next batch, so batch sizes grow
-/// with load and idle streams pay no added latency. A positive `max_delay`
-/// is an explicit *linger* window instead: the coalescer holds a non-full
-/// batch open that long to maximize coalescing (deterministic batching for
-/// tests; bigger batches under open-loop trickle load at the cost of tail
-/// latency).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoalescePolicy {
-    /// Flush when this many updates are pending (amortization knob): the
-    /// most updates the coalescer merges from several caller batches.
-    pub max_batch: usize,
-    /// Zero (default): group commit — flush whenever the ingress is
-    /// momentarily empty. Positive: hold non-full batches open this long
-    /// after their first update (linger window, tail latency knob).
-    pub max_delay: Duration,
-}
-
-impl Default for CoalescePolicy {
-    fn default() -> Self {
-        CoalescePolicy {
-            max_batch: 1024,
-            max_delay: Duration::ZERO,
-        }
-    }
-}
-
-impl CoalescePolicy {
-    /// A policy that effectively disables coalescing (singleton batches) —
-    /// the baseline the service is measured against.
-    pub fn singleton() -> Self {
-        CoalescePolicy {
-            max_batch: 1,
-            max_delay: Duration::ZERO,
-        }
-    }
-}
+/// The default `max_batch`: the most updates the coalescer merges from
+/// several caller batches. `ServiceBuilder::max_batch`,
+/// `DaemonConfig::default` and the CLI's `--max-batch` all start here.
+pub const DEFAULT_MAX_BATCH: usize = 1024;
 
 /// Where one pending request ended up after planning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,16 +222,5 @@ mod tests {
         let plan = plan_batch(Vec::new(), |_| true);
         assert!(plan.batch.is_empty());
         assert!(plan.slots.is_empty());
-    }
-
-    #[test]
-    fn policy_defaults_and_singleton() {
-        let p = CoalescePolicy::default();
-        assert!(p.max_batch > 1);
-        // Default is group commit: no linger window.
-        assert!(p.max_delay.is_zero());
-        let s = CoalescePolicy::singleton();
-        assert_eq!(s.max_batch, 1);
-        assert_eq!(s.max_delay, Duration::ZERO);
     }
 }

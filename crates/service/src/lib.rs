@@ -14,14 +14,13 @@
 //!    through a cloneable [`ServiceHandle`] (an MPSC channel); each
 //!    submission returns a [`BatchTicket`] or [`Ticket`] over one one-shot
 //!    completion cell.
-//! 2. **Coalesce** — one coalescer thread drains the ingress under a
-//!    size/latency [`CoalescePolicy`] (flush at `max_batch` updates or
-//!    `max_delay` after the first, whichever first), merging whole caller
-//!    batches — it never splits one — and resolves conflicts per the
-//!    strict `apply` contract: deletions ordered before insertions,
-//!    in-batch duplicate deletes deduplicated, and individually invalid
-//!    updates (unknown id, empty vertex set) rejected without poisoning the
-//!    batch.
+//! 2. **Coalesce** — one coalescer thread drains the ingress by group
+//!    commit: it takes every caller batch queued by the time it is free,
+//!    up to `max_batch` updates ([`ServiceBuilder::max_batch`]), and never
+//!    splits one (see [`coalesce`]). It resolves conflicts per the strict
+//!    `apply` contract: deletions ordered before insertions, in-batch
+//!    duplicate deletes deduplicated, and individually invalid updates
+//!    (unknown id, empty vertex set) rejected without poisoning the batch.
 //! 3. **WAL** — the formed batch is appended to a durable write-ahead log
 //!    *before* it is applied, so a crash never loses an acknowledged batch.
 //!    The log is a segment directory ([`WalConfig::dir`]): numbered
@@ -84,7 +83,7 @@ pub mod coalesce;
 pub mod replay;
 pub mod service;
 
-pub use coalesce::{plan_batch, BatchPlan, CoalescePolicy, Slot};
+pub use coalesce::{plan_batch, BatchPlan, Slot, DEFAULT_MAX_BATCH};
 pub use replay::{
     cover_for, matching_for, recover_dir_with, recover_matching_from_dir, replay_into,
     replay_matching, wal_dir_meta, Recovery, RecoveryInfo, ReplayReport,

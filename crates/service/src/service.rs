@@ -3,12 +3,13 @@
 //! Many producer threads submit caller batches ([`ServiceHandle::submit_batch`],
 //! or single [`Update`]s through [`ServiceHandle::submit`]) through a
 //! cloneable [`ServiceHandle`] (an MPSC ingress); one coalescer thread owns
-//! the structure, merges whole caller batches into valid mixed batches
-//! under a [`CoalescePolicy`], appends each formed batch to the durable WAL
-//! **before** applying it, drives `apply` on a pinned [`ParPool`], and
-//! completes each caller batch's one-shot cell with its slice of the
-//! [`BatchOutcome`] — the per-update mapping [`BatchOutcome::per_update`]
-//! exposes, computed slot-wise here so the hot path never clones the batch.
+//! the structure, merges whole caller batches into valid mixed batches by
+//! group commit (see [`crate::coalesce`]), appends each formed batch to
+//! the durable WAL **before** applying it, drives `apply` on a pinned
+//! [`ParPool`], and completes each caller batch's one-shot cell with its
+//! slice of the [`BatchOutcome`] — the per-update mapping
+//! [`BatchOutcome::per_update`] exposes, computed slot-wise here so the
+//! hot path never clones the batch.
 //!
 //! [`BatchOutcome`]: pbdmm_matching::api::BatchOutcome
 //! [`BatchOutcome::per_update`]: pbdmm_matching::api::BatchOutcome::per_update
@@ -18,7 +19,6 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use pbdmm_graph::edge::{EdgeId, EdgeVertices};
 use pbdmm_graph::update::{Batch, Update};
@@ -29,7 +29,7 @@ use pbdmm_matching::snapshot::Snapshots;
 use pbdmm_primitives::obs::{Counter, Phase, ProfileReport, Recorder};
 use pbdmm_primitives::pool::ParPool;
 
-use crate::coalesce::{plan_batch, CoalescePolicy, Slot};
+use crate::coalesce::{plan_batch, Slot, DEFAULT_MAX_BATCH};
 use crate::replay::{
     ckpt_path, list_wal_dir, recover_dir_with, segment_path, Recovery, RecoveryInfo,
 };
@@ -302,10 +302,7 @@ pub struct ServiceStats {
     pub batches: u64,
     /// Batches closed because they reached `max_batch`.
     pub flush_full: u64,
-    /// Batches closed because the linger window (`max_delay`) expired.
-    pub flush_timer: u64,
-    /// Batches closed by group commit: the ingress went momentarily empty
-    /// (only in `max_delay == 0` mode).
+    /// Batches closed by group commit: the ingress went momentarily empty.
     pub flush_idle: u64,
     /// Batches closed because the service was shutting down (final drain).
     pub flush_close: u64,
@@ -336,7 +333,6 @@ impl ServiceStats {
             updates: c(Counter::Updates),
             batches: c(Counter::Batches),
             flush_full: c(Counter::FlushFull),
-            flush_timer: c(Counter::FlushTimer),
             flush_idle: c(Counter::FlushIdle),
             flush_close: c(Counter::FlushClose),
             dup_deletes: c(Counter::DupDeletes),
@@ -399,13 +395,14 @@ impl WalConfig {
     pub const DEFAULT_CHECKPOINT_EVERY: u64 = 65_536;
 }
 
-/// Service configuration: batching policy, optional WAL, optional pinned
+/// Service configuration: batch cap, optional WAL, optional pinned
 /// scheduler. Construct through [`ServiceConfig::builder`] — the struct
 /// remains public for inspection and for code that stores a config.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Size/latency batching policy.
-    pub policy: CoalescePolicy,
+    /// The most updates the coalescer merges from several caller batches
+    /// (see [`crate::coalesce`]); `0` counts as `1`.
+    pub max_batch: usize,
     /// Durable write-ahead log (None: in-memory only).
     pub wal: Option<WalConfig>,
     /// Scheduler every `apply` runs on (None: the process-global pool).
@@ -416,10 +413,22 @@ pub struct ServiceConfig {
     pub obs: Recorder,
 }
 
+impl Default for ServiceConfig {
+    fn default() -> Self {
+        ServiceConfig {
+            max_batch: DEFAULT_MAX_BATCH,
+            wal: None,
+            pool: None,
+            obs: Recorder::disabled(),
+        }
+    }
+}
+
 impl ServiceConfig {
-    /// The one construction surface for services: configure policy, WAL
-    /// directory, fsync, checkpoint interval, and scheduler, then call a
-    /// terminal ([`ServiceBuilder::start`], [`ServiceBuilder::start_serving`],
+    /// The one construction surface for services: configure the batch
+    /// cap, WAL directory, fsync, checkpoint interval, and scheduler, then
+    /// call a terminal ([`ServiceBuilder::start`],
+    /// [`ServiceBuilder::start_serving`],
     /// [`ServiceBuilder::recover_and_start_serving`], …) to get a running
     /// service — and, for the `serving` terminals, its [`QueryHandle`] — in
     /// one call.
@@ -443,15 +452,13 @@ impl ServiceConfig {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ServiceBuilder {
-    policy: CoalescePolicy,
-    pool: Option<Arc<ParPool>>,
-    wal: Option<WalConfig>,
+    /// Everything but the WAL's fsync and checkpoint settings, which
+    /// [`Self::config`] applies last so they are order-independent.
+    config: ServiceConfig,
     sync: bool,
     /// `Some(override)` once [`Self::checkpoint_every`] was called;
     /// otherwise the [`WalConfig`]'s interval stands.
     checkpoint_every: Option<Option<u64>>,
-    /// Phase recorder shared by the coalescer and the structure.
-    obs: Recorder,
 }
 
 /// What [`ServiceBuilder::recover_and_start_serving`] yields: the resumed
@@ -463,15 +470,18 @@ pub type ServingRecovery<S> = (
 );
 
 impl ServiceBuilder {
-    /// Size/latency batching policy (default: [`CoalescePolicy::default`]).
-    pub fn policy(mut self, policy: CoalescePolicy) -> Self {
-        self.policy = policy;
+    /// Merge at most `n` updates from several caller batches into one
+    /// batch (default [`DEFAULT_MAX_BATCH`]; `0` counts as `1`). A single
+    /// caller batch is never split, so one larger than `n` is applied
+    /// alone and whole; `1` applies every caller batch on its own.
+    pub fn max_batch(mut self, n: usize) -> Self {
+        self.config.max_batch = n;
         self
     }
 
     /// Pin every `apply` to this scheduler (default: process-global pool).
     pub fn pool(mut self, pool: Arc<ParPool>) -> Self {
-        self.pool = Some(pool);
+        self.config.pool = Some(pool);
         self
     }
 
@@ -480,7 +490,7 @@ impl ServiceBuilder {
     /// apply / complete spans, with settlement and snapshot publication
     /// nested under apply. Snapshot it at any time for the live counts.
     pub fn obs(mut self, obs: Recorder) -> Self {
-        self.obs = obs;
+        self.config.obs = obs;
         self
     }
 
@@ -488,7 +498,7 @@ impl ServiceBuilder {
     /// compaction (see [`WalConfig::dir`]). Recovery loads the newest
     /// intact checkpoint and replays only the tail segments.
     pub fn wal_dir(mut self, path: impl Into<PathBuf>, meta: WalMeta) -> Self {
-        self.wal = Some(WalConfig::dir(path, meta));
+        self.config.wal = Some(WalConfig::dir(path, meta));
         self
     }
 
@@ -497,7 +507,7 @@ impl ServiceBuilder {
     pub fn wal(mut self, cfg: WalConfig) -> Self {
         self.sync = cfg.sync;
         self.checkpoint_every = Some(cfg.checkpoint_every);
-        self.wal = Some(cfg);
+        self.config.wal = Some(cfg);
         self
     }
 
@@ -518,19 +528,14 @@ impl ServiceBuilder {
 
     /// The [`ServiceConfig`] this builder currently describes.
     pub fn config(&self) -> ServiceConfig {
-        let mut wal = self.wal.clone();
-        if let Some(w) = wal.as_mut() {
+        let mut config = self.config.clone();
+        if let Some(w) = config.wal.as_mut() {
             w.sync = self.sync;
             if let Some(every) = self.checkpoint_every {
                 w.checkpoint_every = every;
             }
         }
-        ServiceConfig {
-            policy: self.policy,
-            wal,
-            pool: self.pool.clone(),
-            obs: self.obs.clone(),
-        }
+        config
     }
 
     /// Terminal: start the service (write path only).
@@ -990,12 +995,10 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
     epoch_base: u64,
     start: ProfileReport,
 ) -> (S, ServiceStats) {
-    let policy = config.policy;
-    let max_batch = policy.max_batch.max(1);
-    let linger = policy.max_delay;
+    let max_batch = config.max_batch.max(1);
     let obs = config.obs.clone();
     let mut next_seq: u64 = 0;
-    // Once the shutdown marker is seen, stop waiting on the clock and just
+    // Once the shutdown marker is seen, stop blocking for new work and just
     // drain whatever is already queued.
     let mut closing = false;
     // The ingress is disconnected, or drained after the shutdown marker:
@@ -1031,7 +1034,7 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
         if drain.reqs.is_empty() {
             break;
         }
-        // Greedy drain: take everything already queued (group commit).
+        // Group commit: take everything already queued.
         while !drain.full() && !closed {
             match rx.try_recv() {
                 Ok(Msg::Batch(r)) => drain.admit(r),
@@ -1040,40 +1043,10 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
                 Err(mpsc::TryRecvError::Disconnected) => closed = true,
             }
         }
-        // Linger: with a positive max_delay, hold the non-full batch open
-        // until the window expires (skipped when closing or disconnected).
-        let mut timer_expired = false;
-        if !closing && !closed && !linger.is_zero() {
-            let deadline = Instant::now() + linger;
-            while !drain.full() {
-                let now = Instant::now();
-                if now >= deadline {
-                    timer_expired = true;
-                    break;
-                }
-                match rx.recv_timeout(deadline - now) {
-                    Ok(Msg::Batch(r)) => drain.admit(r),
-                    Ok(Msg::Shutdown) => {
-                        closing = true;
-                        break;
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        timer_expired = true;
-                        break;
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        closed = true;
-                        break;
-                    }
-                }
-            }
-        }
         let cause = if closed || closing {
             Counter::FlushClose
         } else if drain.full() {
             Counter::FlushFull
-        } else if timer_expired {
-            Counter::FlushTimer
         } else {
             Counter::FlushIdle
         };
@@ -1091,8 +1064,8 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
         }
 
         // Busy span: everything from planning to the last completion —
-        // the per-batch processing cost, excluding the drain/linger wait
-        // above (which is latency budget, not work).
+        // the per-batch processing cost, excluding the blocking wait for
+        // the first caller batch above (idle time, not work).
         let _batch_span = obs.span(Phase::Batch);
 
         // --- Plan: conflict resolution per the apply contract ------------
@@ -1336,16 +1309,16 @@ mod tests {
     use pbdmm_matching::DynamicMatching;
     use std::time::Duration;
 
-    fn quick() -> ServiceBuilder {
-        ServiceConfig::builder().policy(CoalescePolicy {
-            max_batch: 1024,
-            max_delay: Duration::from_millis(100),
-        })
+    /// A service with the default settings over a fresh matching.
+    fn start(seed: u64) -> UpdateService<DynamicMatching> {
+        ServiceConfig::builder()
+            .start(DynamicMatching::with_seed(seed))
+            .unwrap()
     }
 
     #[test]
     fn insert_then_delete_through_tickets() {
-        let svc = quick().start(DynamicMatching::with_seed(1)).unwrap();
+        let svc = start(1);
         let h = svc.handle();
         let tickets: Vec<Ticket> = (0..8).map(|v| h.insert(vec![v, v + 1])).collect();
         let ids: Vec<EdgeId> = tickets
@@ -1374,7 +1347,7 @@ mod tests {
     fn coalesced_duplicate_deletes_resolve_idempotently() {
         let dir = temp_wal_dir("pbdmm_svc_dup_deletes");
         let obs = Recorder::disabled();
-        let svc = quick()
+        let svc = ServiceConfig::builder()
             .obs(obs.clone())
             .wal_dir(&dir, meta(2))
             .checkpoint_every(1)
@@ -1382,17 +1355,20 @@ mod tests {
             .unwrap();
         let h = svc.handle();
         let id = h.insert(vec![0, 1]).wait().unwrap().done.id();
-        // Both deletes are queued before the 100ms window closes, so they
-        // coalesce into one batch: one wins the slot, one is deduplicated.
-        let t1 = h.delete(id);
-        let t2 = h.delete(id);
-        let unknown = h.delete(EdgeId(999));
-        let (c1, c2) = (t1.wait().unwrap(), t2.wait().unwrap());
+        // One caller batch is one service batch: of its two deletes of
+        // `id`, one wins the slot and one is deduplicated.
+        let deletes = vec![
+            Update::Delete(id),
+            Update::Delete(id),
+            Update::Delete(EdgeId(999)),
+        ];
+        let outs = h.submit_batch(deletes).wait();
+        let (c1, c2) = (outs[0].as_ref().unwrap(), outs[1].as_ref().unwrap());
         assert_eq!(c1.done, Done::Deleted(id));
         assert_eq!(c2.done, Done::AlreadyDeleted(id));
         // The duplicate shares the winner's apply-order position.
         assert_eq!(c1.seq, c2.seq);
-        assert_eq!(unknown.wait(), Err(ServiceError::UnknownEdge(EdgeId(999))));
+        assert_eq!(outs[2], Err(ServiceError::UnknownEdge(EdgeId(999))));
         drop(h);
         let (m, stats) = svc.shutdown();
         assert_eq!(m.num_edges(), 0);
@@ -1407,7 +1383,6 @@ mod tests {
             (stats.updates, Counter::Updates),
             (stats.batches, Counter::Batches),
             (stats.flush_full, Counter::FlushFull),
-            (stats.flush_timer, Counter::FlushTimer),
             (stats.flush_idle, Counter::FlushIdle),
             (stats.flush_close, Counter::FlushClose),
             (stats.dup_deletes, Counter::DupDeletes),
@@ -1423,7 +1398,7 @@ mod tests {
         }
 
         // A second service on the same recorder reports only its own sums.
-        let svc = quick()
+        let svc = ServiceConfig::builder()
             .obs(obs.clone())
             .start(DynamicMatching::with_seed(3))
             .unwrap();
@@ -1438,7 +1413,7 @@ mod tests {
 
     #[test]
     fn bad_updates_are_rejected_individually() {
-        let svc = quick().start(DynamicMatching::with_seed(3)).unwrap();
+        let svc = start(3);
         let h = svc.handle();
         let good = h.insert(vec![0, 1]);
         let empty = h.insert(vec![]);
@@ -1455,7 +1430,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_backlog_and_closes_later_submits() {
-        let svc = quick().start(DynamicMatching::with_seed(4)).unwrap();
+        let svc = start(4);
         let h = svc.handle();
         let pre = h.insert(vec![0, 1]);
         // Shutdown with the handle still alive: everything queued before the
@@ -1472,7 +1447,7 @@ mod tests {
     #[test]
     fn singleton_policy_applies_one_update_per_batch() {
         let svc = ServiceConfig::builder()
-            .policy(CoalescePolicy::singleton())
+            .max_batch(1)
             .start(DynamicMatching::with_seed(5))
             .unwrap();
         let h = svc.handle();
@@ -1495,7 +1470,7 @@ mod tests {
 
     #[test]
     fn caller_batches_stay_whole_and_ordered_among_singletons() {
-        let svc = quick().start(DynamicMatching::with_seed(13)).unwrap();
+        let svc = start(13);
         // Force the ingress order A0, B0, A1, B1, …: producer A submits a
         // caller batch, then producer B a singleton, in lockstep.
         let step = std::sync::Barrier::new(2);
@@ -1575,7 +1550,7 @@ mod tests {
     #[test]
     fn singleton_policy_applies_a_caller_batch_whole() {
         let svc = ServiceConfig::builder()
-            .policy(CoalescePolicy::singleton())
+            .max_batch(1)
             .start(DynamicMatching::with_seed(14))
             .unwrap();
         let outs = svc.handle().submit_batch(inserts(0, 10)).wait();
@@ -1609,13 +1584,9 @@ mod tests {
 
     #[test]
     fn shutdown_applies_a_backlog_that_overflows_max_batch() {
-        let policy = CoalescePolicy {
-            max_batch: 4,
-            max_delay: Duration::ZERO,
-        };
         // Through `shutdown`, with a handle still alive.
         let svc = ServiceConfig::builder()
-            .policy(policy)
+            .max_batch(4)
             .start(DynamicMatching::with_seed(15))
             .unwrap();
         let h = svc.handle();
@@ -1628,7 +1599,7 @@ mod tests {
         // After every handle and the service itself are dropped: the
         // coalescer sees the ingress disconnect and still applies all.
         let svc = ServiceConfig::builder()
-            .policy(policy)
+            .max_batch(4)
             .start(DynamicMatching::with_seed(15))
             .unwrap();
         let tickets = overflowing_backlog(&svc.handle());
@@ -1638,7 +1609,7 @@ mod tests {
 
     #[test]
     fn batch_tickets_after_shutdown_resolve_closed() {
-        let svc = quick().start(DynamicMatching::with_seed(16)).unwrap();
+        let svc = start(16);
         let h = svc.handle();
         svc.shutdown();
         let outs = h.submit_batch(inserts(0, 3)).wait();
@@ -1648,7 +1619,7 @@ mod tests {
 
     #[test]
     fn an_empty_caller_batch_resolves_to_no_outcomes() {
-        let svc = quick().start(DynamicMatching::with_seed(17)).unwrap();
+        let svc = start(17);
         assert!(svc.handle().submit_batch(Vec::new()).wait().is_empty());
         let (_, stats) = svc.shutdown();
         assert_eq!((stats.batches, stats.updates), (0, 0));
@@ -1656,7 +1627,7 @@ mod tests {
 
     #[test]
     fn query_handle_reads_latest_epoch_and_state() {
-        let (svc, q) = quick()
+        let (svc, q) = ServiceConfig::builder()
             .start_serving(DynamicMatching::with_seed(8))
             .unwrap();
         assert_eq!(q.epoch(), 0);
@@ -1687,7 +1658,7 @@ mod tests {
 
     #[test]
     fn wait_for_newer_observes_batches_as_they_publish() {
-        let (svc, q) = quick()
+        let (svc, q) = ServiceConfig::builder()
             .start_serving(DynamicMatching::with_seed(12))
             .unwrap();
         let h = svc.handle();
@@ -1713,7 +1684,7 @@ mod tests {
         // Singleton batches: each update's epoch is its seq + 1 (visible
         // right after its own one-update batch).
         let (svc, q) = ServiceConfig::builder()
-            .policy(CoalescePolicy::singleton())
+            .max_batch(1)
             .start_serving(DynamicMatching::with_seed(9))
             .unwrap();
         let h = svc.handle();
@@ -1733,7 +1704,7 @@ mod tests {
         // history, and read-your-writes holds throughout.
         let mut m = DynamicMatching::with_seed(10);
         let pre = m.insert_edges(&[vec![0, 1], vec![2, 3]]);
-        let (svc, q) = quick().start_serving(m).unwrap();
+        let (svc, q) = ServiceConfig::builder().start_serving(m).unwrap();
         assert_eq!(q.epoch(), 2);
         assert!(q.snapshot().contains_edge(pre[0]));
         let c = svc.handle().insert(vec![4, 5]).wait().unwrap();
@@ -1761,7 +1732,7 @@ mod tests {
     fn segmented_wal_checkpoints_and_recovers() {
         let dir = temp_wal_dir("pbdmm_svc_seg_rotate");
         let svc = ServiceConfig::builder()
-            .policy(CoalescePolicy::singleton())
+            .max_batch(1)
             .wal_dir(&dir, meta(33))
             .checkpoint_every(8)
             .start(DynamicMatching::with_seed(33))
@@ -1794,7 +1765,7 @@ mod tests {
         let dir = temp_wal_dir("pbdmm_svc_seg_resume");
         let build = || {
             ServiceConfig::builder()
-                .policy(CoalescePolicy::singleton())
+                .max_batch(1)
                 .wal_dir(&dir, meta(34))
                 .checkpoint_every(4)
         };
@@ -1864,7 +1835,7 @@ mod tests {
 
     #[test]
     fn seq_numbers_are_dense_in_apply_order() {
-        let svc = quick().start(DynamicMatching::with_seed(6)).unwrap();
+        let svc = start(6);
         let h = svc.handle();
         let tickets: Vec<Ticket> = (0..16).map(|v| h.insert(vec![v, v + 1])).collect();
         let mut seqs: Vec<u64> = tickets.into_iter().map(|t| t.wait().unwrap().seq).collect();

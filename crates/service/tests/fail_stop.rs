@@ -12,7 +12,7 @@ use pbdmm_graph::edge::EdgeId;
 use pbdmm_graph::wal::WalMeta;
 use pbdmm_matching::verify::check_invariants;
 use pbdmm_matching::DynamicMatching;
-use pbdmm_service::{CoalescePolicy, Done, ServiceConfig, ServiceError};
+use pbdmm_service::{Done, ServiceConfig, ServiceError};
 
 #[test]
 fn losing_the_wal_dir_fail_stops_at_the_next_rotation() {
@@ -24,7 +24,7 @@ fn losing_the_wal_dir_fail_stops_at_the_next_rotation() {
         ids_recycling: false,
     };
     let (svc, query) = ServiceConfig::builder()
-        .policy(CoalescePolicy::singleton())
+        .max_batch(1)
         .wal_dir(&dir, meta)
         .checkpoint_every(3)
         .start_serving(DynamicMatching::with_seed(7))

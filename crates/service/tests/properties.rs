@@ -16,7 +16,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-use std::time::Duration;
 
 use pbdmm_graph::edge::EdgeId;
 use pbdmm_graph::update::{Batch, Update};
@@ -24,7 +23,7 @@ use pbdmm_graph::wal::{read_wal_file, WalMeta};
 use pbdmm_matching::verify::check_invariants;
 use pbdmm_matching::DynamicMatching;
 use pbdmm_primitives::rng::SplitMix64;
-use pbdmm_service::{CoalescePolicy, Done, ServiceConfig, ServiceHandle};
+use pbdmm_service::{Done, ServiceConfig, ServiceHandle};
 
 /// Live edges as id → vertex set (the state that must linearize).
 fn live_edges(m: &DynamicMatching) -> BTreeMap<u64, Vec<u32>> {
@@ -82,10 +81,7 @@ fn concurrent_interleavings_linearize_and_replay() {
         std::fs::remove_dir_all(&wal_dir).ok(); // the service refuses to overwrite
         let structure_seed = 0xC0A1E5CE ^ seed;
         let svc = ServiceConfig::builder()
-            .policy(CoalescePolicy {
-                max_batch: 48,
-                max_delay: Duration::from_micros(300),
-            })
+            .max_batch(48)
             .wal_dir(
                 &wal_dir,
                 WalMeta {
@@ -175,10 +171,7 @@ fn wal_replay_is_deterministic_across_runs() {
     let wal_dir = std::env::temp_dir().join("pbdmm_service_determinism.waldir");
     std::fs::remove_dir_all(&wal_dir).ok(); // the service refuses to overwrite
     let svc = ServiceConfig::builder()
-        .policy(CoalescePolicy {
-            max_batch: 32,
-            max_delay: Duration::from_micros(200),
-        })
+        .max_batch(32)
         .wal_dir(
             &wal_dir,
             WalMeta {
@@ -212,10 +205,7 @@ fn service_is_generic_over_the_trait_family() {
     // element insertions/deletions, cover maintained throughout.
     use pbdmm_setcover::DynamicSetCover;
     let svc = ServiceConfig::builder()
-        .policy(CoalescePolicy {
-            max_batch: 64,
-            max_delay: Duration::from_micros(300),
-        })
+        .max_batch(64)
         .start(DynamicSetCover::with_seed(9))
         .unwrap();
     std::thread::scope(|scope| {

@@ -14,7 +14,6 @@
 //! update stream, which a directly-driven twin replays for comparison.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use pbdmm_graph::edge::EdgeId;
 use pbdmm_graph::update::Batch;
@@ -23,7 +22,7 @@ use pbdmm_matching::snapshot::Snapshots;
 use pbdmm_matching::verify::check_invariants;
 use pbdmm_matching::DynamicMatching;
 use pbdmm_primitives::rng::SplitMix64;
-use pbdmm_service::{recover_matching_from_dir, CoalescePolicy, ServiceConfig, WalConfig};
+use pbdmm_service::{recover_matching_from_dir, ServiceConfig, WalConfig};
 
 fn fresh(seed: u64, recycling: bool) -> DynamicMatching {
     let mut m = DynamicMatching::with_seed(seed);
@@ -57,10 +56,7 @@ fn run_service(
     let mut wal = WalConfig::dir(dir, meta);
     wal.checkpoint_every = Some(every);
     let svc = ServiceConfig::builder()
-        .policy(CoalescePolicy {
-            max_batch: 4,
-            max_delay: Duration::ZERO,
-        })
+        .max_batch(4)
         .wal(wal)
         .start(fresh(seed, recycling))
         .expect("start service on fresh dir");

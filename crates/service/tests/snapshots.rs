@@ -17,7 +17,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use pbdmm_graph::edge::EdgeId;
 use pbdmm_graph::wal::{read_wal_file, Wal, WalMeta};
@@ -25,9 +24,7 @@ use pbdmm_matching::snapshot::{MatchingSnapshot, Snapshots};
 use pbdmm_matching::verify::check_invariants;
 use pbdmm_matching::DynamicMatching;
 use pbdmm_primitives::rng::SplitMix64;
-use pbdmm_service::{
-    replay_matching, CoalescePolicy, Done, QueryHandle, ServiceConfig, ServiceHandle,
-};
+use pbdmm_service::{replay_matching, Done, QueryHandle, ServiceConfig, ServiceHandle};
 
 /// One producer of the mixed load: inserts and deletes of its own ids,
 /// asserting read-your-writes against `q` after every completed ticket.
@@ -96,10 +93,7 @@ fn observed_snapshots_equal_wal_replay_prefixes() {
         std::fs::remove_dir_all(&wal_dir).ok(); // the service refuses to overwrite
         let structure_seed = 0x5EED ^ seed;
         let (svc, q) = ServiceConfig::builder()
-            .policy(CoalescePolicy {
-                max_batch: 32,
-                max_delay: Duration::from_micros(200),
-            })
+            .max_batch(32)
             .wal_dir(
                 &wal_dir,
                 WalMeta {
@@ -182,10 +176,7 @@ fn reader_never_sees_an_epoch_older_than_its_completed_tickets() {
     // completed ticket, hundreds of times per run).
     for seed in [7u64, 8, 9] {
         let (svc, q) = ServiceConfig::builder()
-            .policy(CoalescePolicy {
-                max_batch: 64,
-                max_delay: Duration::ZERO, // group commit
-            })
+            .max_batch(64)
             .start_serving(DynamicMatching::with_seed(seed))
             .unwrap();
         std::thread::scope(|scope| {
@@ -208,10 +199,7 @@ fn cover_queries_are_served_concurrently() {
     use pbdmm_setcover::DynamicSetCover;
     let obs = Recorder::enabled();
     let (svc, q) = ServiceConfig::builder()
-        .policy(CoalescePolicy {
-            max_batch: 48,
-            max_delay: Duration::from_micros(200),
-        })
+        .max_batch(48)
         .obs(obs.clone())
         .start_serving(DynamicSetCover::with_seed(5))
         .unwrap();

@@ -36,8 +36,8 @@ use pbdmm::primitives::cost::CostMeter;
 use pbdmm::primitives::obs::{Counter, Phase, Recorder};
 use pbdmm::primitives::rng::SplitMix64;
 use pbdmm::service::{
-    cover_for, matching_for, recover_dir_with, replay_into, wal_dir_meta, CoalescePolicy, Done,
-    RecoveryInfo, ServiceConfig, ServiceHandle, WalConfig,
+    cover_for, matching_for, recover_dir_with, replay_into, wal_dir_meta, Done, RecoveryInfo,
+    ServiceConfig, ServiceHandle, WalConfig, DEFAULT_MAX_BATCH,
 };
 use pbdmm::{BatchDynamic, DynamicMatching, DynamicSetCover};
 use pbdmm_bench::metrics;
@@ -61,12 +61,12 @@ usage:
   pbdmm cover <graph-file> [--seed S] [--threads T]
   pbdmm gen <er|hyper|powerlaw|star|bipartite> [--n N] [--m M] [--rank R] [--seed S] -o <file>
   pbdmm serve [--producers P] [--updates N] [--readers R] [--max-batch B]
-              [--max-delay-us D] [--structure matching|setcover]
-              [--wal DIR|none] [--wal-sync BOOL] [--checkpoint-every N]
+              [--structure matching|setcover] [--wal DIR|none]
+              [--wal-sync BOOL] [--checkpoint-every N]
               [--seed S] [--threads T] [--profile [interval=N]]
   pbdmm replay <wal-dir-or-file> [--from-genesis BOOL] [--threads T] [--profile]
   pbdmm daemon [--port P] [--host H] [--max-connections C] [--max-inflight W]
-               [--max-batch B] [--max-delay-us D] [--wal DIR|none]
+               [--max-batch B] [--wal DIR|none]
                [--wal-sync BOOL] [--checkpoint-every N]
                [--seed S] [--threads T] [--profile [interval=N]]
   pbdmm load (--port P | --addr HOST:PORT) [--connections M] [--updates N]
@@ -83,9 +83,11 @@ usage:
   flush-only) before its tickets complete. --readers R (default 2; 0
   disables) runs R concurrent reader threads resolving point queries
   against the epoch-snapshot read path while writers run, reporting read
-  throughput and snapshot-staleness percentiles. The group-commit
-  comparison is two runs: --max-batch 1 applies and logs every update
-  alone, the default --max-batch 1024 coalesces them. replay
+  throughput and snapshot-staleness percentiles. Batching is group
+  commit: the service merges whatever queued while the previous batch
+  applied, up to --max-batch updates, and never waits on a timer. The
+  group-commit comparison is two runs: --max-batch 1 applies and logs
+  every update alone, the default --max-batch 1024 coalesces them. replay
   rebuilds a structure from a recorded WAL and verifies its invariants;
   its final: line (epoch included) is byte-comparable with serve's.
 
@@ -300,7 +302,6 @@ const COMMANDS: &[Command] = &[
             "updates",
             "readers",
             "max-batch",
-            "max-delay-us",
             "structure",
             "wal",
             "wal-sync",
@@ -319,7 +320,6 @@ const COMMANDS: &[Command] = &[
             "max-connections",
             "max-inflight",
             "max-batch",
-            "max-delay-us",
             "wal",
             "wal-sync",
             "checkpoint-every",
@@ -612,7 +612,7 @@ fn serve_load<S>(
     producers: usize,
     per_producer: usize,
     readers: usize,
-    policy: CoalescePolicy,
+    max_batch: usize,
     wal: Option<WalConfig>,
     seed: u64,
     obs: Recorder,
@@ -620,7 +620,7 @@ fn serve_load<S>(
 where
     S: BatchDynamic + Snapshots<Snap = MatchingSnapshot> + Checkpoint + Send + 'static,
 {
-    let mut builder = ServiceConfig::builder().policy(policy).obs(obs);
+    let mut builder = ServiceConfig::builder().max_batch(max_batch).obs(obs);
     if let Some(cfg) = wal {
         builder = builder.wal(cfg);
     }
@@ -774,19 +774,12 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let producers: usize = args.flag("producers", 4)?;
     let per_producer: usize = args.flag("updates", 10_000)?;
     let readers: usize = args.flag("readers", 2)?;
-    let max_batch: usize = args.flag("max-batch", 1024)?;
-    // 0 = group commit (flush whenever the ingress is momentarily empty);
-    // positive = linger window maximizing coalescing at a latency cost.
-    let max_delay_us: u64 = args.flag("max-delay-us", 0)?;
+    let max_batch: usize = args.flag("max-batch", DEFAULT_MAX_BATCH)?;
     let seed: u64 = args.flag("seed", 42)?;
     let structure = args.flag("structure", "matching".to_string())?;
     if producers == 0 || per_producer == 0 {
         return Err("--producers and --updates must be positive".into());
     }
-    let policy = CoalescePolicy {
-        max_batch: max_batch.max(1),
-        max_delay: Duration::from_micros(max_delay_us),
-    };
     // Durable by default: an update is acknowledged only once the batch
     // containing it is on the log (fsync per commit unless --wal-sync
     // false). `--wal none` turns logging off entirely; `--wal DIR` picks
@@ -802,7 +795,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let wal_path = wal.as_ref().map(|w| w.path.clone());
     println!(
         "serve: {producers} producers x {per_producer} updates, {readers} readers, \
-         max_batch={max_batch} max_delay={max_delay_us}us structure={structure} \
+         max_batch={max_batch} structure={structure} \
          wal={} (fsync {})",
         wal_path
             .as_ref()
@@ -826,7 +819,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 producers,
                 per_producer,
                 readers,
-                policy,
+                max_batch,
                 wal,
                 seed,
                 prof.obs.clone(),
@@ -840,7 +833,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 producers,
                 per_producer,
                 readers,
-                policy,
+                max_batch,
                 wal,
                 seed,
                 prof.obs.clone(),
@@ -1058,8 +1051,7 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
     };
     let max_connections: usize = args.flag("max-connections", 64)?;
     let max_inflight: usize = args.flag("max-inflight", 4096)?;
-    let max_batch: usize = args.flag("max-batch", 1024)?;
-    let max_delay_us: u64 = args.flag("max-delay-us", 0)?;
+    let max_batch: usize = args.flag("max-batch", DEFAULT_MAX_BATCH)?;
     let seed: u64 = args.flag("seed", 42)?;
     if max_connections == 0 || max_inflight == 0 {
         return Err("--max-connections and --max-inflight must be positive".into());
@@ -1077,10 +1069,7 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
         addr: format!("{host}:{port}"),
         max_connections,
         max_inflight,
-        policy: CoalescePolicy {
-            max_batch: max_batch.max(1),
-            max_delay: Duration::from_micros(max_delay_us),
-        },
+        max_batch,
         wal,
         obs: prof.obs.clone(),
         ..Default::default()
@@ -1114,7 +1103,7 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
     println!("daemon: listening on {}", daemon.local_addr());
     println!(
         "daemon: max_connections={max_connections} max_inflight={max_inflight} \
-         max_batch={max_batch} max_delay={max_delay_us}us seed={seed} \
+         max_batch={max_batch} seed={seed} \
          wal={} (fsync {})",
         wal_path
             .as_ref()

@@ -63,8 +63,8 @@ pub use pbdmm_setcover as setcover;
 
 pub use pbdmm_graph::{Batch, DeletionOrder, EdgeId, Hypergraph, Update, VertexId, Workload};
 pub use pbdmm_matching::{
-    BatchDynamic, BatchOutcome, DynamicMatching, DynamicMatchingBuilder, LevelingConfig,
-    MatchResult, UpdateError, UpdateOutcome,
+    BatchDynamic, BatchOutcome, DynamicMatching, LevelingConfig, MatchResult, UpdateError,
+    UpdateOutcome,
 };
-pub use pbdmm_service::{CoalescePolicy, ServiceConfig, UpdateService};
+pub use pbdmm_service::{ServiceConfig, UpdateService};
 pub use pbdmm_setcover::{DynamicSetCover, ElementId, SetId};

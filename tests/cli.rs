@@ -174,8 +174,6 @@ fn serve_records_wal_and_replay_reproduces_final_state() {
         "600",
         "--max-batch",
         "128",
-        "--max-delay-us",
-        "300",
         "--seed",
         "9",
         "--wal",
@@ -790,10 +788,16 @@ fn daemon_flags_are_validated() {
 #[test]
 fn unknown_flags_are_rejected() {
     // A flag the subcommand does not read is refused before anything runs:
-    // a removed option (`--shards`) or a typo that would otherwise silently
-    // disable checkpoints (`--checkpoint-evry`).
+    // a removed option (`--shards`, the linger window `--max-delay-us`) or
+    // a typo that would otherwise silently disable checkpoints
+    // (`--checkpoint-evry`).
     for (args, flag, cmd) in [
         (&["daemon", "--shards", "4"][..], "--shards", "daemon"),
+        (
+            &["daemon", "--max-delay-us", "300"][..],
+            "--max-delay-us",
+            "daemon",
+        ),
         (
             &["daemon", "--checkpoint-evry", "100"][..],
             "--checkpoint-evry",
@@ -801,6 +805,11 @@ fn unknown_flags_are_rejected() {
         ),
         (&["serve", "--shards", "4"][..], "--shards", "serve"),
         (&["serve", "--compare", "direct"][..], "--compare", "serve"),
+        (
+            &["serve", "--max-delay-us", "300"][..],
+            "--max-delay-us",
+            "serve",
+        ),
         (
             &["replay", "x.wal", "--shards", "2"][..],
             "--shards",

@@ -8,7 +8,7 @@ use pbdmm::matching::driver::run_workload_with;
 use pbdmm::matching::verify::check_invariants;
 use pbdmm::primitives::cost::CostHint;
 use pbdmm::primitives::par;
-use pbdmm::{Batch, DynamicMatching, DynamicMatchingBuilder};
+use pbdmm::{Batch, DynamicMatching};
 
 #[test]
 fn dynamic_matching_sound_under_forced_parallelism() {
@@ -53,10 +53,8 @@ fn id_recycling_is_deterministic_under_forced_parallelism() {
     let g = gen::erdos_renyi(1500, 6000, 0xF2);
     let w = workload::churn(&g, 512, 0xF3);
     let run = |_: ()| {
-        let mut dm = DynamicMatchingBuilder::new()
-            .seed(3)
-            .recycle_ids(true)
-            .build();
+        let mut dm = DynamicMatching::with_seed(3);
+        dm.set_recycle_ids(true);
         run_workload_with(&mut dm, &w, |m| check_invariants(m).unwrap());
         let st = dm.storage_stats();
         assert!(st.recycling);

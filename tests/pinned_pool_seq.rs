@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use pbdmm::graph::gen;
 use pbdmm::primitives::{par, pool::ParPool};
-use pbdmm::DynamicMatchingBuilder;
+use pbdmm::DynamicMatching;
 
 #[test]
 fn pinned_pool_is_used_even_when_global_cap_is_one() {
@@ -16,10 +16,8 @@ fn pinned_pool_is_used_even_when_global_cap_is_one() {
     assert_eq!(par::num_threads(), 1);
 
     let pool = ParPool::with_threads(4);
-    let mut dm = DynamicMatchingBuilder::new()
-        .seed(3)
-        .pool(Arc::clone(&pool))
-        .build();
+    let mut dm = DynamicMatching::with_seed(3);
+    dm.set_pool(Arc::clone(&pool));
     // A batch big enough to clear the sequential cutoffs inside settlement.
     let g = gen::erdos_renyi(4_000, 32_000, 11);
     let ids = dm.insert_edges(&g.edges);

@@ -4,13 +4,12 @@
 //! surface.
 
 use std::process::{Command, Output};
-use std::time::Duration;
 
 use pbdmm::graph::update::Update;
 use pbdmm::net::daemon::{Daemon, DaemonConfig};
 use pbdmm::net::{proto, Client};
 use pbdmm::primitives::obs::{Counter, Phase, Recorder};
-use pbdmm::service::{CoalescePolicy, ServiceConfig};
+use pbdmm::service::ServiceConfig;
 use pbdmm::DynamicMatching;
 
 fn pbdmm(args: &[&str]) -> Output {
@@ -51,10 +50,7 @@ fn phase_totals_partition_busy_time() {
     let obs = Recorder::enabled();
     let wall = std::time::Instant::now();
     let svc = ServiceConfig::builder()
-        .policy(CoalescePolicy {
-            max_batch: 64,
-            max_delay: Duration::ZERO,
-        })
+        .max_batch(64)
         .obs(obs.clone())
         .start(DynamicMatching::with_seed(7))
         .expect("in-memory service");

@@ -19,8 +19,7 @@ use pbdmm::graph::wal::{read_wal_file, write_batch, write_segment_header, WalMet
 use pbdmm::graph::{Batch, EdgeId};
 use pbdmm::primitives::rng::SplitMix64;
 use pbdmm::service::{
-    recover_matching_from_dir, replay_matching, CoalescePolicy, Done, ServiceBuilder,
-    ServiceConfig, ServiceError,
+    recover_matching_from_dir, replay_matching, Done, ServiceBuilder, ServiceConfig, ServiceError,
 };
 use pbdmm::DynamicMatching;
 
@@ -75,7 +74,7 @@ fn record(builder: ServiceBuilder, meta: &WalMeta) -> DynamicMatching {
     let mut m = DynamicMatching::with_seed(meta.seed);
     m.set_recycle_ids(meta.ids_recycling);
     let svc = builder
-        .policy(CoalescePolicy::singleton())
+        .max_batch(1)
         .start(m)
         .expect("start recording service");
     let h = svc.handle();

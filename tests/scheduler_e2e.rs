@@ -10,7 +10,7 @@ use pbdmm::graph::{gen, workload};
 use pbdmm::matching::driver::run_workload;
 use pbdmm::primitives::par;
 use pbdmm::primitives::pool::ParPool;
-use pbdmm::{Batch, DynamicMatching, DynamicMatchingBuilder};
+use pbdmm::{Batch, DynamicMatching};
 
 /// Tests here mutate the process-global worker cap and assert on pool
 /// activity, so they run serialized within this binary.
@@ -48,10 +48,8 @@ fn one_pinned_pool_serves_every_apply_without_churn() {
     let _knobs = knob_lock();
     force_parallel();
     let pool = ParPool::with_threads(4);
-    let mut dm = DynamicMatchingBuilder::new()
-        .seed(23)
-        .pool(Arc::clone(&pool))
-        .build();
+    let mut dm = DynamicMatching::with_seed(23);
+    dm.set_pool(Arc::clone(&pool));
     let g = gen::erdos_renyi(2_000, 16_000, 5);
     let w = workload::insert_then_delete(&g, 4096, workload::DeletionOrder::VertexClustered, 7);
     let report = run_workload(&mut dm, &w);
@@ -75,8 +73,9 @@ fn matching_is_deterministic_across_scheduler_modes() {
     // Identical matchings.
     let parallel = churn_fingerprint(DynamicMatching::with_seed(9));
     let pinned = {
-        let pool = ParPool::with_threads(3);
-        churn_fingerprint(DynamicMatchingBuilder::new().seed(9).pool(pool).build())
+        let mut dm = DynamicMatching::with_seed(9);
+        dm.set_pool(ParPool::with_threads(3));
+        churn_fingerprint(dm)
     };
     let sequential =
         ParPool::with_threads(1).install(|| churn_fingerprint(DynamicMatching::with_seed(9)));

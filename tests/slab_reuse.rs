@@ -3,7 +3,7 @@
 //! The flat storage backend supports two id-allocation modes: the default
 //! monotonic mode (deleted `EdgeId`s are deliberately **never** recycled —
 //! the historical contract) and the slab-backed recycling mode
-//! (`DynamicMatchingBuilder::recycle_ids(true)`: freed ids are reused LIFO,
+//! (`DynamicMatching::set_recycle_ids(true)`: freed ids are reused LIFO,
 //! keeping the id space dense under unbounded churn). These tests drive
 //! churn workloads across reuse boundaries and assert the properties the
 //! rest of the system depends on: deterministic id assignment (WAL replay
@@ -18,14 +18,13 @@ use pbdmm::matching::snapshot::Snapshots;
 use pbdmm::matching::verify::check_invariants;
 use pbdmm::primitives::rng::SplitMix64;
 use pbdmm::service::replay::replay_into;
-use pbdmm::service::{CoalescePolicy, ServiceConfig};
-use pbdmm::{Batch, DynamicMatching, DynamicMatchingBuilder};
+use pbdmm::service::ServiceConfig;
+use pbdmm::{Batch, DynamicMatching};
 
 fn recycling(seed: u64) -> DynamicMatching {
-    DynamicMatchingBuilder::new()
-        .seed(seed)
-        .recycle_ids(true)
-        .build()
+    let mut m = DynamicMatching::with_seed(seed);
+    m.set_recycle_ids(true);
+    m
 }
 
 /// Drive a random mixed-batch churn stream (inserts + deletes of earlier
@@ -158,10 +157,7 @@ fn wal_replay_reproduces_recycled_ids_exactly() {
     let _ = std::fs::remove_dir_all(&wal_dir);
 
     let svc = ServiceConfig::builder()
-        .policy(CoalescePolicy {
-            max_batch: 16,
-            max_delay: std::time::Duration::ZERO,
-        })
+        .max_batch(16)
         .wal_dir(
             &wal_dir,
             WalMeta {
