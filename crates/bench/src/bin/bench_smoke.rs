@@ -23,6 +23,7 @@ use pbdmm_graph::gen;
 use pbdmm_graph::update::Batch;
 use pbdmm_graph::wal::WalMeta;
 use pbdmm_graph::workload::{churn, insert_then_delete, DeletionOrder};
+use pbdmm_matching::checkpoint::Checkpoint;
 use pbdmm_matching::driver::run_workload;
 use pbdmm_matching::snapshot::{Changes, MatchingSnapshot, SnapshotDelta, Snapshots};
 use pbdmm_matching::DynamicMatching;
@@ -165,6 +166,46 @@ fn snapshot_and_delta(n: u64) -> (std::sync::Arc<MatchingSnapshot>, SnapshotDelt
         Changes::Delta { delta, .. } => (base, delta),
         other => panic!("one publish behind must be a delta, got {other:?}"),
     }
+}
+
+/// A served-shape state for the checkpoint figures: `n` random rank-2/3
+/// edges over `0.65 n` vertices (100k edges over 65,536 vertices is
+/// layerbench `serve_rw`'s preload), then `0.65 n` churn updates in
+/// 1024-update batches of half deletes, half inserts, so levels, cross
+/// sets and emptied bags look like a long-running service's.
+fn checkpoint_state(n: u64) -> DynamicMatching {
+    let vertices = n * 65_536 / 100_000;
+    let mut rng = SplitMix64::new(0xC4EC);
+    let edge = |rng: &mut SplitMix64| {
+        let k = 2 + rng.bounded(2);
+        let mut vs: Vec<u32> = Vec::with_capacity(k as usize);
+        while vs.len() < k as usize {
+            let v = rng.bounded(vertices) as u32;
+            if !vs.contains(&v) {
+                vs.push(v);
+            }
+        }
+        vs
+    };
+    let mut m = DynamicMatching::with_seed(41);
+    let mut live = Vec::with_capacity(n as usize);
+    let mut inserted = 0u64;
+    while inserted < n {
+        let chunk = (n - inserted).min(1 << 16);
+        let b = Batch::new().inserts((0..chunk).map(|_| edge(&mut rng)));
+        live.extend(m.apply(b).expect("random inserts").inserted);
+        inserted += chunk;
+    }
+    for _ in 0..vertices / 1024 {
+        let mut b = Batch::new();
+        for _ in 0..512 {
+            let i = rng.bounded(live.len() as u64) as usize;
+            b = b.delete(live.swap_remove(i));
+        }
+        b = b.inserts((0..512).map(|_| edge(&mut rng)));
+        live.extend(m.apply(b).expect("churn batch").inserted);
+    }
+    m
 }
 
 /// The epoch-snapshot read path under write load: one writer thread churns
@@ -370,6 +411,42 @@ fn run_battery(samples: usize) -> BTreeMap<String, f64> {
         metrics.insert(
             format!("info_snapshot_publish_ns_per_edge_{label}"),
             1e9 / edges_per_s,
+        );
+    }
+    // Checkpoint cost: serializing the whole state is the one O(n) step of
+    // the serving path (the coalescer stalls on it at every rotation), so
+    // write and read are reported in ns per live edge at two state sizes
+    // an order of magnitude apart. Per-edge cost should stay flat (within
+    // about 2×). Ungated like every latency figure.
+    for (label, n) in [("100k", 100_000u64), ("1m", 1_000_000)] {
+        let m = checkpoint_state(n);
+        let edges = m.num_edges() as u64;
+        let mut image = Vec::new();
+        let write_per_s = throughput(samples, edges, || {
+            let mut out = Vec::new();
+            m.write_checkpoint(&mut out);
+            image = out;
+        });
+        metrics.insert(
+            format!("info_checkpoint_write_ns_per_edge_{label}"),
+            1e9 / write_per_s,
+        );
+        drop(m);
+        // Timed from the image to a restored structure; building the empty
+        // target and dropping the restored one stay outside the clock.
+        let mut best = f64::INFINITY;
+        for _ in 0..=samples {
+            let mut restored = DynamicMatching::with_seed(0);
+            let start = std::time::Instant::now();
+            restored
+                .read_checkpoint(&image)
+                .expect("bench checkpoint loads");
+            best = best.min(start.elapsed().as_secs_f64());
+            assert_eq!(restored.num_edges() as u64, edges);
+        }
+        metrics.insert(
+            format!("info_checkpoint_read_ns_per_edge_{label}"),
+            best * 1e9 / edges as f64,
         );
     }
     // Segmented-WAL recovery: checkpoint load + tail replay over a fixed

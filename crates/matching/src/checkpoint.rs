@@ -3,11 +3,12 @@
 //! replay only the WAL tail written *after* the checkpoint instead of the
 //! whole history.
 //!
-//! The format follows the WAL conventions (plain text, one record per line,
-//! whitespace-separated tokens, `#` comments) and is *exact*: a restored
-//! structure continues the update stream with byte-identical behaviour —
-//! same ids, same coin flips, same settlement order. That requires
-//! serializing more than the logical matching:
+//! The format, `pbdmm-ckpt v2`, is binary: fixed-width little-endian fields
+//! written straight from the flat tables into one pre-sized buffer. Writing
+//! cannot fail. The image is *exact*: a restored structure continues the
+//! update stream with byte-identical behaviour — same ids, same coin flips,
+//! same settlement order. That requires serializing more than the logical
+//! matching:
 //!
 //! * the RNG **state** (the algorithm's private coins resume mid-stream);
 //! * the id allocator (monotonic next-id, or the recycling free list in
@@ -20,88 +21,96 @@
 //!
 //! Derived state (edge types, owners, back-pointers) is *not* dumped: it is
 //! recomputed on load from the match records and bags, which doubles as a
-//! structural integrity check on the checkpoint. A well-formed file ends
-//! with a `# end` trailer; recovery treats a file without it as torn and
-//! falls back to an older checkpoint.
+//! structural integrity check on the checkpoint.
+//!
+//! An image is a body closed by a 16-byte trailer: the body's length and a
+//! 64-bit checksum of it. The reader verifies both before it reads any
+//! field, so a torn checkpoint (crash mid-write) or a flipped byte is
+//! refused as a unit and recovery falls back to an older one. It then
+//! checks every count against the bytes left before allocating anything for
+//! it, and converts sizes and ids with checked conversions. A `pbdmm-ckpt
+//! v1` text checkpoint is refused as "not a v2 checkpoint".
 //!
 //! ```text
-//! # pbdmm-ckpt v1
-//! # structure: matching
-//! rng 12345                    <- SplitMix64 state
-//! ids monotonic 17             <- or: ids recycling <high_water> <free...>
-//! rank 2
-//! config 1 4 0                 <- gap_log2 heavy_factor all_light
-//! stats <13 counters>
-//! meter <work> <depth> <rounds> <- the CostMeter (absent: restored at 0)
-//! edges <high_water> <count>
-//! e 3 0 1                      <- edge 3 = {0, 1}, in live-list order
-//! matches <high_water> <count>
-//! m 3 1 2                      <- match 3 at level 1, initial sample 2
-//! s 3 5                        <- its sample space S(m)
-//! c 7 9                        <- its cross edges C(m)
-//! vertices <len>
-//! b 0 1 7                      <- P(v=0, l=1) = [7], in bag-vector order
-//! # end
+//! body (integers little-endian; edge ids u64, vertex ids u32, counts u64)
+//!   "pbdmm-ckpt v2\n"                        magic, 14 bytes
+//!   rng       state                          SplitMix64 state
+//!   ids       0u8, next                      monotonic
+//!           | 1u8, high_water, n, n × u32    recycling: the LIFO free list
+//!   rank
+//!   config    gap_log2 u32, heavy_factor u32, all_light u8
+//!   stats     13 counters
+//!   meter     work, depth, rounds            the CostMeter
+//!   vertices  len                            vertex-table length
+//!   edges     high_water, n, then n × (id, k, k × vertex)       live-list order
+//!   matches   high_water, n, then n × (id, level u8, initial sample size,
+//!               |S|, S(m), |C|, C(m))                         live-list order
+//!   bags      len × (n, then n × (level u8, k, k × edge id))  bag-vector order
+//! trailer     body length, checksum of the body
 //! ```
-
-use std::io::{BufRead, Write};
+//!
+//! The vertex-table length precedes the edges so every vertex id is
+//! range-checked against it before the tables are filled.
 
 use pbdmm_graph::edge::{EdgeId, VertexId};
 use pbdmm_primitives::cost::CostSnapshot;
+use pbdmm_primitives::hash::mix64;
 use pbdmm_primitives::rng::SplitMix64;
 use pbdmm_primitives::slab::Slab;
 
 use crate::dynamic::{DynamicMatching, IdAlloc};
-use crate::level::{EdgeRec, EdgeType, Level, LevelingConfig, MatchRec};
+use crate::level::{EdgeRec, EdgeType, Level, LevelingConfig, MatchRec, VertexRec};
 
-/// First line of every checkpoint file; the reader refuses anything else.
-pub const CKPT_MAGIC: &str = "pbdmm-ckpt v1";
+/// Opening bytes of every checkpoint; the reader refuses anything else,
+/// a `pbdmm-ckpt v1` text checkpoint included.
+const CKPT_MAGIC: &[u8] = b"pbdmm-ckpt v2\n";
 
-/// Trailer line marking a checkpoint as completely written. Recovery
-/// requires it before even attempting a semantic load, so a torn checkpoint
-/// (crash mid-write) is cheaply distinguished from a corrupt one.
-pub const CKPT_END: &str = "end";
+/// Trailer: the body length and the body's checksum, one `u64` each.
+const TRAILER_LEN: usize = 16;
 
 /// Structures that can serialize their complete state for segment-boundary
 /// checkpoints. Every served structure implements it: recovery loads the
 /// newest intact checkpoint and replays only the log after it.
 pub trait Checkpoint {
-    /// Serialize the complete state to `w`. The stream ends with the
-    /// `# end` trailer; the caller owns durability (flush/fsync/rename).
-    fn write_checkpoint(&self, w: &mut dyn Write) -> std::io::Result<()>;
+    /// Append one complete checkpoint image, trailer included, to `out`.
+    /// The caller owns durability (write, fsync, rename).
+    fn write_checkpoint(&self, out: &mut Vec<u8>);
 
-    /// Restore state from `r` into `self`, which must be freshly
-    /// constructed (no updates applied). Errors name the offending line
-    /// and leave `self` unusable — build a new instance before retrying.
-    fn read_checkpoint(&mut self, r: &mut dyn BufRead) -> Result<(), String>;
+    /// Restore state from one whole checkpoint image into `self`, which
+    /// must be freshly constructed (no updates applied). Errors name the
+    /// offending section and leave `self` unusable — build a new instance
+    /// before retrying.
+    fn read_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String>;
 }
 
 impl Checkpoint for DynamicMatching {
-    fn write_checkpoint(&self, w: &mut dyn Write) -> std::io::Result<()> {
-        writeln!(w, "# {CKPT_MAGIC}")?;
-        writeln!(w, "# structure: matching")?;
-        writeln!(w, "rng {}", self.rng.state())?;
+    fn write_checkpoint(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.reserve(self.checkpoint_size_hint());
+        let mut w = Writer(out);
+        w.0.extend_from_slice(CKPT_MAGIC);
+        w.u64(self.rng.state());
         match &self.ids {
-            IdAlloc::Monotonic { next } => writeln!(w, "ids monotonic {next}")?,
+            IdAlloc::Monotonic { next } => {
+                w.u8(0);
+                w.u64(*next);
+            }
             IdAlloc::Recycling { slots } => {
-                write!(w, "ids recycling {}", slots.high_water())?;
+                w.u8(1);
+                w.len(slots.high_water());
+                w.len(slots.free_list().len());
                 for &f in slots.free_list() {
-                    write!(w, " {f}")?;
+                    w.u32(f);
                 }
-                writeln!(w)?;
             }
         }
-        writeln!(w, "rank {}", self.max_rank)?;
+        w.len(self.max_rank);
         let cfg = self.s.config;
-        writeln!(
-            w,
-            "config {} {} {}",
-            cfg.gap_log2, cfg.heavy_factor, cfg.all_light as u8
-        )?;
+        w.u32(cfg.gap_log2);
+        w.u32(cfg.heavy_factor);
+        w.u8(cfg.all_light.into());
         let st = &self.stats;
-        writeln!(
-            w,
-            "stats {} {} {} {} {} {} {} {} {} {} {} {} {}",
+        for c in [
             st.epochs_created,
             st.sample_mass_created,
             st.natural_epochs,
@@ -115,290 +124,372 @@ impl Checkpoint for DynamicMatching {
             st.user_insertions,
             st.settle_rounds,
             st.batches,
-        )?;
+        ] {
+            w.u64(c);
+        }
         let m = self.meter().snapshot();
-        writeln!(w, "meter {} {} {}", m.work, m.depth, m.rounds)?;
-        writeln!(
-            w,
-            "edges {} {}",
-            self.s.edges.high_water(),
-            self.s.edges.len()
-        )?;
-        for &e in self.s.edges.ids() {
-            write!(w, "e {}", e.raw())?;
-            for &v in &self.s.edges[e].vertices {
-                write!(w, " {v}")?;
-            }
-            writeln!(w)?;
+        for c in [m.work, m.depth, m.rounds] {
+            w.u64(c);
         }
-        writeln!(
-            w,
-            "matches {} {}",
-            self.s.matches.high_water(),
-            self.s.matches.len()
-        )?;
-        for &m in self.s.matches.ids() {
-            let rec = &self.s.matches[m];
-            writeln!(w, "m {} {} {}", m.raw(), rec.level, rec.initial_sample_size)?;
-            write!(w, "s")?;
-            for &e in &rec.sample {
-                write!(w, " {}", e.raw())?;
-            }
-            writeln!(w)?;
-            write!(w, "c")?;
-            for &e in &rec.cross {
-                write!(w, " {}", e.raw())?;
-            }
-            writeln!(w)?;
-        }
-        writeln!(w, "vertices {}", self.s.vertices.len())?;
-        for (v, vr) in self.s.vertices.iter().enumerate() {
-            for (level, bag) in vr.bags.iter() {
-                write!(w, "b {v} {level}")?;
-                for &e in bag {
-                    write!(w, " {}", e.raw())?;
-                }
-                writeln!(w)?;
+        w.len(self.s.vertices.len());
+        w.len(self.s.edges.high_water());
+        w.len(self.s.edges.len());
+        for (e, rec) in self.s.edges.iter() {
+            w.u64(e.raw());
+            w.len(rec.vertices.len());
+            for &v in &rec.vertices {
+                w.u32(v);
             }
         }
-        writeln!(w, "# {CKPT_END}")
+        w.len(self.s.matches.high_water());
+        w.len(self.s.matches.len());
+        for (m, rec) in self.s.matches.iter() {
+            w.u64(m.raw());
+            w.u8(rec.level);
+            w.len(rec.initial_sample_size);
+            w.ids(&rec.sample);
+            w.ids(&rec.cross);
+        }
+        for vr in &self.s.vertices {
+            w.len(vr.bags.bags.len());
+            for (level, bag) in &vr.bags.bags {
+                w.u8(*level);
+                w.ids(bag);
+            }
+        }
+        let body_len = out.len() - start;
+        let sum = checksum(&out[start..]);
+        out.extend_from_slice(&(body_len as u64).to_le_bytes());
+        out.extend_from_slice(&sum.to_le_bytes());
     }
 
-    fn read_checkpoint(&mut self, r: &mut dyn BufRead) -> Result<(), String> {
+    fn read_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {
         if self.ids.allocated() != 0 || !self.s.edges.is_empty() || self.stats.batches != 0 {
             return Err("checkpoint restore requires a fresh structure".to_string());
         }
-        let mut state = Restore::default();
-        let mut saw_magic = false;
-        let mut saw_end = false;
-        for (lineno, line) in r.lines().enumerate() {
-            let line = line.map_err(|e| format!("line {}: io error: {e}", lineno + 1))?;
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
+        let body = verify_image(bytes)?;
+        let mut r = Reader {
+            buf: body,
+            pos: CKPT_MAGIC.len(),
+        };
+        self.rng = SplitMix64::new(r.u64("rng")?);
+        // A recycling slab is built once the edge count bounds its size.
+        let recycling = match r.u8("id allocator")? {
+            0 => {
+                let next = r.u64("next id")?;
+                self.ids = IdAlloc::Monotonic { next };
+                None
             }
-            if saw_end {
-                return Err(format!("line {}: content after `# {CKPT_END}`", lineno + 1));
+            1 => {
+                let high_water = r.size("id high-water")?;
+                let n = r.count("free list", 4)?;
+                let free: Vec<u32> = r
+                    .take(n * 4, "free list")?
+                    .chunks_exact(4)
+                    .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+                    .collect();
+                Some((high_water, free))
             }
-            if let Some(body) = trimmed.strip_prefix('#').map(str::trim) {
-                if !saw_magic {
-                    if body != CKPT_MAGIC {
-                        return Err(format!(
-                            "line {}: not a checkpoint: expected `# {CKPT_MAGIC}`",
-                            lineno + 1
-                        ));
-                    }
-                    saw_magic = true;
-                } else if let Some(rest) = body.strip_prefix("structure:") {
-                    if rest.trim() != "matching" {
-                        return Err(format!(
-                            "line {}: checkpoint is for structure {:?}, not matching",
-                            lineno + 1,
-                            rest.trim()
-                        ));
-                    }
-                } else if body == CKPT_END {
-                    saw_end = true;
-                }
-                continue;
-            }
-            if !saw_magic {
+            other => return Err(format!("unknown id allocator tag {other}")),
+        };
+        self.max_rank = r.size("rank")?;
+        self.s.config = LevelingConfig {
+            gap_log2: r.u32("config")?,
+            heavy_factor: r.u32("config")?,
+            all_light: match r.u8("config")? {
+                0 => false,
+                1 => true,
+                other => return Err(format!("config: all_light flag {other} is not 0 or 1")),
+            },
+        };
+        let st = &mut self.stats;
+        for c in [
+            &mut st.epochs_created,
+            &mut st.sample_mass_created,
+            &mut st.natural_epochs,
+            &mut st.natural_sample_mass,
+            &mut st.stolen_epochs,
+            &mut st.stolen_sample_mass,
+            &mut st.bloated_epochs,
+            &mut st.bloated_sample_mass,
+            &mut st.total_payment,
+            &mut st.user_deletions,
+            &mut st.user_insertions,
+            &mut st.settle_rounds,
+            &mut st.batches,
+        ] {
+            *c = r.u64("stats")?;
+        }
+        self.meter().restore(CostSnapshot {
+            work: r.u64("meter")?,
+            depth: r.u64("meter")?,
+            rounds: r.u64("meter")?,
+        });
+        // Every vertex carries at least its bag count in the bag section.
+        let vertex_len = r.count("vertex table", 8)?;
+        self.s.vertices.resize_with(vertex_len, VertexRec::default);
+
+        let edge_high_water = r.size("edge high-water")?;
+        self.s.edges.reserve_slots(edge_high_water)?;
+        let edge_count = r.count("edges", 16)?;
+        if let Some((high_water, free)) = recycling {
+            if edge_count.checked_add(free.len()) != Some(high_water) {
                 return Err(format!(
-                    "line {}: not a checkpoint: expected `# {CKPT_MAGIC}`",
-                    lineno + 1
+                    "ids: high-water {high_water} is not {edge_count} live edges plus {} free ids",
+                    free.len()
                 ));
             }
-            self.restore_line(trimmed, lineno, &mut state)
-                .map_err(|msg| format!("line {}: {msg}", lineno + 1))?;
+            let slots = Slab::from_occupancy(high_water, free)?;
+            self.ids = IdAlloc::Recycling { slots };
         }
-        if !saw_magic {
-            return Err(format!("empty input: expected `# {CKPT_MAGIC}` header"));
+        for _ in 0..edge_count {
+            let id = r.id("edge id", edge_high_water)?;
+            let k = r.count("edge vertices", 4)?;
+            let vertices: Vec<VertexId> = r
+                .take(k * 4, "edge vertices")?
+                .chunks_exact(4)
+                .map(|c| VertexId::from_le_bytes(c.try_into().expect("4-byte chunk")))
+                .collect();
+            if vertices.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("edge {id} vertices not canonical"));
+            }
+            // Sorted, so the last vertex is the largest.
+            match vertices.last() {
+                None => return Err(format!("edge {id} has no vertices")),
+                Some(&v) if usize::try_from(v).map_or(true, |v| v >= vertex_len) => {
+                    return Err(format!(
+                        "edge {id} has vertex {v} beyond the vertex table ({vertex_len})"
+                    ));
+                }
+                Some(_) => {}
+            }
+            if self.s.edges.contains(id) {
+                return Err(format!("duplicate edge {id}"));
+            }
+            self.s.edges.insert(id, EdgeRec::unsettled(id, vertices));
         }
-        if !saw_end {
-            return Err(format!("missing `# {CKPT_END}` trailer (torn checkpoint)"));
+
+        let match_high_water = r.size("match high-water")?;
+        self.s.matches.reserve_slots(match_high_water)?;
+        let match_count = r.count("matches", 33)?;
+        for _ in 0..match_count {
+            let m = r.id("match id", match_high_water)?;
+            let level = r.u8("match level")?;
+            let initial = r.size("initial sample size")?;
+            let sample = r.ids("sample space")?;
+            let cross = r.ids("cross set")?;
+            self.install_match(m, level, initial, sample, cross)?;
         }
-        self.finish_restore(state)
-    }
-}
 
-/// Parser state threaded through checkpoint restore.
-#[derive(Default)]
-struct Restore {
-    /// Declared live-edge count (from the `edges` line).
-    edge_count: Option<usize>,
-    /// Declared match count.
-    match_count: Option<usize>,
-    /// A match frame whose `m` (and possibly `s`) line has been read but
-    /// whose `c` line — the frame terminator — has not.
-    pending: Option<PendingMatch>,
-    /// Declared vertex-table length.
-    vertex_len: Option<usize>,
-}
-
-struct PendingMatch {
-    m: EdgeId,
-    level: Level,
-    initial: usize,
-    sample: Option<Vec<EdgeId>>,
-}
-
-fn parse_tok<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    tok.ok_or_else(|| format!("missing {what}"))?
-        .parse()
-        .map_err(|e| format!("bad {what}: {e}"))
-}
-
-fn parse_ids<'a>(toks: impl Iterator<Item = &'a str>) -> Result<Vec<EdgeId>, String> {
-    toks.map(|t| {
-        t.parse::<u64>()
-            .map(EdgeId)
-            .map_err(|e| format!("bad edge id {t:?}: {e}"))
-    })
-    .collect()
-}
-
-impl DynamicMatching {
-    /// Process one non-comment checkpoint line during restore.
-    fn restore_line(&mut self, line: &str, _lineno: usize, st: &mut Restore) -> Result<(), String> {
-        let mut toks = line.split_whitespace();
-        let tag = toks.next().expect("non-empty line has a first token");
-        if st.pending.is_some() && !matches!(tag, "s" | "c") {
-            return Err(format!(
-                "expected `s`/`c` inside a match frame, got {tag:?}"
-            ));
-        }
-        match tag {
-            "rng" => {
-                let state: u64 = parse_tok(toks.next(), "rng state")?;
-                self.rng = SplitMix64::new(state);
-            }
-            "ids" => match toks.next() {
-                Some("monotonic") => {
-                    let next: u64 = parse_tok(toks.next(), "next id")?;
-                    self.ids = IdAlloc::Monotonic { next };
-                }
-                Some("recycling") => {
-                    let high_water: usize = parse_tok(toks.next(), "id high-water")?;
-                    let free: Vec<u32> = toks
-                        .map(|t| t.parse().map_err(|e| format!("bad free id {t:?}: {e}")))
-                        .collect::<Result<_, String>>()?;
-                    let slots = Slab::from_occupancy(high_water, free)?;
-                    self.ids = IdAlloc::Recycling { slots };
-                }
-                other => return Err(format!("unknown id allocator {other:?}")),
-            },
-            "rank" => self.max_rank = parse_tok(toks.next(), "rank")?,
-            "config" => {
-                let gap_log2: u32 = parse_tok(toks.next(), "gap_log2")?;
-                let heavy_factor: u32 = parse_tok(toks.next(), "heavy_factor")?;
-                let all_light: u8 = parse_tok(toks.next(), "all_light flag")?;
-                self.s.config = LevelingConfig {
-                    gap_log2,
-                    heavy_factor,
-                    all_light: all_light != 0,
-                };
-            }
-            "stats" => {
-                let mut next = |what| parse_tok::<u64>(toks.next(), what);
-                self.stats.epochs_created = next("epochs_created")?;
-                self.stats.sample_mass_created = next("sample_mass_created")?;
-                self.stats.natural_epochs = next("natural_epochs")?;
-                self.stats.natural_sample_mass = next("natural_sample_mass")?;
-                self.stats.stolen_epochs = next("stolen_epochs")?;
-                self.stats.stolen_sample_mass = next("stolen_sample_mass")?;
-                self.stats.bloated_epochs = next("bloated_epochs")?;
-                self.stats.bloated_sample_mass = next("bloated_sample_mass")?;
-                self.stats.total_payment = next("total_payment")?;
-                self.stats.user_deletions = next("user_deletions")?;
-                self.stats.user_insertions = next("user_insertions")?;
-                self.stats.settle_rounds = next("settle_rounds")?;
-                self.stats.batches = next("batches")?;
-            }
-            "meter" => {
-                let mut next = |what| parse_tok::<u64>(toks.next(), what);
-                self.meter().restore(CostSnapshot {
-                    work: next("meter work")?,
-                    depth: next("meter depth")?,
-                    rounds: next("meter rounds")?,
-                });
-            }
-            "edges" => {
-                let high_water: usize = parse_tok(toks.next(), "edge high-water")?;
-                st.edge_count = Some(parse_tok(toks.next(), "edge count")?);
-                self.s.edges.reserve_slots(high_water);
-            }
-            "e" => {
-                let id = EdgeId(parse_tok(toks.next(), "edge id")?);
-                let vertices: Vec<VertexId> = toks
-                    .map(|t| t.parse().map_err(|e| format!("bad vertex id {t:?}: {e}")))
-                    .collect::<Result<_, String>>()?;
-                if vertices.is_empty() {
-                    return Err("edge with no vertices".to_string());
-                }
-                if vertices.windows(2).any(|w| w[0] >= w[1]) {
-                    return Err(format!("edge {id} vertices not canonical"));
-                }
-                if self.s.edges.contains(id) {
-                    return Err(format!("duplicate edge {id}"));
-                }
-                for &v in &vertices {
-                    self.s.ensure_vertex(v);
-                }
-                self.s.edges.insert(id, EdgeRec::unsettled(id, vertices));
-            }
-            "matches" => {
-                let high_water: usize = parse_tok(toks.next(), "match high-water")?;
-                st.match_count = Some(parse_tok(toks.next(), "match count")?);
-                self.s.matches.reserve_slots(high_water);
-            }
-            "m" => {
-                let m = EdgeId(parse_tok(toks.next(), "match id")?);
-                let level: Level = parse_tok(toks.next(), "level")?;
-                let initial: usize = parse_tok(toks.next(), "initial sample size")?;
-                st.pending = Some(PendingMatch {
-                    m,
-                    level,
-                    initial,
-                    sample: None,
-                });
-            }
-            "s" => {
-                let frame = st.pending.as_mut().ok_or("`s` outside a match frame")?;
-                if frame.sample.is_some() {
-                    return Err("duplicate `s` line in match frame".to_string());
-                }
-                frame.sample = Some(parse_ids(toks)?);
-            }
-            "c" => {
-                let frame = st.pending.take().ok_or("`c` outside a match frame")?;
-                let sample = frame.sample.ok_or("match frame missing `s` line")?;
-                let cross = parse_ids(toks)?;
-                self.install_match(frame.m, frame.level, frame.initial, sample, cross)?;
-            }
-            "vertices" => {
-                let len: usize = parse_tok(toks.next(), "vertex count")?;
-                st.vertex_len = Some(len);
-                if len > 0 {
-                    self.s.ensure_vertex((len - 1) as VertexId);
-                }
-            }
-            "b" => {
-                let v: VertexId = parse_tok(toks.next(), "vertex id")?;
-                let level: Level = parse_tok(toks.next(), "bag level")?;
-                let bag = parse_ids(toks)?;
-                self.s.ensure_vertex(v);
-                let bags = &mut self.s.vertices[v as usize].bags.bags;
+        for v in 0..vertex_len {
+            let n = r.count("bags", 9)?;
+            let mut bags = Vec::with_capacity(n);
+            for _ in 0..n {
+                let level = r.u8("bag level")?;
                 if bags.iter().any(|(l, _)| *l == level) {
                     return Err(format!("duplicate bag level {level} for vertex {v}"));
                 }
-                bags.push((level, bag));
+                bags.push((level, r.ids("bag")?));
             }
-            other => return Err(format!("unknown record tag {other:?}")),
+            self.s.vertices[v].bags.bags = bags;
         }
-        Ok(())
+        if r.pos != body.len() {
+            return Err(format!(
+                "{} unread bytes after the bag section",
+                body.len() - r.pos
+            ));
+        }
+        self.finish_restore()
+    }
+}
+
+/// Check a checkpoint image's magic, trailer and checksum, returning its
+/// body (magic included). Runs before any field is read.
+fn verify_image(bytes: &[u8]) -> Result<&[u8], String> {
+    if bytes.len() < CKPT_MAGIC.len() + TRAILER_LEN {
+        return Err(format!(
+            "torn checkpoint: {} bytes, shorter than a magic and a trailer",
+            bytes.len()
+        ));
+    }
+    if !bytes.starts_with(CKPT_MAGIC) {
+        return Err("not a v2 checkpoint: no `pbdmm-ckpt v2` magic (v1 text is not read)".into());
+    }
+    let (body, trailer) = bytes.split_at(bytes.len() - TRAILER_LEN);
+    let (len, sum) = trailer.split_at(8);
+    let declared = u64::from_le_bytes(len.try_into().expect("8-byte field"));
+    if u64::try_from(body.len()) != Ok(declared) {
+        return Err(format!(
+            "torn checkpoint: the trailer declares a {declared}-byte body, found {}",
+            body.len()
+        ));
+    }
+    if checksum(body) != u64::from_le_bytes(sum.try_into().expect("8-byte field")) {
+        return Err("corrupt checkpoint: checksum mismatch".into());
+    }
+    Ok(body)
+}
+
+/// The checkpoint checksum: four interleaved multiply-rotate lanes over
+/// 8-byte words, folded with the length and finished with [`mix64`]. Each
+/// step is a bijection of its lane for a fixed word and of the word for a
+/// fixed lane, so any change confined to one word — every single-byte
+/// flip — changes the result.
+fn checksum(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+    let step = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
+    let word = |c: &[u8]| {
+        let mut w = [0u8; 8];
+        w[..c.len()].copy_from_slice(c);
+        u64::from_le_bytes(w)
+    };
+    let mut lanes = [1u64, 2, 3, 4];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, c) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = step(*lane, word(c));
+        }
+    }
+    let mut h = bytes.len() as u64;
+    for lane in lanes {
+        h = step(h, lane);
+    }
+    for c in blocks.remainder().chunks(8) {
+        h = step(h, word(c));
+    }
+    mix64(h)
+}
+
+/// Little-endian field writer over the output buffer.
+struct Writer<'a>(&'a mut Vec<u8>);
+
+impl Writer<'_> {
+    #[inline]
+    fn u8(&mut self, x: u8) {
+        self.0.push(x);
+    }
+
+    #[inline]
+    fn u32(&mut self, x: u32) {
+        self.0.extend_from_slice(&x.to_le_bytes());
+    }
+
+    #[inline]
+    fn u64(&mut self, x: u64) {
+        self.0.extend_from_slice(&x.to_le_bytes());
+    }
+
+    /// A count or size (`usize` widens losslessly to `u64`).
+    #[inline]
+    fn len(&mut self, n: usize) {
+        self.u64(n as u64);
+    }
+
+    /// A counted list of edge ids.
+    #[inline]
+    fn ids(&mut self, ids: &[EdgeId]) {
+        self.len(ids.len());
+        self.0.reserve(8 * ids.len());
+        for e in ids {
+            self.u64(e.raw());
+        }
+    }
+}
+
+/// Bounds-checked little-endian field reader over a verified body. Every
+/// error names the field it was reading.
+struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
+        let left = self.buf.len() - self.pos;
+        if n > left {
+            return Err(format!("{what}: needs {n} bytes, {left} left"));
+        }
+        let bytes = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(bytes)
+    }
+
+    fn u8(&mut self, what: &str) -> Result<u8, String> {
+        Ok(self.take(1, what)?[0])
+    }
+
+    fn u32(&mut self, what: &str) -> Result<u32, String> {
+        let b = self.take(4, what)?;
+        Ok(u32::from_le_bytes(b.try_into().expect("4-byte field")))
+    }
+
+    fn u64(&mut self, what: &str) -> Result<u64, String> {
+        let b = self.take(8, what)?;
+        Ok(u64::from_le_bytes(b.try_into().expect("8-byte field")))
+    }
+
+    /// A size that must fit a `usize`.
+    fn size(&mut self, what: &str) -> Result<usize, String> {
+        let raw = self.u64(what)?;
+        usize::try_from(raw).map_err(|_| format!("{what}: {raw} does not fit this platform"))
+    }
+
+    /// A count of entries taking at least `each` bytes apiece, checked
+    /// against the bytes left before the caller allocates for it.
+    fn count(&mut self, what: &str, each: usize) -> Result<usize, String> {
+        let raw = self.u64(what)?;
+        let left = self.buf.len() - self.pos;
+        usize::try_from(raw)
+            .ok()
+            .filter(|n| n.checked_mul(each).is_some_and(|need| need <= left))
+            .ok_or_else(|| format!("{what}: {raw} entries cannot fit in the {left} bytes left"))
+    }
+
+    /// An edge id below the table's `high_water` mark.
+    fn id(&mut self, what: &str, high_water: usize) -> Result<EdgeId, String> {
+        let raw = self.u64(what)?;
+        if usize::try_from(raw).is_ok_and(|i| i < high_water) {
+            Ok(EdgeId(raw))
+        } else {
+            Err(format!(
+                "{what}: e{raw} is beyond the high-water mark {high_water}"
+            ))
+        }
+    }
+
+    /// A counted list of edge ids.
+    fn ids(&mut self, what: &str) -> Result<Vec<EdgeId>, String> {
+        let n = self.count(what, 8)?;
+        Ok(self
+            .take(n * 8, what)?
+            .chunks_exact(8)
+            .map(|c| EdgeId(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
+            .collect())
+    }
+}
+
+impl DynamicMatching {
+    /// A reservation for the image from O(1) counts: the fixed header and
+    /// free list; each edge record at the rank bound; each match record,
+    /// plus every edge once in some `S(m)` or `C(m)`; and per vertex a bag
+    /// count and two bag headers, plus every unmatched edge once per vertex
+    /// as a bag entry. Short only when vertices keep more than two bags (or
+    /// the rank bound is above 4); the buffer then grows once.
+    fn checkpoint_size_hint(&self) -> usize {
+        let free = match &self.ids {
+            IdAlloc::Monotonic { .. } => 0,
+            IdAlloc::Recycling { slots } => slots.free_list().len(),
+        };
+        let (edges, matches, vertices) = (
+            self.s.edges.len(),
+            self.s.matches.len(),
+            self.s.vertices.len(),
+        );
+        let rank = self.max_rank.min(4);
+        let edge_section = edges * (16 + 4 * rank);
+        let match_section = matches * 41 + edges * 8;
+        let bag_section = vertices * (8 + 2 * 9) + edges.saturating_sub(matches) * rank * 8;
+        256 + 4 * free + edge_section + match_section + bag_section + TRAILER_LEN
     }
 
     /// Install one match frame: mark its sample and cross edges, cover its
@@ -427,7 +518,7 @@ impl DynamicMatching {
             }
             rec.etype = EdgeType::Sampled;
             rec.owner = m;
-            rec.owner_pos = i as u32;
+            rec.owner_pos = position(i)?;
         }
         for (i, &e) in cross.iter().enumerate() {
             let rec = self
@@ -440,7 +531,7 @@ impl DynamicMatching {
             }
             rec.etype = EdgeType::Cross;
             rec.owner = m;
-            rec.owner_pos = i as u32;
+            rec.owner_pos = position(i)?;
             // Back-pointers into the P(v, l) bags are recomputed from the
             // bag dump in `finish_restore`; the sentinel flags any bag slot
             // the dump fails to cover.
@@ -478,26 +569,9 @@ impl DynamicMatching {
 
     /// Recompute the cross-edge bag back-pointers from the restored bags
     /// and validate the reconstruction end to end.
-    fn finish_restore(&mut self, st: Restore) -> Result<(), String> {
-        if st.pending.is_some() {
-            return Err("unterminated match frame".to_string());
-        }
-        let declared_edges = st.edge_count.ok_or("missing `edges` section")?;
-        let declared_matches = st.match_count.ok_or("missing `matches` section")?;
-        st.vertex_len.ok_or("missing `vertices` section")?;
-        if self.s.edges.len() != declared_edges {
-            return Err(format!(
-                "edge count mismatch: declared {declared_edges}, found {}",
-                self.s.edges.len()
-            ));
-        }
-        if self.s.matches.len() != declared_matches {
-            return Err(format!(
-                "match count mismatch: declared {declared_matches}, found {}",
-                self.s.matches.len()
-            ));
-        }
+    fn finish_restore(&mut self) -> Result<(), String> {
         for v in 0..self.s.vertices.len() {
+            let vid = VertexId::try_from(v).map_err(|_| format!("vertex {v} beyond u32"))?;
             let bags = std::mem::take(&mut self.s.vertices[v].bags.bags);
             for (level, bag) in &bags {
                 for (p, &e) in bag.iter().enumerate() {
@@ -520,12 +594,12 @@ impl DynamicMatching {
                     let rec = self.s.edges.get_mut(e).expect("checked live above");
                     let j = rec
                         .vertices
-                        .binary_search(&(v as VertexId))
+                        .binary_search(&vid)
                         .map_err(|_| format!("edge {e} bagged under non-incident vertex {v}"))?;
                     if rec.bag_pos[j] != u32::MAX {
                         return Err(format!("edge {e} bagged twice under vertex {v}"));
                     }
-                    rec.bag_pos[j] = p as u32;
+                    rec.bag_pos[j] = position(p)?;
                 }
             }
             self.s.vertices[v].bags.bags = bags;
@@ -548,10 +622,17 @@ impl DynamicMatching {
     }
 }
 
+/// A position inside an owner's list or a vertex bag, as its `u32`
+/// back-pointer.
+fn position(i: usize) -> Result<u32, String> {
+    u32::try_from(i).map_err(|_| format!("position {i} overflows a u32 back-pointer"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::Batch;
+    use crate::snapshot::MatchingSnapshot;
     use pbdmm_primitives::rng::SplitMix64 as TestRng;
 
     fn fresh(recycle: bool) -> DynamicMatching {
@@ -605,24 +686,22 @@ mod tests {
         for &m in &ma {
             assert_eq!(a.edge_vertices(m), b.edge_vertices(m));
         }
-        assert_eq!(
-            MatchingSnapshotOf::capture(a),
-            MatchingSnapshotOf::capture(b)
-        );
+        assert_eq!(MatchingSnapshot::capture(a), MatchingSnapshot::capture(b));
     }
 
-    use crate::snapshot::MatchingSnapshot as MatchingSnapshotOf;
+    fn image(dm: &DynamicMatching) -> Vec<u8> {
+        let mut buf = Vec::new();
+        dm.write_checkpoint(&mut buf);
+        buf
+    }
 
     fn roundtrip(recycle: bool) {
         let mut dm = fresh(recycle);
         churn(&mut dm, 40, 0xfeed);
-        let mut buf = Vec::new();
-        dm.write_checkpoint(&mut buf).unwrap();
+        let buf = image(&dm);
 
         let mut restored = fresh(recycle);
-        restored
-            .read_checkpoint(&mut std::io::Cursor::new(&buf))
-            .unwrap();
+        restored.read_checkpoint(&buf).unwrap();
         assert_same_state(&dm, &restored);
 
         // Exact continuation: both twins process identical further batches
@@ -645,14 +724,25 @@ mod tests {
     }
 
     #[test]
+    fn reserialization_is_the_identity() {
+        // write(read(write(s))) == write(s), byte for byte: restore drops
+        // no serialized field, in either id mode.
+        for recycle in [false, true] {
+            let mut dm = fresh(recycle);
+            churn(&mut dm, 60, 0x5eed);
+            let first = image(&dm);
+            let mut restored = DynamicMatching::with_seed(0);
+            restored.read_checkpoint(&first).unwrap();
+            assert_eq!(image(&restored), first, "recycle={recycle}");
+        }
+    }
+
+    #[test]
     fn empty_structure_roundtrips() {
         let dm = DynamicMatching::with_seed(3);
-        let mut buf = Vec::new();
-        dm.write_checkpoint(&mut buf).unwrap();
+        let buf = image(&dm);
         let mut restored = DynamicMatching::with_seed(99);
-        restored
-            .read_checkpoint(&mut std::io::Cursor::new(&buf))
-            .unwrap();
+        restored.read_checkpoint(&buf).unwrap();
         assert_eq!(restored.num_edges(), 0);
         // The checkpointed rng state wins over the constructor seed.
         assert_eq!(restored.rng.state(), 3);
@@ -662,11 +752,8 @@ mod tests {
     fn restore_requires_fresh_structure() {
         let mut dm = DynamicMatching::with_seed(1);
         dm.apply(Batch::new().insert(vec![0, 1])).unwrap();
-        let mut buf = Vec::new();
-        dm.write_checkpoint(&mut buf).unwrap();
-        let err = dm
-            .read_checkpoint(&mut std::io::Cursor::new(&buf))
-            .unwrap_err();
+        let buf = image(&dm);
+        let err = dm.read_checkpoint(&buf).unwrap_err();
         assert!(err.contains("fresh"), "{err}");
     }
 
@@ -674,19 +761,115 @@ mod tests {
     fn torn_checkpoint_is_rejected_at_every_byte() {
         let mut dm = DynamicMatching::with_seed(5);
         churn(&mut dm, 12, 42);
-        let mut buf = Vec::new();
-        dm.write_checkpoint(&mut buf).unwrap();
-        // Every proper truncation must be rejected. (Cutting only the final
-        // newline leaves the `# end` trailer intact — that file is complete,
-        // so the loop stops one byte short of it.)
-        for cut in 0..buf.len() - 1 {
+        let buf = image(&dm);
+        for cut in 0..buf.len() {
             let mut restored = DynamicMatching::with_seed(5);
-            let res = restored.read_checkpoint(&mut std::io::Cursor::new(&buf[..cut]));
+            let res = restored.read_checkpoint(&buf[..cut]);
             assert!(res.is_err(), "truncation at byte {cut} must not load");
         }
         let mut ok = DynamicMatching::with_seed(5);
-        ok.read_checkpoint(&mut std::io::Cursor::new(&buf)).unwrap();
+        ok.read_checkpoint(&buf).unwrap();
     }
+
+    #[test]
+    fn any_flipped_byte_is_refused() {
+        let mut dm = DynamicMatching::with_seed(5);
+        dm.set_recycle_ids(true);
+        churn(&mut dm, 12, 43);
+        let buf = image(&dm);
+        for at in 0..buf.len() {
+            for mask in [0x01u8, 0xff] {
+                let mut bad = buf.clone();
+                bad[at] ^= mask;
+                let mut restored = DynamicMatching::with_seed(5);
+                assert!(
+                    restored.read_checkpoint(&bad).is_err(),
+                    "byte {at} ^ {mask:#x} must not load"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn resealed_lies_are_refused() {
+        // A body resealed with a fresh trailer gets past the checksum, so
+        // the reader's own checks must refuse its lies. Offsets are those
+        // of the pinned image below.
+        let mut dm = DynamicMatching::with_seed(7);
+        dm.apply(Batch::new().insert(vec![0, 1]).insert(vec![1, 2]))
+            .unwrap();
+        let buf = image(&dm);
+        let body = &buf[..buf.len() - TRAILER_LEN];
+        for (at, lie, expect) in [
+            (192, u64::MAX.to_le_bytes().to_vec(), "cannot fit"), // edge count
+            (176, 1u64.to_le_bytes().to_vec(), "beyond the vertex table"),
+            (329, vec![1], "bag level 1"), // P(1, 0) claims level 1
+        ] {
+            let mut lying = body.to_vec();
+            lying[at..at + lie.len()].copy_from_slice(&lie);
+            let sum = checksum(&lying);
+            lying.extend_from_slice(&(body.len() as u64).to_le_bytes());
+            lying.extend_from_slice(&sum.to_le_bytes());
+            let err = DynamicMatching::with_seed(0)
+                .read_checkpoint(&lying)
+                .unwrap_err();
+            assert!(err.contains(expect), "{expect}: {err}");
+        }
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        let s: String = s.split_whitespace().collect();
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        // Two edges sharing vertex 1: one match and one cross edge, so every
+        // section carries a record. The image (trailer included) must stay
+        // byte-identical, as recovery reads what older builds wrote.
+        let mut dm = DynamicMatching::with_seed(7);
+        dm.apply(Batch::new().insert(vec![0, 1]).insert(vec![1, 2]))
+            .unwrap();
+        let buf = image(&dm);
+        let expected = unhex(&PINNED.concat());
+        assert_eq!(
+            buf,
+            expected,
+            "checkpoint bytes moved; now:\n{}",
+            buf.iter().map(|b| format!("{b:02x}")).collect::<String>()
+        );
+        let mut restored = DynamicMatching::with_seed(0);
+        restored.read_checkpoint(&buf).unwrap();
+        assert_same_state(&dm, &restored);
+    }
+
+    const PINNED: &[&str] = &[
+        "7062646d6d2d636b70742076320a", // magic
+        "1c7c4a7fb979379e",             // rng state
+        "00 0200000000000000",          // ids: monotonic, next 2
+        "0200000000000000",             // rank 2
+        "01000000 04000000 00",         // config: gap_log2 1, heavy_factor 4, all_light 0
+        "0100000000000000 0100000000000000 0000000000000000 0000000000000000", // stats: epochs 1, sample mass 1, natural 0/0,
+        "0000000000000000 0000000000000000 0000000000000000 0000000000000000", // stolen 0/0, bloated 0/0,
+        "0000000000000000 0000000000000000 0200000000000000 0000000000000000", // payment 0, deletions 0, insertions 2, settle rounds 0,
+        "0100000000000000",                                                    // batches 1
+        "1a00000000000000 0b00000000000000 0100000000000000", // meter: work 26, depth 11, rounds 1
+        "0300000000000000",                                   // 3 vertices
+        "0200000000000000 0200000000000000",                  // edges: high-water 2, 2 live
+        "0000000000000000 0200000000000000 00000000 01000000", // e0 = {0, 1}
+        "0100000000000000 0200000000000000 01000000 02000000", // e1 = {1, 2}
+        "0100000000000000 0100000000000000",                  // matches: high-water 1, 1 live
+        "0000000000000000 00 0100000000000000",               // e0 at level 0, initial sample 1
+        "0100000000000000 0000000000000000",                  // S(e0) = [e0]
+        "0100000000000000 0100000000000000",                  // C(e0) = [e1]
+        "0000000000000000",                                   // vertex 0: no bags
+        "0100000000000000 00 0100000000000000 0100000000000000", // vertex 1: P(1, 0) = [e1]
+        "0100000000000000 00 0100000000000000 0100000000000000", // vertex 2: P(2, 0) = [e1]
+        "7301000000000000 b2774612414639be",                  // trailer: 371-byte body, checksum
+    ];
 
     #[test]
     fn config_and_stats_survive() {
@@ -699,31 +882,14 @@ mod tests {
             },
         );
         churn(&mut dm, 20, 9);
-        let mut buf = Vec::new();
-        dm.write_checkpoint(&mut buf).unwrap();
+        let buf = image(&dm);
         let mut restored = DynamicMatching::with_seed(0);
-        restored
-            .read_checkpoint(&mut std::io::Cursor::new(&buf))
-            .unwrap();
+        restored.read_checkpoint(&buf).unwrap();
         assert_eq!(restored.s.config, dm.s.config);
         assert_eq!(restored.stats.batches, dm.stats.batches);
         assert_eq!(restored.stats.user_insertions, dm.stats.user_insertions);
         assert_eq!(restored.epoch(), dm.epoch());
         assert_eq!(restored.meter().snapshot(), dm.meter().snapshot());
         assert!(dm.meter().work() > 0);
-        // A checkpoint without the meter line still loads, its meter at 0.
-        let text = String::from_utf8(buf).unwrap();
-        let without: String = text
-            .lines()
-            .filter(|l| !l.starts_with("meter "))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert_ne!(without, text);
-        let mut older = DynamicMatching::with_seed(0);
-        older
-            .read_checkpoint(&mut std::io::Cursor::new(without.as_bytes()))
-            .unwrap();
-        assert_eq!(older.meter().snapshot(), Default::default());
-        assert_eq!(older.stats.batches, dm.stats.batches);
     }
 }

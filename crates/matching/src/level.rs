@@ -303,12 +303,19 @@ impl<T> IdTable<T> {
     /// Pre-grow the slot/position arrays to `n` entries without inserting
     /// anything. Checkpoint restore uses this so a rebuilt table's
     /// [`Self::high_water`] matches the original even when the top ids were
-    /// free at capture time.
-    pub(crate) fn reserve_slots(&mut self, n: usize) {
+    /// free at capture time. A mark the allocator cannot satisfy is an
+    /// error, not an abort: it comes from a file.
+    pub(crate) fn reserve_slots(&mut self, n: usize) -> Result<(), String> {
         if n > self.slots.len() {
+            let extra = n - self.slots.len();
+            self.slots
+                .try_reserve_exact(extra)
+                .and_then(|()| self.pos.try_reserve_exact(extra))
+                .map_err(|e| format!("cannot size a table to {n} slots: {e}"))?;
             self.slots.resize_with(n, || None);
             self.pos.resize(n, 0);
         }
+        Ok(())
     }
 }
 

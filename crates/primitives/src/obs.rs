@@ -186,7 +186,8 @@ named_enum! {
         WalBatches => "wal_batches",
         /// Checkpoints made durable.
         Checkpoints => "checkpoints",
-        /// Checkpoints that failed to serialize or to reach disk.
+        /// Checkpoints that failed to reach disk (serialization cannot
+        /// fail).
         CheckpointFailures => "checkpoint_failures",
         /// Old WAL segments deleted by compaction.
         SegmentsRemoved => "segments_removed",

@@ -32,6 +32,11 @@
 //!    ticket with its slice of the [`BatchOutcome`] (the assigned
 //!    [`EdgeId`] for inserts) plus each update's position in the global
 //!    apply order.
+//! 6. **Checkpoint** — once the batch that crosses the checkpoint interval
+//!    has completed, the coalescer serializes the structure as one binary
+//!    image ([`pbdmm_matching::checkpoint`]; the serving path's one O(n)
+//!    step), rotates to a new segment, and hands the image to a writer
+//!    thread that makes it durable and compacts the log.
 //!
 //! The **read path** rides on epoch snapshots: start the service with
 //! [`ServiceBuilder::start_serving`] and any number of reader threads

@@ -380,10 +380,13 @@ fn replay_segments_from<S: BatchDynamic>(
 /// readable checkpoint, then replay only the segments past it.
 ///
 /// `make` builds a fresh structure (correct seed and id mode) each time a
-/// starting point is tried: checkpoints are attempted newest to oldest, a
-/// torn or unreadable one falls back to the next older, and when none is
-/// usable (or `from_genesis` is set) the whole log replays from segment 0. Recovery therefore never errors on a torn checkpoint — only
-/// on genuine log corruption or compacted-away history it cannot bridge.
+/// starting point is tried: checkpoints are read whole and attempted newest
+/// to oldest, a torn, corrupt or foreign one (a `pbdmm-ckpt v1` text
+/// checkpoint, say) falls back to the next older, and when none is usable
+/// (or `from_genesis` is set) the whole log replays from segment 0.
+/// Recovery therefore never errors on a bad checkpoint alone — only on
+/// genuine log corruption or compacted-away history it cannot bridge, and
+/// then the error names every checkpoint it refused and why.
 pub fn recover_dir_with<S, F>(
     dir: &Path,
     mut make: F,
@@ -395,15 +398,17 @@ where
 {
     let contents = list_wal_dir(dir)?;
     let meta = oldest_segment_meta(dir, &contents)?;
+    let mut refused: Vec<String> = Vec::new();
     if !from_genesis {
         for (seq, path) in contents.checkpoints.iter().rev() {
             let mut s = make();
-            let loaded = std::fs::File::open(path)
+            let loaded = std::fs::read(path)
                 .map_err(|e| e.to_string())
-                .and_then(|f| s.read_checkpoint(&mut std::io::BufReader::new(f)));
-            if loaded.is_err() {
-                // Torn or unreadable checkpoint (e.g. crash mid-rename on a
+                .and_then(|bytes| s.read_checkpoint(&bytes));
+            if let Err(e) = loaded {
+                // Torn, corrupt or unreadable (e.g. crash mid-rename on a
                 // filesystem without atomic rename): fall back one.
+                refused.push(format!("{}: {e}", path.display()));
                 continue;
             }
             let mut report = ReplayReport::default();
@@ -422,7 +427,7 @@ where
                 // The segment run starting at this checkpoint is unusable
                 // (e.g. its segment was lost); an older checkpoint starts
                 // further back and may bridge the gap.
-                Err(_) => continue,
+                Err(e) => refused.push(format!("{}: loaded, but its tail: {e}", path.display())),
             }
         }
     }
@@ -430,7 +435,13 @@ where
     let mut s = make();
     let mut report = ReplayReport::default();
     let (next_seq, segments_replayed, truncated) =
-        replay_segments_from(&mut s, &contents.segments, 0, &meta, &mut report)?;
+        replay_segments_from(&mut s, &contents.segments, 0, &meta, &mut report).map_err(|e| {
+            if refused.is_empty() {
+                e
+            } else {
+                format!("{e}; refused checkpoints: {}", refused.join("; "))
+            }
+        })?;
     Ok(Recovery {
         structure: s,
         checkpoint: None,

@@ -317,8 +317,9 @@ pub struct ServiceStats {
     pub wal_batches: u64,
     /// Checkpoints made durable (WAL with a checkpoint interval).
     pub checkpoints: u64,
-    /// Checkpoint writes that failed (the service keeps running — a missed
-    /// checkpoint only means recovery replays a longer tail).
+    /// Checkpoint files the writer thread failed to make durable (the
+    /// service keeps running — a missed checkpoint only means recovery
+    /// replays a longer tail). Serialization itself cannot fail.
     pub checkpoint_failures: u64,
     /// Old WAL segments deleted by compaction.
     pub wal_segments_removed: u64,
@@ -727,19 +728,13 @@ impl WalSink {
     }
 
     /// Post-apply hook: count `updates` toward the checkpoint interval and
-    /// — when it is reached — serialize the structure (in-memory, on the
-    /// coalescer), rotate to a fresh segment, and hand the payload to the
-    /// checkpoint writer thread, which makes it durable and compacts old
-    /// segments without ever stalling this thread.
-    ///
-    /// Serialization failure only skips the checkpoint (recovery replays a
-    /// longer tail); rotation I/O failure is a real WAL error.
-    fn after_apply<S: Checkpoint>(
-        &mut self,
-        s: &S,
-        updates: u64,
-        obs: &Recorder,
-    ) -> Result<(), ServiceError> {
+    /// — when it is reached — serialize the structure (in memory, on the
+    /// coalescer: the one O(n) step of the serving path), rotate to a fresh
+    /// segment, and hand the image to the checkpoint writer thread, which
+    /// makes it durable and compacts old segments without ever stalling
+    /// this thread. Serialization cannot fail; rotation I/O failure is a
+    /// real WAL error.
+    fn after_apply<S: Checkpoint>(&mut self, s: &S, updates: u64) -> Result<(), ServiceError> {
         let Some(ckpt) = &self.ckpt else {
             return Ok(());
         };
@@ -750,11 +745,7 @@ impl WalSink {
         // The payload is the state after exactly `self.seq` batches — the
         // boundary the new segment starts at.
         let mut payload = Vec::new();
-        if s.write_checkpoint(&mut payload).is_err() {
-            obs.add(Counter::CheckpointFailures, 1);
-            self.updates_since_ckpt = 0;
-            return Ok(());
-        }
+        s.write_checkpoint(&mut payload);
         let seg_path = segment_path(&self.dir, self.seq);
         let next = std::fs::File::create(&seg_path)
             .map_err(|e| ServiceError::Wal(format!("rotate to {seg_path:?}: {e}")))?;
@@ -852,8 +843,8 @@ fn checkpoint_writer_loop(dir: PathBuf, rx: mpsc::Receiver<CkptJob>, obs: Record
 /// Durably install one checkpoint file: write to a `.tmp` sibling, fsync,
 /// rename into place, fsync the directory. A crash anywhere in this
 /// sequence leaves either no `NNNNNN.ckpt` or a complete one — recovery
-/// additionally verifies the `# end` trailer, so even a non-atomic rename
-/// cannot smuggle in a torn checkpoint.
+/// additionally verifies the image's length and checksum, so even a
+/// non-atomic rename cannot smuggle in a torn checkpoint.
 fn write_checkpoint_file(dir: &Path, seq: u64, payload: &[u8]) -> std::io::Result<()> {
     let tmp = dir.join(format!("{seq:06}.ckpt.tmp"));
     let dst = ckpt_path(dir, seq);
@@ -1197,22 +1188,9 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
         };
         drop(apply_span);
 
-        // --- Checkpoint accounting ----------------------------------------
         // The batch is durable and applied: it counts as a WAL batch now.
-        // Fold it into the checkpoint interval, rotating + scheduling a
-        // checkpoint at the boundary. A rotation failure wedges the WAL
-        // like any other log I/O failure — but only for *future* batches;
-        // this one is already committed.
         if wal_mark.is_some() {
             obs.add(Counter::WalBatches, 1);
-        }
-        if batch_len > 0 {
-            if let Some(sink) = wal.as_mut() {
-                if let Err(e) = sink.after_apply(&s, batch_len as u64, &obs) {
-                    wal = None;
-                    wal_wedged = Some(e);
-                }
-            }
         }
 
         // --- Complete each caller batch with its BatchOutcome slice -------
@@ -1246,6 +1224,22 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
             }),
         );
         drop(complete_span);
+
+        // --- Checkpoint boundary ------------------------------------------
+        // Fold the batch into the checkpoint interval, rotating and
+        // scheduling a checkpoint at the boundary — after completion, so
+        // the callers of the batch that crosses the interval do not wait
+        // out the serialization. A rotation failure wedges the WAL like
+        // any other log I/O failure, but only for *later* batches: this
+        // one is already committed and completed.
+        if batch_len > 0 {
+            if let Some(sink) = wal.as_mut() {
+                if let Err(e) = sink.after_apply(&s, batch_len as u64) {
+                    wal = None;
+                    wal_wedged = Some(e);
+                }
+            }
+        }
     }
     // Dropping the sink disconnects the checkpoint writer, which drains its
     // queue (so a final in-flight checkpoint still lands) and is joined —

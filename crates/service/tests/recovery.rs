@@ -6,7 +6,10 @@
 //! epoch — across seeds and both id-allocation modes. And recovery is
 //! crash-tolerant at every byte: truncating the newest checkpoint falls
 //! back to an older one, truncating the tail segment recovers the longest
-//! committed prefix; neither ever turns into an error.
+//! committed prefix; neither ever turns into an error. A checkpoint it
+//! cannot read (a `pbdmm-ckpt v1` text file, say) is skipped the same way;
+//! when no checkpoint loads and the history is no longer whole, recovery
+//! errors and names every checkpoint it refused.
 //!
 //! The driver submits one update at a time and waits for its ticket, so
 //! every logged batch is a singleton and batch `k` is exactly update `k`:
@@ -41,12 +44,13 @@ fn tdir(name: &str) -> PathBuf {
 /// Run a service over a fresh segmented WAL at `dir`, submit `updates`
 /// random single updates (waiting on each, so batches are singletons),
 /// and return the served structure plus the ops as singleton batches.
+/// `every: None` keeps the log one segment, with no checkpoint.
 fn run_service(
     dir: &PathBuf,
     seed: u64,
     recycling: bool,
     updates: usize,
-    every: u64,
+    every: Option<u64>,
 ) -> (DynamicMatching, Vec<Batch>) {
     let meta = WalMeta {
         structure: "matching".into(),
@@ -54,7 +58,7 @@ fn run_service(
         ids_recycling: recycling,
     };
     let mut wal = WalConfig::dir(dir, meta);
-    wal.checkpoint_every = Some(every);
+    wal.checkpoint_every = every;
     let svc = ServiceConfig::builder()
         .max_batch(4)
         .wal(wal)
@@ -79,7 +83,12 @@ fn run_service(
     }
     drop(h);
     let (m, stats) = svc.shutdown();
-    assert!(stats.checkpoints > 0, "interval {every} never checkpointed");
+    if every.is_some() {
+        assert!(
+            stats.checkpoints > 0,
+            "interval {every:?} never checkpointed"
+        );
+    }
     assert_eq!(stats.updates as usize, updates);
     (m, ops)
 }
@@ -131,7 +140,7 @@ fn checkpoint_plus_tail_equals_full_replay_across_seeds_and_id_modes() {
     for seed in [3u64, 17, 99] {
         for recycling in [false, true] {
             let dir = tdir(&format!("prop_{seed}_{recycling}"));
-            let (served, ops) = run_service(&dir, seed, recycling, 200, 48);
+            let (served, ops) = run_service(&dir, seed, recycling, 200, Some(48));
             check_invariants(&served).unwrap();
 
             let rec = recover_matching_from_dir(&dir, false).expect("recover");
@@ -155,13 +164,12 @@ fn checkpoint_plus_tail_equals_full_replay_across_seeds_and_id_modes() {
 #[test]
 fn torn_newest_checkpoint_falls_back_at_every_byte() {
     let dir = tdir("torn_ckpt");
-    let (served, _ops) = run_service(&dir, 7, false, 120, 40);
+    let (served, _ops) = run_service(&dir, 7, false, 120, Some(40));
     let (_, ckpt_path) = newest(&dir, "ckpt");
     let orig = std::fs::read(&ckpt_path).unwrap();
     assert!(!orig.is_empty());
-    // Every proper truncation of the newest checkpoint: recovery must fall
-    // back (to the older retained checkpoint, or — at cuts that leave the
-    // `# end` trailer intact, like the final newline — still load it) and
+    // Every proper truncation of the newest checkpoint fails its trailer
+    // check: recovery must fall back to the older retained checkpoint and
     // always reconstruct the exact final state.
     for cut in 0..orig.len() {
         std::fs::write(&ckpt_path, &orig[..cut]).unwrap();
@@ -180,7 +188,7 @@ fn torn_newest_checkpoint_falls_back_at_every_byte() {
 #[test]
 fn torn_tail_segment_recovers_a_committed_prefix_at_every_byte() {
     let dir = tdir("torn_seg");
-    let (served, ops) = run_service(&dir, 11, true, 130, 40);
+    let (served, ops) = run_service(&dir, 11, true, 130, Some(40));
     let (base, seg_path) = newest(&dir, "seg");
     assert!(base > 0 && base < 130, "tail segment base {base}");
     let orig = std::fs::read(&seg_path).unwrap();
@@ -206,4 +214,77 @@ fn torn_tail_segment_recovers_a_committed_prefix_at_every_byte() {
     assert_eq!(rec.next_seq, 130);
     assert_same(&rec.structure, &served);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A text checkpoint as the `pbdmm-ckpt v1` writer laid it out.
+const V1_CHECKPOINT: &str = "# pbdmm-ckpt v1\n# structure: matching\nrng 7\nids monotonic 0\n\
+    rank 1\nconfig 1 4 0\nstats 0 0 0 0 0 0 0 0 0 0 0 0 0\nmeter 0 0 0\nedges 0 0\n\
+    matches 0 0\nvertices 0\n# end\n";
+
+/// The `.ckpt` files in `dir`, sorted.
+fn checkpoints(dir: &PathBuf) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|e| e == "ckpt"))
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn compacted_log_with_only_v1_checkpoints_is_refused_by_name() {
+    let dir = tdir("v1_compacted");
+    let (_served, _ops) = run_service(&dir, 5, false, 200, Some(40));
+    assert!(
+        !dir.join("000000.seg").exists(),
+        "compaction must have removed the genesis segment"
+    );
+    let ckpts = checkpoints(&dir);
+    assert!(!ckpts.is_empty());
+    for path in &ckpts {
+        std::fs::write(path, V1_CHECKPOINT).unwrap();
+    }
+    let err = match recover_matching_from_dir(&dir, false) {
+        Ok(_) => panic!("a compacted log without a readable checkpoint must not recover"),
+        Err(e) => e,
+    };
+    for path in &ckpts {
+        let name = path.file_name().unwrap().to_str().unwrap();
+        assert!(err.contains(name), "{name} not named in: {err}");
+    }
+    assert!(err.contains("not a v2 checkpoint"), "{err}");
+    // The service refuses it too: it never starts fresh beside the history.
+    let meta = WalMeta {
+        structure: "matching".into(),
+        seed: 5,
+        ids_recycling: false,
+    };
+    let refused = ServiceConfig::builder()
+        .wal(WalConfig::dir(&dir, meta))
+        .recover_and_start_serving(|| fresh(5, false));
+    match refused {
+        Ok(_) => panic!("the service must not start over a log it cannot recover"),
+        Err(e) => assert!(e.to_string().contains("not a v2 checkpoint"), "{e}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn young_log_with_v1_checkpoints_recovers_from_genesis() {
+    for recycling in [false, true] {
+        let dir = tdir(&format!("v1_young_{recycling}"));
+        let (served, ops) = run_service(&dir, 9, recycling, 120, None);
+        assert!(dir.join("000000.seg").exists());
+        for seq in [40, 80] {
+            std::fs::write(dir.join(format!("{seq:06}.ckpt")), V1_CHECKPOINT).unwrap();
+        }
+        let rec = recover_matching_from_dir(&dir, false).expect("genesis replay");
+        assert_eq!(rec.checkpoint, None, "a v1 checkpoint must not load");
+        assert_eq!(rec.next_seq, 120);
+        check_invariants(&rec.structure).unwrap();
+        assert_same(&rec.structure, &served);
+        assert_same(&rec.structure, &replay_prefix(9, recycling, &ops));
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

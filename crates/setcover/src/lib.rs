@@ -21,8 +21,6 @@
 
 #![warn(missing_docs)]
 
-use std::io::{BufRead, Write};
-
 use pbdmm_graph::edge::{EdgeId, VertexId};
 use pbdmm_matching::api::{Batch, BatchDynamic, BatchOutcome, UpdateError};
 use pbdmm_matching::checkpoint::Checkpoint;
@@ -244,12 +242,12 @@ impl BatchDynamic for DynamicSetCover {
 
 /// A cover's checkpoint is its matching's checkpoint, byte for byte.
 impl Checkpoint for DynamicSetCover {
-    fn write_checkpoint(&self, w: &mut dyn Write) -> std::io::Result<()> {
-        self.matching.write_checkpoint(w)
+    fn write_checkpoint(&self, out: &mut Vec<u8>) {
+        self.matching.write_checkpoint(out)
     }
 
-    fn read_checkpoint(&mut self, r: &mut dyn BufRead) -> Result<(), String> {
-        self.matching.read_checkpoint(r)
+    fn read_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {
+        self.matching.read_checkpoint(bytes)
     }
 }
 
@@ -435,15 +433,13 @@ mod tests {
         let mut dc = DynamicSetCover::with_seed(17);
         churn(&mut dc, 30, 1);
         let mut buf = Vec::new();
-        dc.write_checkpoint(&mut buf).unwrap();
+        dc.write_checkpoint(&mut buf);
         let mut direct = Vec::new();
-        dc.matching().write_checkpoint(&mut direct).unwrap();
+        dc.matching().write_checkpoint(&mut direct);
         assert_eq!(buf, direct, "a cover's checkpoint is its matching's");
 
         let mut restored = DynamicSetCover::with_seed(17);
-        restored
-            .read_checkpoint(&mut std::io::Cursor::new(&buf))
-            .unwrap();
+        restored.read_checkpoint(&buf).unwrap();
         assert_eq!(BatchDynamic::work(&restored), BatchDynamic::work(&dc));
         for b in churn(&mut dc, 30, 2) {
             restored.apply(b).unwrap();
