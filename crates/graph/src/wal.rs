@@ -26,10 +26,16 @@
 //!   meaningful.
 //! * **A batch is durable only once its `c` line is on disk.** The reader
 //!   silently drops a trailing batch whose commit marker is missing (the
-//!   writer crashed mid-append) and reports it via [`Wal::truncated`];
-//!   everything committed before it replays normally.
+//!   writer crashed mid-append) and reports it via
+//!   [`SegmentReader::torn`]; everything committed before it replays
+//!   normally.
+//!
+//! [`SegmentReader`] streams a log file: opening it reads the header, and
+//! each step yields the next committed batch, so a reader holds one batch
+//! at a time, however long the log.
 
 use std::io::{BufRead, Write};
+use std::path::Path;
 
 use crate::edge::{normalize_vertices, EdgeId};
 use crate::update::{Batch, Update};
@@ -60,28 +66,6 @@ impl Default for WalMeta {
             seed: 0,
             ids_recycling: false,
         }
-    }
-}
-
-/// A decoded log: header metadata plus every *committed* batch, in order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Wal {
-    /// Header metadata.
-    pub meta: WalMeta,
-    /// Sequence number of this log's first batch (the `# base:` header
-    /// line). 0 for a standalone log; a rotated segment carries the running
-    /// batch count at rotation, so segment continuity is checkable.
-    pub base: u64,
-    /// The committed batches, in append order.
-    pub batches: Vec<Batch>,
-    /// Whether a trailing uncommitted batch was dropped (torn final append).
-    pub truncated: bool,
-}
-
-impl Wal {
-    /// Total updates across all committed batches.
-    pub fn total_updates(&self) -> usize {
-        self.batches.iter().map(|b| b.len()).sum()
     }
 }
 
@@ -132,206 +116,296 @@ fn comment_body(line: &str) -> Option<&str> {
     line.trim().strip_prefix('#').map(str::trim)
 }
 
-/// Parse a WAL from reader contents. Errors name the offending line;
-/// a trailing uncommitted batch is dropped (see [`Wal::truncated`]).
+/// A streaming reader over one log file (a segment of a WAL directory).
 ///
-/// Crash tolerance covers *partial* tears too: a malformed line is a hard
-/// error only when well-formed content follows it (real corruption). When
-/// the malformed line is the last content in the file — `c 12` torn to
-/// `c `, a half-written token, a truncated vertex list — it is the torn
-/// final append: it and the open batch are dropped and `truncated` is set,
-/// so every committed batch before the crash still recovers.
+/// [`SegmentReader::open`] parses the header (magic, structure, seed, id
+/// mode, base) and stops at the first batch line. Iterating yields each
+/// committed [`Batch`] in order, then `None`.
 ///
-/// A `# route:` line is always a hard error: it marks a per-shard sub-batch
-/// of the removed sharded layout, and replaying it as a whole batch would
-/// silently rebuild the wrong history.
-pub fn read_wal<R: BufRead>(reader: R) -> Result<Wal, String> {
-    let mut meta = WalMeta::default();
-    let mut base: u64 = 0;
-    let mut batches: Vec<Batch> = Vec::new();
-    let mut open: Option<(u64, Batch)> = None;
-    let mut saw_magic = false;
-    // A malformed line becomes a hard error only if more content follows
-    // it; held here until that is known (EOF with a pending error = the
-    // torn tail of a crashed append). Lines are read one at a time, but
-    // every committed batch is kept in `batches`: memory grows with the
-    // log, a whole segment per read (the whole history when a log never
-    // rotates).
-    let mut pending_err: Option<String> = None;
+/// Errors name the offending line. A malformed line is a hard error only
+/// when content follows it (real corruption). As the file's last content —
+/// `c 12` torn to `c `, a half-written token, a header line cut mid-write —
+/// it is the torn tail of a crashed write: it and the open batch are
+/// dropped and [`SegmentReader::torn`] is set, as for a batch missing its
+/// `c` line. A `# route:` line (a sub-batch of the removed sharded layout,
+/// which would replay as a whole batch) and a header line after the first
+/// batch are hard errors wherever they stand.
+pub struct SegmentReader<R> {
+    input: std::io::Lines<R>,
+    /// Number of the last line read (1-based).
+    lineno: usize,
+    /// The first batch line, read by `open` to find the end of the header.
+    held: Option<String>,
+    meta: WalMeta,
+    base: u64,
+    saw_magic: bool,
+    in_header: bool,
+    /// The batch between its `b` and `c` lines, with its sequence number.
+    open: Option<(u64, Batch)>,
+    committed: u64,
+    torn: bool,
+    done: bool,
+}
 
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| format!("line {}: io error: {e}", lineno + 1))?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
+impl SegmentReader<std::io::BufReader<std::fs::File>> {
+    /// Open the log file at `path` and read its header.
+    pub fn open_file(path: &Path) -> Result<Self, String> {
+        let file = std::fs::File::open(path).map_err(|e| format!("open {path:?}: {e}"))?;
+        SegmentReader::open(std::io::BufReader::new(file))
+    }
+}
+
+impl<R: BufRead> SegmentReader<R> {
+    /// Read the header from `input`. A header cut short by a crash is no
+    /// error: the reader reports [`Self::torn`] and yields no batch.
+    pub fn open(input: R) -> Result<Self, String> {
+        let mut r = SegmentReader {
+            input: input.lines(),
+            lineno: 0,
+            held: None,
+            meta: WalMeta::default(),
+            base: 0,
+            saw_magic: false,
+            in_header: true,
+            open: None,
+            committed: 0,
+            torn: false,
+            done: false,
+        };
+        while r.in_header && !r.done {
+            r.advance()?;
         }
-        if let Some(err) = pending_err {
-            // Content after a malformed line: real corruption.
-            return Err(err);
+        Ok(r)
+    }
+
+    /// Header metadata; a line the header lacks keeps its default.
+    pub fn meta(&self) -> &WalMeta {
+        &self.meta
+    }
+
+    /// Sequence number of this log's first batch (the `# base:` header
+    /// line): 0 for a standalone log, the running batch count at rotation
+    /// for a rotated segment.
+    pub fn base(&self) -> u64 {
+        self.base
+    }
+
+    /// Whether the file ends in a tear: a missing or cut-short header, or a
+    /// final append that never committed. Right after [`Self::open`] it
+    /// covers the header; once iteration has returned `None`, the file.
+    pub fn torn(&self) -> bool {
+        self.torn
+    }
+
+    /// The next non-blank line, or `None` at end of input.
+    fn next_line(&mut self) -> Result<Option<String>, String> {
+        for line in self.input.by_ref() {
+            self.lineno += 1;
+            let line = line.map_err(|e| format!("line {}: io error: {e}", self.lineno))?;
+            if !line.trim().is_empty() {
+                return Ok(Some(line));
+            }
         }
-        if comment_body(trimmed).is_some_and(|body| body.starts_with("route:")) {
+        Ok(None)
+    }
+
+    /// Consume one non-blank line; hands back the batch a `c` line commits.
+    fn advance(&mut self) -> Result<Option<Batch>, String> {
+        let line = match self.held.take() {
+            Some(line) => Some(line),
+            None => self.next_line()?,
+        };
+        let Some(line) = line else {
+            // End of input: an open batch never committed, and a file
+            // without its magic line holds a header that was never written.
+            self.done = true;
+            self.torn |= self.open.take().is_some() || !self.saw_magic;
+            return Ok(None);
+        };
+        let comment = comment_body(&line);
+        if comment.is_some_and(|body| body.starts_with("route:")) {
             return Err(format!(
                 "line {}: `# route:` marks a sub-batch of the removed sharded WAL \
                  layout, which this build cannot replay",
-                lineno + 1
+                self.lineno
             ));
         }
-        if let Err(msg) = parse_line(
-            trimmed,
-            lineno,
-            &mut open,
-            &mut batches,
-            &mut meta,
-            &mut base,
-            &mut saw_magic,
-        ) {
-            if !saw_magic {
-                // Header problems are never a torn append.
-                return Err(msg);
-            }
-            pending_err = Some(msg);
+        if self.in_header && self.saw_magic && comment.is_none() {
+            // The first batch line ends the header; `open` stops before it.
+            self.in_header = false;
+            self.held = Some(line);
+            return Ok(None);
         }
-    }
-    if !saw_magic {
-        return Err(format!("empty input: expected `# {WAL_MAGIC}` header"));
-    }
-    let torn = pending_err.is_some();
-    if torn {
+        let msg = match self.parse_line(line.trim()) {
+            Ok(batch) => return Ok(batch),
+            Err(msg) => msg,
+        };
+        if self.next_line()?.is_some() {
+            // Content after a malformed line: real corruption.
+            return Err(msg);
+        }
         // The malformed line was the file's last content: the torn tail of
-        // a crashed append. Drop it and the open batch; everything
-        // committed before it stands.
-        open = None;
+        // a crashed write. Everything committed before it stands.
+        self.done = true;
+        self.torn = true;
+        self.open = None;
+        Ok(None)
     }
-    Ok(Wal {
-        truncated: open.is_some() || torn,
-        meta,
-        base,
-        batches,
-    })
-}
 
-/// Parse one non-empty WAL line into the reader state.
-fn parse_line(
-    trimmed: &str,
-    lineno: usize,
-    open: &mut Option<(u64, Batch)>,
-    batches: &mut Vec<Batch>,
-    meta: &mut WalMeta,
-    base: &mut u64,
-    saw_magic: &mut bool,
-) -> Result<(), String> {
-    let at = |msg: String| format!("line {}: {msg}", lineno + 1);
-    if let Some(body) = comment_body(trimmed) {
-        if !*saw_magic {
-            if body != WAL_MAGIC {
-                return Err(at(format!("not a WAL: expected `# {WAL_MAGIC}`")));
+    /// Parse one non-blank line into the reader state; a `c` line hands
+    /// back the batch it commits.
+    fn parse_line(&mut self, trimmed: &str) -> Result<Option<Batch>, String> {
+        let lineno = self.lineno;
+        let at = |msg: String| format!("line {lineno}: {msg}");
+        if let Some(body) = comment_body(trimmed) {
+            if !self.saw_magic {
+                if body != WAL_MAGIC {
+                    return Err(at(format!("not a WAL: expected `# {WAL_MAGIC}`")));
+                }
+                self.saw_magic = true;
+                return Ok(None);
             }
-            *saw_magic = true;
-        } else if let Some(rest) = body.strip_prefix("structure:") {
-            meta.structure = rest.trim().to_string();
-        } else if let Some(rest) = body.strip_prefix("seed:") {
-            meta.seed = rest
-                .trim()
-                .parse()
-                .map_err(|e| at(format!("bad seed: {e}")))?;
-        } else if let Some(rest) = body.strip_prefix("ids:") {
-            meta.ids_recycling = match rest.trim() {
-                "recycling" => true,
-                "monotonic" => false,
-                other => return Err(at(format!("unknown id mode {other:?}"))),
+            // Other comments are free-form and ignored.
+            let Some((key, value)) = body.split_once(':') else {
+                return Ok(None);
             };
-        } else if let Some(rest) = body.strip_prefix("base:") {
-            if !batches.is_empty() || open.is_some() {
-                return Err(at("`# base:` after the first batch".into()));
+            let value = value.trim();
+            match key {
+                "structure" | "seed" | "ids" | "base" if !self.in_header => {
+                    return Err(at(format!("`# {key}:` after the first batch")));
+                }
+                "structure" => self.meta.structure = value.to_string(),
+                "seed" => {
+                    self.meta.seed = value.parse().map_err(|e| at(format!("bad seed: {e}")))?;
+                }
+                "ids" => {
+                    self.meta.ids_recycling = match value {
+                        "recycling" => true,
+                        "monotonic" => false,
+                        other => return Err(at(format!("unknown id mode {other:?}"))),
+                    };
+                }
+                "base" => self.base = value.parse().map_err(|e| at(format!("bad base: {e}")))?,
+                _ => {}
             }
-            *base = rest
-                .trim()
-                .parse()
-                .map_err(|e| at(format!("bad base: {e}")))?;
+            return Ok(None);
         }
-        return Ok(());
+        if !self.saw_magic {
+            return Err(at(format!("not a WAL: expected `# {WAL_MAGIC}`")));
+        }
+        let mut toks = trimmed.split_whitespace();
+        let tag = toks.next().expect("non-empty line has a first token");
+        match tag {
+            "b" => {
+                if self.open.is_some() {
+                    return Err(at("batch begun inside an open batch".into()));
+                }
+                let seq: u64 = toks
+                    .next()
+                    .ok_or_else(|| at("`b` needs a sequence number".into()))?
+                    .parse()
+                    .map_err(|e| at(format!("bad sequence number: {e}")))?;
+                // `seq + 1`, the next batch's number, must fit as well.
+                let expected = match self.base.checked_add(self.committed) {
+                    Some(expected) if expected < u64::MAX => expected,
+                    _ => return Err(at("batch sequence number overflows u64".into())),
+                };
+                if seq != expected {
+                    return Err(at(format!(
+                        "out-of-order batch: expected seq {expected}, got {seq}"
+                    )));
+                }
+                self.open = Some((seq, Batch::new()));
+            }
+            "d" => {
+                let (_, batch) = self
+                    .open
+                    .as_mut()
+                    .ok_or_else(|| at("`d` outside a batch".into()))?;
+                let id: u64 = toks
+                    .next()
+                    .ok_or_else(|| at("`d` needs an edge id".into()))?
+                    .parse()
+                    .map_err(|e| at(format!("bad edge id: {e}")))?;
+                batch.push(Update::Delete(EdgeId(id)));
+            }
+            "i" => {
+                let (_, batch) = self
+                    .open
+                    .as_mut()
+                    .ok_or_else(|| at("`i` outside a batch".into()))?;
+                let mut vs = Vec::new();
+                for tok in toks {
+                    vs.push(
+                        tok.parse()
+                            .map_err(|e| at(format!("bad vertex id {tok:?}: {e}")))?,
+                    );
+                }
+                let vs = normalize_vertices(vs).ok_or_else(|| at("empty insert".into()))?;
+                batch.push(Update::Insert(vs));
+            }
+            "c" => {
+                let (seq, batch) = self
+                    .open
+                    .take()
+                    .ok_or_else(|| at("`c` without an open batch".into()))?;
+                let commit: u64 = toks
+                    .next()
+                    .ok_or_else(|| at("`c` needs a sequence number".into()))?
+                    .parse()
+                    .map_err(|e| at(format!("bad sequence number: {e}")))?;
+                if commit != seq {
+                    return Err(at(format!(
+                        "commit seq {commit} does not match open batch {seq}"
+                    )));
+                }
+                self.committed += 1;
+                return Ok(Some(batch));
+            }
+            other => return Err(at(format!("unknown record tag {other:?}"))),
+        }
+        Ok(None)
     }
-    if !*saw_magic {
-        return Err(at(format!("not a WAL: expected `# {WAL_MAGIC}`")));
-    }
-    let mut toks = trimmed.split_whitespace();
-    let tag = toks.next().expect("non-empty line has a first token");
-    match tag {
-        "b" => {
-            if open.is_some() {
-                return Err(at("batch begun inside an open batch".into()));
-            }
-            let seq: u64 = toks
-                .next()
-                .ok_or_else(|| at("`b` needs a sequence number".into()))?
-                .parse()
-                .map_err(|e| at(format!("bad sequence number: {e}")))?;
-            let expected = *base + batches.len() as u64;
-            if seq != expected {
-                return Err(at(format!(
-                    "out-of-order batch: expected seq {expected}, got {seq}"
-                )));
-            }
-            *open = Some((seq, Batch::new()));
-        }
-        "d" => {
-            let (_, batch) = open
-                .as_mut()
-                .ok_or_else(|| at("`d` outside a batch".into()))?;
-            let id: u64 = toks
-                .next()
-                .ok_or_else(|| at("`d` needs an edge id".into()))?
-                .parse()
-                .map_err(|e| at(format!("bad edge id: {e}")))?;
-            batch.push(Update::Delete(EdgeId(id)));
-        }
-        "i" => {
-            let (_, batch) = open
-                .as_mut()
-                .ok_or_else(|| at("`i` outside a batch".into()))?;
-            let mut vs = Vec::new();
-            for tok in toks {
-                vs.push(
-                    tok.parse()
-                        .map_err(|e| at(format!("bad vertex id {tok:?}: {e}")))?,
-                );
-            }
-            let vs = normalize_vertices(vs).ok_or_else(|| at("empty insert".into()))?;
-            batch.push(Update::Insert(vs));
-        }
-        "c" => {
-            let (seq, batch) = open
-                .take()
-                .ok_or_else(|| at("`c` without an open batch".into()))?;
-            let commit: u64 = toks
-                .next()
-                .ok_or_else(|| at("`c` needs a sequence number".into()))?
-                .parse()
-                .map_err(|e| at(format!("bad sequence number: {e}")))?;
-            if commit != seq {
-                return Err(at(format!(
-                    "commit seq {commit} does not match open batch {seq}"
-                )));
-            }
-            batches.push(batch);
-        }
-        other => return Err(at(format!("unknown record tag {other:?}"))),
-    }
-    Ok(())
 }
 
-/// Parse a WAL from a file path.
-pub fn read_wal_file(path: &std::path::Path) -> Result<Wal, String> {
-    let file = std::fs::File::open(path).map_err(|e| format!("open {path:?}: {e}"))?;
-    read_wal(std::io::BufReader::new(file))
+impl<R: BufRead> Iterator for SegmentReader<R> {
+    type Item = Result<Batch, String>;
+
+    /// The next committed batch; `None` at the end of the file, and after
+    /// an error.
+    fn next(&mut self) -> Option<Result<Batch, String>> {
+        while !self.done {
+            if let Some(step) = self.advance().transpose() {
+                self.done |= step.is_err();
+                return Some(step);
+            }
+        }
+        None
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Result<Wal, String> {
-        read_wal(std::io::Cursor::new(s))
+    /// Everything a reader gets out of one log.
+    #[derive(Debug)]
+    struct Log {
+        meta: WalMeta,
+        base: u64,
+        batches: Vec<Batch>,
+        torn: bool,
+    }
+
+    fn parse(s: &str) -> Result<Log, String> {
+        let mut r = SegmentReader::open(s.as_bytes())?;
+        let batches = r.by_ref().collect::<Result<_, _>>()?;
+        Ok(Log {
+            meta: r.meta().clone(),
+            base: r.base(),
+            batches,
+            torn: r.torn(),
+        })
     }
 
     fn sample_batches() -> Vec<Batch> {
@@ -357,8 +431,7 @@ mod tests {
         let wal = parse(std::str::from_utf8(&buf).unwrap()).unwrap();
         assert_eq!(wal.meta, meta);
         assert_eq!(wal.batches, sample_batches());
-        assert!(!wal.truncated);
-        assert_eq!(wal.total_updates(), 6);
+        assert!(!wal.torn);
     }
 
     #[test]
@@ -370,7 +443,7 @@ mod tests {
         buf.extend_from_slice(b"b 1\ni 2 3\n");
         let wal = parse(std::str::from_utf8(&buf).unwrap()).unwrap();
         assert_eq!(wal.batches.len(), 1);
-        assert!(wal.truncated);
+        assert!(wal.torn);
     }
 
     #[test]
@@ -386,6 +459,7 @@ mod tests {
         assert_eq!(wal.meta.seed, 7);
         assert!(!wal.meta.ids_recycling);
         assert_eq!(wal.base, 0);
+        assert!(!wal.torn, "a complete header without batches");
     }
 
     #[test]
@@ -404,8 +478,9 @@ mod tests {
         assert_eq!(wal.batches.len(), 2);
         // Batch seqs must continue from the base exactly.
         assert!(parse("# pbdmm-wal v1\n# base: 5\nb 0\nc 0\nb 6\nc 6\n").is_err());
-        // A base line after content is corruption, not metadata.
+        // A header line after content is corruption, not metadata.
         assert!(parse("# pbdmm-wal v1\nb 0\nc 0\n# base: 5\nb 5\nc 5\n").is_err());
+        assert!(parse("# pbdmm-wal v1\nb 0\nc 0\n# seed: 5\nb 1\nc 1\n").is_err());
         // A standalone header stays byte-compatible (no new lines).
         let mut plain = Vec::new();
         write_segment_header(&mut plain, &WalMeta::default(), 0).unwrap();
@@ -420,22 +495,30 @@ mod tests {
         // Commit marker torn mid-token: the committed prefix recovers.
         let wal = parse("# pbdmm-wal v1\nb 0\ni 0 1\nc 0\nb 1\ni 2 3\nc ").unwrap();
         assert_eq!(wal.batches.len(), 1);
-        assert!(wal.truncated);
+        assert!(wal.torn);
         // Half-written record tag.
         let wal = parse("# pbdmm-wal v1\nb 0\ni 0 1\nc 0\nb 1\nin").unwrap();
         assert_eq!(wal.batches.len(), 1);
-        assert!(wal.truncated);
-        // Torn mid-number: `d 35` persisted as `d 3x`? no — but `b 1` torn
-        // to `b` alone is a tear too.
+        assert!(wal.torn);
+        // `b 1` torn to `b` alone is a tear too.
         let wal = parse("# pbdmm-wal v1\nb 0\ni 0 1\nc 0\nb").unwrap();
         assert_eq!(wal.batches.len(), 1);
-        assert!(wal.truncated);
+        assert!(wal.torn);
         // A contextually invalid LAST line is also treated as a tear (e.g.
         // `c 12` torn to `c 1` can mimic a commit mismatch): nothing
-        // committed is lost, and `truncated` reports the drop.
-        let wal = parse("# pbdmm-wal v1\nd 3\n").unwrap();
-        assert!(wal.batches.is_empty());
-        assert!(wal.truncated);
+        // committed is lost, and `torn` reports the drop.
+        // So is a header cut anywhere: nothing written, the magic or a
+        // metadata line cut mid-token.
+        for log in [
+            "# pbdmm-wal v1\nd 3\n",
+            "",
+            "# pbdm",
+            "# pbdmm-wal v1\n# seed: ",
+            "# pbdmm-wal v1\n# seed: 7\n# ids: recyc",
+        ] {
+            let wal = parse(log).unwrap_or_else(|e| panic!("{log:?}: {e}"));
+            assert!(wal.torn && wal.batches.is_empty(), "{log:?}");
+        }
     }
 
     #[test]
@@ -461,36 +544,23 @@ mod tests {
 
     #[test]
     fn rejects_malformed_logs() {
-        assert!(parse("").is_err(), "empty input");
-        assert!(parse("b 0\nc 0\n").is_err(), "missing magic");
-        assert!(parse("# some other file\n").is_err(), "wrong magic");
         // Malformed content *followed by more content* is corruption, not a
         // torn tail — every case below has a well-formed line after the
         // offending one.
-        assert!(
-            parse("# pbdmm-wal v1\nd 3\nb 0\nc 0\n").is_err(),
-            "record outside batch"
-        );
-        assert!(
-            parse("# pbdmm-wal v1\nb 0\nb 1\nc 1\n").is_err(),
-            "nested begin"
-        );
-        assert!(
-            parse("# pbdmm-wal v1\nb 0\nc 1\nb 1\nc 1\n").is_err(),
-            "commit mismatch"
-        );
-        assert!(
-            parse("# pbdmm-wal v1\nb 1\nc 1\n").is_err(),
-            "gap in sequence"
-        );
-        assert!(
-            parse("# pbdmm-wal v1\nb 0\ni\nc 0\n").is_err(),
-            "empty insert"
-        );
-        assert!(
-            parse("# pbdmm-wal v1\nb 0\nq 1\nc 0\n").is_err(),
-            "unknown tag"
-        );
-        assert!(parse("# pbdmm-wal v1\nb 0\nd x\nc 0\n").is_err(), "bad id");
+        for (log, what) in [
+            ("b 0\nc 0\n", "missing magic"),
+            ("# some other file\nb 0\n", "wrong magic"),
+            ("# pbdmm-wal v1\n# seed: \nb 0\nc 0\n", "bad seed"),
+            ("# pbdmm-wal v1\n# ids: recyc\n# base: 4\n", "bad id mode"),
+            ("# pbdmm-wal v1\nd 3\nb 0\nc 0\n", "record outside batch"),
+            ("# pbdmm-wal v1\nb 0\nb 1\nc 1\n", "nested begin"),
+            ("# pbdmm-wal v1\nb 0\nc 1\nb 1\nc 1\n", "commit mismatch"),
+            ("# pbdmm-wal v1\nb 1\nc 1\n", "gap in sequence"),
+            ("# pbdmm-wal v1\nb 0\ni\nc 0\n", "empty insert"),
+            ("# pbdmm-wal v1\nb 0\nq 1\nc 0\n", "unknown tag"),
+            ("# pbdmm-wal v1\nb 0\nd x\nc 0\n", "bad id"),
+        ] {
+            assert!(parse(log).is_err(), "{what}");
+        }
     }
 }

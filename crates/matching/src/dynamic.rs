@@ -583,27 +583,13 @@ impl DynamicMatching {
         Ok(self.on_pool(|dm| dm.apply_validated(inserts, deletes)))
     }
 
-    /// Fallible insertion tier: like the legacy `insert_edges` but returns
-    /// [`UpdateError::EmptyEdge`] instead of panicking.
-    pub fn try_insert_edges(&mut self, batch: &[EdgeVertices]) -> Result<Vec<EdgeId>, UpdateError> {
-        self.apply(Batch::new().inserts(batch.iter().cloned()))
-            .map(|o| o.inserted)
-    }
-
-    /// Fallible deletion tier: strict (unknown ids and in-batch duplicates
-    /// are errors). Returns the deleted ids in input order.
-    pub fn try_delete_edges(&mut self, ids: &[EdgeId]) -> Result<Vec<EdgeId>, UpdateError> {
-        self.apply(Batch::new().deletes(ids.iter().copied()))
-            .map(|o| o.deleted)
-    }
-
     /// Legacy wrapper: insert a batch of edges. Vertex lists are normalized
     /// (sorted, deduplicated); returns the assigned edge ids, in input
     /// order. Prefer [`Self::apply`].
     ///
     /// # Panics
-    /// If any edge has an empty vertex set (use [`Self::try_insert_edges`]
-    /// for a fallible variant).
+    /// If any edge has an empty vertex set (use [`Self::apply`] for a
+    /// fallible variant).
     ///
     /// # Examples
     /// ```
@@ -616,8 +602,9 @@ impl DynamicMatching {
     /// assert!(m.matching_size() >= 2); // {0,1} or {1,2}, plus {3,4,5}
     /// ```
     pub fn insert_edges(&mut self, batch: &[EdgeVertices]) -> Vec<EdgeId> {
-        self.try_insert_edges(batch)
+        self.apply(Batch::new().inserts(batch.iter().cloned()))
             .expect("edge with empty vertex set")
+            .inserted
     }
 
     /// The shared strict core behind [`Self::apply`] and the wrappers.
@@ -775,8 +762,8 @@ impl DynamicMatching {
     // --- User interface: deleteEdges (legacy tolerant wrapper) ---------------
 
     /// Legacy wrapper: delete a batch of edges by id, *tolerantly* — unknown,
-    /// already-deleted, and duplicate ids are skipped (use
-    /// [`Self::try_delete_edges`] to make those errors). Returns the ids
+    /// already-deleted, and duplicate ids are skipped (use [`Self::apply`]
+    /// to make those errors). Returns the ids
     /// that were actually live and are now deleted, in input order, so
     /// callers can reconcile; the count is `.len()`. Prefer [`Self::apply`].
     ///
@@ -1239,19 +1226,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(dm.rank(), 4);
-        assert_ok(&dm);
-    }
-
-    #[test]
-    fn try_tier_reports_errors_without_mutating() {
-        let mut dm = DynamicMatching::with_seed(32);
-        let ids = dm.insert_edges(&[vec![0, 1]]);
-        assert!(dm.try_insert_edges(&[vec![2, 3], vec![]]).is_err());
-        assert!(dm.try_delete_edges(&[EdgeId(999)]).is_err());
-        assert!(dm.try_delete_edges(&[ids[0], ids[0]]).is_err());
-        assert_eq!(dm.num_edges(), 1);
-        assert_eq!(dm.try_delete_edges(&[ids[0]]).unwrap(), vec![ids[0]]);
-        assert_eq!(dm.num_edges(), 0);
         assert_ok(&dm);
     }
 

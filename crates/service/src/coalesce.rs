@@ -71,13 +71,6 @@ pub struct BatchPlan {
     pub slots: Vec<Slot>,
 }
 
-impl BatchPlan {
-    /// Number of requests that made it into the batch.
-    pub fn planned(&self) -> usize {
-        self.batch.len()
-    }
-}
-
 /// Resolve a drained request list into one valid mixed batch (see the
 /// module docs for the conflict rules). Takes the updates by value — the
 /// coalescer's hot path moves every insertion's vertex list straight into

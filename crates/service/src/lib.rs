@@ -90,8 +90,8 @@ pub mod service;
 
 pub use coalesce::{plan_batch, BatchPlan, Slot, DEFAULT_MAX_BATCH};
 pub use replay::{
-    cover_for, matching_for, recover_dir_with, recover_matching_from_dir, replay_into,
-    replay_matching, wal_dir_meta, Recovery, RecoveryInfo, ReplayReport,
+    cover_for, matching_for, recover_dir_with, recover_matching_from_dir, wal_dir_meta, Recovery,
+    RecoveryInfo, ReplayReport,
 };
 pub use service::{
     BatchTicket, Completion, Done, QueryHandle, ServiceBuilder, ServiceConfig, ServiceError,

@@ -11,10 +11,15 @@
 //! structure built with the **same seed** reassigns the identical ids and —
 //! since the structure's coins are a function of its seed alone — reproduces
 //! the exact final state, matching included.
+//!
+//! One loop applies logged batches: the segment loop behind
+//! [`recover_dir_with`]. It streams each segment through a
+//! [`SegmentReader`], so replay holds one batch at a time, never a whole
+//! segment.
 
 use std::path::{Path, PathBuf};
 
-use pbdmm_graph::wal::{read_wal_file, Wal, WalMeta};
+use pbdmm_graph::wal::{SegmentReader, WalMeta};
 use pbdmm_matching::api::BatchDynamic;
 use pbdmm_matching::checkpoint::Checkpoint;
 use pbdmm_matching::DynamicMatching;
@@ -31,89 +36,6 @@ pub struct ReplayReport {
     pub applies: u64,
     /// Updates applied.
     pub updates: u64,
-}
-
-/// Replay a decoded log from genesis into `s`, which must be **fresh** (no
-/// edges ever inserted — id assignment starts at 0) and seeded per the WAL
-/// metadata for exact reproduction.
-///
-/// The log must start at batch 0. A rotated segment (`# base: N`, N > 0)
-/// holds only the batches after a checkpoint, and replaying it alone from
-/// a fresh structure would build a state that never existed; replay its
-/// directory instead ([`recover_dir_with`]).
-pub fn replay_into<S: BatchDynamic>(s: &mut S, wal: &Wal) -> Result<ReplayReport, String> {
-    if wal.base != 0 {
-        return Err(format!(
-            "log starts at batch {} (`# base: {}`): it is a segment from the middle \
-             of a WAL directory, not a whole log; replay the directory instead",
-            wal.base, wal.base
-        ));
-    }
-    if s.num_edges() != 0 {
-        return Err("replay target must be a fresh structure".into());
-    }
-    let mut report = ReplayReport::default();
-    apply_logged(s, wal, true, &mut report)?;
-    Ok(report)
-}
-
-/// Apply every committed batch of `wal` to `s`, in order — the one loop
-/// behind [`replay_into`] and segment-directory recovery. Errors name the
-/// batch by its global sequence (`wal.base` + position).
-///
-/// Each batch goes through the coalescer's planner first, so a delete of an
-/// edge that is not live, or an insert with an empty vertex set, fails with
-/// its batch number instead of a bare `apply` error. A live recorder logs
-/// neither, so any rejection means the log is corrupt or hand-written.
-///
-/// With `fresh`, the first insert-bearing apply must assign ids 0, 1, 2, …
-/// — a fresh structure does so in either id mode, while one that is empty
-/// but has handed out ids before would silently shift every recorded
-/// delete onto the wrong edge. (Later applies are not checked: a recycling
-/// structure legitimately reuses freed ids from then on.)
-fn apply_logged<S: BatchDynamic>(
-    s: &mut S,
-    wal: &Wal,
-    fresh: bool,
-    report: &mut ReplayReport,
-) -> Result<(), String> {
-    let mut verify_ids = fresh;
-    for (i, batch) in wal.batches.iter().enumerate() {
-        let seq = wal.base + i as u64;
-        let plan = plan_batch(batch.as_slice().to_vec(), |id| s.contains_edge(id));
-        for slot in &plan.slots {
-            match slot {
-                Slot::RejectUnknown(id) => {
-                    return Err(format!("batch {seq}: delete of unknown edge {id}"));
-                }
-                Slot::RejectEmpty => {
-                    return Err(format!("batch {seq}: insert with empty vertex set"));
-                }
-                Slot::InBatch(_) | Slot::DuplicateDelete(_) => {}
-            }
-        }
-        if !plan.batch.is_empty() {
-            report.updates += plan.batch.len() as u64;
-            report.applies += 1;
-            let out = s
-                .apply(plan.batch)
-                .map_err(|e| format!("batch {seq}: {e}"))?;
-            if verify_ids && !out.inserted.is_empty() {
-                for (k, id) in out.inserted.iter().enumerate() {
-                    if id.raw() != k as u64 {
-                        return Err(format!(
-                            "replay target is not fresh: expected insert id e{k}, \
-                             structure assigned {id} (its id counter is not at 0); \
-                             the target state is now unspecified"
-                        ));
-                    }
-                }
-                verify_ids = false;
-            }
-        }
-        report.batches += 1;
-    }
-    Ok(())
 }
 
 /// The fresh [`DynamicMatching`] a WAL header describes: the recorded seed
@@ -145,15 +67,6 @@ pub fn cover_for(meta: &WalMeta) -> Result<DynamicSetCover, String> {
             .into()),
         (other, _) => Err(format!("WAL records structure {other:?}, not a set cover")),
     }
-}
-
-/// Replay a WAL recorded over a [`DynamicMatching`]: builds the structure
-/// its header describes ([`matching_for`]) and replays every committed
-/// batch.
-pub fn replay_matching(wal: &Wal) -> Result<(DynamicMatching, ReplayReport), String> {
-    let mut m = matching_for(&wal.meta)?;
-    let report = replay_into(&mut m, wal)?;
-    Ok((m, report))
 }
 
 // ---------------------------------------------------------------------------
@@ -219,20 +132,23 @@ pub(crate) fn list_wal_dir(dir: &Path) -> Result<WalDirContents, String> {
     })
 }
 
-/// The header metadata of a WAL directory, read from its oldest segment
-/// (replay validates every other segment against it).
+/// The header metadata of a WAL directory, read from the header of its
+/// oldest segment (replay validates every other segment against it).
 pub fn wal_dir_meta(dir: &Path) -> Result<WalMeta, String> {
     oldest_segment_meta(dir, &list_wal_dir(dir)?)
 }
 
+/// Read the oldest segment's header, and nothing after it.
 fn oldest_segment_meta(dir: &Path, contents: &WalDirContents) -> Result<WalMeta, String> {
     let (_, oldest) = contents
         .segments
         .first()
         .ok_or_else(|| format!("WAL dir {} contains no segments", dir.display()))?;
-    Ok(read_wal_file(oldest)
-        .map_err(|e| format!("{}: {e}", oldest.display()))?
-        .meta)
+    let seg = SegmentReader::open_file(oldest).map_err(|e| format!("{}: {e}", oldest.display()))?;
+    if seg.torn() {
+        return Err(format!("{}: header cut short", oldest.display()));
+    }
+    Ok(seg.meta().clone())
 }
 
 /// Outcome of [`recover_dir_with`]: the reconstructed structure plus what
@@ -290,8 +206,31 @@ impl<S> Recovery<S> {
 }
 
 /// Replay the contiguous run of segments starting at sequence `start` into
-/// `s`, validating filename/header agreement and segment contiguity.
-/// Returns `(next_seq, segments_replayed, truncated)`.
+/// `s`: the one loop that applies logged batches. Each segment streams
+/// through a [`SegmentReader`], one committed batch at a time; its header
+/// must agree with its filename and with `meta`, and each segment must
+/// start where the previous one ended. Returns `(next_seq,
+/// segments_replayed, truncated)`.
+///
+/// Each batch goes through the coalescer's planner first, so a delete of an
+/// edge that is not live, or an insert with an empty vertex set, fails with
+/// its batch number instead of a bare `apply` error. A live recorder logs
+/// neither, so any rejection means the log is corrupt or hand-written.
+///
+/// From genesis (`start` 0), the first insert-bearing batch must get ids
+/// 0, 1, 2, … — a fresh structure does so in either id mode, while one that
+/// is empty but has handed out ids before would silently shift every
+/// recorded delete onto the wrong edge. (Later batches are not checked: a
+/// recycling structure legitimately reuses freed ids from then on. Nor is a
+/// checkpoint start: the checkpoint restored the allocator.)
+///
+/// Only the final segment may be torn, and a tear applies nothing it
+/// cannot vouch for. A torn rotation (the segment is empty, its header was
+/// cut short, or its header disagrees while it holds no committed batch)
+/// applies nothing; a torn append loses its open batch. Either sets
+/// `truncated`. Corruption — a malformed line with content after it, or a
+/// disagreeing header over committed batches — fails with an error naming
+/// the segment and the line, in the final segment as in any other.
 fn replay_segments_from<S: BatchDynamic>(
     s: &mut S,
     segments: &[(u64, PathBuf)],
@@ -309,6 +248,7 @@ fn replay_segments_from<S: BatchDynamic>(
     let mut expected = start;
     let mut replayed = 0u64;
     let mut truncated = false;
+    let mut verify_ids = start == 0;
     for (i, (base, path)) in tail.iter().enumerate() {
         let is_last = i + 1 == tail.len();
         if *base != expected {
@@ -317,42 +257,62 @@ fn replay_segments_from<S: BatchDynamic>(
                 path.display()
             ));
         }
-        let wal = match read_wal_file(path) {
-            Ok(wal) => wal,
-            // An unreadable *final* segment is a torn rotation (crash while
-            // the new segment file was being created): nothing committed can
-            // live in it, so recovery keeps the prefix instead of erroring.
-            Err(_) if is_last => {
-                truncated = true;
-                break;
-            }
-            Err(e) => return Err(format!("{}: {e}", path.display())),
-        };
-        if wal.base != *base || wal.meta != *meta {
-            // Same torn-rotation tolerance: a final segment whose header
-            // was cut mid-write parses with default/partial metadata. It is
-            // only forgivable when it carries no committed batches — the
+        let in_segment = |e: String| format!("{}: {e}", path.display());
+        let mut seg = SegmentReader::open_file(path).map_err(in_segment)?;
+        if seg.base() != *base || seg.meta() != meta {
+            // A torn rotation: a final segment whose header was cut
+            // mid-write parses with default or partial metadata. It is
+            // only forgivable when it carries no committed batch — the
             // writer appends strictly after a clean header.
-            if is_last && wal.batches.is_empty() {
+            if is_last && seg.next().transpose().map_err(in_segment)?.is_none() {
                 truncated = true;
                 break;
             }
-            if wal.base != *base {
-                return Err(format!(
-                    "{}: header says base {}, filename says {base}",
-                    path.display(),
-                    wal.base
-                ));
-            }
-            return Err(format!(
-                "{}: segment metadata disagrees with the rest of the log",
-                path.display()
-            ));
+            return Err(in_segment(if seg.base() != *base {
+                format!("header says base {}, filename says {base}", seg.base())
+            } else {
+                "segment metadata disagrees with the rest of the log".into()
+            }));
         }
-        apply_logged(s, &wal, false, report)?;
-        expected += wal.batches.len() as u64;
+        for batch in seg.by_ref() {
+            let batch = batch.map_err(in_segment)?;
+            let seq = expected;
+            let plan = plan_batch(batch.into_iter().collect(), |id| s.contains_edge(id));
+            for slot in &plan.slots {
+                match slot {
+                    Slot::RejectUnknown(id) => {
+                        return Err(format!("batch {seq}: delete of unknown edge {id}"));
+                    }
+                    Slot::RejectEmpty => {
+                        return Err(format!("batch {seq}: insert with empty vertex set"));
+                    }
+                    Slot::InBatch(_) | Slot::DuplicateDelete(_) => {}
+                }
+            }
+            if !plan.batch.is_empty() {
+                report.updates += plan.batch.len() as u64;
+                report.applies += 1;
+                let out = s
+                    .apply(plan.batch)
+                    .map_err(|e| format!("batch {seq}: {e}"))?;
+                if verify_ids && !out.inserted.is_empty() {
+                    for (k, id) in out.inserted.iter().enumerate() {
+                        if id.raw() != k as u64 {
+                            return Err(format!(
+                                "replay target is not fresh: expected insert id e{k}, \
+                                 structure assigned {id} (its id counter is not at 0); \
+                                 the target state is now unspecified"
+                            ));
+                        }
+                    }
+                    verify_ids = false;
+                }
+            }
+            report.batches += 1;
+            expected += 1;
+        }
         replayed += 1;
-        if wal.truncated {
+        if seg.torn() {
             // A torn append is tolerable only at the very end of the log:
             // the writer rotates strictly after a clean append+apply, so a
             // mid-chain segment that reads as torn is corruption — unless
@@ -379,14 +339,16 @@ fn replay_segments_from<S: BatchDynamic>(
 /// Recover a structure from a WAL segment directory: load the newest
 /// readable checkpoint, then replay only the segments past it.
 ///
-/// `make` builds a fresh structure (correct seed and id mode) each time a
-/// starting point is tried: checkpoints are read whole and attempted newest
-/// to oldest, a torn, corrupt or foreign one (a `pbdmm-ckpt v1` text
-/// checkpoint, say) falls back to the next older, and when none is usable
-/// (or `from_genesis` is set) the whole log replays from segment 0.
-/// Recovery therefore never errors on a bad checkpoint alone — only on
-/// genuine log corruption or compacted-away history it cannot bridge, and
-/// then the error names every checkpoint it refused and why.
+/// `make` builds a fresh structure as the log's header describes it (seed
+/// and id mode; [`matching_for`], say) each time a starting point is
+/// tried; an error from it ends recovery before anything loads.
+/// Checkpoints are read whole and attempted newest to oldest, a torn,
+/// corrupt or foreign one (a `pbdmm-ckpt v1` text checkpoint, say) falls
+/// back to the next older, and when none is usable (or `from_genesis` is
+/// set) the whole log replays from segment 0. Recovery therefore never
+/// errors on a bad checkpoint alone — only on genuine log corruption or
+/// compacted-away history it cannot bridge, and then the error names every
+/// checkpoint it refused and why.
 pub fn recover_dir_with<S, F>(
     dir: &Path,
     mut make: F,
@@ -394,14 +356,14 @@ pub fn recover_dir_with<S, F>(
 ) -> Result<Recovery<S>, String>
 where
     S: BatchDynamic + Checkpoint,
-    F: FnMut() -> S,
+    F: FnMut(&WalMeta) -> Result<S, String>,
 {
     let contents = list_wal_dir(dir)?;
     let meta = oldest_segment_meta(dir, &contents)?;
     let mut refused: Vec<String> = Vec::new();
     if !from_genesis {
         for (seq, path) in contents.checkpoints.iter().rev() {
-            let mut s = make();
+            let mut s = make(&meta)?;
             let loaded = std::fs::read(path)
                 .map_err(|e| e.to_string())
                 .and_then(|bytes| s.read_checkpoint(&bytes));
@@ -432,7 +394,7 @@ where
         }
     }
     // Genesis: the full history must still be on disk.
-    let mut s = make();
+    let mut s = make(&meta)?;
     let mut report = ReplayReport::default();
     let (next_seq, segments_replayed, truncated) =
         replay_segments_from(&mut s, &contents.segments, 0, &meta, &mut report).map_err(|e| {
@@ -460,13 +422,7 @@ pub fn recover_matching_from_dir(
     dir: &Path,
     from_genesis: bool,
 ) -> Result<Recovery<DynamicMatching>, String> {
-    let meta = wal_dir_meta(dir)?;
-    matching_for(&meta)?;
-    recover_dir_with(
-        dir,
-        move || matching_for(&meta).expect("header checked above"),
-        from_genesis,
-    )
+    recover_dir_with(dir, matching_for, from_genesis)
 }
 
 #[cfg(test)]
@@ -474,20 +430,29 @@ mod tests {
     use super::*;
     use pbdmm_graph::edge::EdgeId;
     use pbdmm_graph::update::Batch;
-    use pbdmm_graph::wal::WalMeta;
+    use pbdmm_graph::wal::{write_batch, write_segment_header};
     use pbdmm_matching::verify::check_invariants;
 
-    fn wal_of(batches: Vec<Batch>) -> Wal {
-        Wal {
-            meta: WalMeta {
-                structure: "matching".into(),
-                seed: 11,
-                ids_recycling: false,
-            },
-            base: 0,
-            batches,
-            truncated: false,
+    /// A one-segment log directory holding `batches` from genesis.
+    fn log_dir(name: &str, batches: &[Batch]) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "pbdmm_replay_unit_{}_{name}.waldir",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let meta = WalMeta {
+            structure: "matching".into(),
+            seed: 11,
+            ids_recycling: false,
+        };
+        let mut seg = Vec::new();
+        write_segment_header(&mut seg, &meta, 0).unwrap();
+        for (seq, b) in batches.iter().enumerate() {
+            write_batch(&mut seg, seq as u64, b).unwrap();
         }
+        std::fs::write(segment_path(&dir, 0), seg).unwrap();
+        dir
     }
 
     #[test]
@@ -502,9 +467,11 @@ mod tests {
         for b in &batches {
             reference.apply(b.clone()).unwrap();
         }
-        let (replayed, report) = replay_matching(&wal_of(batches)).unwrap();
-        assert_eq!(report.batches, 3);
-        assert_eq!(report.updates, 7);
+        let dir = log_dir("identical", &batches);
+        let rec = recover_matching_from_dir(&dir, true).unwrap();
+        assert_eq!(rec.report.batches, 3);
+        assert_eq!(rec.report.updates, 7);
+        let replayed = rec.structure;
         let mut a = reference.matching();
         let mut b = replayed.matching();
         a.sort_unstable();
@@ -512,6 +479,7 @@ mod tests {
         assert_eq!(a, b, "matching state must reproduce exactly");
         assert_eq!(reference.num_edges(), replayed.num_edges());
         check_invariants(&replayed).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -519,32 +487,44 @@ mod tests {
         // An emptied structure still fails freshness: its id counter is not
         // at 0, so recorded deletes would land on the wrong edges. Detected
         // on the first apply, before any recorded delete can resolve.
-        let mut used = DynamicMatching::with_seed(11);
-        let ids = used.insert_edges(&[vec![0, 1]]);
-        used.delete_edges(&ids);
-        assert_eq!(used.num_edges(), 0);
-        let err =
-            replay_into(&mut used, &wal_of(vec![Batch::new().insert(vec![2, 3])])).unwrap_err();
+        let used = || {
+            let mut m = DynamicMatching::with_seed(11);
+            let ids = m.insert_edges(&[vec![0, 1]]);
+            m.delete_edges(&ids);
+            m
+        };
+        assert_eq!(used().num_edges(), 0);
+        let dir = log_dir("emptied", &[Batch::new().insert(vec![2, 3])]);
+        let err = recover_dir_with(&dir, |_: &WalMeta| Ok(used()), true)
+            .err()
+            .unwrap();
         assert!(err.contains("not fresh"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn rejects_unknown_ids_and_stale_targets() {
-        let err = replay_matching(&wal_of(vec![Batch::new().delete(EdgeId(5))])).unwrap_err();
+        let dir = log_dir("unknown", &[Batch::new().delete(EdgeId(5))]);
+        let err = recover_matching_from_dir(&dir, true).err().unwrap();
         assert!(err.contains("unknown"), "{err}");
         // A forward reference is unknown too, whether or not the batch's
         // own inserts would assign the id: ids exist only after apply.
         for target in [EdgeId(0), EdgeId(7)] {
-            let err = replay_matching(&wal_of(vec![Batch::new()
-                .insert(vec![0, 1])
-                .delete(target)]))
-            .unwrap_err();
+            let dir = log_dir("unknown", &[Batch::new().insert(vec![0, 1]).delete(target)]);
+            let err = recover_matching_from_dir(&dir, true).err().unwrap();
             assert!(err.contains("delete of unknown edge"), "{err}");
         }
-        // Fresh-structure precondition.
-        let mut used = DynamicMatching::with_seed(1);
-        used.insert_edges(&[vec![0, 1]]);
-        let err = replay_into(&mut used, &wal_of(vec![])).unwrap_err();
+        // A structure holding a live edge is not fresh either.
+        let stale = || {
+            let mut m = DynamicMatching::with_seed(1);
+            m.insert_edges(&[vec![0, 1]]);
+            m
+        };
+        let dir = log_dir("unknown", &[Batch::new().insert(vec![2, 3])]);
+        let err = recover_dir_with(&dir, |_: &WalMeta| Ok(stale()), true)
+            .err()
+            .unwrap();
         assert!(err.contains("fresh"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -620,14 +620,19 @@ impl ServiceBuilder {
             };
             return Ok((config, rec));
         }
+        // The log's header is checked before a checkpoint loads or a batch
+        // replays.
+        let make = |logged: &WalMeta| {
+            if *logged != wal.meta {
+                return Err(format!(
+                    "WAL dir metadata mismatch: the log records {logged:?}, the builder \
+                     configured {:?} — recovery would resume under the wrong identity",
+                    wal.meta
+                ));
+            }
+            Ok(make())
+        };
         let rec = recover_dir_with(&wal.path, make, false).map_err(ServiceError::Wal)?;
-        if rec.meta != wal.meta {
-            return Err(ServiceError::Wal(format!(
-                "WAL dir metadata mismatch: the log records {:?}, the builder \
-                 configured {:?} — recovery would resume under the wrong identity",
-                rec.meta, wal.meta
-            )));
-        }
         Ok((config, rec))
     }
 }

@@ -19,11 +19,11 @@ use std::sync::Mutex;
 
 use pbdmm_graph::edge::EdgeId;
 use pbdmm_graph::update::{Batch, Update};
-use pbdmm_graph::wal::{read_wal_file, WalMeta};
+use pbdmm_graph::wal::WalMeta;
 use pbdmm_matching::verify::check_invariants;
 use pbdmm_matching::DynamicMatching;
 use pbdmm_primitives::rng::SplitMix64;
-use pbdmm_service::{Done, ServiceConfig, ServiceHandle};
+use pbdmm_service::{recover_matching_from_dir, Done, ServiceConfig, ServiceHandle};
 
 /// Live edges as id → vertex set (the state that must linearize).
 fn live_edges(m: &DynamicMatching) -> BTreeMap<u64, Vec<u32>> {
@@ -146,13 +146,12 @@ fn concurrent_interleavings_linearize_and_replay() {
         check_invariants(&sequential).unwrap();
 
         // --- WAL replay: exact state reproduction, matching included.
-        let wal = read_wal_file(&wal_dir.join("000000.seg")).unwrap();
-        assert!(!wal.truncated);
-        assert_eq!(wal.meta.seed, structure_seed);
-        assert_eq!(wal.total_updates() as u64, stats.updates);
-        let (replayed, report) = pbdmm_service::replay_matching(&wal).unwrap();
-        assert_eq!(report.updates, stats.updates);
-        assert_eq!(report.batches, stats.wal_batches);
+        let rec = recover_matching_from_dir(&wal_dir, true).unwrap();
+        assert!(!rec.truncated);
+        assert_eq!(rec.meta.seed, structure_seed);
+        assert_eq!(rec.report.updates, stats.updates);
+        assert_eq!(rec.report.batches, stats.wal_batches);
+        let replayed = rec.structure;
         assert_eq!(live_edges(&replayed), live_edges(&served));
         assert_eq!(
             sorted_matching(&replayed),
@@ -167,7 +166,7 @@ fn concurrent_interleavings_linearize_and_replay() {
 
 #[test]
 fn wal_replay_is_deterministic_across_runs() {
-    // Replaying the same file twice gives byte-identical state summaries.
+    // Replaying the same log twice gives byte-identical state summaries.
     let wal_dir = std::env::temp_dir().join("pbdmm_service_determinism.waldir");
     std::fs::remove_dir_all(&wal_dir).ok(); // the service refuses to overwrite
     let svc = ServiceConfig::builder()
@@ -189,9 +188,8 @@ fn wal_replay_is_deterministic_across_runs() {
     drop(h);
     let (served, _) = svc.shutdown();
 
-    let wal = read_wal_file(&wal_dir.join("000000.seg")).unwrap();
-    let (a, _) = pbdmm_service::replay_matching(&wal).unwrap();
-    let (b, _) = pbdmm_service::replay_matching(&wal).unwrap();
+    let a = recover_matching_from_dir(&wal_dir, true).unwrap().structure;
+    let b = recover_matching_from_dir(&wal_dir, true).unwrap().structure;
     assert_eq!(live_edges(&a), live_edges(&b));
     assert_eq!(sorted_matching(&a), sorted_matching(&b));
     assert_eq!(live_edges(&a), live_edges(&served));

@@ -9,7 +9,11 @@
 //! committed prefix; neither ever turns into an error. A checkpoint it
 //! cannot read (a `pbdmm-ckpt v1` text file, say) is skipped the same way;
 //! when no checkpoint loads and the history is no longer whole, recovery
-//! errors and names every checkpoint it refused.
+//! errors and names every checkpoint it refused. A malformed line with
+//! content after it is corruption, never a tear: recovery refuses it by
+//! segment and line, the newest segment included. And recovery is bounded:
+//! it reads the oldest segment's header and nothing more to learn the log's
+//! identity, and the segment reader holds one batch, not a segment.
 //!
 //! The driver submits one update at a time and waits for its ticket, so
 //! every logged batch is a singleton and batch `k` is exactly update `k`:
@@ -20,12 +24,12 @@ use std::path::PathBuf;
 
 use pbdmm_graph::edge::EdgeId;
 use pbdmm_graph::update::Batch;
-use pbdmm_graph::wal::WalMeta;
+use pbdmm_graph::wal::{write_segment_header, SegmentReader, WalMeta};
 use pbdmm_matching::snapshot::Snapshots;
 use pbdmm_matching::verify::check_invariants;
 use pbdmm_matching::DynamicMatching;
 use pbdmm_primitives::rng::SplitMix64;
-use pbdmm_service::{recover_matching_from_dir, ServiceConfig, WalConfig};
+use pbdmm_service::{recover_matching_from_dir, wal_dir_meta, ServiceConfig, WalConfig};
 
 fn fresh(seed: u64, recycling: bool) -> DynamicMatching {
     let mut m = DynamicMatching::with_seed(seed);
@@ -216,6 +220,67 @@ fn torn_tail_segment_recovers_a_committed_prefix_at_every_byte() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn corrupt_line_in_the_final_segment_is_refused_not_dropped() {
+    // A malformed line with content after it is corruption, not a torn
+    // append, in the newest segment as in any other: recovery must name
+    // it, and a restarting service must not overwrite the segment.
+    for every in [Some(20), None] {
+        let dir = tdir(&format!("corrupt_final_{}", every.is_some()));
+        let meta = WalMeta {
+            structure: "matching".into(),
+            seed: 13,
+            ids_recycling: false,
+        };
+        let mut wal = WalConfig::dir(&dir, meta);
+        wal.checkpoint_every = every;
+        let svc = ServiceConfig::builder()
+            .wal(wal.clone())
+            .start(fresh(13, false))
+            .expect("start service on fresh dir");
+        let h = svc.handle();
+        for k in 0..50u32 {
+            h.insert(vec![2 * k, 2 * k + 1]).wait().expect("insert");
+        }
+        drop(h);
+        svc.shutdown();
+        let (base, seg_path) = newest(&dir, "seg");
+        assert_eq!(base, if every.is_some() { 40 } else { 0 });
+        // Replace the insert line of the segment's middle batch.
+        let text = std::fs::read_to_string(&seg_path).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        let mid = format!("b {}", base + (50 - base) / 2);
+        let at = lines.iter().position(|l| *l == mid).unwrap() + 1;
+        lines[at] = "zz corrupt";
+        let corrupt = lines.join("\n") + "\n";
+        std::fs::write(&seg_path, &corrupt).unwrap();
+
+        let err = match recover_matching_from_dir(&dir, false) {
+            Ok(rec) => panic!(
+                "every={every:?}: recovered {} batches over a corrupt segment",
+                rec.next_seq
+            ),
+            Err(e) => e,
+        };
+        let name = seg_path.file_name().unwrap().to_str().unwrap();
+        let line = format!("{name}: line {}: unknown record tag", at + 1);
+        assert!(err.contains(&line), "every={every:?}: {err}");
+        let refused = ServiceConfig::builder()
+            .wal(wal)
+            .recover_and_start_serving(|| fresh(13, false));
+        match refused {
+            Ok(_) => panic!("every={every:?}: the service started over a corrupt segment"),
+            Err(e) => assert!(e.to_string().contains(&line), "every={every:?}: {e}"),
+        }
+        assert_eq!(
+            std::fs::read(&seg_path).unwrap(),
+            corrupt.as_bytes(),
+            "every={every:?}: the corrupt segment was rewritten"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// A text checkpoint as the `pbdmm-ckpt v1` writer laid it out.
 const V1_CHECKPOINT: &str = "# pbdmm-ckpt v1\n# structure: matching\nrng 7\nids monotonic 0\n\
     rank 1\nconfig 1 4 0\nstats 0 0 0 0 0 0 0 0 0 0 0 0 0\nmeter 0 0 0\nedges 0 0\n\
@@ -287,4 +352,70 @@ fn young_log_with_v1_checkpoints_recovers_from_genesis() {
         assert_same(&rec.structure, &replay_prefix(9, recycling, &ops));
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+#[test]
+fn dir_meta_reads_the_oldest_header_only() {
+    // Garbage after a valid header: the header read never reaches it,
+    // while replay refuses it by line.
+    let dir = tdir("header_only");
+    std::fs::create_dir_all(&dir).unwrap();
+    let meta = WalMeta {
+        structure: "matching".into(),
+        seed: 11,
+        ids_recycling: true,
+    };
+    let mut seg = Vec::new();
+    write_segment_header(&mut seg, &meta, 0).unwrap();
+    seg.extend_from_slice(b"zz garbage\nzz\n");
+    std::fs::write(dir.join("000000.seg"), seg).unwrap();
+    assert_eq!(wal_dir_meta(&dir).unwrap(), meta);
+    let err = recover_matching_from_dir(&dir, true).err().unwrap();
+    assert!(
+        err.contains("000000.seg: line 5: unknown record tag"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `Read` over a lazily generated byte stream that counts the bytes it
+/// hands out.
+struct Counted<I> {
+    bytes: I,
+    handed_out: usize,
+}
+
+impl<I: Iterator<Item = u8>> std::io::Read for Counted<I> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf
+            .iter_mut()
+            .zip(&mut self.bytes)
+            .map(|(b, x)| *b = x)
+            .count();
+        self.handed_out += n;
+        Ok(n)
+    }
+}
+
+#[test]
+fn segment_reader_holds_one_batch_not_the_segment() {
+    // A 1M-batch churn segment, generated only as it is read: replay pulls
+    // one committed batch at a time, so three batches cost a few buffers.
+    let header = "# pbdmm-wal v1\n# structure: matching\n# seed: 1\n# ids: recycling\n";
+    let batches = (0..1_000_000u64).flat_map(|k| {
+        let op = if k.is_multiple_of(2) { "i 0 1" } else { "d 0" };
+        format!("b {k}\n{op}\nc {k}\n").into_bytes()
+    });
+    let mut log = Counted {
+        bytes: header.bytes().chain(batches),
+        handed_out: 0,
+    };
+    let mut r = SegmentReader::open(std::io::BufReader::new(&mut log)).unwrap();
+    assert!(r.meta().ids_recycling);
+    let first: Vec<Batch> = r.by_ref().take(3).map(Result::unwrap).collect();
+    let insert = Batch::new().insert(vec![0, 1]);
+    let delete = Batch::new().delete(EdgeId(0));
+    assert_eq!(first, vec![insert.clone(), delete, insert]);
+    drop(r);
+    assert!(log.handed_out < 64 * 1024, "{} bytes read", log.handed_out);
 }

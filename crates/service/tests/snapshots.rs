@@ -19,12 +19,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pbdmm_graph::edge::EdgeId;
-use pbdmm_graph::wal::{read_wal_file, Wal, WalMeta};
+use pbdmm_graph::wal::{SegmentReader, WalMeta};
 use pbdmm_matching::snapshot::{MatchingSnapshot, Snapshots};
 use pbdmm_matching::verify::check_invariants;
 use pbdmm_matching::DynamicMatching;
 use pbdmm_primitives::rng::SplitMix64;
-use pbdmm_service::{replay_matching, Done, QueryHandle, ServiceConfig, ServiceHandle};
+use pbdmm_service::{matching_for, Done, QueryHandle, ServiceConfig, ServiceHandle};
 
 /// One producer of the mixed load: inserts and deletes of its own ids,
 /// asserting read-your-writes against `q` after every completed ticket.
@@ -58,32 +58,6 @@ fn producer(
             c.epoch
         );
     }
-}
-
-/// Replay the first `prefix_updates` updates of `wal` (which must land on a
-/// batch boundary) into a fresh structure.
-fn replay_prefix(wal: &Wal, prefix_updates: u64) -> DynamicMatching {
-    let mut taken = 0u64;
-    let mut batches = Vec::new();
-    for b in &wal.batches {
-        if taken == prefix_updates {
-            break;
-        }
-        taken += b.len() as u64;
-        batches.push(b.clone());
-    }
-    assert_eq!(
-        taken, prefix_updates,
-        "observed epoch {prefix_updates} is not a batch boundary of the WAL"
-    );
-    let prefix = Wal {
-        meta: wal.meta.clone(),
-        base: 0,
-        batches,
-        truncated: false,
-    };
-    let (m, _) = replay_matching(&prefix).expect("prefix replays");
-    m
 }
 
 #[test]
@@ -148,23 +122,41 @@ fn observed_snapshots_equal_wal_replay_prefixes() {
 
         // Every observed snapshot ≡ the sequential WAL replay prefix at
         // its epoch — snapshots only ever expose committed batch
-        // boundaries of the durable history.
-        let wal = read_wal_file(&wal_dir.join("000000.seg")).unwrap();
-        assert!(!wal.truncated);
+        // boundaries of the durable history. One pass over the log
+        // compares at each observed epoch as the replay reaches it.
         let observed = observed.into_inner().unwrap();
         assert!(
             observed.len() > 1,
             "readers should observe more than the empty snapshot (seed {seed})"
         );
-        for (&epoch, snap) in &observed {
-            let replayed = replay_prefix(&wal, epoch);
-            assert_eq!(Snapshots::epoch(&replayed), epoch);
-            assert_eq!(
-                **snap,
-                Snapshots::snapshot(&replayed),
-                "seed {seed}: snapshot at epoch {epoch} must equal its WAL prefix replay"
-            );
+        let mut log = SegmentReader::open_file(&wal_dir.join("000000.seg")).unwrap();
+        let mut replayed = matching_for(log.meta()).unwrap();
+        let mut pending = observed.iter().peekable();
+        loop {
+            let epoch = Snapshots::epoch(&replayed);
+            if let Some((_, snap)) = pending.next_if(|&(&e, _)| e == epoch) {
+                assert_eq!(
+                    **snap,
+                    Snapshots::snapshot(&replayed),
+                    "seed {seed}: snapshot at epoch {epoch} must equal its WAL prefix replay"
+                );
+            }
+            if let Some((&next, _)) = pending.peek() {
+                assert!(
+                    next > epoch,
+                    "seed {seed}: observed epoch {next} is not a batch boundary of the WAL"
+                );
+            }
+            let Some(batch) = log.next() else { break };
+            replayed
+                .apply(batch.unwrap())
+                .expect("logged batch applies");
         }
+        assert!(!log.torn());
+        assert!(
+            pending.next().is_none(),
+            "seed {seed}: observed past the log's end"
+        );
         std::fs::remove_dir_all(&wal_dir).ok();
     }
 }

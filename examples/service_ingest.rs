@@ -7,10 +7,10 @@
 //! cargo run --release --example service_ingest
 //! ```
 
-use pbdmm::graph::wal::{read_wal_file, WalMeta};
+use pbdmm::graph::wal::WalMeta;
 use pbdmm::matching::verify::check_invariants;
 use pbdmm::primitives::rng::SplitMix64;
-use pbdmm::service::{replay_matching, Done, ServiceConfig};
+use pbdmm::service::{recover_matching_from_dir, Done, ServiceConfig};
 use pbdmm::{DynamicMatching, EdgeId};
 
 fn main() {
@@ -90,9 +90,8 @@ fn main() {
 
     // 4. Replay the WAL: same batches, same seed, exact same final state —
     //    crash recovery and trace replay are the same mechanism.
-    let wal_path = wal_dir.join("000000.seg");
-    let wal = read_wal_file(&wal_path).expect("read WAL");
-    let (replayed, report) = replay_matching(&wal).expect("replay");
+    let rec = recover_matching_from_dir(&wal_dir, true).expect("replay");
+    let (replayed, report) = (rec.structure, rec.report);
     assert_eq!(replayed.matching_size(), served.matching_size());
     assert_eq!(replayed.num_edges(), served.num_edges());
     let (mut a, mut b) = (replayed.matching(), served.matching());
@@ -102,7 +101,7 @@ fn main() {
     println!(
         "replayed {} updates from {} -> identical state (matching {})",
         report.updates,
-        wal_path.display(),
+        wal_dir.display(),
         replayed.matching_size()
     );
     std::fs::remove_dir_all(&wal_dir).ok();

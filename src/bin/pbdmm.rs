@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use pbdmm::graph::wal::{read_wal_file, Wal, WalMeta};
+use pbdmm::graph::wal::WalMeta;
 use pbdmm::graph::workload::{insert_then_delete, DeletionOrder};
 use pbdmm::graph::{gen, io, EdgeId, Hypergraph};
 use pbdmm::matching::baseline::{NaiveDynamic, RecomputeMatching};
@@ -36,8 +36,8 @@ use pbdmm::primitives::cost::CostMeter;
 use pbdmm::primitives::obs::{Counter, Phase, Recorder};
 use pbdmm::primitives::rng::SplitMix64;
 use pbdmm::service::{
-    cover_for, matching_for, recover_dir_with, replay_into, wal_dir_meta, Done, RecoveryInfo,
-    ServiceConfig, ServiceHandle, WalConfig, DEFAULT_MAX_BATCH,
+    cover_for, matching_for, recover_dir_with, wal_dir_meta, Done, RecoveryInfo, ServiceConfig,
+    ServiceHandle, WalConfig, DEFAULT_MAX_BATCH,
 };
 use pbdmm::{BatchDynamic, DynamicMatching, DynamicSetCover};
 use pbdmm_bench::metrics;
@@ -64,7 +64,7 @@ usage:
               [--structure matching|setcover] [--wal DIR|none]
               [--wal-sync BOOL] [--checkpoint-every N]
               [--seed S] [--threads T] [--profile [interval=N]]
-  pbdmm replay <wal-dir-or-file> [--from-genesis BOOL] [--threads T] [--profile]
+  pbdmm replay <wal-dir> [--from-genesis BOOL] [--threads T] [--profile]
   pbdmm daemon [--port P] [--host H] [--max-connections C] [--max-inflight W]
                [--max-batch B] [--wal DIR|none]
                [--wal-sync BOOL] [--checkpoint-every N]
@@ -116,10 +116,8 @@ usage:
   from it and resumes appending (an empty or missing DIR starts fresh).
   replay DIR recovers the way a restarted daemon would — newest intact
   checkpoint plus tail segments, printing which checkpoint it started
-  from — unless --from-genesis true forces a full-history replay. replay
-  FILE replays one log file from genesis: a single-file log, or the
-  000000.seg of a directory (a later segment holds only the tail after
-  a checkpoint and is refused).
+  from — unless --from-genesis true forces a full-history replay. It
+  takes a directory only: a single-file log replays as DIR/000000.seg.
 
   --profile (serve, daemon, replay, load) adds per-phase timing to the
   always-on counters: where batch time went (plan, WAL append, apply
@@ -887,29 +885,27 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Rebuild a structure from a recorded log and verify its invariants. A
-/// directory recovers exactly as a restarted daemon would — newest intact
-/// checkpoint plus tail segments, or the full history with
-/// `--from-genesis true`; a file replays as a one-segment log from genesis.
-/// Either way the run ends with the `final:` line serve and daemon print,
-/// so CI can diff recovery against the state that was served.
+/// Rebuild a structure from a recorded WAL directory and verify its
+/// invariants. It recovers exactly as a restarted daemon would — newest
+/// intact checkpoint plus tail segments, or the full history with
+/// `--from-genesis true` — and ends with the `final:` line serve and daemon
+/// print, so CI can diff recovery against the state that was served.
 fn cmd_replay(args: &Args) -> Result<(), String> {
     let path = PathBuf::from(
         args.positional
             .get(1)
-            .ok_or("missing WAL file or directory argument")?,
+            .ok_or("missing WAL directory argument")?,
     );
     let from_genesis: bool = args.flag("from-genesis", false)?;
     let prof = profile_from_flags(args)?;
-    let file = if path.is_dir() {
-        None
-    } else {
-        Some(read_wal_file(&path)?)
-    };
-    let meta = match &file {
-        Some(wal) => wal.meta.clone(),
-        None => wal_dir_meta(&path)?,
-    };
+    if path.is_file() {
+        return Err(format!(
+            "{} is a file, not a WAL directory; a single-file log replays as \
+             DIR/000000.seg (the bytes are the same)",
+            path.display()
+        ));
+    }
+    let meta = wal_dir_meta(&path)?;
     println!(
         "wal: {}, structure={} seed={}",
         path.display(),
@@ -918,17 +914,12 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     );
     let final_line = match meta.structure.as_str() {
         "matching" => {
-            let m = replay_log(&path, file.as_ref(), from_genesis, &prof.obs, || {
-                matching_for(&meta).expect("structure matched above")
-            })?;
+            let m = replay_log(&path, from_genesis, &prof.obs, matching_for)?;
             check_invariants(&m).map_err(|e| format!("replayed invariants: {e}"))?;
             matching_final(&m)
         }
         "setcover" => {
-            cover_for(&meta)?;
-            let c = replay_log(&path, file.as_ref(), from_genesis, &prof.obs, || {
-                cover_for(&meta).expect("header checked above")
-            })?;
+            let c = replay_log(&path, from_genesis, &prof.obs, cover_for)?;
             check_invariants(c.matching()).map_err(|e| format!("replayed invariants: {e}"))?;
             cover_final(&c)
         }
@@ -940,52 +931,33 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Rebuild a structure from the log at `path` with the profile recorder
-/// attached, and print what recovery did. `file` is the log already read
-/// from `path` when it is a single file (replayed from genesis); otherwise
-/// `path` is a directory and recovers through [`recover_dir_with`].
+/// Recover a structure from the WAL directory at `path`, built from its
+/// header by `make` with the profile recorder attached, and print what
+/// recovery did.
 fn replay_log<S: BatchDynamic + Checkpoint>(
     path: &Path,
-    file: Option<&Wal>,
     from_genesis: bool,
     obs: &Recorder,
-    make: impl Fn() -> S,
+    make: fn(&WalMeta) -> Result<S, String>,
 ) -> Result<S, String> {
-    let make = || {
-        let mut s = make();
+    let make = |meta: &WalMeta| {
+        let mut s = make(meta)?;
         s.set_obs(obs.clone());
-        s
+        Ok(s)
     };
     let start = std::time::Instant::now();
     // The whole replay is one `batch`/`apply` span; the matching tier
     // records per-batch `settle`/`snapshot_publish` sub-spans inside it.
-    let (s, info) = {
+    let rec = {
         let _batch = obs.span(Phase::Batch);
         let _apply = obs.span(Phase::Apply);
-        match file {
-            Some(wal) => {
-                let mut s = make();
-                let report = replay_into(&mut s, wal)?;
-                let info = RecoveryInfo {
-                    checkpoint: None,
-                    batches: report.batches,
-                    segments_replayed: 1,
-                    report,
-                    truncated: wal.truncated,
-                };
-                (s, info)
-            }
-            None => {
-                let rec = recover_dir_with(path, make, from_genesis)?;
-                let info = rec.info();
-                (rec.structure, info)
-            }
-        }
+        recover_dir_with(path, make, from_genesis)?
     };
+    let info = rec.info();
     obs.add(Counter::Batches, info.report.batches);
     obs.add(Counter::Updates, info.report.updates);
     print_recovery(&info, start.elapsed());
-    Ok(s)
+    Ok(rec.structure)
 }
 
 /// The byte-comparable `final:` line serve, replay and daemon print for a
@@ -1012,9 +984,8 @@ fn cover_final(c: &DynamicSetCover) -> String {
 }
 
 /// Print what recovery actually did: which checkpoint it started from
-/// (genesis for a file, or when no checkpoint was usable or
-/// `--from-genesis` forced it) and how much log it replayed past that
-/// point.
+/// (genesis when no checkpoint was usable or `--from-genesis` forced it)
+/// and how much log it replayed past that point.
 fn print_recovery(info: &RecoveryInfo, elapsed: Duration) {
     match info.checkpoint {
         Some(seq) => println!(

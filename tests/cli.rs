@@ -312,21 +312,16 @@ fn replay_refuses_a_recycling_set_cover_log() {
     let log = "# pbdmm-wal v1\n# structure: setcover\n# seed: 5\n# ids: recycling\n\
                b 0\ni 0 1\ni 2 3\ni 4 5\nc 0\nb 1\nd 0\nc 1\n\
                b 2\ni 6 7\nc 2\nb 3\ni 8 9\nc 3\nb 4\nd 3\nc 4\n";
-    let file = tmpfile("recycling_cover.wal");
-    std::fs::write(&file, log).unwrap();
     let dir = tmpfile("recycling_cover.waldir");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("000000.seg"), log).unwrap();
-    for path in [&file, &dir] {
-        let out = pbdmm(&["replay", path.to_str().unwrap()]);
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "{path:?}: {stdout}");
-        assert!(!stdout.contains("invariants: ok"), "{path:?}: {stdout}");
-        assert!(stderr.contains("ids: recycling"), "{path:?}: {stderr}");
-    }
-    std::fs::remove_file(&file).ok();
+    let out = pbdmm(&["replay", dir.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stdout}");
+    assert!(!stdout.contains("invariants: ok"), "{stdout}");
+    assert!(stderr.contains("ids: recycling"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -387,7 +382,7 @@ fn replay_rejects_garbage() {
     assert!(!out.status.success());
     let out = pbdmm(&["replay"]);
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("missing WAL file"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("missing WAL directory"));
 }
 
 #[test]
@@ -395,22 +390,21 @@ fn replay_refuses_a_mid_log_segment() {
     // A rotated segment holds only the batches after a checkpoint:
     // replayed alone from a fresh structure it would print a state that
     // never existed.
-    let seg = tmpfile("000005.seg");
+    let dir = tmpfile("mid_log.waldir");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(
-        &seg,
+        dir.join("000005.seg"),
         "# pbdmm-wal v1\n# structure: matching\n# seed: 5\n# base: 5\nb 5\ni 0 1\nc 5\n",
     )
     .unwrap();
-    let out = pbdmm(&["replay", seg.to_str().unwrap()]);
+    let out = pbdmm(&["replay", dir.to_str().unwrap()]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "{stdout}");
     assert!(!stdout.contains("final:"), "{stdout}");
-    assert!(
-        stderr.contains("batch 5") && stderr.contains("replay the directory"),
-        "{stderr}"
-    );
-    std::fs::remove_file(&seg).ok();
+    assert!(stderr.contains("no segment starts at batch 0"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -476,10 +470,23 @@ fn single_file_log_is_refused_as_a_wal_dir_and_still_replays() {
     assert!(stderr.contains(path), "{stderr}");
     assert_eq!(std::fs::read(&file).unwrap(), before, "log was modified");
 
-    // replay still reads it, as one segment from genesis.
+    // replay takes a directory too; the same bytes replay as its
+    // 000000.seg.
     let out = pbdmm(&["replay", path]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(path) && stderr.contains("DIR/000000.seg"),
+        "{stderr}"
+    );
+    let dir = tmpfile("single_replay.waldir");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::copy(&file, dir.join("000000.seg")).unwrap();
+    let out = pbdmm(&["replay", dir.to_str().unwrap()]);
     assert_eq!(final_line(&out), recorded_final);
     std::fs::remove_file(&file).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Spawn `pbdmm daemon --port 0`, scan for its `daemon: listening on`

@@ -1,11 +1,10 @@
 //! Every path that rebuilds state from a log agrees, in both id-allocation
-//! modes. One recorded history goes through `replay_matching` (the one
-//! segment of a log without checkpoints), `recover_matching_from_dir` (from
-//! a checkpoint and from genesis), and `pbdmm replay` on that segment file
-//! and on the directory, and every path must print the `final:` line the
-//! service itself ended on. The history
-//! deletes an edge whose id was recycled, so a path that builds the
-//! structure in the wrong id mode fails it.
+//! modes. One recorded history goes through `recover_matching_from_dir`
+//! (a one-segment log without checkpoints, and a checkpointed directory
+//! from a checkpoint and from genesis) and `pbdmm replay` on both
+//! directories, and every path must print the `final:` line the service
+//! itself ended on. The history deletes an edge whose id was recycled, so
+//! a path that builds the structure in the wrong id mode fails it.
 //!
 //! The removed sharded directory layout (`<dir>/shard-<i>/`) is refused by
 //! every entry point, instead of reading as an empty log.
@@ -15,11 +14,11 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::time::{Duration, Instant};
 
-use pbdmm::graph::wal::{read_wal_file, write_batch, write_segment_header, WalMeta};
+use pbdmm::graph::wal::{write_batch, write_segment_header, SegmentReader, WalMeta};
 use pbdmm::graph::{Batch, EdgeId};
 use pbdmm::primitives::rng::SplitMix64;
 use pbdmm::service::{
-    recover_matching_from_dir, replay_matching, Done, ServiceBuilder, ServiceConfig, ServiceError,
+    recover_matching_from_dir, Done, ServiceBuilder, ServiceConfig, ServiceError,
 };
 use pbdmm::DynamicMatching;
 
@@ -128,7 +127,6 @@ fn every_replay_path_agrees_in_both_id_modes() {
         };
         let root = tdir(&format!("agree_{recycling}"));
         let whole = root.join("whole.waldir");
-        let file = whole.join("000000.seg");
         let dir = root.join("history.waldir");
 
         let served = record(
@@ -149,19 +147,22 @@ fn every_replay_path_agrees_in_both_id_modes() {
         // Compaction dropped the history below the older retained
         // checkpoint; put it back from the one-segment log so the same
         // directory also replays from genesis.
-        let wal = read_wal_file(&file).unwrap();
+        let mut log = SegmentReader::open_file(&whole.join("000000.seg")).unwrap();
+        assert_eq!(*log.meta(), meta);
         let first = segment_bases(&dir)[0];
         assert!(first > 0, "the run rotated and compacted");
         let mut seg = std::fs::File::create(dir.join("000000.seg")).unwrap();
         write_segment_header(&mut seg, &meta, 0).unwrap();
-        for (seq, b) in wal.batches[..first as usize].iter().enumerate() {
-            write_batch(&mut seg, seq as u64, b).unwrap();
+        for seq in 0..first {
+            let b = log.next().expect("the one-segment log holds it").unwrap();
+            write_batch(&mut seg, seq, &b).unwrap();
         }
         seg.flush().unwrap();
 
         let ctx = format!("recycling={recycling}");
-        let (m, _) = replay_matching(&wal).unwrap_or_else(|e| panic!("{ctx}: file replay: {e}"));
-        assert_eq!(final_line(&m), expected, "{ctx}: replay_matching");
+        let rec = recover_matching_from_dir(&whole, false).unwrap();
+        assert_eq!(rec.checkpoint, None, "{ctx}: one segment, no checkpoint");
+        assert_eq!(final_line(&rec.structure), expected, "{ctx}: one segment");
 
         let rec = recover_matching_from_dir(&dir, false).unwrap();
         assert!(
@@ -174,8 +175,12 @@ fn every_replay_path_agrees_in_both_id_modes() {
         assert_eq!(rec.checkpoint, None, "{ctx}: from genesis");
         assert_eq!(final_line(&rec.structure), expected, "{ctx}: genesis");
 
-        let (file, dir) = (file.to_str().unwrap(), dir.to_str().unwrap());
-        assert_eq!(cli_final(&[file]), expected, "{ctx}: pbdmm replay FILE");
+        let (whole, dir) = (whole.to_str().unwrap(), dir.to_str().unwrap());
+        assert_eq!(
+            cli_final(&[whole]),
+            expected,
+            "{ctx}: pbdmm replay one segment"
+        );
         assert_eq!(cli_final(&[dir]), expected, "{ctx}: pbdmm replay DIR");
         assert_eq!(
             cli_final(&[dir, "--from-genesis", "true"]),
@@ -210,8 +215,7 @@ fn checkpoint_recovery_counts_the_whole_history() {
                 .checkpoint_every(40),
             &meta,
         );
-        let wal = read_wal_file(&whole.join("000000.seg")).unwrap();
-        let (genesis, _) = replay_matching(&wal).unwrap();
+        let genesis = recover_matching_from_dir(&whole, false).unwrap().structure;
         let rec = recover_matching_from_dir(&dir, false).unwrap();
         assert!(rec.checkpoint.is_some(), "recovery used a checkpoint");
         let ctx = format!("recycling={recycling}");

@@ -12,13 +12,12 @@
 //! reuse boundaries with the scheduler cap above the core count.
 
 use pbdmm::graph::edge::EdgeId;
-use pbdmm::graph::wal::{read_wal_file, WalMeta};
+use pbdmm::graph::wal::WalMeta;
 use pbdmm::graph::{gen, workload};
 use pbdmm::matching::snapshot::Snapshots;
 use pbdmm::matching::verify::check_invariants;
 use pbdmm::primitives::rng::SplitMix64;
-use pbdmm::service::replay::replay_into;
-use pbdmm::service::ServiceConfig;
+use pbdmm::service::{recover_matching_from_dir, ServiceConfig};
 use pbdmm::{Batch, DynamicMatching};
 
 fn recycling(seed: u64) -> DynamicMatching {
@@ -62,7 +61,7 @@ fn recycled_ids_are_reused_lifo_and_stay_sound() {
     let mut m = recycling(1);
     let ids = m.insert_edges(&[vec![0, 1], vec![2, 3], vec![4, 5]]);
     assert_eq!(ids, vec![EdgeId(0), EdgeId(1), EdgeId(2)]);
-    m.try_delete_edges(&[ids[0], ids[2]]).unwrap();
+    m.apply(Batch::new().deletes([ids[0], ids[2]])).unwrap();
     // LIFO: the most recently freed id (2) comes back first, then 0, then a
     // fresh slot.
     let again = m.insert_edges(&[vec![6, 7], vec![8, 9], vec![10, 11]]);
@@ -188,9 +187,9 @@ fn wal_replay_reproduces_recycled_ids_exactly() {
     // Replay the log into a fresh same-seeded recycling structure: the
     // exact final state — live ids (including recycled ones) and matching —
     // must reproduce.
-    let wal = read_wal_file(&wal_dir.join("000000.seg")).expect("readable WAL");
-    let mut replayed = recycling(11);
-    replay_into(&mut replayed, &wal).expect("clean replay");
+    let rec = recover_matching_from_dir(&wal_dir, true).expect("clean replay");
+    assert!(rec.meta.ids_recycling && !rec.truncated);
+    let replayed = rec.structure;
     check_invariants(&replayed).unwrap();
     let mut served_ids = served.structure().edges.ids().to_vec();
     let mut replayed_ids = replayed.structure().edges.ids().to_vec();
