@@ -23,9 +23,8 @@ use pbdmm_graph::gen;
 use pbdmm_graph::update::Batch;
 use pbdmm_graph::wal::WalMeta;
 use pbdmm_graph::workload::{churn, insert_then_delete, DeletionOrder};
-use pbdmm_matching::checkpoint::Checkpoint;
 use pbdmm_matching::driver::run_workload;
-use pbdmm_matching::snapshot::{Changes, MatchingSnapshot, SnapshotDelta, Snapshots};
+use pbdmm_matching::snapshot::{Changes, MatchingSnapshot, SnapshotDelta};
 use pbdmm_matching::DynamicMatching;
 use pbdmm_primitives::obs::{Phase, Recorder};
 use pbdmm_primitives::par;
@@ -346,7 +345,13 @@ fn run_battery(samples: usize) -> BTreeMap<String, f64> {
         std::fs::remove_dir_all(&wal_path).ok();
         let (svc, _query) = ServiceConfig::builder()
             .max_batch(512)
-            .wal_dir(&wal_path, WalMeta::default())
+            .wal_dir(
+                &wal_path,
+                WalMeta {
+                    seed: 11,
+                    ..WalMeta::default()
+                },
+            )
             .checkpoint_every(0)
             .wal_sync(false)
             .obs(obs.clone())

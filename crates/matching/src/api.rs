@@ -45,7 +45,6 @@
 
 use pbdmm_graph::edge::{normalize_vertices, EdgeId, EdgeVertices};
 use pbdmm_primitives::hash::FxHashSet;
-use pbdmm_primitives::obs::Recorder;
 
 pub use pbdmm_graph::update::{Batch, Update};
 
@@ -266,12 +265,6 @@ pub trait BatchDynamic {
 
     /// Total model work charged so far.
     fn work(&self) -> u64;
-
-    /// Attach a phase [`Recorder`]: structures that support per-phase
-    /// observability record settlement/publication spans and counters
-    /// through it. The default does nothing, so plain adapters (the
-    /// baselines, test doubles) need no change.
-    fn set_obs(&mut self, _obs: Recorder) {}
 
     /// Legacy wrapper: insert a batch of edges, returning their ids in input
     /// order.

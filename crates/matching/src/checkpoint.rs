@@ -68,23 +68,12 @@ const CKPT_MAGIC: &[u8] = b"pbdmm-ckpt v2\n";
 /// Trailer: the body length and the body's checksum, one `u64` each.
 const TRAILER_LEN: usize = 16;
 
-/// Structures that can serialize their complete state for segment-boundary
-/// checkpoints. Every served structure implements it: recovery loads the
-/// newest intact checkpoint and replays only the log after it.
-pub trait Checkpoint {
+/// Segment-boundary checkpoints: recovery loads the newest intact image
+/// and replays only the log after it.
+impl DynamicMatching {
     /// Append one complete checkpoint image, trailer included, to `out`.
     /// The caller owns durability (write, fsync, rename).
-    fn write_checkpoint(&self, out: &mut Vec<u8>);
-
-    /// Restore state from one whole checkpoint image into `self`, which
-    /// must be freshly constructed (no updates applied). Errors name the
-    /// offending section and leave `self` unusable — build a new instance
-    /// before retrying.
-    fn read_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String>;
-}
-
-impl Checkpoint for DynamicMatching {
-    fn write_checkpoint(&self, out: &mut Vec<u8>) {
+    pub fn write_checkpoint(&self, out: &mut Vec<u8>) {
         let start = out.len();
         out.reserve(self.checkpoint_size_hint());
         let mut w = Writer(out);
@@ -163,7 +152,11 @@ impl Checkpoint for DynamicMatching {
         out.extend_from_slice(&sum.to_le_bytes());
     }
 
-    fn read_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {
+    /// Restore state from one whole checkpoint image into `self`, which
+    /// must be freshly constructed (no updates applied). Errors name the
+    /// offending section and leave `self` unusable — build a new instance
+    /// before retrying.
+    pub fn read_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {
         if self.ids.allocated() != 0 || !self.s.edges.is_empty() || self.stats.batches != 0 {
             return Err("checkpoint restore requires a fresh structure".to_string());
         }

@@ -249,11 +249,11 @@ pub struct DynamicMatching {
     /// uses the process-global pool.
     pool: Option<Arc<ParPool>>,
     /// Publication point for the epoch-snapshot read path: when set (via
-    /// [`crate::snapshot::Snapshots::enable_snapshots`]), every `apply`
+    /// [`Self::enable_snapshots`]), every `apply`
     /// ends by patching the previous [`MatchingSnapshot`] with the batch's
     /// [`SnapshotDelta`] and atomically swapping the result in, so
     /// concurrent readers always see a consistent batch boundary.
-    snapshots: Option<Arc<SnapshotCell<MatchingSnapshot>>>,
+    snapshots: Option<Arc<SnapshotCell>>,
     /// Change recorder for the in-flight batch; `Some` exactly while an
     /// `apply` runs with snapshots enabled.
     delta: Option<DeltaTracker>,
@@ -432,10 +432,9 @@ impl DynamicMatching {
     }
 
     /// The snapshot publication cell, created (with an immediate capture of
-    /// the current state) on first use. Prefer the trait surface
-    /// [`crate::snapshot::Snapshots::enable_snapshots`]; this accessor
-    /// exists so the trait impl and tests share one cell.
-    pub(crate) fn snapshot_cell(&mut self) -> Arc<SnapshotCell<MatchingSnapshot>> {
+    /// the current state) on first use; [`Self::enable_snapshots`] wraps it
+    /// in a [`crate::snapshot::QueryHandle`].
+    pub(crate) fn snapshot_cell(&mut self) -> Arc<SnapshotCell> {
         if self.snapshots.is_none() {
             self.snapshots = Some(Arc::new(SnapshotCell::new(MatchingSnapshot::capture(self))));
         }
@@ -962,10 +961,6 @@ impl crate::api::BatchDynamic for DynamicMatching {
 
     fn work(&self) -> u64 {
         self.meter().work()
-    }
-
-    fn set_obs(&mut self, obs: Recorder) {
-        DynamicMatching::set_obs(self, obs)
     }
 
     fn insert_edges(&mut self, batch: &[EdgeVertices]) -> Vec<EdgeId> {

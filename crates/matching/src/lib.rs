@@ -76,7 +76,6 @@ pub mod stats;
 pub mod verify;
 
 pub use api::{Batch, BatchDynamic, BatchOutcome, Update, UpdateError, UpdateOutcome};
-pub use checkpoint::Checkpoint;
 pub use dynamic::{BatchReport, DynamicMatching, LevelOccupancy, StorageStats};
 pub use greedy::{
     parallel_greedy_match, parallel_greedy_match_in, parallel_greedy_match_with_priorities,
@@ -84,7 +83,5 @@ pub use greedy::{
     sequential_greedy_match_with_priorities, GreedyScratch, MatchResult,
 };
 pub use level::{EdgeType, LeveledStructure, LevelingConfig};
-pub use snapshot::{
-    Changes, MatchingSnapshot, QueryHandle, Snapshot, SnapshotDelta, SnapshotStats, Snapshots,
-};
+pub use snapshot::{Changes, MatchingSnapshot, QueryHandle, SnapshotDelta, SnapshotStats};
 pub use stats::{EpochEnd, MatchingStats};

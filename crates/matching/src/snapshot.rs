@@ -42,16 +42,14 @@
 //! merged delta covering `E → latest`, or a full resync snapshot if it
 //! fell too far behind ([`Changes`]).
 //!
-//! [`Snapshots`] is the capability trait: any structure that can capture
-//! and publish snapshots plugs into the generic serving layer, which hands
-//! out the same [`QueryHandle`]. [`DynamicMatching`] is the one
-//! publisher; `DynamicSetCover` in `pbdmm-setcover` forwards to its
-//! matching, so a cover is served as [`MatchingSnapshot`]s too.
+//! [`DynamicMatching`] is the one publisher: [`DynamicMatching::enable_snapshots`]
+//! hands out the [`QueryHandle`] that bare structures and the serving
+//! layer share. A served set cover is a matching read with sets as
+//! vertices, so it is served as [`MatchingSnapshot`]s too.
 //!
 //! # Example
 //! ```
 //! use pbdmm_matching::api::Batch;
-//! use pbdmm_matching::snapshot::{Snapshot, Snapshots};
 //! use pbdmm_matching::DynamicMatching;
 //!
 //! let mut m = DynamicMatching::with_seed(7);
@@ -68,6 +66,7 @@
 //! ```
 
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -371,7 +370,7 @@ fn canonicalize_edits<V>(edits: &mut Vec<(u64, Option<V>)>) {
 ///
 /// ```
 /// use pbdmm_matching::api::Batch;
-/// use pbdmm_matching::snapshot::{Changes, MatchingSnapshot, Snapshots};
+/// use pbdmm_matching::snapshot::{Changes, MatchingSnapshot};
 /// use pbdmm_matching::DynamicMatching;
 ///
 /// let mut m = DynamicMatching::with_seed(3);
@@ -478,26 +477,8 @@ impl SnapshotDelta {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot trait, cell, reader
+// Publication cell and reader
 // ---------------------------------------------------------------------------
-
-/// Anything an epoch-versioned snapshot must expose to the generic serving
-/// layer: its position in the apply history, and the delta type its
-/// publisher emits for subscription streaming.
-pub trait Snapshot {
-    /// The change record published alongside each new snapshot version.
-    type Delta: Clone + Send + Sync + std::fmt::Debug + 'static;
-
-    /// Number of updates the structure had applied when this snapshot was
-    /// captured. Monotone across publications; equal to the `seq`-space
-    /// position right after the capturing batch.
-    fn epoch(&self) -> u64;
-
-    /// Compose two consecutive deltas into one spanning both. Used by
-    /// [`QueryHandle::changes_since`] to catch a subscriber up over
-    /// several publications in one message.
-    fn merge_delta(older: Self::Delta, newer: &Self::Delta) -> Self::Delta;
-}
 
 /// How many recent deltas a publication point retains for
 /// [`QueryHandle::changes_since`]. A subscriber more than this many
@@ -507,7 +488,7 @@ const DELTA_RING_CAP: usize = 64;
 /// The answer to [`QueryHandle::changes_since`]: how a subscriber at
 /// some epoch catches up to the latest published snapshot.
 #[derive(Debug)]
-pub enum Changes<T: Snapshot> {
+pub enum Changes {
     /// The subscriber already holds the latest epoch.
     UpToDate,
     /// A (merged) delta advancing the subscriber to `to_epoch`.
@@ -515,29 +496,29 @@ pub enum Changes<T: Snapshot> {
         /// Epoch the subscriber is at after applying `delta`.
         to_epoch: u64,
         /// The composed change record.
-        delta: T::Delta,
+        delta: SnapshotDelta,
     },
     /// The subscriber fell behind the delta ring (or its epoch predates
     /// it); here is the latest full snapshot to resync from.
-    Resync(Arc<T>),
+    Resync(Arc<MatchingSnapshot>),
 }
 
 /// A single-slot publication point: the writer swaps in a fresh
 /// [`Arc`]-wrapped snapshot, concurrent readers grab the latest one
 /// through a [`QueryHandle`].
 ///
-/// The cell is a `RwLock<Arc<T>>` used *only* for the pointer swap: readers
-/// hold the lock just long enough to clone the `Arc` (two atomic ops) and
-/// the writer just long enough to store it, so neither side ever blocks on
-/// snapshot-sized work. This is the std-only equivalent of an atomic
-/// `Arc` swap (no external `arc-swap` dependency).
+/// The cell is a `RwLock<Arc<MatchingSnapshot>>` used *only* for the
+/// pointer swap: readers hold the lock just long enough to clone the `Arc`
+/// (two atomic ops) and the writer just long enough to store it, so
+/// neither side ever blocks on snapshot-sized work. This is the std-only
+/// equivalent of an atomic `Arc` swap (no external `arc-swap` dependency).
 ///
 /// Alongside the slot, the cell keeps a bounded ring of the most recent
-/// [`Snapshot::Delta`]s (`(from_epoch, to_epoch, delta)`), fed by
+/// [`SnapshotDelta`]s (`(from_epoch, to_epoch, delta)`), fed by
 /// [`Self::publish`] and drained by [`QueryHandle::changes_since`].
 #[derive(Debug)]
-pub(crate) struct SnapshotCell<T: Snapshot> {
-    slot: RwLock<Arc<T>>,
+pub(crate) struct SnapshotCell {
+    slot: RwLock<Arc<MatchingSnapshot>>,
     /// Publication counter guarding the condvar below. Bumped *after* the
     /// slot swap, so a waiter that re-checks the slot on every pulse never
     /// misses a publication (slot-write happens-before pulse-bump).
@@ -545,15 +526,12 @@ pub(crate) struct SnapshotCell<T: Snapshot> {
     published: Condvar,
     /// Recent deltas as `(from_epoch, to_epoch, delta)`, oldest first;
     /// consecutive entries chain (`entry[i].to == entry[i+1].from`).
-    deltas: Mutex<DeltaRing<T>>,
+    deltas: Mutex<VecDeque<(u64, u64, Arc<SnapshotDelta>)>>,
 }
 
-/// The delta-ring entries of a [`SnapshotCell`]: `(from, to, delta)`.
-type DeltaRing<T> = VecDeque<(u64, u64, Arc<<T as Snapshot>::Delta>)>;
-
-impl<T: Snapshot> SnapshotCell<T> {
+impl SnapshotCell {
     /// Create a cell holding `initial`.
-    pub(crate) fn new(initial: T) -> Self {
+    pub(crate) fn new(initial: MatchingSnapshot) -> Self {
         SnapshotCell {
             slot: RwLock::new(Arc::new(initial)),
             pulse: Mutex::new(0),
@@ -564,7 +542,8 @@ impl<T: Snapshot> SnapshotCell<T> {
 
     /// The latest published snapshot (cheap: clones the `Arc`, not the
     /// snapshot).
-    pub(crate) fn load(&self) -> Arc<T> {
+    #[inline]
+    pub(crate) fn load(&self) -> Arc<MatchingSnapshot> {
         self.slot.read().expect("snapshot cell poisoned").clone()
     }
 
@@ -575,7 +554,7 @@ impl<T: Snapshot> SnapshotCell<T> {
     /// [`QueryHandle::wait_for_newer`] waiter. Order matters: slot swap,
     /// then ring push, then pulse bump — a waiter woken by the pulse always
     /// finds the ring entry present.
-    pub(crate) fn publish(&self, next: T, delta: T::Delta) {
+    pub(crate) fn publish(&self, next: MatchingSnapshot, delta: SnapshotDelta) {
         let to = next.epoch();
         let mut guard = self.slot.write().expect("snapshot cell poisoned");
         let old = std::mem::replace(&mut *guard, Arc::new(next));
@@ -601,37 +580,46 @@ impl<T: Snapshot> SnapshotCell<T> {
 }
 
 /// The read side of a published structure: cloneable, `Send + Sync`, and
-/// never blocks the writer. Obtained from [`Snapshots::enable_snapshots`]
-/// (or, behind the ingest service, from its `start_serving` terminals).
+/// never blocks the writer. Obtained from
+/// [`DynamicMatching::enable_snapshots`] (or, behind the ingest service,
+/// from its `start_serving` terminals).
 ///
 /// The full read surface: [`Self::snapshot`] (grab the newest snapshot),
 /// [`Self::epoch`] (just its position), [`Self::wait_for_newer`] (block
 /// until progress), and [`Self::changes_since`] (stream deltas). A handle
 /// outlives the structure's writer: after the writer is gone it keeps
 /// serving the last published snapshot.
+///
+/// The type parameter has one value, its default [`MatchingSnapshot`]:
+/// it only keeps the spelling `QueryHandle<MatchingSnapshot>` valid, and
+/// every method is implemented for that type alone.
 #[derive(Debug)]
-pub struct QueryHandle<T: Snapshot> {
-    cell: Arc<SnapshotCell<T>>,
+pub struct QueryHandle<T = MatchingSnapshot> {
+    cell: Arc<SnapshotCell>,
+    snapshot: PhantomData<fn() -> T>,
 }
 
-impl<T: Snapshot> Clone for QueryHandle<T> {
+impl Clone for QueryHandle {
     fn clone(&self) -> Self {
         QueryHandle {
             cell: Arc::clone(&self.cell),
+            snapshot: PhantomData,
         }
     }
 }
 
-impl<T: Snapshot> QueryHandle<T> {
+impl QueryHandle {
     /// The latest published snapshot (cheap: an `Arc` clone; the snapshot
     /// itself is immutable and stays valid for as long as the caller holds
     /// it, regardless of how many batches apply meanwhile).
-    pub fn snapshot(&self) -> Arc<T> {
+    #[inline]
+    pub fn snapshot(&self) -> Arc<MatchingSnapshot> {
         self.cell.load()
     }
 
     /// Epoch of the latest published snapshot: how many updates were
     /// applied when it was captured.
+    #[inline]
     pub fn epoch(&self) -> u64 {
         self.snapshot().epoch()
     }
@@ -641,7 +629,7 @@ impl<T: Snapshot> QueryHandle<T> {
     /// latest snapshot either way (the caller distinguishes progress from
     /// timeout by its epoch). Delta subscriptions ride on this: no polling
     /// loop, one condvar wakeup per publication.
-    pub fn wait_for_newer(&self, epoch: u64, timeout: Duration) -> Arc<T> {
+    pub fn wait_for_newer(&self, epoch: u64, timeout: Duration) -> Arc<MatchingSnapshot> {
         let cell = &*self.cell;
         let deadline = Instant::now() + timeout;
         let mut gen = cell.pulse.lock().expect("snapshot pulse poisoned");
@@ -674,7 +662,7 @@ impl<T: Snapshot> QueryHandle<T> {
     ///
     /// ```
     /// use pbdmm_matching::api::Batch;
-    /// use pbdmm_matching::snapshot::{Changes, Snapshots};
+    /// use pbdmm_matching::snapshot::Changes;
     /// use pbdmm_matching::DynamicMatching;
     ///
     /// let mut m = DynamicMatching::with_seed(1);
@@ -692,7 +680,7 @@ impl<T: Snapshot> QueryHandle<T> {
     /// }
     /// assert!(matches!(reader.changes_since(at), Changes::UpToDate));
     /// ```
-    pub fn changes_since(&self, epoch: u64) -> Changes<T> {
+    pub fn changes_since(&self, epoch: u64) -> Changes {
         let ring = self.cell.deltas.lock().expect("delta ring poisoned");
         let latest = self.cell.load();
         if latest.epoch() == epoch {
@@ -703,10 +691,10 @@ impl<T: Snapshot> QueryHandle<T> {
         let Some(start) = ring.iter().position(|&(from, _, _)| from == epoch) else {
             return Changes::Resync(latest);
         };
-        let mut merged: T::Delta = (*ring[start].2).clone();
+        let mut merged = (*ring[start].2).clone();
         let mut to = ring[start].1;
         for (_, entry_to, delta) in ring.iter().skip(start + 1) {
-            merged = T::merge_delta(merged, delta);
+            merged = SnapshotDelta::merge(merged, delta);
             to = *entry_to;
         }
         Changes::Delta {
@@ -714,30 +702,6 @@ impl<T: Snapshot> QueryHandle<T> {
             delta: merged,
         }
     }
-}
-
-/// A structure that can capture and publish epoch-versioned snapshots of
-/// itself. This is the seam the serving layer's query side goes through,
-/// exactly as [`crate::api::BatchDynamic`] is the seam for the write side.
-pub trait Snapshots {
-    /// The snapshot type this structure captures.
-    type Snap: Snapshot + Send + Sync + 'static;
-
-    /// Updates (insertions + deletions) applied so far — the epoch the next
-    /// captured snapshot will carry.
-    fn epoch(&self) -> u64;
-
-    /// Capture an immutable snapshot of the current state at the current
-    /// epoch. Cost is linear in the live state (edges + matches), *not* in
-    /// history. (The publication path avoids this entirely by patching the
-    /// previous snapshot with the batch's [`SnapshotDelta`].)
-    fn snapshot(&self) -> Self::Snap;
-
-    /// Start publishing: capture the current state immediately (so readers
-    /// never observe "no snapshot") and re-publish after every subsequent
-    /// `apply`. Returns a cloneable [`QueryHandle`]; calling this again
-    /// returns a handle onto the same publication point.
-    fn enable_snapshots(&mut self) -> QueryHandle<Self::Snap>;
 }
 
 /// Summary counters of a [`MatchingSnapshot`] — the `stats()` answer the
@@ -802,7 +766,7 @@ impl MatchingSnapshot {
             .collect();
         matched_of.sort_unstable_by_key(|&(v, _)| v);
         MatchingSnapshot {
-            epoch: Snapshots::epoch(m),
+            epoch: m.epoch(),
             live: CowMap::from_sorted(live.into_iter().map(|e| (e, ()))),
             matched_of: CowMap::from_sorted(matched_of),
             matched_edges: CowMap::from_sorted(
@@ -962,32 +926,15 @@ impl MatchingSnapshot {
     }
 }
 
-impl Snapshot for MatchingSnapshot {
-    type Delta = SnapshotDelta;
-
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn merge_delta(older: SnapshotDelta, newer: &SnapshotDelta) -> SnapshotDelta {
-        SnapshotDelta::merge(older, newer)
-    }
-}
-
-impl Snapshots for DynamicMatching {
-    type Snap = MatchingSnapshot;
-
-    fn epoch(&self) -> u64 {
-        DynamicMatching::epoch(self)
-    }
-
-    fn snapshot(&self) -> MatchingSnapshot {
-        MatchingSnapshot::capture(self)
-    }
-
-    fn enable_snapshots(&mut self) -> QueryHandle<MatchingSnapshot> {
+impl DynamicMatching {
+    /// Start publishing: capture the current state immediately (so readers
+    /// never observe "no snapshot") and re-publish after every subsequent
+    /// `apply`, in `O(batch)`. Returns a cloneable [`QueryHandle`]; calling
+    /// this again returns a handle onto the same publication point.
+    pub fn enable_snapshots(&mut self) -> QueryHandle {
         QueryHandle {
             cell: self.snapshot_cell(),
+            snapshot: PhantomData,
         }
     }
 }
@@ -1056,7 +1003,7 @@ mod tests {
             m
         };
         let (a, b) = (build(), build());
-        assert_eq!(Snapshots::snapshot(&a), Snapshots::snapshot(&b));
+        assert_eq!(MatchingSnapshot::capture(&a), MatchingSnapshot::capture(&b));
     }
 
     #[test]
@@ -1148,7 +1095,7 @@ mod tests {
             }
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
         });
-        assert_eq!(r.epoch(), Snapshots::epoch(&m));
+        assert_eq!(r.epoch(), m.epoch());
     }
 
     // -- CowMap ------------------------------------------------------------

@@ -36,8 +36,8 @@ use pbdmm_matching::DynamicMatching;
 use pbdmm_primitives::obs::{Counter, Phase, ProfileReport, Recorder};
 use pbdmm_primitives::pool::ParPool;
 use pbdmm_service::{
-    matching_for, BatchTicket, Done, QueryHandle, RecoveryInfo, ServiceBuilder, ServiceConfig,
-    ServiceError, ServiceHandle, ServiceStats, UpdateService, WalConfig, DEFAULT_MAX_BATCH,
+    BatchTicket, Done, QueryHandle, RecoveryInfo, ServiceBuilder, ServiceConfig, ServiceError,
+    ServiceHandle, ServiceStats, UpdateService, WalConfig, DEFAULT_MAX_BATCH,
 };
 
 use crate::proto::{
@@ -219,16 +219,13 @@ impl Daemon {
     /// so a kill/restart loop needs nothing beyond the same
     /// [`DaemonConfig`]. An empty or missing directory starts fresh.
     pub fn recover_and_start(cfg: DaemonConfig) -> Result<(Daemon, RecoveryInfo), String> {
-        let Some(wal) = cfg.wal.clone() else {
+        if cfg.wal.is_none() {
             return Err("recovery requires a WAL directory (DaemonConfig::wal)".into());
-        };
-        matching_for(&wal.meta)?;
+        }
         let listener =
             TcpListener::bind(&cfg.addr).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
         let (svc, query, info) = builder_for(&cfg)
-            .recover_and_start_serving(move || {
-                matching_for(&wal.meta).expect("header checked above")
-            })
+            .recover_and_start_serving()
             .map_err(|e| format!("recover service: {e}"))?;
         Ok((Self::assemble(listener, cfg, svc, query)?, info))
     }

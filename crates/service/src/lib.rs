@@ -1,6 +1,7 @@
 //! # pbdmm-service
 //!
-//! The concurrent **ingest/serve layer** over any batch-dynamic structure:
+//! The concurrent **ingest/serve layer** over a [`DynamicMatching`] (a
+//! served set cover is the same matching read with sets as vertices):
 //! turns a firehose of individual updates from many producer threads into
 //! the well-formed mixed batches the paper's algorithm is efficient on —
 //! the way bulk-synchronous streaming systems amortize per-update cost into
@@ -26,7 +27,7 @@
 //!    The log is a segment directory ([`WalConfig::dir`]): numbered
 //!    `NNNNNN.seg` files in the [`pbdmm_graph::wal`] format (same
 //!    line-based conventions as `graph::io`), rotated at checkpoints.
-//! 4. **Apply** — one [`BatchDynamic::apply`] call on a pinned
+//! 4. **Apply** — one [`DynamicMatching::apply`] call on a pinned
 //!    [`ParPool`], settling the whole batch in one leveled round.
 //! 5. **Complete** — each caller batch's cell is filled once, waking its
 //!    ticket with its slice of the [`BatchOutcome`] (the assigned
@@ -78,7 +79,8 @@
 //!
 //! [`Update`]: pbdmm_graph::update::Update
 //! [`EdgeId`]: pbdmm_graph::edge::EdgeId
-//! [`BatchDynamic::apply`]: pbdmm_matching::api::BatchDynamic::apply
+//! [`DynamicMatching`]: pbdmm_matching::DynamicMatching
+//! [`DynamicMatching::apply`]: pbdmm_matching::DynamicMatching::apply
 //! [`BatchOutcome`]: pbdmm_matching::api::BatchOutcome
 //! [`ParPool`]: pbdmm_primitives::pool::ParPool
 
@@ -90,10 +92,10 @@ pub mod service;
 
 pub use coalesce::{plan_batch, BatchPlan, Slot, DEFAULT_MAX_BATCH};
 pub use replay::{
-    cover_for, matching_for, recover_dir_with, recover_matching_from_dir, wal_dir_meta, Recovery,
+    matching_for, recover_dir_with, recover_matching_from_dir, wal_dir_meta, Recovery,
     RecoveryInfo, ReplayReport,
 };
 pub use service::{
     BatchTicket, Completion, Done, QueryHandle, ServiceBuilder, ServiceConfig, ServiceError,
-    ServiceHandle, ServiceStats, ServingRecovery, Ticket, UpdateService, WalConfig,
+    ServiceHandle, ServiceStats, Ticket, UpdateService, WalConfig,
 };

@@ -1,9 +1,11 @@
-//! Deterministic WAL replay: rebuild a structure from a recorded log.
+//! Deterministic WAL replay: rebuild a [`DynamicMatching`] from a recorded
+//! log.
 //!
 //! Replay doubles as crash recovery (reconstruct the pre-crash state from
-//! the committed prefix) and as a trace-replay harness (drive any
-//! [`BatchDynamic`] with a real recorded update stream, e.g. for
-//! benchmarking).
+//! the committed prefix) and as a trace-replay harness (drive the structure
+//! with a real recorded update stream, e.g. for benchmarking). A set-cover
+//! log is a matching log whose header says `setcover`: it replays into a
+//! `DynamicMatching` too.
 //!
 //! Determinism argument: the WAL records committed batches in apply order;
 //! insertions carry no ids because the structure assigns them sequentially
@@ -20,10 +22,7 @@
 use std::path::{Path, PathBuf};
 
 use pbdmm_graph::wal::{SegmentReader, WalMeta};
-use pbdmm_matching::api::BatchDynamic;
-use pbdmm_matching::checkpoint::Checkpoint;
 use pbdmm_matching::DynamicMatching;
-use pbdmm_setcover::DynamicSetCover;
 
 use crate::coalesce::{plan_batch, Slot};
 
@@ -39,34 +38,31 @@ pub struct ReplayReport {
 }
 
 /// The fresh [`DynamicMatching`] a WAL header describes: the recorded seed
-/// and id-allocation mode. Every replay and recovery entry point builds its
-/// structure here — one built in the wrong id mode lands recorded deletes
-/// on the wrong edges. Errors when the log records another structure.
+/// and id-allocation mode. Every served structure, replay and recovery
+/// entry point builds its structure here — one built in the wrong id mode
+/// lands recorded deletes on the wrong edges.
+///
+/// A `matching` takes either id mode. A `setcover` is the same matching
+/// read with sets as vertices, and takes monotonic ids only: a cover's
+/// element ids are never reused, so a header recording recycled ids is
+/// refused. Any other structure is refused too.
 pub fn matching_for(meta: &WalMeta) -> Result<DynamicMatching, String> {
-    if meta.structure != "matching" {
-        return Err(format!(
-            "WAL records structure {:?}, not a matching",
-            meta.structure
-        ));
+    match (meta.structure.as_str(), meta.ids_recycling) {
+        ("matching", _) | ("setcover", false) => {}
+        ("setcover", true) => {
+            return Err("WAL records `# ids: recycling`, but a set cover \
+                        allocates only monotonic ids"
+                .into())
+        }
+        (other, _) => {
+            return Err(format!(
+                "structure {other:?} is neither a matching nor a set cover"
+            ))
+        }
     }
     let mut m = DynamicMatching::with_seed(meta.seed);
     m.set_recycle_ids(meta.ids_recycling);
     Ok(m)
-}
-
-/// The fresh [`DynamicSetCover`] a WAL header describes, as
-/// [`matching_for`] is for matchings. A cover allocates only monotonic
-/// ids, so a header recording recycled ids is refused: replayed with
-/// monotonic ids, a logged delete of a reused id would remove another
-/// element than the one logged.
-pub fn cover_for(meta: &WalMeta) -> Result<DynamicSetCover, String> {
-    match (meta.structure.as_str(), meta.ids_recycling) {
-        ("setcover", false) => Ok(DynamicSetCover::with_seed(meta.seed)),
-        ("setcover", true) => Err("WAL records `# ids: recycling`, but a set cover \
-                                   allocates only monotonic ids"
-            .into()),
-        (other, _) => Err(format!("WAL records structure {other:?}, not a set cover")),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -154,9 +150,9 @@ fn oldest_segment_meta(dir: &Path, contents: &WalDirContents) -> Result<WalMeta,
 /// Outcome of [`recover_dir_with`]: the reconstructed structure plus what
 /// recovery actually did (which checkpoint it loaded, how much log it
 /// replayed).
-pub struct Recovery<S> {
+pub struct Recovery {
     /// The reconstructed structure, ready to serve or resume appending.
-    pub structure: S,
+    pub structure: DynamicMatching,
     /// Sequence of the checkpoint recovery started from (= batches already
     /// baked into it), or `None` when it replayed from genesis.
     pub checkpoint: Option<u64>,
@@ -192,7 +188,7 @@ pub struct RecoveryInfo {
     pub truncated: bool,
 }
 
-impl<S> Recovery<S> {
+impl Recovery {
     /// The structure-free summary of this recovery.
     pub fn info(&self) -> RecoveryInfo {
         RecoveryInfo {
@@ -203,6 +199,18 @@ impl<S> Recovery<S> {
             truncated: self.truncated,
         }
     }
+}
+
+/// Why the segment run from one start could not be replayed.
+enum TailError {
+    /// The run is not on disk from this start: no segment starts there, a
+    /// gap, or a torn mid-log segment. A start further back may bridge it.
+    Missing(String),
+    /// The log itself is at fault: a malformed line, a header that
+    /// disagrees with its filename or with the log, or a batch that does
+    /// not apply. Replaying the same log from any other start meets it
+    /// again.
+    Fatal(String),
 }
 
 /// Replay the contiguous run of segments starting at sequence `start` into
@@ -231,18 +239,20 @@ impl<S> Recovery<S> {
 /// `truncated`. Corruption — a malformed line with content after it, or a
 /// disagreeing header over committed batches — fails with an error naming
 /// the segment and the line, in the final segment as in any other.
-fn replay_segments_from<S: BatchDynamic>(
-    s: &mut S,
+fn replay_segments_from(
+    s: &mut DynamicMatching,
     segments: &[(u64, PathBuf)],
     start: u64,
     meta: &WalMeta,
     report: &mut ReplayReport,
-) -> Result<(u64, u64, bool), String> {
+) -> Result<(u64, u64, bool), TailError> {
     let first = segments
         .iter()
         .position(|&(base, _)| base == start)
         .ok_or_else(|| {
-            format!("no segment starts at batch {start} (history compacted away or missing)")
+            TailError::Missing(format!(
+                "no segment starts at batch {start} (history compacted away or missing)"
+            ))
         })?;
     let tail = &segments[first..];
     let mut expected = start;
@@ -252,12 +262,12 @@ fn replay_segments_from<S: BatchDynamic>(
     for (i, (base, path)) in tail.iter().enumerate() {
         let is_last = i + 1 == tail.len();
         if *base != expected {
-            return Err(format!(
+            return Err(TailError::Missing(format!(
                 "gap in WAL segments: {} starts at batch {base}, expected {expected}",
                 path.display()
-            ));
+            )));
         }
-        let in_segment = |e: String| format!("{}: {e}", path.display());
+        let in_segment = |e: String| TailError::Fatal(format!("{}: {e}", path.display()));
         let mut seg = SegmentReader::open_file(path).map_err(in_segment)?;
         if seg.base() != *base || seg.meta() != meta {
             // A torn rotation: a final segment whose header was cut
@@ -277,14 +287,15 @@ fn replay_segments_from<S: BatchDynamic>(
         for batch in seg.by_ref() {
             let batch = batch.map_err(in_segment)?;
             let seq = expected;
+            let fatal = |e: String| TailError::Fatal(format!("batch {seq}: {e}"));
             let plan = plan_batch(batch.into_iter().collect(), |id| s.contains_edge(id));
             for slot in &plan.slots {
                 match slot {
                     Slot::RejectUnknown(id) => {
-                        return Err(format!("batch {seq}: delete of unknown edge {id}"));
+                        return Err(fatal(format!("delete of unknown edge {id}")));
                     }
                     Slot::RejectEmpty => {
-                        return Err(format!("batch {seq}: insert with empty vertex set"));
+                        return Err(fatal("insert with empty vertex set".into()));
                     }
                     Slot::InBatch(_) | Slot::DuplicateDelete(_) => {}
                 }
@@ -292,17 +303,15 @@ fn replay_segments_from<S: BatchDynamic>(
             if !plan.batch.is_empty() {
                 report.updates += plan.batch.len() as u64;
                 report.applies += 1;
-                let out = s
-                    .apply(plan.batch)
-                    .map_err(|e| format!("batch {seq}: {e}"))?;
+                let out = s.apply(plan.batch).map_err(|e| fatal(e.to_string()))?;
                 if verify_ids && !out.inserted.is_empty() {
                     for (k, id) in out.inserted.iter().enumerate() {
                         if id.raw() != k as u64 {
-                            return Err(format!(
+                            return Err(TailError::Fatal(format!(
                                 "replay target is not fresh: expected insert id e{k}, \
                                  structure assigned {id} (its id counter is not at 0); \
                                  the target state is now unspecified"
-                            ));
+                            )));
                         }
                     }
                     verify_ids = false;
@@ -321,13 +330,13 @@ fn replay_segments_from<S: BatchDynamic>(
             match tail.get(i + 1) {
                 None => truncated = true,
                 Some((next_base, next_path)) if *next_base != expected => {
-                    return Err(format!(
+                    return Err(TailError::Missing(format!(
                         "{}: torn mid-log segment ({} committed batches, next \
                          segment {} starts at {next_base})",
                         path.display(),
                         expected,
                         next_path.display()
-                    ));
+                    )));
                 }
                 Some(_) => {}
             }
@@ -342,21 +351,19 @@ fn replay_segments_from<S: BatchDynamic>(
 /// `make` builds a fresh structure as the log's header describes it (seed
 /// and id mode; [`matching_for`], say) each time a starting point is
 /// tried; an error from it ends recovery before anything loads.
-/// Checkpoints are read whole and attempted newest to oldest, a torn,
-/// corrupt or foreign one (a `pbdmm-ckpt v1` text checkpoint, say) falls
-/// back to the next older, and when none is usable (or `from_genesis` is
-/// set) the whole log replays from segment 0. Recovery therefore never
-/// errors on a bad checkpoint alone — only on genuine log corruption or
-/// compacted-away history it cannot bridge, and then the error names every
-/// checkpoint it refused and why.
-pub fn recover_dir_with<S, F>(
-    dir: &Path,
-    mut make: F,
-    from_genesis: bool,
-) -> Result<Recovery<S>, String>
+/// Checkpoints are read whole and attempted newest to oldest. A torn,
+/// corrupt or foreign image (a `pbdmm-ckpt v1` text checkpoint, say) falls
+/// back to the next older one, and so does a checkpoint whose segment run
+/// is missing (no segment starts at it, a gap, a torn mid-log segment);
+/// when none is usable (or `from_genesis` is set) the whole log replays
+/// from segment 0. A fault of the log itself — a malformed line, a header
+/// that disagrees with its filename or with the log, a batch that does not
+/// apply — fails at once with that segment's error: every start would
+/// replay the same bytes. Otherwise recovery errors only on history it
+/// cannot bridge, and then names every checkpoint it refused and why.
+pub fn recover_dir_with<F>(dir: &Path, mut make: F, from_genesis: bool) -> Result<Recovery, String>
 where
-    S: BatchDynamic + Checkpoint,
-    F: FnMut(&WalMeta) -> Result<S, String>,
+    F: FnMut(&WalMeta) -> Result<DynamicMatching, String>,
 {
     let contents = list_wal_dir(dir)?;
     let meta = oldest_segment_meta(dir, &contents)?;
@@ -386,10 +393,13 @@ where
                         truncated,
                     });
                 }
-                // The segment run starting at this checkpoint is unusable
-                // (e.g. its segment was lost); an older checkpoint starts
-                // further back and may bridge the gap.
-                Err(e) => refused.push(format!("{}: loaded, but its tail: {e}", path.display())),
+                // The segment run starting at this checkpoint is not on
+                // disk (e.g. its segment was lost); an older checkpoint
+                // starts further back and may bridge the gap.
+                Err(TailError::Missing(e)) => {
+                    refused.push(format!("{}: loaded, but its tail: {e}", path.display()))
+                }
+                Err(TailError::Fatal(e)) => return Err(e),
             }
         }
     }
@@ -397,13 +407,15 @@ where
     let mut s = make(&meta)?;
     let mut report = ReplayReport::default();
     let (next_seq, segments_replayed, truncated) =
-        replay_segments_from(&mut s, &contents.segments, 0, &meta, &mut report).map_err(|e| {
-            if refused.is_empty() {
-                e
-            } else {
-                format!("{e}; refused checkpoints: {}", refused.join("; "))
-            }
-        })?;
+        replay_segments_from(&mut s, &contents.segments, 0, &meta, &mut report).map_err(
+            |e| match e {
+                TailError::Fatal(e) => e,
+                TailError::Missing(e) if refused.is_empty() => e,
+                TailError::Missing(e) => {
+                    format!("{e}; refused checkpoints: {}", refused.join("; "))
+                }
+            },
+        )?;
     Ok(Recovery {
         structure: s,
         checkpoint: None,
@@ -418,10 +430,7 @@ where
 /// Recover a [`DynamicMatching`] from a WAL segment directory, built as
 /// the segment header describes ([`matching_for`]). See
 /// [`recover_dir_with`].
-pub fn recover_matching_from_dir(
-    dir: &Path,
-    from_genesis: bool,
-) -> Result<Recovery<DynamicMatching>, String> {
+pub fn recover_matching_from_dir(dir: &Path, from_genesis: bool) -> Result<Recovery, String> {
     recover_dir_with(dir, matching_for, from_genesis)
 }
 

@@ -15,6 +15,7 @@
 //! [`BatchOutcome::per_update`]: pbdmm_matching::api::BatchOutcome::per_update
 
 use std::io::Write;
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -23,15 +24,14 @@ use std::thread::JoinHandle;
 use pbdmm_graph::edge::{EdgeId, EdgeVertices};
 use pbdmm_graph::update::{Batch, Update};
 use pbdmm_graph::wal::{self, WalMeta};
-use pbdmm_matching::api::{BatchDynamic, UpdateError};
-use pbdmm_matching::checkpoint::Checkpoint;
-use pbdmm_matching::snapshot::Snapshots;
+use pbdmm_matching::api::UpdateError;
+use pbdmm_matching::DynamicMatching;
 use pbdmm_primitives::obs::{Counter, Phase, ProfileReport, Recorder};
 use pbdmm_primitives::pool::ParPool;
 
 use crate::coalesce::{plan_batch, Slot, DEFAULT_MAX_BATCH};
 use crate::replay::{
-    ckpt_path, list_wal_dir, recover_dir_with, segment_path, Recovery, RecoveryInfo,
+    ckpt_path, list_wal_dir, matching_for, recover_dir_with, segment_path, Recovery, RecoveryInfo,
 };
 
 /// The read side of a serving deployment, returned by
@@ -67,8 +67,10 @@ pub enum ServiceError {
     /// coalescer pre-validates, so this indicates a planner/structure
     /// disagreement).
     Rejected(UpdateError),
-    /// The WAL append failed; the batch was **not** applied (write-ahead
-    /// durability: no un-logged mutation).
+    /// The WAL could not be opened, recovered, appended to or rotated, or
+    /// it refused the directory or structure it was given. A batch that
+    /// meets it is **not** applied (write-ahead durability: no un-logged
+    /// mutation).
     Wal(String),
     /// The service shut down before this update was applied.
     Closed,
@@ -84,7 +86,7 @@ impl std::fmt::Display for ServiceError {
             ServiceError::UnknownEdge(id) => write!(f, "unknown or dead edge {id}"),
             ServiceError::EmptyEdge => write!(f, "edge with empty vertex set"),
             ServiceError::Rejected(e) => write!(f, "batch rejected: {e}"),
-            ServiceError::Wal(e) => write!(f, "WAL append failed: {e}"),
+            ServiceError::Wal(e) => write!(f, "WAL: {e}"),
             ServiceError::Closed => write!(f, "service closed"),
             ServiceError::Spawn(e) => write!(f, "cannot start service thread: {e}"),
         }
@@ -128,22 +130,10 @@ pub struct Completion {
     /// Coalesced duplicate deletes share the sequence number of the delete
     /// that held the batch slot.
     pub seq: u64,
-    /// The epoch at which this update's batch became **visible** on the
-    /// snapshot read path (shared by every update of the batch).
-    ///
-    /// For a service started with [`ServiceBuilder::start_serving`] this is
-    /// the *structure's* update count right after the batch applied (the
-    /// service captures the structure's pre-existing epoch at start and
-    /// offsets by it), and the snapshot carrying this batch is published
-    /// *before* the ticket completes — so a reader consulted after
-    /// `wait()` returns never observes
-    /// `QueryHandle::epoch() < completion.epoch`: read your writes.
-    ///
-    /// For a plain [`ServiceBuilder::start`] (no read path, so no
-    /// `Snapshots` bound to ask the structure through) the base is 0:
-    /// epochs then count updates applied *through this service*, which
-    /// coincides with the structure's epoch exactly when the structure
-    /// started fresh.
+    /// The structure's epoch (its update count) right after this update's
+    /// batch applied, shared by every update of the batch; on the read path
+    /// the batch's snapshot publishes first, so a reader consulted after
+    /// `wait()` returns never observes `QueryHandle::epoch() < epoch`.
     pub epoch: u64,
     /// What the update resolved to.
     pub done: Done,
@@ -409,7 +399,7 @@ pub struct ServiceConfig {
     /// Scheduler every `apply` runs on (None: the process-global pool).
     pub pool: Option<Arc<ParPool>>,
     /// The recorder the coalescer, the checkpoint writer and the structure
-    /// (via [`BatchDynamic::set_obs`]) count every event through, and
+    /// (via [`DynamicMatching::set_obs`]) count every event through, and
     /// time phases through when its timing is on (off by default).
     pub obs: Recorder,
 }
@@ -461,14 +451,6 @@ pub struct ServiceBuilder {
     /// otherwise the [`WalConfig`]'s interval stands.
     checkpoint_every: Option<Option<u64>>,
 }
-
-/// What [`ServiceBuilder::recover_and_start_serving`] yields: the resumed
-/// service, the snapshot read handle, and the recovery report.
-pub type ServingRecovery<S> = (
-    UpdateService<S>,
-    QueryHandle<<S as Snapshots>::Snap>,
-    RecoveryInfo,
-);
 
 impl ServiceBuilder {
     /// Merge at most `n` updates from several caller batches into one
@@ -539,61 +521,46 @@ impl ServiceBuilder {
         config
     }
 
-    /// Terminal: start the service (write path only).
-    pub fn start<S>(self, structure: S) -> Result<UpdateService<S>, ServiceError>
-    where
-        S: BatchDynamic + Checkpoint + Send + 'static,
-    {
-        UpdateService::start_inner(structure, self.config(), 0, 0)
+    /// Terminal: start the service (write path only). With a WAL
+    /// configured, `structure` must be the fresh structure its header
+    /// describes ([`matching_for`]); anything else is refused with
+    /// [`ServiceError::Wal`] before a byte is written.
+    pub fn start(self, structure: DynamicMatching) -> Result<UpdateService, ServiceError> {
+        UpdateService::start_inner(structure, self.config(), None)
     }
 
     /// Terminal: start the service with the snapshot read path enabled,
     /// returning the running service and its [`QueryHandle`] in one call.
-    /// Ordering guarantee as before: a batch's snapshot publishes before
-    /// its tickets complete (read-your-writes).
-    pub fn start_serving<S>(
+    /// A batch's snapshot publishes before its tickets complete
+    /// (read-your-writes). With a WAL, `structure` is checked as in
+    /// [`Self::start`].
+    pub fn start_serving(
         self,
-        mut structure: S,
-    ) -> Result<(UpdateService<S>, QueryHandle<S::Snap>), ServiceError>
-    where
-        S: BatchDynamic + Checkpoint + Snapshots + Send + 'static,
-    {
-        // Capture the pre-service epoch: `seq` numbers count updates
-        // applied *through this service*, while epochs count updates ever
-        // applied to the structure — they coincide exactly when the
-        // structure starts fresh, and differ by this base otherwise.
-        let epoch_base = structure.epoch();
+        mut structure: DynamicMatching,
+    ) -> Result<(UpdateService, QueryHandle), ServiceError> {
         let query = structure.enable_snapshots();
-        let svc = UpdateService::start_inner(structure, self.config(), epoch_base, 0)?;
+        let svc = UpdateService::start_inner(structure, self.config(), None)?;
         Ok((svc, query))
     }
 
     /// Terminal: recover from the configured WAL directory (newest intact
     /// checkpoint + tail segments; see [`crate::replay::recover_dir_with`]),
     /// enable the snapshot read path, and resume appending where the log
-    /// left off. An empty or not-yet-created directory starts fresh from
-    /// `make()` — so a crash/restart loop needs no first-run special case.
-    pub fn recover_and_start_serving<S, F>(
+    /// left off. The structure is built as the builder's [`WalMeta`]
+    /// describes ([`matching_for`]), and a log recording other metadata is
+    /// refused. An empty or not-yet-created directory starts fresh — so a
+    /// crash/restart loop needs no first-run special case.
+    pub fn recover_and_start_serving(
         self,
-        make: F,
-    ) -> Result<ServingRecovery<S>, ServiceError>
-    where
-        S: BatchDynamic + Checkpoint + Snapshots + Send + 'static,
-        F: FnMut() -> S,
-    {
-        let (config, mut rec) = self.recover(make)?;
+    ) -> Result<(UpdateService, QueryHandle, RecoveryInfo), ServiceError> {
+        let (config, mut rec) = self.recover()?;
         let info = rec.info();
-        let epoch_base = rec.structure.epoch();
         let query = rec.structure.enable_snapshots();
-        let svc = UpdateService::start_inner(rec.structure, config, epoch_base, rec.next_seq)?;
+        let svc = UpdateService::start_inner(rec.structure, config, Some(rec.next_seq))?;
         Ok((svc, query, info))
     }
 
-    fn recover<S, F>(&self, mut make: F) -> Result<(ServiceConfig, Recovery<S>), ServiceError>
-    where
-        S: BatchDynamic + Checkpoint,
-        F: FnMut() -> S,
-    {
+    fn recover(&self) -> Result<(ServiceConfig, Recovery), ServiceError> {
         let config = self.config();
         let Some(wal) = &config.wal else {
             return Err(ServiceError::Wal(
@@ -610,7 +577,7 @@ impl ServiceBuilder {
         };
         if !has_history {
             let rec = Recovery {
-                structure: make(),
+                structure: matching_for(&wal.meta).map_err(ServiceError::Wal)?,
                 checkpoint: None,
                 next_seq: 0,
                 segments_replayed: 0,
@@ -630,7 +597,7 @@ impl ServiceBuilder {
                     wal.meta
                 ));
             }
-            Ok(make())
+            matching_for(logged)
         };
         let rec = recover_dir_with(&wal.path, make, false).map_err(ServiceError::Wal)?;
         Ok((config, rec))
@@ -684,23 +651,29 @@ impl Drop for WalSink {
 
 impl WalSink {
     /// Open a segment directory for appending, continuing the global batch
-    /// sequence at `resume_seq` (0 for a fresh log; the recovered batch
-    /// count when the caller just recovered from this directory). A new
-    /// segment `resume_seq.seg` is always started: appending to a possibly
-    /// torn previous segment is never attempted, and by definition no
-    /// committed batch lives at or past `resume_seq`.
-    fn open(cfg: &WalConfig, resume_seq: u64, obs: &Recorder) -> Result<Self, ServiceError> {
+    /// sequence at `resume` — the recovered batch count when the caller
+    /// just recovered from this directory (0 included), or `None` for a
+    /// fresh log, which refuses a directory that already holds history. A
+    /// new segment `resume_seq.seg` is always started: appending to a
+    /// possibly torn previous segment is never attempted, and by
+    /// definition no committed batch lives at or past `resume_seq`.
+    fn open(cfg: &WalConfig, resume: Option<u64>, obs: &Recorder) -> Result<Self, ServiceError> {
         let werr = |what: &str, e: std::io::Error| ServiceError::Wal(format!("{what}: {e}"));
         std::fs::create_dir_all(&cfg.path)
             .map_err(|e| werr(&format!("create WAL dir {:?}", cfg.path), e))?;
         let contents = list_wal_dir(&cfg.path).map_err(ServiceError::Wal)?;
-        if resume_seq == 0 && (!contents.segments.is_empty() || !contents.checkpoints.is_empty()) {
-            return Err(ServiceError::Wal(format!(
-                "refusing to overwrite existing WAL dir {:?} — recover from it \
-                 (ServiceBuilder::recover*) or pick another path",
-                cfg.path
-            )));
-        }
+        let has_history = !contents.segments.is_empty() || !contents.checkpoints.is_empty();
+        let resume_seq = match resume {
+            Some(seq) => seq,
+            None if has_history => {
+                return Err(ServiceError::Wal(format!(
+                    "refusing to overwrite existing WAL dir {:?} — recover from it \
+                     (ServiceBuilder::recover*) or pick another path",
+                    cfg.path
+                )))
+            }
+            None => 0,
+        };
         let seg_path = segment_path(&cfg.path, resume_seq);
         let file = std::fs::File::create(&seg_path)
             .map_err(|e| werr(&format!("create segment {seg_path:?}"), e))?;
@@ -739,7 +712,7 @@ impl WalSink {
     /// makes it durable and compacts old segments without ever stalling
     /// this thread. Serialization cannot fail; rotation I/O failure is a
     /// real WAL error.
-    fn after_apply<S: Checkpoint>(&mut self, s: &S, updates: u64) -> Result<(), ServiceError> {
+    fn after_apply(&mut self, s: &DynamicMatching, updates: u64) -> Result<(), ServiceError> {
         let Some(ckpt) = &self.ckpt else {
             return Ok(());
         };
@@ -896,7 +869,7 @@ fn compact_dir(dir: &Path) -> std::io::Result<u64> {
     Ok(removed)
 }
 
-/// A batch-coalescing update service over any [`BatchDynamic`] structure.
+/// A batch-coalescing update service over a [`DynamicMatching`].
 ///
 /// See the [crate docs](crate) for the full lifecycle; in short:
 ///
@@ -915,30 +888,43 @@ fn compact_dir(dir: &Path) -> std::io::Result<u64> {
 /// assert_eq!(m.num_edges(), 1);
 /// assert_eq!(stats.updates, 3);
 /// ```
-pub struct UpdateService<S: BatchDynamic + Send + 'static> {
+///
+/// The type parameter has one value, its default [`DynamicMatching`]: it
+/// only keeps the spelling `UpdateService<DynamicMatching>` valid, and
+/// every method is implemented for that type alone.
+pub struct UpdateService<S = DynamicMatching> {
     tx: Option<mpsc::Sender<Msg>>,
-    join: Option<JoinHandle<(S, ServiceStats)>>,
+    join: Option<JoinHandle<(DynamicMatching, ServiceStats)>>,
+    structure: PhantomData<fn() -> S>,
 }
 
-impl<S: BatchDynamic + Checkpoint + Send + 'static> UpdateService<S> {
+impl UpdateService {
     /// Spawn the coalescer thread, which takes ownership of `structure`
-    /// (get it back from [`Self::shutdown`]). Fails if the WAL cannot be
-    /// opened or a service thread cannot be started.
+    /// (get it back from [`Self::shutdown`]), resuming the WAL at batch
+    /// `resume` after a recovery, or starting it fresh (`None`). Fails if
+    /// the WAL cannot be opened, a fresh WAL's header does not describe
+    /// `structure`, or a service thread cannot be started.
     fn start_inner(
-        mut structure: S,
+        mut structure: DynamicMatching,
         config: ServiceConfig,
-        epoch_base: u64,
-        resume_seq: u64,
+        resume: Option<u64>,
     ) -> Result<Self, ServiceError> {
+        if let (Some(wal), None) = (&config.wal, resume) {
+            check_identity(&structure, &wal.meta)?;
+        }
         // The structure shares the service's recorder, so settlement and
         // snapshot-publication spans nest under the coalescer's apply span.
         structure.set_obs(config.obs.clone());
+        // Completion epochs are the structure's: `seq` numbers count
+        // updates applied through this service, epochs every update the
+        // structure ever applied.
+        let epoch_base = structure.epoch();
         // This service's counts are the recorder's from here on.
         let start = config.obs.snapshot();
         let wal_sink = config
             .wal
             .as_ref()
-            .map(|cfg| WalSink::open(cfg, resume_seq, &config.obs))
+            .map(|cfg| WalSink::open(cfg, resume, &config.obs))
             .transpose()?;
         let (tx, rx) = mpsc::channel();
         let join = std::thread::Builder::new()
@@ -948,11 +934,10 @@ impl<S: BatchDynamic + Checkpoint + Send + 'static> UpdateService<S> {
         Ok(UpdateService {
             tx: Some(tx),
             join: Some(join),
+            structure: PhantomData,
         })
     }
-}
 
-impl<S: BatchDynamic + Send + 'static> UpdateService<S> {
     /// A new producer handle. Handles are cheap to clone and `Send`; the
     /// coalescer drains until every handle (and the service itself) is gone.
     pub fn handle(&self) -> ServiceHandle {
@@ -968,7 +953,7 @@ impl<S: BatchDynamic + Send + 'static> UpdateService<S> {
     /// handles to be dropped first — a shutdown marker flows through the
     /// ingress, and tickets submitted after it resolve with
     /// [`ServiceError::Closed`].
-    pub fn shutdown(mut self) -> (S, ServiceStats) {
+    pub fn shutdown(mut self) -> (DynamicMatching, ServiceStats) {
         let tx = self.tx.take().expect("service not shut down");
         let _ = tx.send(Msg::Shutdown);
         drop(tx);
@@ -983,14 +968,14 @@ impl<S: BatchDynamic + Send + 'static> UpdateService<S> {
 /// The coalescer: drain → plan → WAL → apply → complete, until the ingress
 /// disconnects (every handle and the service dropped) or the shutdown
 /// marker arrives and the backlog queued ahead of it is flushed.
-fn coalescer_loop<S: BatchDynamic + Checkpoint>(
-    mut s: S,
+fn coalescer_loop(
+    mut s: DynamicMatching,
     config: ServiceConfig,
     mut wal: Option<WalSink>,
     rx: mpsc::Receiver<Msg>,
     epoch_base: u64,
     start: ProfileReport,
-) -> (S, ServiceStats) {
+) -> (DynamicMatching, ServiceStats) {
     let max_batch = config.max_batch.max(1);
     let obs = config.obs.clone();
     let mut next_seq: u64 = 0;
@@ -1253,6 +1238,28 @@ fn coalescer_loop<S: BatchDynamic + Checkpoint>(
     (s, ServiceStats::between(&start, &obs))
 }
 
+/// A fresh log's header is the served structure's identity: refuse any
+/// `structure` that is not the fresh one [`matching_for`] builds from
+/// `meta`, or its log would not replay to what was served. Equal
+/// checkpoint images mean equal coins, id mode, configuration and history;
+/// for a fresh structure each image is a few dozen bytes.
+fn check_identity(structure: &DynamicMatching, meta: &WalMeta) -> Result<(), ServiceError> {
+    let fresh = matching_for(meta).map_err(ServiceError::Wal)?;
+    let image = |m: &DynamicMatching| {
+        let mut out = Vec::new();
+        m.write_checkpoint(&mut out);
+        out
+    };
+    if image(structure) != image(&fresh) {
+        return Err(ServiceError::Wal(format!(
+            "the structure is not the fresh one the WAL header {meta:?} describes \
+             (seed, id mode, leveling config, no applied update): its log would \
+             not replay to the served state"
+        )));
+    }
+    Ok(())
+}
+
 /// One batch's worth of whole caller batches, in arrival order.
 struct Drain {
     reqs: Vec<Req>,
@@ -1304,8 +1311,8 @@ struct Commit<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbdmm_matching::snapshot::MatchingSnapshot;
     use pbdmm_matching::verify::check_invariants;
-    use pbdmm_matching::DynamicMatching;
     use std::time::Duration;
 
     /// A service with the default settings over a fresh matching.
@@ -1650,7 +1657,7 @@ mod tests {
         drop(h);
         let (m, stats) = svc.shutdown();
         assert_eq!(stats.updates, 2);
-        assert_eq!(pbdmm_matching::snapshot::Snapshots::epoch(&m), 2);
+        assert_eq!(m.epoch(), 2);
         // The handle outlives the service; it serves the final state.
         assert_eq!(q.epoch(), 2);
     }
@@ -1752,8 +1759,8 @@ mod tests {
         assert_eq!(rec.next_seq, 40);
         assert!(!rec.truncated);
         assert_eq!(
-            Snapshots::snapshot(&rec.structure),
-            Snapshots::snapshot(&m),
+            MatchingSnapshot::capture(&rec.structure),
+            MatchingSnapshot::capture(&m),
             "recovered state must equal the served state exactly"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -1768,10 +1775,14 @@ mod tests {
                 .wal_dir(&dir, meta(34))
                 .checkpoint_every(4)
         };
-        // First run starts fresh: the directory does not exist yet.
-        let (svc, _, info) = build()
-            .recover_and_start_serving(|| DynamicMatching::with_seed(34))
-            .unwrap();
+        // Run 0 starts fresh (the directory does not exist yet) and shuts
+        // down before any update: it leaves a header-only `000000.seg`.
+        let (svc, _, info) = build().recover_and_start_serving().unwrap();
+        assert_eq!(info.batches, 0);
+        svc.shutdown();
+        assert!(dir.join("000000.seg").exists());
+        // The first run recovers that directory at batch 0 and appends.
+        let (svc, _, info) = build().recover_and_start_serving().unwrap();
         assert_eq!(info.batches, 0);
         assert_eq!(info.checkpoint, None);
         let h = svc.handle();
@@ -1783,9 +1794,7 @@ mod tests {
         svc.shutdown();
         // Second run resumes at batch 10 and keeps appending; recorded ids
         // stay valid across the restart.
-        let (svc, q, info) = build()
-            .recover_and_start_serving(|| DynamicMatching::with_seed(34))
-            .unwrap();
+        let (svc, q, info) = build().recover_and_start_serving().unwrap();
         assert_eq!(info.batches, 10);
         assert_eq!(q.epoch(), 10, "the recovered state is served at once");
         let h = svc.handle();
@@ -1803,16 +1812,15 @@ mod tests {
         let rec = crate::replay::recover_matching_from_dir(&dir, false).unwrap();
         assert_eq!(rec.next_seq, 16);
         assert_eq!(
-            Snapshots::snapshot(&rec.structure),
-            Snapshots::snapshot(&m2)
+            MatchingSnapshot::capture(&rec.structure),
+            MatchingSnapshot::capture(&m2)
         );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn builder_refuses_contradictory_recovery_configs() {
-        let no_wal =
-            ServiceConfig::builder().recover_and_start_serving(|| DynamicMatching::with_seed(1));
+        let no_wal = ServiceConfig::builder().recover_and_start_serving();
         assert!(matches!(no_wal, Err(ServiceError::Wal(_))));
     }
 
@@ -1829,6 +1837,48 @@ mod tests {
             .wal_dir(&dir, meta(35))
             .start(DynamicMatching::with_seed(35));
         assert!(matches!(refused, Err(ServiceError::Wal(_))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_logged_start_refuses_a_structure_its_header_does_not_describe() {
+        let dir = temp_wal_dir("pbdmm_svc_identity");
+        let recycling = WalMeta {
+            ids_recycling: true,
+            ..meta(36)
+        };
+        let mut applied = DynamicMatching::with_seed(36);
+        applied.insert_edges(&[vec![0, 1]]);
+        let refused = [
+            ("seed", meta(36), DynamicMatching::with_seed(37)),
+            ("id mode", recycling.clone(), DynamicMatching::with_seed(36)),
+            ("applied batch", meta(36), applied),
+        ];
+        for (what, logged, structure) in refused {
+            let start = ServiceConfig::builder()
+                .wal_dir(&dir, logged)
+                .start_serving(structure);
+            assert!(matches!(start, Err(ServiceError::Wal(_))), "{what}");
+            assert!(
+                !dir.exists(),
+                "{what}: a refused start wrote to the WAL dir"
+            );
+        }
+        // A recycling header over a recycling structure of the same seed
+        // starts (a benchmark's shape), and so does plain `start`.
+        let mut m = DynamicMatching::with_seed(36);
+        m.set_recycle_ids(true);
+        let (svc, _) = ServiceConfig::builder()
+            .wal_dir(&dir, recycling)
+            .start_serving(m)
+            .unwrap();
+        svc.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+        let svc = ServiceConfig::builder()
+            .wal_dir(&dir, meta(36))
+            .start(DynamicMatching::with_seed(36))
+            .unwrap();
+        svc.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
 

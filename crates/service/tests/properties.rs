@@ -196,46 +196,3 @@ fn wal_replay_is_deterministic_across_runs() {
     assert_eq!(sorted_matching(&a), sorted_matching(&served));
     std::fs::remove_dir_all(&wal_dir).ok();
 }
-
-#[test]
-fn service_is_generic_over_the_trait_family() {
-    // The same layer drives the set-cover element adapter: concurrent
-    // element insertions/deletions, cover maintained throughout.
-    use pbdmm_setcover::DynamicSetCover;
-    let svc = ServiceConfig::builder()
-        .max_batch(64)
-        .start(DynamicSetCover::with_seed(9))
-        .unwrap();
-    std::thread::scope(|scope| {
-        for p in 0..3u64 {
-            let h = svc.handle();
-            scope.spawn(move || {
-                let mut rng = SplitMix64::new(100 + p);
-                let mut owned: Vec<EdgeId> = Vec::new();
-                for _ in 0..120 {
-                    if !owned.is_empty() && rng.bounded(10) < 3 {
-                        let id = owned.swap_remove(rng.bounded(owned.len() as u64) as usize);
-                        assert!(matches!(
-                            h.delete(id).wait().unwrap().done,
-                            Done::Deleted(_)
-                        ));
-                    } else {
-                        // An element contained in 1..=3 sets.
-                        let k = 1 + rng.bounded(3) as usize;
-                        let sets: Vec<u32> = (0..k).map(|_| rng.bounded(64) as u32).collect();
-                        match h.insert(sets).wait().unwrap().done {
-                            Done::Inserted(id) => owned.push(id),
-                            other => panic!("expected insert, got {other:?}"),
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let (cover, stats) = svc.shutdown();
-    assert!(stats.updates > 0);
-    check_invariants(cover.matching()).unwrap();
-    // Every live element is covered (the maintained r-approximation).
-    let live: Vec<EdgeId> = cover.matching().structure().edges.ids().to_vec();
-    assert!(live.iter().all(|&e| cover.is_covered(e)));
-}

@@ -10,8 +10,8 @@
 //! cannot read (a `pbdmm-ckpt v1` text file, say) is skipped the same way;
 //! when no checkpoint loads and the history is no longer whole, recovery
 //! errors and names every checkpoint it refused. A malformed line with
-//! content after it is corruption, never a tear: recovery refuses it by
-//! segment and line, the newest segment included. And recovery is bounded:
+//! content after it is corruption, never a tear: recovery refuses it at
+//! once by segment and line, the newest segment included. And recovery is bounded:
 //! it reads the oldest segment's header and nothing more to learn the log's
 //! identity, and the segment reader holds one batch, not a segment.
 //!
@@ -25,7 +25,7 @@ use std::path::PathBuf;
 use pbdmm_graph::edge::EdgeId;
 use pbdmm_graph::update::Batch;
 use pbdmm_graph::wal::{write_segment_header, SegmentReader, WalMeta};
-use pbdmm_matching::snapshot::Snapshots;
+use pbdmm_matching::snapshot::MatchingSnapshot;
 use pbdmm_matching::verify::check_invariants;
 use pbdmm_matching::DynamicMatching;
 use pbdmm_primitives::rng::SplitMix64;
@@ -116,7 +116,7 @@ fn assert_same(a: &DynamicMatching, b: &DynamicMatching) {
     ia.sort_unstable();
     ib.sort_unstable();
     assert_eq!(ia, ib, "live edge ids must agree exactly");
-    assert_eq!(Snapshots::snapshot(a), Snapshots::snapshot(b));
+    assert_eq!(MatchingSnapshot::capture(a), MatchingSnapshot::capture(b));
 }
 
 /// The newest file in `dir` with the given extension, with its sequence
@@ -264,10 +264,16 @@ fn corrupt_line_in_the_final_segment_is_refused_not_dropped() {
         };
         let name = seg_path.file_name().unwrap().to_str().unwrap();
         let line = format!("{name}: line {}: unknown record tag", at + 1);
-        assert!(err.contains(&line), "every={every:?}: {err}");
+        // The log's own fault fails at once: no older checkpoint replays
+        // the same tail to the same line, and no fallback hides it.
+        assert_eq!(err.matches(&line).count(), 1, "every={every:?}: {err}");
+        assert!(
+            !err.contains("no segment starts at batch"),
+            "every={every:?}: {err}"
+        );
         let refused = ServiceConfig::builder()
             .wal(wal)
-            .recover_and_start_serving(|| fresh(13, false));
+            .recover_and_start_serving();
         match refused {
             Ok(_) => panic!("every={every:?}: the service started over a corrupt segment"),
             Err(e) => assert!(e.to_string().contains(&line), "every={every:?}: {e}"),
@@ -327,7 +333,7 @@ fn compacted_log_with_only_v1_checkpoints_is_refused_by_name() {
     };
     let refused = ServiceConfig::builder()
         .wal(WalConfig::dir(&dir, meta))
-        .recover_and_start_serving(|| fresh(5, false));
+        .recover_and_start_serving();
     match refused {
         Ok(_) => panic!("the service must not start over a log it cannot recover"),
         Err(e) => assert!(e.to_string().contains("not a v2 checkpoint"), "{e}"),

@@ -9,10 +9,10 @@
 //!   query handle after a completed ticket never observes an epoch older
 //!   than that ticket's visibility epoch, and reader-observed epochs are
 //!   monotone;
-//! * the set-cover element adapter serves through its matching: readers
-//!   get the same [`MatchingSnapshot`]s (a chosen set is a matched vertex,
-//!   a covered element a live edge), and the cover's spans reach the
-//!   service's recorder.
+//! * a set cover is served as the matching its WAL header describes:
+//!   readers get the same [`MatchingSnapshot`]s (a chosen set is a matched
+//!   vertex, a covered element a live edge), the matching's spans reach the
+//!   service's recorder, and every live element ends with a matched set.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex};
 
 use pbdmm_graph::edge::EdgeId;
 use pbdmm_graph::wal::{SegmentReader, WalMeta};
-use pbdmm_matching::snapshot::{MatchingSnapshot, Snapshots};
+use pbdmm_matching::snapshot::MatchingSnapshot;
 use pbdmm_matching::verify::check_invariants;
 use pbdmm_matching::DynamicMatching;
 use pbdmm_primitives::rng::SplitMix64;
@@ -117,7 +117,7 @@ fn observed_snapshots_equal_wal_replay_prefixes() {
 
         // The final published snapshot is the final state.
         let last = q.snapshot();
-        assert_eq!(*last, Snapshots::snapshot(&served));
+        assert_eq!(*last, MatchingSnapshot::capture(&served));
         assert_eq!(last.epoch(), stats.updates);
 
         // Every observed snapshot ≡ the sequential WAL replay prefix at
@@ -133,11 +133,11 @@ fn observed_snapshots_equal_wal_replay_prefixes() {
         let mut replayed = matching_for(log.meta()).unwrap();
         let mut pending = observed.iter().peekable();
         loop {
-            let epoch = Snapshots::epoch(&replayed);
+            let epoch = replayed.epoch();
             if let Some((_, snap)) = pending.next_if(|&(&e, _)| e == epoch) {
                 assert_eq!(
                     **snap,
-                    Snapshots::snapshot(&replayed),
+                    MatchingSnapshot::capture(&replayed),
                     "seed {seed}: snapshot at epoch {epoch} must equal its WAL prefix replay"
                 );
             }
@@ -180,7 +180,7 @@ fn reader_never_sees_an_epoch_older_than_its_completed_tickets() {
         });
         let (m, stats) = svc.shutdown();
         assert_eq!(stats.updates, 4 * 200);
-        assert_eq!(q.epoch(), Snapshots::epoch(&m));
+        assert_eq!(q.epoch(), m.epoch());
         check_invariants(&m).unwrap();
     }
 }
@@ -188,12 +188,16 @@ fn reader_never_sees_an_epoch_older_than_its_completed_tickets() {
 #[test]
 fn cover_queries_are_served_concurrently() {
     use pbdmm_primitives::obs::{Phase, Recorder};
-    use pbdmm_setcover::DynamicSetCover;
     let obs = Recorder::enabled();
+    let cover = WalMeta {
+        structure: "setcover".into(),
+        seed: 5,
+        ids_recycling: false,
+    };
     let (svc, q) = ServiceConfig::builder()
         .max_batch(48)
         .obs(obs.clone())
-        .start_serving(DynamicSetCover::with_seed(5))
+        .start_serving(matching_for(&cover).unwrap())
         .unwrap();
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
@@ -246,12 +250,21 @@ fn cover_queries_are_served_concurrently() {
         }
         stop.store(true, Ordering::Relaxed);
     });
-    let (dc, _) = svc.shutdown();
-    check_invariants(dc.matching()).unwrap();
-    assert_eq!(q.snapshot().num_edges(), dc.num_elements());
-    assert_eq!(*q.snapshot(), MatchingSnapshot::capture(dc.matching()));
-    // The cover's matching records its spans through the service's recorder.
+    let (m, _) = svc.shutdown();
+    check_invariants(&m).unwrap();
+    assert_eq!(q.snapshot().num_edges(), m.num_edges());
+    assert_eq!(*q.snapshot(), MatchingSnapshot::capture(&m));
+    // The matching records its spans through the service's recorder.
     let report = obs.snapshot();
     assert!(report.phase(Phase::Settle).count > 0);
     assert!(report.phase(Phase::SnapshotPublish).count > 0);
+    // Every live element is covered: one of its sets is matched (the
+    // maintained r-approximation).
+    for &e in m.structure().edges.ids() {
+        let sets = m.edge_vertices(e).unwrap();
+        assert!(
+            sets.iter().any(|&s| m.matched_edge_of(s).is_some()),
+            "element {e} over sets {sets:?} has no matched set"
+        );
+    }
 }

@@ -16,6 +16,9 @@
 //!   (`O(m')` expected work, Corollary 1.5);
 //! * [`DynamicSetCover`] — batch insertions/deletions of *elements* at
 //!   `O(r³)` amortized expected work per update (Corollary 1.4);
+//! * [`cover_size`] — the size of the cover any maximal matching stands
+//!   for, which a served set cover (a `DynamicMatching` whose WAL header
+//!   says `setcover`) reports;
 //! * [`greedy_cover`] — the classic sequential greedy `H_n`-approximation,
 //!   used as the quality baseline in experiment E10.
 
@@ -23,11 +26,8 @@
 
 use pbdmm_graph::edge::{EdgeId, VertexId};
 use pbdmm_matching::api::{Batch, BatchDynamic, BatchOutcome, UpdateError};
-use pbdmm_matching::checkpoint::Checkpoint;
-use pbdmm_matching::snapshot::{MatchingSnapshot, QueryHandle, Snapshots};
 use pbdmm_matching::{BatchReport, DynamicMatching};
 use pbdmm_primitives::hash::{FxHashMap, FxHashSet};
-use pbdmm_primitives::obs::Recorder;
 use pbdmm_primitives::rng::SplitMix64;
 
 /// A set identifier (a vertex in the reduction).
@@ -84,26 +84,25 @@ pub fn static_cover(elements: &[Vec<SetId>], seed: u64) -> (Vec<SetId>, usize) {
 /// workload driver and benchmarks replay the same mixed streams against the
 /// cover as against every matching contender.
 ///
-/// Every serving seam is the matching's: snapshots are
-/// [`MatchingSnapshot`]s published in `O(batch)` per batch, checkpoints are
-/// the matching's checkpoints byte for byte, and an attached recorder sees
-/// the matching's spans. A cover reader asks the snapshot: set `s` is chosen
-/// iff `is_matched(s)`, element `e` is live (hence covered) iff
+/// A served cover is its matching: the service, its WAL (`# structure:
+/// setcover`, monotonic ids), its checkpoints and its readers all run a
+/// [`DynamicMatching`]. A cover reader asks a
+/// [`MatchingSnapshot`](pbdmm_matching::MatchingSnapshot): set `s` is
+/// chosen iff `is_matched(s)`, element `e` is live (hence covered) iff
 /// `contains_edge(e)`, the `OPT` lower bound is `matching_size()`, and the
 /// cover size is `matched_vertices().count()`.
 ///
 /// # Examples
 /// ```
-/// use pbdmm_matching::snapshot::Snapshots;
+/// use pbdmm_matching::MatchingSnapshot;
 /// use pbdmm_setcover::DynamicSetCover;
 ///
 /// let mut dc = DynamicSetCover::with_seed(3);
-/// let reader = dc.enable_snapshots();
 /// let ids = dc.insert_elements(&[vec![0, 1], vec![1, 2], vec![2]]);
 /// assert!(ids.iter().all(|&e| dc.is_covered(e)));
 ///
-/// // Concurrent readers see the same cover through the published snapshot.
-/// let snap = reader.snapshot();
+/// // A reader sees the same cover in a snapshot of the matching.
+/// let snap = MatchingSnapshot::capture(dc.matching());
 /// assert_eq!(snap.epoch(), 3);
 /// assert!(ids.iter().all(|&e| snap.contains_edge(e)));
 /// assert_eq!(snap.matched_vertices().count(), dc.cover_size());
@@ -122,20 +121,6 @@ impl DynamicSetCover {
         DynamicSetCover {
             matching: DynamicMatching::with_seed(seed),
         }
-    }
-
-    /// The structure's epoch: total element updates applied so far (the
-    /// version carried by published snapshots; see
-    /// [`pbdmm_matching::DynamicMatching::epoch`]).
-    pub fn epoch(&self) -> u64 {
-        self.matching.epoch()
-    }
-
-    /// Pin this cover's batches to an explicit scheduler (forwarded to the
-    /// underlying [`DynamicMatching`]); the whole element batch then runs on
-    /// one pool with no thread churn.
-    pub fn set_pool(&mut self, pool: std::sync::Arc<pbdmm_primitives::pool::ParPool>) {
-        self.matching.set_pool(pool);
     }
 
     /// Apply one mixed batch of element updates (insert = the sets
@@ -173,11 +158,7 @@ impl DynamicSetCover {
 
     /// Size of the current cover without materializing it.
     pub fn cover_size(&self) -> usize {
-        self.matching
-            .matching()
-            .iter()
-            .map(|&m| self.matching.edge_vertices(m).unwrap().len())
-            .sum()
+        cover_size(&self.matching)
     }
 
     /// The matching size — a lower bound on the optimal cover size.
@@ -234,38 +215,16 @@ impl BatchDynamic for DynamicSetCover {
     fn work(&self) -> u64 {
         self.matching.meter().work()
     }
-
-    fn set_obs(&mut self, obs: Recorder) {
-        self.matching.set_obs(obs);
-    }
 }
 
-/// A cover's checkpoint is its matching's checkpoint, byte for byte.
-impl Checkpoint for DynamicSetCover {
-    fn write_checkpoint(&self, out: &mut Vec<u8>) {
-        self.matching.write_checkpoint(out)
-    }
-
-    fn read_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.matching.read_checkpoint(bytes)
-    }
-}
-
-/// A cover publishes its matching's snapshots.
-impl Snapshots for DynamicSetCover {
-    type Snap = MatchingSnapshot;
-
-    fn epoch(&self) -> u64 {
-        self.matching.epoch()
-    }
-
-    fn snapshot(&self) -> MatchingSnapshot {
-        self.matching.snapshot()
-    }
-
-    fn enable_snapshots(&mut self) -> QueryHandle<MatchingSnapshot> {
-        self.matching.enable_snapshots()
-    }
+/// The size of the cover a matching `m` stands for, read with sets as
+/// vertices: every set of every matched element, `Σ_{e∈M} |V(e)|`. This is
+/// the `cover=` a served set cover reports.
+pub fn cover_size(m: &DynamicMatching) -> usize {
+    m.matching()
+        .iter()
+        .map(|&e| m.edge_vertices(e).expect("a matched edge is live").len())
+        .sum()
 }
 
 /// The classic sequential greedy set cover (`H_n`-approximation): repeatedly
@@ -400,57 +359,6 @@ mod tests {
         for &e in ids[1..].iter().chain(&out.inserted) {
             assert!(dc.is_covered(e));
         }
-    }
-
-    /// Drive `dc` through `batches` random mixed element batches and return
-    /// them, so a twin can apply the same stream.
-    fn churn(dc: &mut DynamicSetCover, batches: usize, seed: u64) -> Vec<Batch> {
-        let mut rng = SplitMix64::new(seed);
-        let mut live: Vec<ElementId> = Vec::new();
-        let mut applied = Vec::new();
-        for _ in 0..batches {
-            let mut b = Batch::new();
-            for _ in 0..rng.bounded(4) {
-                if !live.is_empty() {
-                    b = b.delete(live.swap_remove(rng.bounded(live.len() as u64) as usize));
-                }
-            }
-            for _ in 0..1 + rng.bounded(6) {
-                let k = 1 + rng.bounded(3) as usize;
-                b = b.insert((0..k).map(|_| rng.bounded(40) as SetId).collect());
-            }
-            live.extend(dc.apply(b.clone()).unwrap().inserted);
-            applied.push(b);
-        }
-        applied
-    }
-
-    #[test]
-    fn checkpoint_restores_a_cover_that_continues_in_lockstep() {
-        use pbdmm_matching::checkpoint::Checkpoint;
-        use pbdmm_matching::snapshot::MatchingSnapshot;
-
-        let mut dc = DynamicSetCover::with_seed(17);
-        churn(&mut dc, 30, 1);
-        let mut buf = Vec::new();
-        dc.write_checkpoint(&mut buf);
-        let mut direct = Vec::new();
-        dc.matching().write_checkpoint(&mut direct);
-        assert_eq!(buf, direct, "a cover's checkpoint is its matching's");
-
-        let mut restored = DynamicSetCover::with_seed(17);
-        restored.read_checkpoint(&buf).unwrap();
-        assert_eq!(BatchDynamic::work(&restored), BatchDynamic::work(&dc));
-        for b in churn(&mut dc, 30, 2) {
-            restored.apply(b).unwrap();
-        }
-        assert_eq!(
-            MatchingSnapshot::capture(dc.matching()),
-            MatchingSnapshot::capture(restored.matching())
-        );
-        assert_eq!(dc.cover(), restored.cover());
-        assert_eq!(BatchDynamic::work(&dc), BatchDynamic::work(&restored));
-        assert!(BatchDynamic::work(&restored) > 0);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use pbdmm::matching::snapshot::Snapshots;
 use pbdmm::primitives::rng::SplitMix64;
 use pbdmm::service::{Done, ServiceConfig};
 use pbdmm::{DynamicMatching, EdgeId};
@@ -101,7 +100,7 @@ fn main() {
     // 4. Shut down; the final snapshot equals the final structure state.
     let (m, stats) = svc.shutdown();
     let snap = query.snapshot();
-    assert_eq!(snap.epoch(), Snapshots::epoch(&m));
+    assert_eq!(snap.epoch(), m.epoch());
     assert_eq!(snap.num_edges(), m.num_edges());
     assert_eq!(snap.matching_size(), m.matching_size());
     println!(

@@ -24,9 +24,7 @@ use pbdmm::graph::wal::WalMeta;
 use pbdmm::graph::workload::{insert_then_delete, DeletionOrder};
 use pbdmm::graph::{gen, io, EdgeId, Hypergraph};
 use pbdmm::matching::baseline::{NaiveDynamic, RecomputeMatching};
-use pbdmm::matching::checkpoint::Checkpoint;
 use pbdmm::matching::driver::run_workload;
-use pbdmm::matching::snapshot::Snapshots;
 use pbdmm::matching::verify::check_invariants;
 use pbdmm::matching::MatchingSnapshot;
 use pbdmm::net::daemon::{Daemon, DaemonConfig};
@@ -36,10 +34,10 @@ use pbdmm::primitives::cost::CostMeter;
 use pbdmm::primitives::obs::{Counter, Phase, Recorder};
 use pbdmm::primitives::rng::SplitMix64;
 use pbdmm::service::{
-    cover_for, matching_for, recover_dir_with, wal_dir_meta, Done, RecoveryInfo, ServiceConfig,
-    ServiceHandle, WalConfig, DEFAULT_MAX_BATCH,
+    matching_for, recover_dir_with, wal_dir_meta, Done, RecoveryInfo, ServiceConfig, ServiceHandle,
+    WalConfig, DEFAULT_MAX_BATCH,
 };
-use pbdmm::{BatchDynamic, DynamicMatching, DynamicSetCover};
+use pbdmm::{DynamicMatching, DynamicSetCover};
 use pbdmm_bench::metrics;
 
 fn main() -> ExitCode {
@@ -599,14 +597,14 @@ struct ReadReport {
 
 /// What one `serve` run produced: (updates, seconds, latencies µs, read
 /// report, final structure). Its counts are in the recorder it ran with.
-type ServeOutcome<S> = (u64, f64, Vec<f64>, ReadReport, S);
+type ServeOutcome = (u64, f64, Vec<f64>, ReadReport, DynamicMatching);
 
 /// Drive a synthetic multi-producer load through the service — with
 /// `readers` concurrent snapshot-reader threads resolving point queries
 /// against the epoch read path the whole time — and report.
 #[allow(clippy::too_many_arguments)]
-fn serve_load<S>(
-    structure: S,
+fn serve_load(
+    structure: DynamicMatching,
     producers: usize,
     per_producer: usize,
     readers: usize,
@@ -614,10 +612,7 @@ fn serve_load<S>(
     wal: Option<WalConfig>,
     seed: u64,
     obs: Recorder,
-) -> Result<ServeOutcome<S>, String>
-where
-    S: BatchDynamic + Snapshots<Snap = MatchingSnapshot> + Checkpoint + Send + 'static,
-{
+) -> Result<ServeOutcome, String> {
     let mut builder = ServiceConfig::builder().max_batch(max_batch).obs(obs);
     if let Some(cfg) = wal {
         builder = builder.wal(cfg);
@@ -810,37 +805,17 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         let obs = prof.obs.clone();
         ProfilePrinter::spawn(every, move || Some(obs.snapshot()))
     });
-    let (total, seconds, latencies, read, final_line) = match structure.as_str() {
-        "matching" => {
-            let (total, seconds, latencies, read, m) = serve_load(
-                DynamicMatching::with_seed(seed),
-                producers,
-                per_producer,
-                readers,
-                max_batch,
-                wal,
-                seed,
-                prof.obs.clone(),
-            )?;
-            check_invariants(&m).map_err(|e| format!("post-serve invariants: {e}"))?;
-            (total, seconds, latencies, read, matching_final(&m))
-        }
-        "setcover" => {
-            let (total, seconds, latencies, read, c) = serve_load(
-                DynamicSetCover::with_seed(seed),
-                producers,
-                per_producer,
-                readers,
-                max_batch,
-                wal,
-                seed,
-                prof.obs.clone(),
-            )?;
-            check_invariants(c.matching()).map_err(|e| format!("post-serve invariants: {e}"))?;
-            (total, seconds, latencies, read, cover_final(&c))
-        }
-        other => return Err(format!("unknown structure {other:?}")),
-    };
+    let (total, seconds, latencies, read, m) = serve_load(
+        matching_for(&meta)?,
+        producers,
+        per_producer,
+        readers,
+        max_batch,
+        wal,
+        seed,
+        prof.obs.clone(),
+    )?;
+    check_invariants(&m).map_err(|e| format!("post-serve invariants: {e}"))?;
 
     if let Some(p) = printer {
         p.finish();
@@ -881,7 +856,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         );
     }
     print_profile(&prof.obs);
-    println!("{final_line}");
+    println!("{}", final_line(&m, &meta));
     Ok(())
 }
 
@@ -912,38 +887,21 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
         meta.structure,
         meta.seed
     );
-    let final_line = match meta.structure.as_str() {
-        "matching" => {
-            let m = replay_log(&path, from_genesis, &prof.obs, matching_for)?;
-            check_invariants(&m).map_err(|e| format!("replayed invariants: {e}"))?;
-            matching_final(&m)
-        }
-        "setcover" => {
-            let c = replay_log(&path, from_genesis, &prof.obs, cover_for)?;
-            check_invariants(c.matching()).map_err(|e| format!("replayed invariants: {e}"))?;
-            cover_final(&c)
-        }
-        other => return Err(format!("WAL records unknown structure {other:?}")),
-    };
-    println!("{final_line}");
+    let m = replay_log(&path, from_genesis, &prof.obs)?;
+    check_invariants(&m).map_err(|e| format!("replayed invariants: {e}"))?;
+    println!("{}", final_line(&m, &meta));
     print_profile(&prof.obs);
     println!("invariants: ok");
     Ok(())
 }
 
 /// Recover a structure from the WAL directory at `path`, built from its
-/// header by `make` with the profile recorder attached, and print what
-/// recovery did.
-fn replay_log<S: BatchDynamic + Checkpoint>(
-    path: &Path,
-    from_genesis: bool,
-    obs: &Recorder,
-    make: fn(&WalMeta) -> Result<S, String>,
-) -> Result<S, String> {
+/// header with the profile recorder attached, and print what recovery did.
+fn replay_log(path: &Path, from_genesis: bool, obs: &Recorder) -> Result<DynamicMatching, String> {
     let make = |meta: &WalMeta| {
-        let mut s = make(meta)?;
-        s.set_obs(obs.clone());
-        Ok(s)
+        let mut m = matching_for(meta)?;
+        m.set_obs(obs.clone());
+        Ok(m)
     };
     let start = std::time::Instant::now();
     // The whole replay is one `batch`/`apply` span; the matching tier
@@ -960,27 +918,20 @@ fn replay_log<S: BatchDynamic + Checkpoint>(
     Ok(rec.structure)
 }
 
-/// The byte-comparable `final:` line serve, replay and daemon print for a
-/// matching.
-fn matching_final(m: &DynamicMatching) -> String {
-    format!(
+/// The byte-comparable `final:` line serve, replay and daemon print. For a
+/// set cover, whose elements are the matching's edges, it adds the size of
+/// the cover the matching stands for.
+fn final_line(m: &DynamicMatching, meta: &WalMeta) -> String {
+    let line = format!(
         "final: epoch={} edges={} matching={}",
         m.epoch(),
         m.num_edges(),
         m.matching_size()
-    )
-}
-
-/// The `final:` line for a set cover (its elements are the matched
-/// structure's edges).
-fn cover_final(c: &DynamicSetCover) -> String {
-    format!(
-        "final: epoch={} edges={} matching={} cover={}",
-        c.epoch(),
-        c.num_elements(),
-        c.matching_size(),
-        c.cover_size()
-    )
+    );
+    match meta.structure.as_str() {
+        "setcover" => format!("{line} cover={}", pbdmm::setcover::cover_size(m)),
+        _ => line,
+    }
 }
 
 /// Print what recovery actually did: which checkpoint it started from
@@ -1111,7 +1062,7 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
             path.display()
         );
     }
-    println!("{}", matching_final(&report.structure));
+    println!("{}", final_line(&report.structure, &meta));
     Ok(())
 }
 

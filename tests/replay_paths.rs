@@ -251,7 +251,7 @@ fn recovery_refuses_the_sharded_layout() {
     let (dir, meta) = sharded_layout("sharded_recover");
     let err = match ServiceConfig::builder()
         .wal_dir(&dir, meta.clone())
-        .recover_and_start_serving(|| DynamicMatching::with_seed(5))
+        .recover_and_start_serving()
     {
         Ok(_) => panic!("recovery started over a sharded layout"),
         Err(e) => e,

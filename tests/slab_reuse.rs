@@ -14,7 +14,7 @@
 use pbdmm::graph::edge::EdgeId;
 use pbdmm::graph::wal::WalMeta;
 use pbdmm::graph::{gen, workload};
-use pbdmm::matching::snapshot::Snapshots;
+use pbdmm::matching::snapshot::MatchingSnapshot;
 use pbdmm::matching::verify::check_invariants;
 use pbdmm::primitives::rng::SplitMix64;
 use pbdmm::service::{recover_matching_from_dir, ServiceConfig};
@@ -140,7 +140,7 @@ fn snapshots_agree_across_reuse_boundaries() {
     assert_eq!(out_a.inserted, out_b.inserted, "recycled ids must agree");
     assert!(out_a.inserted.contains(&ids[2]), "LIFO reuse of freed id");
     // Same-seeded structures capture equal snapshots after equal histories.
-    assert_eq!(Snapshots::snapshot(&a), Snapshots::snapshot(&b));
+    assert_eq!(MatchingSnapshot::capture(&a), MatchingSnapshot::capture(&b));
     // The pre-reuse snapshot is immutable: the old id still shows the old
     // edge there, while the live structure shows the recycled edge.
     assert_eq!(before.epoch(), 3);
@@ -196,7 +196,10 @@ fn wal_replay_reproduces_recycled_ids_exactly() {
     served_ids.sort_unstable();
     replayed_ids.sort_unstable();
     assert_eq!(served_ids, replayed_ids);
-    assert_eq!(Snapshots::snapshot(&served), Snapshots::snapshot(&replayed));
+    assert_eq!(
+        MatchingSnapshot::capture(&served),
+        MatchingSnapshot::capture(&replayed)
+    );
     let st = replayed.storage_stats();
     assert!(st.recycling && st.ids_allocated as usize == st.edge_slots);
     std::fs::remove_dir_all(&wal_dir).ok();
