@@ -207,6 +207,66 @@ fn checkpoint_state(n: u64) -> DynamicMatching {
     m
 }
 
+/// Vertices and live edges of layerbench `wire_bulk`'s state.
+const TAX_VERTICES: u64 = 65_536;
+const TAX_LIVE: usize = 100_000;
+/// Batches the snapshot-tax probe applies: 512 deletes plus 512 inserts
+/// each, `wire_bulk`'s frame shape.
+const TAX_BATCHES: usize = 400;
+
+/// A random rank-2/3 edge as layerbench draws `wire_bulk`'s: mostly pairs
+/// of nearby vertices, a quarter with a third vertex.
+fn tax_edge(rng: &mut SplitMix64) -> Vec<u32> {
+    let a = rng.bounded(TAX_VERTICES) as u32;
+    let b = a + 1 + rng.bounded(7) as u32;
+    if rng.bounded(4) == 0 {
+        vec![a, b, b + 1 + rng.bounded(5) as u32]
+    } else {
+        vec![a, b]
+    }
+}
+
+/// The snapshot tax: what publishing each batch's epoch snapshot adds to
+/// `apply`. Two same-seed structures with recycled ids hold `wire_bulk`'s
+/// state (100k rank-2/3 edges over 65,536 vertices, seed 1) and get the
+/// same 512-delete + 512-insert batches; only one of them publishes. The
+/// order alternates per batch, so neither always runs on a cache the other
+/// warmed. Returns `(unpublished, published)` apply time, ns per update.
+fn snapshot_tax() -> (f64, f64) {
+    let mut rng = SplitMix64::new(1);
+    let preload: Vec<Vec<u32>> = (0..TAX_LIVE).map(|_| tax_edge(&mut rng)).collect();
+    let structure = || {
+        let mut m = DynamicMatching::with_seed(0x5eed);
+        m.set_recycle_ids(true);
+        let out = m.apply(Batch::new().inserts(preload.iter().cloned()));
+        (m, out.expect("preload inserts").inserted)
+    };
+    let (mut off, mut live) = structure();
+    let (mut on, _) = structure();
+    let _query = on.enable_snapshots();
+    let mut ns = [0u128; 2];
+    for b in 0..TAX_BATCHES {
+        let mut batch = Batch::new();
+        for _ in 0..512 {
+            let i = rng.bounded(live.len() as u64) as usize;
+            batch = batch.delete(live.swap_remove(i));
+        }
+        batch = batch.inserts((0..512).map(|_| tax_edge(&mut rng)));
+        let mut inserted = [Vec::new(), Vec::new()];
+        for side in [b % 2, 1 - b % 2] {
+            let m = if side == 0 { &mut off } else { &mut on };
+            let batch = batch.clone();
+            let start = std::time::Instant::now();
+            inserted[side] = m.apply(batch).expect("churn batch").inserted;
+            ns[side] += start.elapsed().as_nanos();
+        }
+        assert_eq!(inserted[0], inserted[1], "same seed, same ids");
+        live.extend(inserted[0].iter().copied());
+    }
+    let updates = (TAX_BATCHES * 1024) as f64;
+    (ns[0] as f64 / updates, ns[1] as f64 / updates)
+}
+
 /// The epoch-snapshot read path under write load: one writer thread churns
 /// updates through a serving `UpdateService` while two reader threads
 /// resolve `total_reads` point queries against the latest published
@@ -416,6 +476,18 @@ fn run_battery(samples: usize) -> BTreeMap<String, f64> {
         metrics.insert(
             format!("info_snapshot_publish_ns_per_edge_{label}"),
             1e9 / edges_per_s,
+        );
+    }
+    // The snapshot tax: publication's share of a served `apply` on
+    // `wire_bulk`'s state. One pass of about 0.8M timed updates (both
+    // structures); ns per update and percent of the unpublished cost,
+    // lower is better, hence `info_`.
+    {
+        let (off, on) = snapshot_tax();
+        metrics.insert("info_snapshot_tax_ns_per_update".into(), on - off);
+        metrics.insert(
+            "info_snapshot_tax_pct_of_apply".into(),
+            100.0 * (on - off) / off,
         );
     }
     // Checkpoint cost: serializing the whole state is the one O(n) step of

@@ -78,27 +78,30 @@ use crate::dynamic::DynamicMatching;
 // CowMap: a chunked copy-on-write map over dense integer keys
 // ---------------------------------------------------------------------------
 
-/// Keys per leaf chunk.
+/// Keys per leaf chunk (one bit each in [`Chunk::present`]).
 const CHUNK: usize = 64;
 /// Chunks per spine group.
 const GROUP: usize = 64;
 /// Keys per spine group.
 const GROUP_SPAN: u64 = (CHUNK * GROUP) as u64;
 
-/// A leaf chunk: a fixed-width window of `CHUNK` consecutive keys.
+/// A leaf chunk: a fixed-width window of `CHUNK` consecutive keys, stored
+/// as plain data in one allocation. `slots[k % CHUNK]` holds key `k` when
+/// bit `k % CHUNK` of `present` is set; an absent slot holds
+/// `V::default()`, so the derived `PartialEq` is content equality. For the
+/// `Copy` values the snapshot maps hold, cloning a chunk is one memcpy and
+/// dropping it is one free.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Chunk<V> {
-    /// Always exactly `CHUNK` slots; `slots[k % CHUNK]` holds key `k`.
-    slots: Vec<Option<V>>,
-    /// Occupied slots (kept so "chunk became empty" is O(1)).
-    len: u32,
+    present: u64,
+    slots: [V; CHUNK],
 }
 
-impl<V> Chunk<V> {
+impl<V: Default> Chunk<V> {
     fn empty() -> Self {
         Chunk {
-            slots: (0..CHUNK).map(|_| None).collect(),
-            len: 0,
+            present: 0,
+            slots: std::array::from_fn(|_| V::default()),
         }
     }
 }
@@ -108,9 +111,13 @@ type Group<V> = Vec<Option<Arc<Chunk<V>>>>;
 /// A persistent (copy-on-write) map from dense `u64` keys to values,
 /// stored as a two-level spine of `Arc`-shared fixed-size chunks.
 ///
-/// `patch` clones only the spine and the chunks an edit touches, so
-/// producing the next version costs `O(edits · CHUNK + spine)` regardless
-/// of total map size — the mechanism behind O(batch) snapshot publication.
+/// `patch` clones only the spine and the chunks an edit *changes*: a run
+/// of edits that leaves its chunk as it was (a removal of an absent key,
+/// an upsert of the value already there) keeps the chunk shared, and a
+/// group none of whose chunks changes stays shared too. So producing the
+/// next version costs `O(edits + changed chunks · CHUNK + spine)`
+/// regardless of total map size — the mechanism behind O(batch) snapshot
+/// publication.
 ///
 /// **Canonical form** (maintained by every constructor and `patch`): an
 /// empty chunk is stored as `None`, trailing `None` chunks are trimmed
@@ -124,7 +131,7 @@ pub(crate) struct CowMap<V> {
     len: usize,
 }
 
-impl<V: Clone> CowMap<V> {
+impl<V: Clone + Default + Eq> CowMap<V> {
     /// The empty map.
     pub(crate) fn new() -> Self {
         CowMap {
@@ -138,13 +145,17 @@ impl<V: Clone> CowMap<V> {
         self.len
     }
 
+    /// The chunk holding `key`, if any key of its window is present.
+    fn chunk(&self, key: u64) -> Option<&Arc<Chunk<V>>> {
+        let group = self.groups.get((key / GROUP_SPAN) as usize)?.as_ref()?;
+        group.get((key as usize / CHUNK) % GROUP)?.as_ref()
+    }
+
     /// Look up `key`. O(1).
     pub(crate) fn get(&self, key: u64) -> Option<&V> {
-        let g = (key / GROUP_SPAN) as usize;
-        let group = self.groups.get(g)?.as_ref()?;
-        let c = (key as usize / CHUNK) % GROUP;
-        let chunk = group.get(c)?.as_ref()?;
-        chunk.slots[key as usize % CHUNK].as_ref()
+        let chunk = self.chunk(key)?;
+        let s = key as usize % CHUNK;
+        (chunk.present >> s & 1 == 1).then(|| &chunk.slots[s])
     }
 
     /// Is `key` present? O(1).
@@ -152,46 +163,46 @@ impl<V: Clone> CowMap<V> {
         self.get(key).is_some()
     }
 
-    /// Build from `(key, value)` pairs with strictly ascending keys.
+    /// Build from `(key, value)` pairs with strictly ascending keys, in one
+    /// linear pass.
     pub(crate) fn from_sorted<I: IntoIterator<Item = (u64, V)>>(pairs: I) -> Self {
         let mut map = CowMap::new();
         let mut chunk = Chunk::empty();
-        let mut chunk_idx: Option<u64> = None; // key / CHUNK of the open chunk
+        let mut open: Option<u64> = None; // key / CHUNK of the open chunk
         let flush = |map: &mut CowMap<V>, chunk: &mut Chunk<V>, idx: u64| {
             let done = std::mem::replace(chunk, Chunk::empty());
-            let g = (idx as usize) / GROUP;
-            let c = (idx as usize) % GROUP;
+            let (g, c) = ((idx as usize) / GROUP, (idx as usize) % GROUP);
             if map.groups.len() <= g {
                 map.groups.resize(g + 1, None);
             }
-            let group = map.groups[g].get_or_insert_with(|| Arc::new(vec![None; GROUP]));
-            Arc::make_mut(group)[c] = Some(Arc::new(done));
+            let group = Arc::make_mut(map.groups[g].get_or_insert_with(Arc::default));
+            group.resize(c, None);
+            group.push(Some(Arc::new(done)));
         };
         let mut prev: Option<u64> = None;
         for (key, value) in pairs {
-            if let Some(p) = prev {
-                debug_assert!(key > p, "from_sorted keys must be strictly ascending");
-            }
+            debug_assert!(
+                prev.is_none_or(|p| key > p),
+                "from_sorted keys must be strictly ascending"
+            );
             prev = Some(key);
             let idx = key / CHUNK as u64;
-            match chunk_idx {
-                Some(open) if open == idx => {}
-                Some(open) => {
-                    flush(&mut map, &mut chunk, open);
-                    chunk_idx = Some(idx);
+            match open {
+                Some(o) if o == idx => {}
+                Some(o) => {
+                    flush(&mut map, &mut chunk, o);
+                    open = Some(idx);
                 }
-                None => chunk_idx = Some(idx),
+                None => open = Some(idx),
             }
-            chunk.slots[key as usize % CHUNK] = Some(value);
-            chunk.len += 1;
+            let s = key as usize % CHUNK;
+            chunk.present |= 1 << s;
+            chunk.slots[s] = value;
             map.len += 1;
         }
-        if let Some(open) = chunk_idx {
-            if chunk.len > 0 {
-                flush(&mut map, &mut chunk, open);
-            }
+        if let Some(o) = open {
+            flush(&mut map, &mut chunk, o);
         }
-        map.trim_group_tails();
         map
     }
 
@@ -200,89 +211,45 @@ impl<V: Clone> CowMap<V> {
     /// unique per key. Removing an absent key and re-inserting a present
     /// one are tolerated (`len` only moves on real membership changes).
     ///
-    /// Cost: `O(edits · CHUNK + touched groups · GROUP + spine)`; all
-    /// untouched chunks are shared with `self`.
+    /// Cost: `O(edits + changed chunks · CHUNK + changed groups · GROUP +
+    /// spine)`; every chunk (and group) the edits leave as it was is
+    /// shared with `self`.
     pub(crate) fn patch(&self, edits: &[(u64, Option<V>)]) -> Self {
         debug_assert!(
             edits.windows(2).all(|w| w[0].0 < w[1].0),
             "patch edits must be sorted and unique by key"
         );
-        let mut next = CowMap {
-            groups: self.groups.clone(),
-            len: self.len,
-        };
-        let mut i = 0;
-        while i < edits.len() {
-            let g = (edits[i].0 / GROUP_SPAN) as usize;
-            // Gather this group's run of edits.
-            let mut j = i;
-            while j < edits.len() && (edits[j].0 / GROUP_SPAN) as usize == g {
-                j += 1;
+        let mut next = self.clone();
+        for run in edits.chunk_by(|a, b| a.0 / GROUP_SPAN == b.0 / GROUP_SPAN) {
+            let g = (run[0].0 / GROUP_SPAN) as usize;
+            let base = self.groups.get(g).and_then(Option::as_ref);
+            // Cloned on the first chunk that changes; `None` while none has.
+            let mut group: Option<Group<V>> = None;
+            for run in run.chunk_by(|a, b| a.0 / CHUNK as u64 == b.0 / CHUNK as u64) {
+                let c = (run[0].0 as usize / CHUNK) % GROUP;
+                let old = base.and_then(|grp| grp.get(c)).and_then(Option::as_ref);
+                let Some(chunk) = patch_chunk(old, run, &mut next.len) else {
+                    continue;
+                };
+                let group =
+                    group.get_or_insert_with(|| base.map(|g| (**g).clone()).unwrap_or_default());
+                if group.len() <= c {
+                    group.resize(c + 1, None);
+                }
+                group[c] = chunk;
+            }
+            let Some(mut group) = group else {
+                continue; // no chunk of this group changed: keep it shared
+            };
+            while group.last().is_some_and(Option::is_none) {
+                group.pop();
             }
             if next.groups.len() <= g {
                 next.groups.resize(g + 1, None);
             }
-            let group = next.groups[g].get_or_insert_with(|| Arc::new(vec![None; GROUP]));
-            let group = Arc::make_mut(group);
-            if group.len() < GROUP {
-                group.resize(GROUP, None); // un-trim for in-place edits
-            }
-            let mut k = i;
-            while k < j {
-                let c = (edits[k].0 as usize / CHUNK) % GROUP;
-                let mut l = k;
-                while l < j && (edits[l].0 as usize / CHUNK) % GROUP == c {
-                    l += 1;
-                }
-                let chunk = match &group[c] {
-                    Some(existing) => {
-                        let mut chunk = Chunk::clone(existing);
-                        for &(key, ref v) in &edits[k..l] {
-                            let slot = &mut chunk.slots[key as usize % CHUNK];
-                            match (slot.is_some(), v.is_some()) {
-                                (false, true) => {
-                                    chunk.len += 1;
-                                    next.len += 1;
-                                }
-                                (true, false) => {
-                                    chunk.len -= 1;
-                                    next.len -= 1;
-                                }
-                                _ => {}
-                            }
-                            *slot = v.clone();
-                        }
-                        chunk
-                    }
-                    None => {
-                        let mut chunk = Chunk::empty();
-                        for &(key, ref v) in &edits[k..l] {
-                            if v.is_some() {
-                                chunk.len += 1;
-                                next.len += 1;
-                                chunk.slots[key as usize % CHUNK] = v.clone();
-                            }
-                        }
-                        chunk
-                    }
-                };
-                group[c] = if chunk.len == 0 {
-                    None
-                } else {
-                    Some(Arc::new(chunk))
-                };
-                k = l;
-            }
-            // Re-canonicalize this group: trim trailing Nones; drop if empty.
-            while group.last().is_some_and(|c| c.is_none()) {
-                group.pop();
-            }
-            if group.is_empty() {
-                next.groups[g] = None;
-            }
-            i = j;
+            next.groups[g] = (!group.is_empty()).then(|| Arc::new(group));
         }
-        while next.groups.last().is_some_and(|g| g.is_none()) {
+        while next.groups.last().is_some_and(Option::is_none) {
             next.groups.pop();
         }
         next
@@ -294,34 +261,67 @@ impl<V: Clone> CowMap<V> {
             group.iter().flat_map(move |group| {
                 group.iter().enumerate().flat_map(move |(c, chunk)| {
                     chunk.iter().flat_map(move |chunk| {
-                        chunk.slots.iter().enumerate().filter_map(move |(s, v)| {
-                            v.as_ref()
-                                .map(|v| (g as u64 * GROUP_SPAN + (c * CHUNK + s) as u64, v))
-                        })
+                        let base = g as u64 * GROUP_SPAN + (c * CHUNK) as u64;
+                        set_bits(chunk.present).map(move |s| (base + s as u64, &chunk.slots[s]))
                     })
                 })
             })
         })
     }
+}
 
-    /// Canonicalize after bulk construction: trim trailing `None` chunks in
-    /// every group and trailing `None` groups in the spine.
-    fn trim_group_tails(&mut self) {
-        for slot in &mut self.groups {
-            if let Some(group) = slot {
-                let group = Arc::make_mut(group);
-                while group.last().is_some_and(|c| c.is_none()) {
-                    group.pop();
-                }
-                if group.is_empty() {
-                    *slot = None;
-                }
+/// Apply one chunk's run of edits to `old` (the base chunk, `None` if its
+/// window is empty), adding the membership change to `len`. Returns `None`
+/// when no edit changes the chunk, so the caller keeps `old` shared;
+/// otherwise the chunk to store, itself `None` once the window is empty.
+fn patch_chunk<V: Clone + Default + Eq>(
+    old: Option<&Arc<Chunk<V>>>,
+    run: &[(u64, Option<V>)],
+    len: &mut usize,
+) -> Option<Option<Arc<Chunk<V>>>> {
+    let was = old.map_or(0, |c| c.present);
+    let mut present = was;
+    let mut changed = false;
+    for (key, v) in run {
+        let bit = 1u64 << (*key as usize % CHUNK);
+        match v {
+            Some(v) => {
+                changed |=
+                    was & bit == 0 || old.is_some_and(|c| c.slots[*key as usize % CHUNK] != *v);
+                present |= bit;
+            }
+            None => {
+                changed |= was & bit != 0;
+                present &= !bit;
             }
         }
-        while self.groups.last().is_some_and(|g| g.is_none()) {
-            self.groups.pop();
-        }
     }
+    if !changed {
+        return None;
+    }
+    *len = *len + present.count_ones() as usize - was.count_ones() as usize;
+    if present == 0 {
+        return Some(None);
+    }
+    // `make_mut` clones a shared chunk straight into its new allocation.
+    let mut chunk = old.map_or_else(|| Arc::new(Chunk::empty()), Arc::clone);
+    let writable = Arc::make_mut(&mut chunk);
+    writable.present = present;
+    for (key, v) in run {
+        writable.slots[*key as usize % CHUNK] = v.clone().unwrap_or_default();
+    }
+    Some(Some(chunk))
+}
+
+/// The positions of the set bits of `word`, ascending.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let s = word.trailing_zeros() as usize;
+            word &= word - 1;
+            s
+        })
+    })
 }
 
 /// Sort `edits` by key and keep the **last** edit pushed for each key.
@@ -560,9 +560,12 @@ impl SnapshotCell {
         let old = std::mem::replace(&mut *guard, Arc::new(next));
         drop(guard);
         let from = old.epoch();
-        // If this was the last reference, the old snapshot's deallocation
-        // (O(its size)) happens here — outside the lock, so readers are
-        // never stalled behind it.
+        // The old snapshot's deallocation frees only what `next` does not
+        // share — the chunks and groups the batch replaced — so it is
+        // O(chunks replaced). It runs outside the lock, so readers never
+        // stall behind it, and mostly not here: the publisher still holds
+        // the base it patched (`prev` in `maybe_publish_snapshot`) and
+        // frees it when it drops that, or a reader frees it later.
         drop(old);
         {
             let mut ring = self.deltas.lock().expect("delta ring poisoned");
@@ -720,6 +723,41 @@ pub struct SnapshotStats {
 // MatchingSnapshot
 // ---------------------------------------------------------------------------
 
+/// Vertices a `matched_edges` slot holds in place: every graph edge and
+/// every rank-3 hyperedge fits.
+const INLINE: usize = 3;
+
+/// A matched edge's vertex list as a `matched_edges` slot holds it: the
+/// length plus up to [`INLINE`] vertices in place (16 bytes, no heap
+/// pointer). A longer list keeps only its length here; its vertices live
+/// in [`MatchingSnapshot`]'s `spilled` map.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Verts {
+    len: u32,
+    inline: [VertexId; INLINE],
+}
+
+impl Verts {
+    fn new(vs: &[VertexId]) -> Self {
+        let mut inline = [0; INLINE];
+        if vs.len() <= INLINE {
+            inline[..vs.len()].copy_from_slice(vs);
+        }
+        Verts {
+            len: vs.len() as u32,
+            inline,
+        }
+    }
+
+    fn spills(&self) -> bool {
+        self.len as usize > INLINE
+    }
+}
+
+/// A spilled vertex list (rank > [`INLINE`]); a present slot always holds
+/// `Some`.
+type Spill = Option<Arc<[VertexId]>>;
+
 /// A compact immutable snapshot of a [`DynamicMatching`]: the live edge
 /// set, the per-vertex matched-edge assignment, and the matched edges with
 /// their vertex lists, each held in a chunked copy-on-write map
@@ -736,10 +774,15 @@ pub struct MatchingSnapshot {
     epoch: u64,
     /// Live edge ids (key = raw edge id).
     live: CowMap<()>,
-    /// Covering matched edge per vertex (key = vertex id).
-    matched_of: CowMap<EdgeId>,
-    /// Vertex list per matched edge (key = raw edge id).
-    matched_edges: CowMap<EdgeVertices>,
+    /// Covering matched edge per vertex (key = vertex id, value = raw edge
+    /// id).
+    matched_of: CowMap<u64>,
+    /// Vertex list per matched edge (key = raw edge id), inline up to rank
+    /// [`INLINE`].
+    matched_edges: CowMap<Verts>,
+    /// Vertex lists of the matched edges of rank above [`INLINE`] (key =
+    /// raw edge id); empty while every edge has rank at most [`INLINE`].
+    spilled: CowMap<Spill>,
 }
 
 impl MatchingSnapshot {
@@ -750,19 +793,19 @@ impl MatchingSnapshot {
         let s = m.structure();
         let mut live: Vec<u64> = s.edges.ids().iter().map(|e| e.raw()).collect();
         live.sort_unstable();
-        let mut matched_pairs: Vec<(EdgeId, EdgeVertices)> = s
+        let mut matched_pairs: Vec<(u64, &[VertexId])> = s
             .matches
             .ids()
             .iter()
-            .map(|&e| (e, s.edges[e].vertices.clone()))
+            .map(|&e| (e.raw(), s.edges[e].vertices.as_slice()))
             .collect();
         matched_pairs.sort_unstable_by_key(|&(e, _)| e);
         // Matched edges are vertex-disjoint (Invariant: one covering match
         // per vertex), so emitting each match's vertices yields every
         // covered vertex exactly once — no dense vertex-table scan needed.
-        let mut matched_of: Vec<(u64, EdgeId)> = matched_pairs
+        let mut matched_of: Vec<(u64, u64)> = matched_pairs
             .iter()
-            .flat_map(|(e, vs)| vs.iter().map(move |&v| (v as u64, *e)))
+            .flat_map(|&(e, vs)| vs.iter().map(move |&v| (v as u64, e)))
             .collect();
         matched_of.sort_unstable_by_key(|&(v, _)| v);
         MatchingSnapshot {
@@ -770,13 +813,19 @@ impl MatchingSnapshot {
             live: CowMap::from_sorted(live.into_iter().map(|e| (e, ()))),
             matched_of: CowMap::from_sorted(matched_of),
             matched_edges: CowMap::from_sorted(
-                matched_pairs.into_iter().map(|(e, vs)| (e.raw(), vs)),
+                matched_pairs.iter().map(|&(e, vs)| (e, Verts::new(vs))),
+            ),
+            spilled: CowMap::from_sorted(
+                matched_pairs
+                    .iter()
+                    .filter(|(_, vs)| vs.len() > INLINE)
+                    .map(|&(e, vs)| (e, Some(Arc::from(vs)))),
             ),
         }
     }
 
     /// Produce the snapshot at `delta.to_epoch` by patching this one in
-    /// `O(delta)`: all untouched chunks are shared. `delta.from_epoch`
+    /// `O(delta)`: all unchanged chunks are shared. `delta.from_epoch`
     /// must equal this snapshot's epoch (debug-asserted). Removals of
     /// absent ids are no-ops, so merged deltas apply cleanly.
     pub fn apply_delta(&self, delta: &SnapshotDelta) -> MatchingSnapshot {
@@ -786,32 +835,37 @@ impl MatchingSnapshot {
         );
         // Removals pushed before inserts per map; canonicalize_edits keeps
         // the *last* edit per key, so a recycled id resolves to its insert.
-        let mut live_edits: Vec<(u64, Option<()>)> = Vec::new();
+        let mut live_edits: Vec<(u64, Option<()>)> =
+            Vec::with_capacity(delta.deleted.len() + delta.inserted.len());
         live_edits.extend(delta.deleted.iter().map(|e| (e.raw(), None)));
         live_edits.extend(delta.inserted.iter().map(|e| (e.raw(), Some(()))));
         canonicalize_edits(&mut live_edits);
 
-        let mut edge_edits: Vec<(u64, Option<EdgeVertices>)> = Vec::new();
-        edge_edits.extend(delta.unmatched.iter().map(|e| (e.raw(), None)));
-        edge_edits.extend(
-            delta
-                .matched
-                .iter()
-                .map(|(e, vs)| (e.raw(), Some(vs.clone()))),
-        );
-        canonicalize_edits(&mut edge_edits);
-
         // Vertex unbindings resolve the *old* vertex lists from this (base)
         // snapshot; an unmatch of an edge we never saw matched is a no-op.
-        let mut of_edits: Vec<(u64, Option<EdgeId>)> = Vec::new();
+        let mut edge_edits: Vec<(u64, Option<Verts>)> =
+            Vec::with_capacity(delta.unmatched.len() + delta.matched.len());
+        let mut spill_edits: Vec<(u64, Option<Spill>)> = Vec::new();
+        let mut of_edits: Vec<(u64, Option<u64>)> = Vec::new();
         for e in &delta.unmatched {
-            if let Some(vs) = self.matched_edges.get(e.raw()) {
+            edge_edits.push((e.raw(), None));
+            if let Some(vs) = self.edge_vertices(*e) {
                 of_edits.extend(vs.iter().map(|&v| (v as u64, None)));
+                if vs.len() > INLINE {
+                    spill_edits.push((e.raw(), None));
+                }
             }
         }
         for (e, vs) in &delta.matched {
-            of_edits.extend(vs.iter().map(|&v| (v as u64, Some(*e))));
+            let verts = Verts::new(vs);
+            edge_edits.push((e.raw(), Some(verts)));
+            if verts.spills() {
+                spill_edits.push((e.raw(), Some(Some(Arc::from(vs.as_slice())))));
+            }
+            of_edits.extend(vs.iter().map(|&v| (v as u64, Some(e.raw()))));
         }
+        canonicalize_edits(&mut edge_edits);
+        canonicalize_edits(&mut spill_edits);
         canonicalize_edits(&mut of_edits);
 
         MatchingSnapshot {
@@ -819,6 +873,7 @@ impl MatchingSnapshot {
             live: self.live.patch(&live_edits),
             matched_of: self.matched_of.patch(&of_edits),
             matched_edges: self.matched_edges.patch(&edge_edits),
+            spilled: self.spilled.patch(&spill_edits),
         }
     }
 
@@ -863,12 +918,25 @@ impl MatchingSnapshot {
 
     /// The matched edge covering `v` at this epoch, if any.
     pub fn matched_edge_of(&self, v: VertexId) -> Option<EdgeId> {
-        self.matched_of.get(v as u64).copied()
+        self.matched_of.get(v as u64).map(|&e| EdgeId(e))
     }
 
     /// Vertex list of a matched edge (canonical order), if `e` was matched.
     pub fn edge_vertices(&self, e: EdgeId) -> Option<&[VertexId]> {
-        self.matched_edges.get(e.raw()).map(|vs| vs.as_slice())
+        let verts = self.matched_edges.get(e.raw())?;
+        Some(self.vertices_of(e.raw(), verts))
+    }
+
+    /// The vertex list `verts` stands for: in place, or spilled.
+    fn vertices_of<'a>(&'a self, e: u64, verts: &'a Verts) -> &'a [VertexId] {
+        if verts.spills() {
+            self.spilled
+                .get(e)
+                .and_then(Option::as_deref)
+                .expect("a spilled vertex list is in the spill map")
+        } else {
+            &verts.inline[..verts.len as usize]
+        }
     }
 
     /// The partner of `v`: the first *other* vertex of the matched edge
@@ -893,12 +961,16 @@ impl MatchingSnapshot {
 
     /// `(vertex, covering matched edge)` pairs, ascending by vertex.
     pub fn matched_vertices(&self) -> impl Iterator<Item = (VertexId, EdgeId)> + '_ {
-        self.matched_of.iter().map(|(v, &e)| (v as VertexId, e))
+        self.matched_of
+            .iter()
+            .map(|(v, &e)| (v as VertexId, EdgeId(e)))
     }
 
     /// Matched edges with their vertex lists, ascending by edge id.
-    pub fn matched_edges(&self) -> impl Iterator<Item = (EdgeId, &EdgeVertices)> + '_ {
-        self.matched_edges.iter().map(|(e, vs)| (EdgeId(e), vs))
+    pub fn matched_edges(&self) -> impl Iterator<Item = (EdgeId, &[VertexId])> + '_ {
+        self.matched_edges
+            .iter()
+            .map(|(e, verts)| (EdgeId(e), self.vertices_of(e, verts)))
     }
 
     /// Internal cross-consistency of the snapshot itself: every matched
@@ -943,6 +1015,17 @@ impl DynamicMatching {
 mod tests {
     use super::*;
     use crate::api::Batch;
+    use pbdmm_primitives::rng::SplitMix64;
+    use std::collections::BTreeMap;
+
+    /// Cases per property: 64 by default; the nightly CI job raises it via
+    /// `PBDMM_PROP_CASES` for deeper sweeps at the same fixed seeds.
+    fn cases() -> u64 {
+        std::env::var("PBDMM_PROP_CASES")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(64)
+    }
 
     #[test]
     fn snapshot_reflects_state_and_epoch() {
@@ -1147,6 +1230,117 @@ mod tests {
         assert_eq!(base.get(9_999), Some(&9_999));
     }
 
+    impl<V: Clone + Default + Eq> CowMap<V> {
+        /// Every group's and every chunk's address, in key order: equal
+        /// lists mean each is `Arc::ptr_eq` to its counterpart.
+        fn shared_ptrs(&self) -> (Vec<*const Group<V>>, Vec<*const Chunk<V>>) {
+            let groups = self.groups.iter().flatten();
+            let chunks = groups.clone().flat_map(|g| g.iter().flatten());
+            (
+                groups.map(Arc::as_ptr).collect(),
+                chunks.map(Arc::as_ptr).collect(),
+            )
+        }
+    }
+
+    /// Drive `patch` with seeded random edit sequences — inserts, removes,
+    /// re-inserts of the present value, removes of absent keys — over a
+    /// `BTreeMap` model. Every version must equal `from_sorted` of the
+    /// model's content, with the same `len`; the version it was patched
+    /// from must be unchanged; and a patch that changes nothing must share
+    /// every chunk with its base.
+    fn patch_matches_model<V: Clone + Default + Eq + std::fmt::Debug>(
+        seed: u64,
+        value: impl Fn(&mut SplitMix64) -> V,
+    ) {
+        let mut rng = SplitMix64::new(seed);
+        for case in 0..cases() {
+            // Key spans from inside one chunk to several groups.
+            let span = [40, 300, 5_000, 20_000][rng.bounded(4) as usize];
+            let mut model: BTreeMap<u64, V> = BTreeMap::new();
+            let mut map: CowMap<V> = CowMap::new();
+            for step in 0..8 {
+                let mut edits: BTreeMap<u64, Option<V>> = BTreeMap::new();
+                for _ in 0..rng.bounded(200) {
+                    let key = rng.bounded(span);
+                    let edit = match rng.bounded(4) {
+                        0 => Some(value(&mut rng)),
+                        1 => model.get(&key).cloned().or_else(|| Some(value(&mut rng))),
+                        _ => None, // absent keys included
+                    };
+                    edits.insert(key, edit);
+                }
+                let edits: Vec<(u64, Option<V>)> = edits.into_iter().collect();
+                let before = map.clone();
+                let next = map.patch(&edits);
+                let old_model = model.clone();
+                for (k, v) in &edits {
+                    match v {
+                        Some(v) => model.insert(*k, v.clone()),
+                        None => model.remove(k),
+                    };
+                }
+                let expect = CowMap::from_sorted(model.iter().map(|(k, v)| (*k, v.clone())));
+                assert_eq!(next, expect, "case {case} step {step}");
+                assert_eq!(next.len(), model.len(), "case {case} step {step}");
+                let pairs: Vec<(u64, V)> = next.iter().map(|(k, v)| (k, v.clone())).collect();
+                let want: Vec<(u64, V)> = model.iter().map(|(k, v)| (*k, v.clone())).collect();
+                assert_eq!(pairs, want, "case {case} step {step}: iter");
+                for (k, v) in &model {
+                    assert_eq!(next.get(*k), Some(v), "case {case} step {step}: get {k}");
+                }
+                let old_expect =
+                    CowMap::from_sorted(old_model.iter().map(|(k, v)| (*k, v.clone())));
+                assert_eq!(before, old_expect, "case {case} step {step}: base changed");
+
+                // Re-insert every third present value and remove absent keys.
+                let noop: Vec<(u64, Option<V>)> = (0..span)
+                    .filter(|k| k % 3 == 0)
+                    .map(|k| (k, model.get(&k).cloned()))
+                    .collect();
+                let same = next.patch(&noop);
+                assert_eq!(same, next, "case {case} step {step}: no-op patch");
+                assert_eq!(
+                    same.shared_ptrs(),
+                    next.shared_ptrs(),
+                    "case {case} step {step}: a no-op patch must share every chunk and group"
+                );
+                map = next;
+            }
+        }
+    }
+
+    fn random_vertices(rng: &mut SplitMix64, ranks: std::ops::RangeInclusive<u64>) -> Vec<u32> {
+        let len = ranks.start() + rng.bounded(ranks.end() - ranks.start() + 1);
+        (0..len).map(|_| rng.bounded(4) as u32).collect()
+    }
+
+    #[test]
+    fn cowmap_patch_matches_model_for_unit_values() {
+        patch_matches_model(0xC0_01, |_| ());
+    }
+
+    #[test]
+    fn cowmap_patch_matches_model_for_edge_ids() {
+        // Few distinct values, so overwrites often write what is there.
+        patch_matches_model(0xC0_02, |rng| rng.bounded(4));
+    }
+
+    #[test]
+    fn cowmap_patch_matches_model_for_inline_vertex_lists() {
+        patch_matches_model(0xC0_03, |rng| {
+            Verts::new(&random_vertices(rng, 1..=INLINE as u64))
+        });
+    }
+
+    #[test]
+    fn cowmap_patch_matches_model_for_spilled_vertex_lists() {
+        // A fresh `Arc` of equal content is the same value: no change.
+        patch_matches_model(0xC0_04, |rng| -> Spill {
+            Some(Arc::from(random_vertices(rng, INLINE as u64 + 1..=6)))
+        });
+    }
+
     // -- SnapshotDelta -----------------------------------------------------
 
     fn delta(
@@ -1295,6 +1489,82 @@ mod tests {
             }
             assert_eq!(patched, *r.snapshot(), "wave {wave}");
             patched.check_consistency().unwrap();
+        }
+    }
+
+    #[test]
+    fn patched_snapshots_track_capture_with_ranks_one_to_six() {
+        for recycle in [false, true] {
+            let mut m = DynamicMatching::with_seed(15);
+            m.set_recycle_ids(recycle);
+            let r = m.enable_snapshots();
+            let mut patched = (*r.snapshot()).clone();
+            let mut rng = SplitMix64::new(0x5EED_0016);
+            let mut live: Vec<EdgeId> = Vec::new();
+            let (mut spilled, mut rebinds) = (0, 0);
+            // Fresh vertices for edges that must match at once.
+            let mut fresh = 1_000u32;
+            for wave in 0..80 {
+                let mut batch = Batch::new();
+                for _ in 0..rng.bounded(live.len().min(5) as u64 + 1) {
+                    let i = rng.bounded(live.len() as u64) as usize;
+                    batch = batch.delete(live.swap_remove(i));
+                }
+                // A rank-1..=6 edge over a few vertices, so edges collide.
+                for _ in 0..1 + rng.bounded(4) {
+                    let rank = 1 + rng.bounded(6) as u32;
+                    let base = rng.bounded(30) as u32;
+                    batch = batch.insert((0..rank).map(|k| base + 3 * k).collect());
+                }
+                // Every fifth wave also inserts a rank-5 edge on fresh
+                // vertices: it matches at once, so with recycled ids a
+                // matched id deleted in this batch comes back bound to it.
+                if wave % 5 == 4 {
+                    batch = batch.insert((fresh..fresh + 5).collect());
+                    fresh += 5;
+                }
+                m.apply(batch).unwrap();
+                live = m.structure().edges.ids().to_vec();
+                match r.changes_since(patched.epoch()) {
+                    Changes::Delta { delta, .. } => {
+                        rebinds += delta
+                            .matched
+                            .iter()
+                            .filter(|(e, _)| delta.unmatched.binary_search(e).is_ok())
+                            .count();
+                        patched = patched.apply_delta(&delta);
+                    }
+                    Changes::UpToDate => {}
+                    Changes::Resync(_) => unreachable!("one publish behind"),
+                }
+                let label = format!("recycle {recycle} wave {wave}");
+                assert_eq!(patched, MatchingSnapshot::capture(&m), "{label}");
+                assert_eq!(patched, *r.snapshot(), "{label}");
+                patched.check_consistency().unwrap();
+                spilled += patched.spilled.len();
+            }
+            assert!(
+                spilled > 0,
+                "recycle {recycle}: no list took the spill path"
+            );
+            assert!(
+                !recycle || rebinds > 0,
+                "recycling never rebound a matched id"
+            );
+            // A matched rank-5 edge answers from the spill map exactly as the
+            // live structure does.
+            let snap = r.snapshot();
+            let (e, vs) = snap
+                .matched_edges()
+                .find(|(_, vs)| vs.len() == 5)
+                .expect("some rank-5 edge is matched");
+            assert_eq!(Some(vs), m.edge_vertices(e));
+            assert_eq!(snap.edge_vertices(e), m.edge_vertices(e));
+            for &v in vs {
+                assert_eq!(snap.matched_edge_of(v), Some(e));
+                assert_eq!(snap.partners(v), m.edge_vertices(e));
+                assert_eq!(snap.partner(v), vs.iter().copied().find(|&u| u != v));
+            }
         }
     }
 }

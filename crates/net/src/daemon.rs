@@ -774,7 +774,7 @@ fn resync_delta(snap: &MatchingSnapshot) -> SnapshotDelta {
         inserted: snap.live_edges().collect(),
         matched: snap
             .matched_edges()
-            .map(|(e, vs)| (e, vs.clone()))
+            .map(|(e, vs)| (e, vs.to_vec()))
             .collect(),
         ..SnapshotDelta::empty(0, snap.epoch())
     }

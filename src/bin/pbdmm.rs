@@ -43,12 +43,36 @@ use pbdmm_bench::metrics;
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Failure::Usage(e)) => {
             eprintln!("pbdmm: {e}");
             eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
+        Err(Failure::Run(e)) => {
+            eprintln!("pbdmm: {e}");
+            ExitCode::FAILURE
+        }
     }
+}
+
+/// Why a command failed.
+enum Failure {
+    /// The command line is wrong (a missing argument, an unknown command or
+    /// flag, a value that does not parse): the usage text follows the cause.
+    Usage(String),
+    /// The command failed as it ran: only the cause is printed.
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Self {
+        Failure::Run(e)
+    }
+}
+
+/// A command-line error: see [`Failure::Usage`].
+fn usage(e: impl Into<String>) -> Failure {
+    Failure::Usage(e.into())
 }
 
 const USAGE: &str = "\
@@ -136,7 +160,7 @@ struct Args {
     flags: std::collections::HashMap<String, String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args() -> Result<Args, Failure> {
     let mut positional = Vec::new();
     let mut flags = std::collections::HashMap::new();
     let mut it = std::env::args().skip(1).peekable();
@@ -150,11 +174,12 @@ fn parse_args() -> Result<Args, String> {
                     _ => "true".to_string(),
                 }
             } else {
-                it.next().ok_or_else(|| format!("--{key} needs a value"))?
+                it.next()
+                    .ok_or_else(|| usage(format!("--{key} needs a value")))?
             };
             flags.insert(key.to_string(), value);
         } else if a == "-o" {
-            let value = it.next().ok_or("-o needs a value")?;
+            let value = it.next().ok_or_else(|| usage("-o needs a value"))?;
             flags.insert("out".to_string(), value);
         } else {
             positional.push(a);
@@ -164,13 +189,13 @@ fn parse_args() -> Result<Args, String> {
 }
 
 impl Args {
-    fn flag<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String>
+    fn flag<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, Failure>
     where
         T::Err: std::fmt::Display,
     {
         match self.flags.get(key) {
             None => Ok(default),
-            Some(v) => v.parse().map_err(|e| format!("--{key} {v:?}: {e}")),
+            Some(v) => v.parse().map_err(|e| usage(format!("--{key} {v:?}: {e}"))),
         }
     }
 }
@@ -184,7 +209,7 @@ struct ProfileOpts {
 
 /// Parse `--profile` / `--profile true|false` / `--profile interval=N`
 /// (N whole seconds between periodic delta reports).
-fn profile_from_flags(args: &Args) -> Result<ProfileOpts, String> {
+fn profile_from_flags(args: &Args) -> Result<ProfileOpts, Failure> {
     let (on, interval) = match args.flags.get("profile").map(String::as_str) {
         None | Some("false") => (false, None),
         Some("true") => (true, None),
@@ -194,10 +219,10 @@ fn profile_from_flags(args: &Args) -> Result<ProfileOpts, String> {
                 .and_then(|n| n.parse().ok())
                 .filter(|&n| n > 0)
                 .ok_or_else(|| {
-                    format!(
+                    usage(format!(
                         "--profile {v:?}: expected true, false, or interval=N \
                          (N a positive whole number of seconds)"
-                    )
+                    ))
                 })?;
             (true, Some(Duration::from_secs(secs)))
         }
@@ -277,7 +302,7 @@ fn print_profile(obs: &Recorder) {
 /// is read for every subcommand, before dispatch.
 type Command = (
     &'static str,
-    fn(&Args) -> Result<(), String>,
+    fn(&Args) -> Result<(), Failure>,
     &'static [&'static str],
 );
 
@@ -339,13 +364,17 @@ const COMMANDS: &[Command] = &[
     ),
 ];
 
-fn run() -> Result<(), String> {
+fn run() -> Result<(), Failure> {
     let args = parse_args()?;
-    let cmd = args.positional.first().ok_or("missing command")?.as_str();
+    let cmd = args
+        .positional
+        .first()
+        .ok_or_else(|| usage("missing command"))?
+        .as_str();
     let &(_, handler, accepted) = COMMANDS
         .iter()
         .find(|(name, _, _)| *name == cmd)
-        .ok_or_else(|| format!("unknown command {cmd:?}"))?;
+        .ok_or_else(|| usage(format!("unknown command {cmd:?}")))?;
     // A flag the subcommand never reads is a typo or a removed option;
     // ignoring it would silently run another configuration.
     let mut given: Vec<&str> = args.flags.keys().map(String::as_str).collect();
@@ -354,7 +383,7 @@ fn run() -> Result<(), String> {
         .into_iter()
         .find(|f| *f != "threads" && !accepted.contains(f))
     {
-        return Err(format!("unknown flag --{flag} for {cmd}"));
+        return Err(usage(format!("unknown flag --{flag} for {cmd}")));
     }
     // Size the process-global work-stealing pool before any parallel call;
     // all subcommands (and the structures they build) share that scheduler.
@@ -363,26 +392,27 @@ fn run() -> Result<(), String> {
     if let Some(v) = args.flags.get("threads") {
         let threads: usize = v
             .parse()
-            .map_err(|_| format!("--threads {v:?}: expected a positive integer"))?;
+            .map_err(|_| usage(format!("--threads {v:?}: expected a positive integer")))?;
         if threads == 0 {
-            return Err("--threads 0 is invalid: pass a positive thread count, \
-                        or omit the flag to use all cores"
-                .into());
+            return Err(usage(
+                "--threads 0 is invalid: pass a positive thread count, \
+                 or omit the flag to use all cores",
+            ));
         }
         pbdmm::primitives::par::set_num_threads(threads);
     }
     handler(&args)
 }
 
-fn load(args: &Args) -> Result<Hypergraph, String> {
+fn load(args: &Args) -> Result<Hypergraph, Failure> {
     let path = args
         .positional
         .get(1)
-        .ok_or("missing graph file argument")?;
-    io::read_hypergraph_file(&PathBuf::from(path))
+        .ok_or_else(|| usage("missing graph file argument"))?;
+    Ok(io::read_hypergraph_file(&PathBuf::from(path))?)
 }
 
-fn cmd_match(args: &Args) -> Result<(), String> {
+fn cmd_match(args: &Args) -> Result<(), Failure> {
     let g = load(args)?;
     let seed: u64 = args.flag("seed", 42)?;
     let meter = CostMeter::new();
@@ -406,23 +436,24 @@ fn cmd_match(args: &Args) -> Result<(), String> {
     );
     println!("wall clock: {:.1} ms", secs * 1e3);
     if !g.is_maximal_matching(&result.matched_edges()) {
-        return Err("internal error: produced matching not maximal".into());
+        let cause = "internal error: produced matching not maximal";
+        return Err(Failure::Run(cause.into()));
     }
     Ok(())
 }
 
-fn parse_order(s: &str) -> Result<DeletionOrder, String> {
+fn parse_order(s: &str) -> Result<DeletionOrder, Failure> {
     Ok(match s {
         "uniform" => DeletionOrder::Uniform,
         "fifo" => DeletionOrder::Fifo,
         "lifo" => DeletionOrder::Lifo,
         "clustered" => DeletionOrder::VertexClustered,
         "degree" => DeletionOrder::DegreeBiased,
-        other => return Err(format!("unknown deletion order {other:?}")),
+        other => return Err(usage(format!("unknown deletion order {other:?}"))),
     })
 }
 
-fn cmd_dynamic(args: &Args) -> Result<(), String> {
+fn cmd_dynamic(args: &Args) -> Result<(), Failure> {
     let g = load(args)?;
     let batch: usize = args.flag("batch", 256)?;
     let seed: u64 = args.flag("seed", 42)?;
@@ -456,7 +487,7 @@ fn cmd_dynamic(args: &Args) -> Result<(), String> {
             println!("final cover size: {} (elements drained)", dc.cover_size());
             report
         }
-        other => return Err(format!("unknown contender {other:?}")),
+        other => return Err(usage(format!("unknown contender {other:?}"))),
     };
     println!("contender: {contender}");
     println!(
@@ -472,7 +503,7 @@ fn cmd_dynamic(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_cover(args: &Args) -> Result<(), String> {
+fn cmd_cover(args: &Args) -> Result<(), Failure> {
     let g = load(args)?;
     let seed: u64 = args.flag("seed", 42)?;
     let (cover, lb) = pbdmm::setcover::static_cover(&g.edges, seed);
@@ -736,12 +767,12 @@ fn wal_from_flags(
     meta: &WalMeta,
     sync: bool,
     tag: &str,
-) -> Result<Option<WalConfig>, String> {
+) -> Result<Option<WalConfig>, Failure> {
     let ckpt_every: u64 = args.flag("checkpoint-every", WalConfig::DEFAULT_CHECKPOINT_EVERY)?;
     let path = match args.flags.get("wal").map(String::as_str) {
         Some("none") => {
             if args.flags.contains_key("checkpoint-every") {
-                return Err("--checkpoint-every requires a WAL (got --wal none)".into());
+                return Err(usage("--checkpoint-every requires a WAL (got --wal none)"));
             }
             return Ok(None);
         }
@@ -763,7 +794,7 @@ fn wal_from_flags(
     Ok(Some(cfg))
 }
 
-fn cmd_serve(args: &Args) -> Result<(), String> {
+fn cmd_serve(args: &Args) -> Result<(), Failure> {
     let producers: usize = args.flag("producers", 4)?;
     let per_producer: usize = args.flag("updates", 10_000)?;
     let readers: usize = args.flag("readers", 2)?;
@@ -771,7 +802,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let seed: u64 = args.flag("seed", 42)?;
     let structure = args.flag("structure", "matching".to_string())?;
     if producers == 0 || per_producer == 0 {
-        return Err("--producers and --updates must be positive".into());
+        return Err(usage("--producers and --updates must be positive"));
     }
     // Durable by default: an update is acknowledged only once the batch
     // containing it is on the log (fsync per commit unless --wal-sync
@@ -805,8 +836,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         let obs = prof.obs.clone();
         ProfilePrinter::spawn(every, move || Some(obs.snapshot()))
     });
+    // Every field of `meta` came from the command line.
     let (total, seconds, latencies, read, m) = serve_load(
-        matching_for(&meta)?,
+        matching_for(&meta).map_err(usage)?,
         producers,
         per_producer,
         readers,
@@ -845,7 +877,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             return Err(format!(
                 "{} failed snapshot queries during serve (expected 0)",
                 read.failed
-            ));
+            )
+            .into());
         }
     }
     if let Some(path) = &wal_path {
@@ -865,11 +898,11 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 /// intact checkpoint plus tail segments, or the full history with
 /// `--from-genesis true` — and ends with the `final:` line serve and daemon
 /// print, so CI can diff recovery against the state that was served.
-fn cmd_replay(args: &Args) -> Result<(), String> {
+fn cmd_replay(args: &Args) -> Result<(), Failure> {
     let path = PathBuf::from(
         args.positional
             .get(1)
-            .ok_or("missing WAL directory argument")?,
+            .ok_or_else(|| usage("missing WAL directory argument"))?,
     );
     let from_genesis: bool = args.flag("from-genesis", false)?;
     let prof = profile_from_flags(args)?;
@@ -878,7 +911,8 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
             "{} is a file, not a WAL directory; a single-file log replays as \
              DIR/000000.seg (the bytes are the same)",
             path.display()
-        ));
+        )
+        .into());
     }
     let meta = wal_dir_meta(&path)?;
     println!(
@@ -962,21 +996,25 @@ fn print_recovery(info: &RecoveryInfo, elapsed: Duration) {
     );
 }
 
-fn cmd_daemon(args: &Args) -> Result<(), String> {
+fn cmd_daemon(args: &Args) -> Result<(), Failure> {
     use std::io::Write as _;
     let host = args.flag("host", "127.0.0.1".to_string())?;
     let port: u16 = match args.flags.get("port") {
         None => 0,
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--port {v:?}: expected a port number (0 = ephemeral)"))?,
+        Some(v) => v.parse().map_err(|_| {
+            usage(format!(
+                "--port {v:?}: expected a port number (0 = ephemeral)"
+            ))
+        })?,
     };
     let max_connections: usize = args.flag("max-connections", 64)?;
     let max_inflight: usize = args.flag("max-inflight", 4096)?;
     let max_batch: usize = args.flag("max-batch", DEFAULT_MAX_BATCH)?;
     let seed: u64 = args.flag("seed", 42)?;
     if max_connections == 0 || max_inflight == 0 {
-        return Err("--max-connections and --max-inflight must be positive".into());
+        return Err(usage(
+            "--max-connections and --max-inflight must be positive",
+        ));
     }
     let wal_sync: bool = args.flag("wal-sync", true)?;
     let meta = WalMeta {
@@ -1066,27 +1104,31 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_load(args: &Args) -> Result<(), String> {
+fn cmd_load(args: &Args) -> Result<(), Failure> {
     let addr: std::net::SocketAddr = match (args.flags.get("addr"), args.flags.get("port")) {
         (Some(a), None) => a
             .parse()
-            .map_err(|_| format!("--addr {a:?}: expected HOST:PORT"))?,
+            .map_err(|_| usage(format!("--addr {a:?}: expected HOST:PORT")))?,
         (None, Some(p)) => {
             let port: u16 = p.parse().map_err(|_| {
-                format!("--port {p:?}: expected the daemon's port number (1-65535)")
+                usage(format!(
+                    "--port {p:?}: expected the daemon's port number (1-65535)"
+                ))
             })?;
             if port == 0 {
-                return Err("--port 0 is invalid: pass the port the daemon printed \
-                            on its 'daemon: listening on' line"
-                    .into());
+                return Err(usage(
+                    "--port 0 is invalid: pass the port the daemon printed \
+                     on its 'daemon: listening on' line",
+                ));
             }
             std::net::SocketAddr::from(([127, 0, 0, 1], port))
         }
-        (Some(_), Some(_)) => return Err("pass either --addr or --port, not both".into()),
+        (Some(_), Some(_)) => return Err(usage("pass either --addr or --port, not both")),
         (None, None) => {
-            return Err("load needs the daemon's address: --addr HOST:PORT \
-                                    or --port P (loopback)"
-                .into())
+            return Err(usage(
+                "load needs the daemon's address: --addr HOST:PORT \
+                 or --port P (loopback)",
+            ))
         }
     };
     let connections: usize = args.flag("connections", 4)?;
@@ -1096,7 +1138,7 @@ fn cmd_load(args: &Args) -> Result<(), String> {
     let shutdown: bool = args.flag("shutdown", false)?;
     let prof = profile_from_flags(args)?;
     if connections == 0 || per_connection == 0 {
-        return Err("--connections and --updates must be positive".into());
+        return Err(usage("--connections and --updates must be positive"));
     }
     let cfg = LoadConfig {
         connections,
@@ -1164,35 +1206,36 @@ fn cmd_load(args: &Args) -> Result<(), String> {
         return Err(format!(
             "{} connections failed with protocol/transport errors (expected 0)",
             report.protocol_errors
-        ));
+        )
+        .into());
     }
     if report.failed > 0 {
-        return Err(format!(
-            "{} failed queries during load (expected 0)",
-            report.failed
-        ));
+        return Err(format!("{} failed queries during load (expected 0)", report.failed).into());
     }
     Ok(())
 }
 
-fn cmd_gen(args: &Args) -> Result<(), String> {
+fn cmd_gen(args: &Args) -> Result<(), Failure> {
     let family = args
         .positional
         .get(1)
-        .ok_or("missing graph family")?
+        .ok_or_else(|| usage("missing graph family"))?
         .as_str();
     let n: usize = args.flag("n", 1000)?;
     let m: usize = args.flag("m", 4 * n)?;
     let rank: usize = args.flag("rank", 3)?;
     let seed: u64 = args.flag("seed", 1)?;
-    let out = args.flags.get("out").ok_or("missing -o <file>")?;
+    let out = args
+        .flags
+        .get("out")
+        .ok_or_else(|| usage("missing -o <file>"))?;
     let g = match family {
         "er" => gen::erdos_renyi(n, m, seed),
         "hyper" => gen::random_hypergraph(n, m, rank, seed),
         "powerlaw" => gen::preferential_attachment(n, rank.max(2), seed),
         "star" => gen::star(n),
         "bipartite" => gen::bipartite(n / 2, n - n / 2, m, seed),
-        other => return Err(format!("unknown family {other:?}")),
+        other => return Err(usage(format!("unknown family {other:?}"))),
     };
     io::write_hypergraph_file(&PathBuf::from(out), &g)?;
     println!(

@@ -386,6 +386,29 @@ fn replay_rejects_garbage() {
 }
 
 #[test]
+fn usage_follows_argument_errors_only() {
+    // A failure while running prints its one-line cause, not the usage.
+    let dir = tmpfile("no_such.waldir");
+    std::fs::remove_dir_all(&dir).ok();
+    let out = pbdmm(&["replay", dir.to_str().unwrap()]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(dir.to_str().unwrap()), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+
+    // A wrong command line still gets the usage after its cause.
+    let out = pbdmm(&["replay", dir.to_str().unwrap(), "--frobnicate", "1"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag --frobnicate for replay"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("usage:"), "{stderr}");
+}
+
+#[test]
 fn replay_refuses_a_mid_log_segment() {
     // A rotated segment holds only the batches after a checkpoint:
     // replayed alone from a fresh structure it would print a state that
